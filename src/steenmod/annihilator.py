@@ -171,16 +171,8 @@ class PerpProfile:
     ell: dict[int, int]
     certified: dict[int, bool]
 
-    def moving_degrees(self) -> list[int]:
-        return [d for d in self.window
-                if self.certified[d] and self.ell[d] == self.num_stages]
-
     def certified_degrees(self) -> list[int]:
         return [d for d in self.window if self.certified[d]]
-
-    def max_certified_ell(self) -> int:
-        return max((self.ell[d] for d in self.window if self.certified[d]),
-                   default=0)
 
 
 def perp_ideal_in_module(ideal: HomIdeal, m: GradedModule) -> PerpProfile:

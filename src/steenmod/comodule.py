@@ -20,8 +20,7 @@ from typing import Optional
 
 from . import milnor
 from .f2 import BitMatrix
-from .gmodule import (GradedModule, SuspensionProfile, Window, coproduct,
-                      dual_regular, zero_module)
+from .gmodule import GradedModule, Window, coproduct, dual_regular, zero_module
 from .milnor import Algebra
 
 
@@ -38,23 +37,11 @@ class ExtendedSpec:
                 raise ValueError("negative dimension")
         object.__setattr__(self, "v_dims", items)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.v_dims)
-
     def degrees(self) -> list[int]:
         return [d for d, _ in self.v_dims]
 
-    def suspension_profile(self) -> SuspensionProfile:
-        shifts = []
-        for d, n in self.v_dims:
-            shifts.extend([d] * n)
-        return SuspensionProfile(shifts)
-
     def is_zero(self) -> bool:
         return not self.v_dims
-
-    def bounded_above_at(self) -> Optional[int]:
-        return self.v_dims[-1][0] if self.v_dims else None
 
 
 class GradedComodule:

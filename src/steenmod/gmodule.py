@@ -67,11 +67,6 @@ class SuspensionProfile:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def bounds(self) -> Optional[tuple[int, int]]:
-        if not self.shifts:
-            return None
-        return (self.shifts[0], self.shifts[-1])
-
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for s in self.shifts:
@@ -166,10 +161,6 @@ class GradedModule:
         for m in mats[1:]:
             out = out + m
         return out
-
-    def can_act(self, k: int, d: int) -> bool:
-        """Whether degree-k elements have a representable action on M^d."""
-        return self.dim(d) is not None and self.dim(d + k) is not None
 
     # -- structural checks ---------------------------------------------------
 
@@ -279,8 +270,8 @@ def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
             elem = Element([seq])
             for d in window:
                 if d + k in window and dims[d] and dims[d + k]:
-                    rm = milnor.right_multiplication(elem, -d - k, algebra)
-                    actions[(seq, d)] = rm.transpose()
+                    actions[(seq, d)] = milnor.right_multiplication(
+                        elem, -d - k, algebra, transposed=True)
     top = algebra.top_degree()
     bottom_exact = top is not None and window.lo <= -top
     return GradedModule(algebra, window, dims, actions,
@@ -349,16 +340,6 @@ def free_module(gens: SuspensionProfile, algebra: Algebra, window: Window,
     for s in gens.shifts:
         parts.append((regular(algebra, window.shift(-s), opposite), s))
     return coproduct(parts)
-
-
-def part_offsets(parts: Sequence[tuple[GradedModule, int]], d: int) -> list[int]:
-    """Starting coordinate of each summand inside coproduct degree d."""
-    offs = []
-    acc = 0
-    for m, s in parts:
-        offs.append(acc)
-        acc += m.dims[d - s]
-    return offs
 
 
 def submodule(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
@@ -558,9 +539,6 @@ class GeneratorReport:
     counts: dict[int, int]
     representatives: dict[int, list[int]]
     certified: dict[int, bool]
-
-    def certified_counts(self) -> dict[int, int]:
-        return {d: c for d, c in self.counts.items() if self.certified[d] and c}
 
 
 def minimal_generators(m: GradedModule) -> GeneratorReport:

@@ -8,18 +8,31 @@ r[i] < 2**(n + 1 - i) for 0-based i <= n, r[i] = 0 beyond; it is the
 subalgebra generated by Sq(1), Sq(2), ..., Sq(2**n), which the test suite
 checks rather than assumes.
 
-Basis lists and multiplication matrices are memoized per (algebra, degree);
-construction is idempotent, so concurrent readers are safe.  Set
-STEENMOD_CACHE_DIR to also persist multiplication matrices across runs.
+Products follow Milnor's formula: Sq(R) Sq(S) sums the monomials of
+diagonal sums of the matrices that split R by rows and S by columns, each
+counted with a product of multinomial coefficients.  A multinomial is odd
+iff its parts are carry-free, i.e. pairwise bitwise disjoint, so the
+enumeration keeps a running OR per diagonal and drops a partial matrix as
+soon as an entry overlaps its diagonal, instead of filling every matrix
+and testing it at the end.
+
+Basis lists, products, multiplication matrices and the left multiplication
+matrix of each monomial on each degree are memoized; construction is
+idempotent and the memoized matrices are immutable, so sharing them is
+safe.  Set STEENMOD_CACHE_DIR to also persist multiplication matrices
+across runs; each cache file carries a header (format, algebra, degrees,
+shape, checksum) and one that does not check out is recomputed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .f2 import BitMatrix
 
@@ -135,66 +148,64 @@ def basis_in_degree(d: int, algebra: Algebra) -> tuple[Seq, ...]:
     return _basis_cached(d, algebra.profile_index)
 
 
-def _multinomial_odd(parts: tuple[int, ...]) -> bool:
-    """(sum parts)! / prod(parts!) is odd iff the parts are carry-free."""
-    total = 0
-    xor = 0
-    for p in parts:
-        total += p
-        xor ^= p
-    return total == xor
-
-
-def _matrix_products(r: Seq, s: Seq) -> Iterator[Seq]:
-    """Yield the outcome monomial of every product matrix, with odd multiplicity
-    handled by the caller via symmetric difference."""
-    nr, ns = len(r), len(s)
-    # x[i][j]: i in 0..nr, j in 0..ns; row 0 / column 0 hold leftovers.
-    x = [[0] * (ns + 1) for _ in range(nr + 1)]
-    x[0][1:] = list(s)
-    results: list[Seq] = []
-
-    def finish() -> None:
-        diag = []
-        for n in range(1, nr + ns + 1):
-            parts = tuple(x[i][n - i] for i in range(max(0, n - ns), min(n, nr) + 1))
-            if not _multinomial_odd(parts):
-                return
-            diag.append(sum(parts))
-        results.append(_canonical(diag))
-
-    def fill_row(i: int) -> None:
-        if i > nr:
-            finish()
-            return
-        budget = r[i - 1]
-
-        def fill_entry(j: int, rem: int) -> None:
-            if j > ns:
-                x[i][0] = rem
-                fill_row(i + 1)
-                x[i][0] = 0
-                return
-            cap = min(rem >> j, x[0][j])
-            for v in range(cap + 1):
-                x[i][j] = v
-                x[0][j] -= v
-                fill_entry(j + 1, rem - (v << j))
-                x[0][j] += v
-            x[i][j] = 0
-
-        fill_entry(1, budget)
-
-    fill_row(1)
-    return iter(results)
-
-
 @lru_cache(maxsize=None)
 def multiply_seqs(r: Seq, s: Seq) -> frozenset[Seq]:
-    """Product of two basis monomials as a mod-2 set of monomials."""
+    """Product of two basis monomials as a mod-2 set of monomials.
+
+    Enumerates the Milnor matrices x[i][j] (row i >= 1 spends r_i as
+    sum_j 2^j x[i][j], column j >= 1 spends s_j as sum_i x[i][j]; row 0 and
+    column 0 take the leftovers) whose diagonals are carry-free, i.e.
+    pairwise bitwise disjoint, and toggles the monomial of diagonal sums
+    of each.  diag[n] is the running OR of the entries placed on diagonal
+    n, so an entry that overlaps it is skipped as soon as it is placed.
+    """
+    nr, ns = len(r), len(s)
+    cols = list(s)  # cols[j - 1]: what column j has left for rows below
+    diag = [0] * (nr + ns + 1)
     acc: set[Seq] = set()
-    for t in _matrix_products(r, s):
-        acc ^= {t}
+
+    def close() -> None:
+        # the column leftovers x[0][j] are the last entries of diagonal j
+        out = diag[1:]
+        for j in range(ns):
+            left = cols[j]
+            if left & out[j]:
+                return
+            out[j] |= left
+        while out and not out[-1]:
+            out.pop()
+        acc.symmetric_difference_update((tuple(out),))
+
+    def fill(i: int, j: int, rem: int) -> None:
+        if j > ns:
+            # row i is closed: its leftover x[i][0] completes diagonal i
+            # up to the column leftover x[0][i]
+            d = diag[i]
+            if rem & d:
+                return
+            diag[i] = d | rem
+            if i == nr:
+                close()
+            else:
+                fill(i + 1, 1, r[i])
+            diag[i] = d
+            return
+        n = i + j
+        d = diag[n]
+        cap = min(rem >> j, cols[j - 1])
+        v = 0
+        while v <= cap:
+            diag[n] = d | v
+            cols[j - 1] -= v
+            fill(i, j + 1, rem - (v << j))
+            cols[j - 1] += v
+            v = ((v | d) + 1) & ~d  # the next integer disjoint from d
+        diag[n] = d
+
+    if nr:
+        fill(1, 1, r[0])
+    else:
+        close()
     return frozenset(acc)
 
 
@@ -327,12 +338,64 @@ def _cache_dir() -> Optional[str]:
     return os.environ.get("STEENMOD_CACHE_DIR") or None
 
 
+# First field of a cache file's header; bump it when the layout changes.
+_CACHE_FORMAT = "steenmod-mult-2"
+
+
+def _algebra_tag(algebra: Algebra) -> str:
+    return "full" if algebra.is_full else f"p{algebra.profile_index}"
+
+
 def _disk_cache_path(d1: int, d2: int, algebra: Algebra) -> Optional[str]:
     root = _cache_dir()
     if root is None:
         return None
-    tag = "full" if algebra.is_full else f"p{algebra.profile_index}"
-    return os.path.join(root, f"mult-{tag}-{d1}-{d2}.txt")
+    return os.path.join(root, f"mult-{_algebra_tag(algebra)}-{d1}-{d2}.txt")
+
+
+def _cache_header(d1: int, d2: int, algebra: Algebra, nrows: int, ncols: int,
+                  body: str) -> str:
+    checksum = zlib.crc32(body.encode("ascii"))
+    return (f"{_CACHE_FORMAT} {_algebra_tag(algebra)} {d1} {d2} "
+            f"{nrows} {ncols} {checksum:08x}\n")
+
+
+def _read_cached_matrix(path: str, d1: int, d2: int, algebra: Algebra,
+                        nrows: int, ncols: int) -> Optional[BitMatrix]:
+    """The block stored at path, or None when the file is missing, from
+    another format, algebra or degree pair, truncated, or corrupt."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    header, _, body = text.partition("\n")
+    if header + "\n" != _cache_header(d1, d2, algebra, nrows, ncols, body):
+        return None
+    lines = body.split("\n")
+    if len(lines) != nrows + 1 or lines[-1]:
+        return None
+    try:
+        return BitMatrix(nrows, ncols, [int(line, 16) for line in lines[:-1]])
+    except ValueError:
+        return None
+
+
+def _write_cached_matrix(path: str, d1: int, d2: int, algebra: Algebra,
+                         mat: BitMatrix) -> None:
+    body = "".join(f"{r:x}\n" for r in mat.rows)
+    header = _cache_header(d1, d2, algebra, mat.nrows, mat.ncols, body)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    # a per-process name, so concurrent writers never share a file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(header + body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 @lru_cache(maxsize=None)
@@ -341,20 +404,21 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
 
     Shape: dim A^(d1+d2) rows by dim A^d1 * dim A^d2 columns; the column for
     the pair (i, j) is i * dim A^d2 + j and holds the coordinates of b_i c_j.
+    With STEENMOD_CACHE_DIR set, a block is read from its cache file when
+    the file checks out, and recomputed and rewritten otherwise.
     """
     if d1 < 0 or d2 < 0:
         raise ValueError("degrees must be >= 0")
-    path = _disk_cache_path(d1, d2, algebra)
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            nrows, ncols = int(header[0]), int(header[1])
-            rows = [int(fh.readline() or "0", 16) for _ in range(nrows)]
-        return BitMatrix(nrows, ncols, rows)
-
     b1 = basis_in_degree(d1, algebra)
     b2 = basis_in_degree(d2, algebra)
     b3 = basis_in_degree(d1 + d2, algebra)
+    path = _disk_cache_path(d1, d2, algebra)
+    if path:
+        mat = _read_cached_matrix(path, d1, d2, algebra,
+                                  len(b3), len(b1) * len(b2))
+        if mat is not None:
+            return mat
+
     index = {seq: i for i, seq in enumerate(b3)}
     rows = [0] * len(b3)
     for i, r in enumerate(b1):
@@ -364,49 +428,69 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
                 # profile closure makes the lookup total for subalgebras
                 rows[index[t]] |= 1 << col
     mat = BitMatrix(len(b3), len(b1) * len(b2), rows)
-
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"{mat.nrows} {mat.ncols}\n")
-            for r in mat.rows:
-                fh.write(f"{r:x}\n")
-        os.replace(tmp, path)
+        _write_cached_matrix(path, d1, d2, algebra, mat)
     return mat
 
 
+def _product_columns(elem: Element, d: int, algebra: Algebra,
+                     left: bool) -> tuple[int, list[int]]:
+    """dim A^(d + deg elem) and the column masks of x -> elem * x (left)
+    or x -> x * elem on A^d."""
+    k = elem.degree()
+    if k is None:
+        raise ValueError("need a nonzero homogeneous element")
+    src = basis_in_degree(d, algebra)
+    dst = basis_in_degree(d + k, algebra)
+    index = {seq: i for i, seq in enumerate(dst)}
+    cols = []
+    for c in src:
+        v = 0
+        for t in elem.terms:
+            for u in (multiply_seqs(t, c) if left else multiply_seqs(c, t)):
+                v ^= 1 << index[u]
+        cols.append(v)
+    return len(dst), cols
+
+
+@lru_cache(maxsize=None)
+def _left_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
+    """Left multiplication matrices on A^d, keyed by monomial.
+
+    A table per (degree, algebra) keyed by the basis tuples themselves
+    costs one dict slot per matrix; a memo keyed by (monomial, degree,
+    algebra) would also keep a key tuple alive per matrix.
+    """
+    return {}
+
+
 def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of x -> elem * x from A^d to A^(d + deg elem)."""
-    k = elem.degree()
-    if k is None:
-        raise ValueError("need a nonzero homogeneous element")
-    src = basis_in_degree(d, algebra)
-    dst = basis_in_degree(d + k, algebra)
-    index = {seq: i for i, seq in enumerate(dst)}
-    cols = []
-    for c in src:
-        v = 0
-        for t in elem.terms:
-            for u in multiply_seqs(t, c):
-                v ^= 1 << index[u]
-        cols.append(v)
-    return BitMatrix.from_columns(cols, len(dst))
+    """Matrix of x -> elem * x from A^d to A^(d + deg elem).
+
+    The matrix of a single monomial is memoized, so every module built
+    from it shares one immutable copy.
+    """
+    if len(elem.terms) != 1:
+        nrows, cols = _product_columns(elem, d, algebra, left=True)
+        return BitMatrix.from_columns(cols, nrows)
+    (seq,) = elem.terms
+    memo = _left_memo(d, algebra)
+    mat = memo.get(seq)
+    if mat is None:
+        nrows, cols = _product_columns(elem, d, algebra, left=True)
+        mat = memo[seq] = BitMatrix.from_columns(cols, nrows)
+    return mat
 
 
-def right_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of x -> x * elem from A^d to A^(d + deg elem)."""
-    k = elem.degree()
-    if k is None:
-        raise ValueError("need a nonzero homogeneous element")
-    src = basis_in_degree(d, algebra)
-    dst = basis_in_degree(d + k, algebra)
-    index = {seq: i for i, seq in enumerate(dst)}
-    cols = []
-    for c in src:
-        v = 0
-        for t in elem.terms:
-            for u in multiply_seqs(c, t):
-                v ^= 1 << index[u]
-        cols.append(v)
-    return BitMatrix.from_columns(cols, len(dst))
+def right_multiplication(elem: Element, d: int, algebra: Algebra,
+                         transposed: bool = False) -> BitMatrix:
+    """Matrix of x -> x * elem from A^d to A^(d + deg elem), or with
+    transposed=True its transpose, whose rows are the column masks.
+
+    Not memoized: the dual regular module keeps only the transpose, so a
+    memo would hold a second copy of every matrix it stores.
+    """
+    nrows, cols = _product_columns(elem, d, algebra, left=False)
+    if transposed:
+        return BitMatrix(len(cols), nrows, cols)
+    return BitMatrix.from_columns(cols, nrows)

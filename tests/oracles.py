@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
-Everything here works in the admissible basis (words of squares with each
-entry at least twice the next) or on polynomial algebras, sharing no code
-path with the Milnor-basis engine: products come from the classical
+Almost everything here works in the admissible basis (words of squares with
+each entry at least twice the next) or on polynomial algebras, sharing no
+code path with the Milnor-basis engine: products come from the classical
 rewriting rule, dimensions from direct enumeration, and the change of
-basis from the faithful action on a product of degree-one classes.
+basis from the faithful action on a product of degree-one classes.  The
+exception is the unpruned Milnor product enumerator, kept as the reference
+for the engine's pruned one.
 """
 
 from __future__ import annotations
@@ -65,6 +67,69 @@ def adem_product(x: frozenset[Word], y: frozenset[Word]) -> frozenset[Word]:
     for w1 in x:
         for w2 in y:
             acc ^= straighten(w1 + w2)
+    return frozenset(acc)
+
+
+# -- the unpruned Milnor product ------------------------------------------------
+
+
+def multinomial_odd(parts: tuple[int, ...]) -> bool:
+    """(sum parts)! / prod(parts!) is odd iff the parts are carry-free."""
+    total = 0
+    xor = 0
+    for p in parts:
+        total += p
+        xor ^= p
+    return total == xor
+
+
+def milnor_product_unpruned(r: tuple[int, ...],
+                            s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Milnor's product formula by brute force: fill every matrix x[i][j]
+    with row i >= 1 spending r_i as sum_j 2^j x[i][j] and column j >= 1
+    spending s_j as sum_i x[i][j] (row 0 and column 0 hold the leftovers),
+    then test each diagonal's multinomial coefficient once the matrix is
+    full, and keep the monomials of diagonal sums met an odd number of
+    times."""
+    nr, ns = len(r), len(s)
+    x = [[0] * (ns + 1) for _ in range(nr + 1)]
+    x[0][1:] = list(s)
+    acc: set[tuple[int, ...]] = set()
+
+    def finish() -> None:
+        diag = []
+        for n in range(1, nr + ns + 1):
+            parts = tuple(x[i][n - i]
+                          for i in range(max(0, n - ns), min(n, nr) + 1))
+            if not multinomial_odd(parts):
+                return
+            diag.append(sum(parts))
+        while diag and diag[-1] == 0:
+            diag.pop()
+        acc.symmetric_difference_update([tuple(diag)])
+
+    def fill_row(i: int) -> None:
+        if i > nr:
+            finish()
+            return
+
+        def fill_entry(j: int, rem: int) -> None:
+            if j > ns:
+                x[i][0] = rem
+                fill_row(i + 1)
+                x[i][0] = 0
+                return
+            cap = min(rem >> j, x[0][j])
+            for v in range(cap + 1):
+                x[i][j] = v
+                x[0][j] -= v
+                fill_entry(j + 1, rem - (v << j))
+                x[0][j] += v
+            x[i][j] = 0
+
+        fill_entry(1, r[i - 1])
+
+    fill_row(1)
     return frozenset(acc)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from steenmod import gmodule as G
+from steenmod import milnor as M
 from steenmod.f2 import BitMatrix, Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, coproduct, dual_of,
                               dual_regular, free_module, freeness_test,
@@ -102,6 +103,50 @@ def test_dual_regular_defining_identity():
                             prod = Element([b_seq]) * a
                             want = int(c_seq in prod.terms)
                             assert (out >> bi) & 1 == want
+
+
+def _table_from_products(window, product, dual=False):
+    """Action table assembled column by column from the Milnor product:
+    the column of basis monomial c holds product(seq, c), or, for the dual
+    regular module, has bit b set when c is a term of product(seq, b)."""
+    table = {}
+    for k in range(1, window.width + 1):
+        for seq in FULL.basis(k):
+            for d in window:
+                if d + k not in window:
+                    continue
+                if dual:
+                    src, dst = FULL.basis(-d), FULL.basis(-d - k)
+                    cols = [sum(1 << i for i, b in enumerate(dst)
+                                if c in product(seq, b))
+                            for c in src]
+                else:
+                    src, dst = FULL.basis(d), FULL.basis(d + k)
+                    cols = [M.coords_of(Element(product(seq, c)), d + k, FULL)
+                            for c in src]
+                if src and dst:
+                    table[(seq, d)] = BitMatrix.from_columns(cols, len(dst))
+    return table
+
+
+def test_memoized_tables_match_products():
+    w = Window(0, 16)
+    first = regular(FULL, w)
+    assert first.actions == _table_from_products(w, M.multiply_seqs)
+    again = regular(FULL, w)
+    assert again == first
+    # the left-multiplication memo shares one matrix per key
+    assert all(again.actions[key] is mat for key, mat in first.actions.items())
+
+    def right(a, b):
+        return M.multiply_seqs(b, a)
+
+    opposite = regular(FULL, w, opposite=True)
+    assert opposite.actions == _table_from_products(w, right)
+    assert regular(FULL, w, opposite=True) == opposite
+    dw = Window(-16, 0)
+    assert dual_regular(FULL, dw).actions == _table_from_products(
+        dw, right, dual=True)
 
 
 def test_dual_regular_dims_mirror():

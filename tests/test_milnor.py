@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import milnor_product_unpruned
 from steenmod import milnor as M
 from steenmod.milnor import Algebra, Element
 
 FULL = Algebra.full()
+A2 = Algebra.subalgebra(2)
 
 
 def test_degree_examples():
@@ -113,6 +117,27 @@ def test_profile_closure_under_product():
                             assert M.in_profile(t, n), (a, b, t)
 
 
+def test_products_match_unpruned_oracle_exhaustive():
+    """Every pair of total degree <= 24, and every pair in A(2)."""
+    pairs = [(a, b) for d1 in range(25) for d2 in range(25 - d1)
+             for a in M.basis_in_degree(d1, FULL)
+             for b in M.basis_in_degree(d2, FULL)]
+    a2 = [t for d in range(A2.top_degree() + 1) for t in A2.basis(d)]
+    pairs += [(a, b) for a in a2 for b in a2]
+    for a, b in pairs:
+        assert M.multiply_seqs(a, b) == milnor_product_unpruned(a, b), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_match_unpruned_oracle_random(data):
+    d1 = data.draw(st.integers(0, 48))
+    d2 = data.draw(st.integers(0, 48 - d1))
+    a = data.draw(st.sampled_from(M.basis_in_degree(d1, FULL)))
+    b = data.draw(st.sampled_from(M.basis_in_degree(d2, FULL)))
+    assert M.multiply_seqs(a, b) == milnor_product_unpruned(a, b)
+
+
 def test_multiplication_matrix_unit_blocks():
     for d in range(7):
         m = M.multiplication_matrix(0, d, FULL)
@@ -169,6 +194,8 @@ def test_left_right_multiplication_consistency():
         src = M.basis_in_degree(d, FULL)
         lm = M.left_multiplication(elem, d, FULL)
         rm = M.right_multiplication(elem, d, FULL)
+        assert M.right_multiplication(elem, d, FULL, transposed=True) \
+            == rm.transpose()
         for j, c in enumerate(src):
             assert M.element_from_coords(lm.column(j), d + k, FULL) == elem * Element([c])
             assert M.element_from_coords(rm.column(j), d + k, FULL) == Element([c]) * elem
@@ -185,3 +212,62 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert first == again
     M.multiplication_matrix.cache_clear()
     monkeypatch.delenv("STEENMOD_CACHE_DIR")
+
+
+def _cached_block(tmp_path, monkeypatch, d1, d2):
+    """Compute a block with the disk cache on; return it and its file."""
+    monkeypatch.setenv("STEENMOD_CACHE_DIR", str(tmp_path))
+    M.multiplication_matrix.cache_clear()
+    mat = M.multiplication_matrix(d1, d2, FULL)
+    (path,) = tmp_path.iterdir()
+    return mat, path
+
+
+def _reread(d1, d2):
+    M.multiplication_matrix.cache_clear()
+    try:
+        return M.multiplication_matrix(d1, d2, FULL)
+    finally:
+        M.multiplication_matrix.cache_clear()
+
+
+def test_disk_cache_reads_a_valid_file_without_recomputing(tmp_path,
+                                                          monkeypatch):
+    want, _ = _cached_block(tmp_path, monkeypatch, 3, 4)
+
+    def no_products(r, s):
+        raise AssertionError("block recomputed despite a valid cache file")
+
+    monkeypatch.setattr(M, "multiply_seqs", no_products)
+    assert _reread(3, 4) == want
+
+
+def test_disk_cache_truncated_file_is_a_miss(tmp_path, monkeypatch):
+    want, path = _cached_block(tmp_path, monkeypatch, 3, 4)
+    assert sum(bin(r).count("1") for r in want.rows) == 2
+    lines = path.read_text().splitlines(keepends=True)
+    for keep in range(len(lines)):
+        path.write_text("".join(lines[:keep]))
+        assert _reread(3, 4) == want
+        # the miss rewrote the file, and the rewrite reads back
+        assert path.read_text() == "".join(lines)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_disk_cache_bit_flipped_file_is_a_miss(tmp_path, monkeypatch):
+    want, path = _cached_block(tmp_path, monkeypatch, 3, 4)
+    good = path.read_bytes()
+    for pos in range(len(good)):
+        for bit in (1, 4):
+            path.write_bytes(good[:pos] + bytes([good[pos] ^ bit])
+                             + good[pos + 1:])
+            assert _reread(3, 4) == want, (pos, bit)
+            assert path.read_bytes() == good
+
+
+def test_disk_cache_file_of_another_block_is_a_miss(tmp_path, monkeypatch):
+    want = M.multiplication_matrix.__wrapped__(3, 4, FULL)
+    other, path = _cached_block(tmp_path, monkeypatch, 4, 3)
+    path.replace(path.with_name(path.name.replace("-4-3", "-3-4")))
+    assert other.shape == want.shape and other != want
+    assert _reread(3, 4) == want
