@@ -30,7 +30,7 @@ from . import milnor
 from .annihilator import (HomIdeal, IdealChain, PerpProfile,
                           _left_mult_by_coords, chain_perp_profile)
 from .f2 import BitMatrix, Subspace, kernel, rref_rows
-from .gmodule import GradedModule, SuspensionProfile, Window
+from .gmodule import GradedModule, SuspensionProfile
 from .milnor import Algebra, Element
 
 EXTENDS_ALL = "extends_all"
@@ -135,18 +135,6 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
             mats[d] = BitMatrix(td, sd, mrows)
         homs.append(GradedHom(src, dst, shift, mats))
     return homs
-
-
-def _ideal_module(ideal: HomIdeal, algebra: Algebra, window: Window) -> GradedModule:
-    """The ideal as a graded module: degreewise spans inside the regular
-    module with the restricted action (used to cross-check the
-    generator-coordinate solver against the dense one)."""
-    from .annihilator import ideal_span
-    from .gmodule import regular, submodule
-
-    amb = regular(algebra, window)
-    span = ideal_span(ideal, algebra, window)
-    return submodule(amb, {d: span.space(d) for d in window if d >= 0})
 
 
 # -- the extension test --------------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands expose each engine layer (dims, validate, perp, chain, baer,
 witness, freeness, iota) plus the built-in scenario runner.  Output is
 deterministic given the flags and --seed; --format structured emits the
 line-oriented machine-readable form.  Exit codes: 0 all expectations met,
-1 a computed counterexample to an expectation, 2 inconclusive.
+1 a computed counterexample to an expectation, 2 inconclusive, 3 an error
+(unreadable input, a parse error or an invalid request).
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .gmodule import (GradedModule, SuspensionProfile, Window, coproduct,
 from .milnor import Algebra
 from .scenarios import (EXIT_CODES, ScenarioConfig, render_structured,
                         render_text, run_scenario)
+
+# kept apart from the verdict codes, 2 being "inconclusive"
+EXIT_ERROR = 3
 
 
 def _parse_window(text: str) -> Window:
@@ -345,10 +349,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except textio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

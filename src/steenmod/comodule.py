@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import milnor
-from .f2 import BitMatrix
+from .f2 import BitMatrix, mask_to_bits
 from .gmodule import GradedModule, Window, coproduct, dual_regular, zero_module
 from .milnor import Algebra
 
@@ -156,13 +156,12 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
                 if n_deg < k:
                     continue  # too short to split off a degree-k factor
                 mm = milnor.multiplication_matrix(n_deg - k, k, algebra)
-                dim_right = ak
-                # s lands on (s', b) whenever s appears in s' * b
-                for sp in range(algebra.dim(n_deg - k)):
-                    for bi in range(dim_right):
-                        if mm.entry(si, sp * dim_right + bi):
-                            ti = tgt_index[(gi, sp)]
-                            rows[ti * ak + bi] ^= 1 << col
+                # s lands on (s', b) whenever s appears in s' * b; row si
+                # of mm has bit sp * ak + bi set exactly for those pairs
+                for bit in mask_to_bits(mm.row(si)):
+                    sp, bi = divmod(bit, ak)
+                    ti = tgt_index[(gi, sp)]
+                    rows[ti * ak + bi] ^= 1 << col
             coactions[(d, k)] = BitMatrix(dims[d + k] * ak, dims[d], rows)
     top = algebra.top_degree()
     if gens:

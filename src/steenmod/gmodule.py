@@ -1,25 +1,35 @@
 """Graded left modules over the full algebra or a finite subalgebra A(n),
 represented exactly on a degree window.
 
-A module stores, for every algebra basis monomial b with
-0 < deg b <= hi - lo and every window degree d with d + deg b representable,
-the matrix of b: M^d -> M^(d+deg b).  Degrees outside the window are
-*unknown* unless the module is flagged exact on that side (dims are then
-zero beyond the edge); every verdict computed downstream carries the degree
-range on which it is exact, so truncation is never silently promoted to a
-global claim.
+A module acts through the matrix of each algebra basis monomial b with
+0 < deg b <= hi - lo at each window degree d with d + deg b representable:
+b: M^d -> M^(d+deg b).  The matrices are not built up front.  A module holds
+a *source*, a function (b, d) -> matrix, and derives each matrix from it the
+first time it is read, checks its shape there and memoizes it per module in
+``actions``.  Regular, dual regular, free and coproduct modules and their
+suspensions, restrictions and duals are sources of this kind; a table given
+explicitly (parsed text, submodules, quotients, iota, completed generator
+actions) is checked for shape and completeness at construction and serves
+as its own source.  Only equality, hashing, validation and printing force
+the full table (``action_table``).
+
+Degrees outside the window are *unknown* unless the module is flagged exact
+on that side (dims are then zero beyond the edge); every verdict computed
+downstream carries the degree range on which it is exact, so truncation is
+never silently promoted to a global claim.
 
 A module with ``opposite=True`` is a left module over the opposite algebra
 (products reversed).  These arise internally as transpose-duals of
 bounded-above modules and never leave the freeness engine or tests.
 
-All modules are immutable after construction; nothing here mutates inputs.
+All modules are immutable after construction: the memo only ever gains the
+matrices the source determines, and nothing here mutates inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import milnor
 from .f2 import BitMatrix, Subspace
@@ -74,14 +84,24 @@ class SuspensionProfile:
         return out
 
 
-class GradedModule:
-    """A graded left module on a window, with a full action table."""
+Source = Callable[[Seq, int], BitMatrix]
 
-    __slots__ = ("algebra", "window", "dims", "actions",
+
+class GradedModule:
+    """A graded left module on a window, acting through matrices derived
+    from a source on first read.
+
+    ``actions`` is either a source function or an explicit table keyed by
+    (monomial, degree).  An explicit table is checked at once for shape and
+    completeness; a source is called only for keys with both dimensions
+    nonzero, and its matrices are checked as they are built.
+    """
+
+    __slots__ = ("algebra", "window", "dims", "actions", "_source",
                  "bottom_exact", "top_exact", "opposite")
 
     def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
-                 actions: dict[tuple[Seq, int], BitMatrix],
+                 actions: Union[Source, Mapping[tuple[Seq, int], BitMatrix]],
                  bottom_exact: bool = False, top_exact: bool = False,
                  opposite: bool = False):
         self.algebra = algebra
@@ -96,7 +116,12 @@ class GradedModule:
         self.bottom_exact = bottom_exact
         self.top_exact = top_exact
         self.opposite = opposite
-        table: dict[tuple[Seq, int], BitMatrix] = {}
+        # the matrices built so far, keyed by (monomial, degree)
+        self.actions: dict[tuple[Seq, int], BitMatrix] = {}
+        if callable(actions):
+            self._source = actions
+            return
+        table = self.actions
         for (seq, d), mat in actions.items():
             k = milnor.degree(seq)
             sd, td = self.dim(d), self.dim(d + k)
@@ -107,17 +132,31 @@ class GradedModule:
                     f"action of Sq{seq} at degree {d} has shape {mat.shape}, "
                     f"expected {(td, sd)}")
             table[(seq, d)] = mat
-        self.actions = table
         for seq, d in self._required_action_keys():
             if (seq, d) not in table:
                 raise ValueError(f"missing action of Sq{seq} at degree {d}")
+        # complete, so the source is never reached for a required key
+        self._source = table.__getitem__
 
     def _required_action_keys(self):
-        for k in range(1, self.window.width + 1):
+        lo, hi = self.window.lo, self.window.hi
+        dims = self.dims
+        for k in range(1, hi - lo + 1):
+            sources = [d for d in range(lo, hi - k + 1) if dims[d] and dims[d + k]]
+            if not sources:
+                continue
             for seq in self.algebra.basis(k):
-                for d in self.window:
-                    if d + k in self.window and self.dims[d] and self.dims[d + k]:
-                        yield seq, d
+                for d in sources:
+                    yield seq, d
+
+    def action_table(self) -> dict[tuple[Seq, int], BitMatrix]:
+        """The full action table: every required matrix, built if not yet
+        read.  The returned dict is the module's memo; do not mutate it."""
+        table = self.actions
+        for key in self._required_action_keys():
+            if key not in table:
+                self.action(*key)
+        return table
 
     # -- degree bookkeeping ------------------------------------------------
 
@@ -140,7 +179,13 @@ class GradedModule:
         return milnor.multiply_seqs(b, a) if self.opposite else milnor.multiply_seqs(a, b)
 
     def action(self, seq: Seq, d: int) -> BitMatrix:
-        """Matrix of the basis monomial on M^d, including the implicit unit."""
+        """Matrix of the basis monomial on M^d, including the implicit unit.
+
+        Built from the source on the first read of a key and memoized.
+        """
+        mat = self.actions.get((seq, d))
+        if mat is not None:
+            return mat
         k = milnor.degree(seq)
         sd, td = self.dim(d), self.dim(d + k)
         if sd is None or td is None:
@@ -149,7 +194,15 @@ class GradedModule:
             return BitMatrix.identity(sd)
         if sd == 0 or td == 0:
             return BitMatrix.zero(td, sd)
-        return self.actions[(seq, d)]
+        if not self.algebra.contains(seq):
+            raise ValueError(f"Sq{seq} is not in {self.algebra}")
+        mat = self._source(seq, d)
+        if mat.shape != (td, sd):
+            raise ValueError(
+                f"action of Sq{seq} at degree {d} has shape {mat.shape}, "
+                f"expected {(td, sd)}")
+        self.actions[(seq, d)] = mat
+        return mat
 
     def action_of(self, elem: Element, d: int) -> BitMatrix:
         """Matrix of a homogeneous element on M^d."""
@@ -166,6 +219,7 @@ class GradedModule:
 
     def validate(self) -> list[str]:
         """Composition check over every composable pair; [] means valid."""
+        self.action_table()
         violations = []
         w = self.window
         for kc in range(1, w.width + 1):
@@ -192,8 +246,10 @@ class GradedModule:
         if k == 0:
             return self
         dims = {d + k: n for d, n in self.dims.items()}
-        actions = {(seq, d + k): m for (seq, d), m in self.actions.items()}
-        return GradedModule(self.algebra, self.window.shift(k), dims, actions,
+
+        def source(seq: Seq, d: int) -> BitMatrix:
+            return self.action(seq, d - k)
+        return GradedModule(self.algebra, self.window.shift(k), dims, source,
                             self.bottom_exact, self.top_exact, self.opposite)
 
     def restrict_to(self, algebra: Algebra) -> "GradedModule":
@@ -203,9 +259,7 @@ class GradedModule:
                 raise ValueError("can only restrict to a smaller algebra")
         elif algebra.is_full and not self.algebra.is_full:
             raise ValueError("cannot extend a subalgebra module to the full algebra")
-        actions = {(seq, d): m for (seq, d), m in self.actions.items()
-                   if algebra.contains(seq)}
-        return GradedModule(algebra, self.window, dict(self.dims), actions,
+        return GradedModule(algebra, self.window, dict(self.dims), self.action,
                             self.bottom_exact, self.top_exact, self.opposite)
 
     def __eq__(self, other: object) -> bool:
@@ -213,15 +267,15 @@ class GradedModule:
                 and self.algebra == other.algebra
                 and self.window == other.window
                 and self.dims == other.dims
-                and self.actions == other.actions
                 and self.bottom_exact == other.bottom_exact
                 and self.top_exact == other.top_exact
-                and self.opposite == other.opposite)
+                and self.opposite == other.opposite
+                and self.action_table() == other.action_table())
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.window, tuple(sorted(self.dims.items())),
-                     tuple(sorted(self.actions.items())), self.bottom_exact,
-                     self.top_exact, self.opposite))
+                     tuple(sorted(self.action_table().items())),
+                     self.bottom_exact, self.top_exact, self.opposite))
 
     def __repr__(self) -> str:
         side = " (opposite)" if self.opposite else ""
@@ -240,19 +294,13 @@ def zero_module(algebra: Algebra, window: Window, opposite: bool = False) -> Gra
 def regular(algebra: Algebra, window: Window, opposite: bool = False) -> GradedModule:
     """The algebra acting on itself by multiplication, truncated to window."""
     dims = {d: algebra.dim(d) if d >= 0 else 0 for d in window}
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for k in range(1, window.width + 1):
-        for seq in algebra.basis(k):
-            elem = Element([seq])
-            for d in window:
-                if d + k in window and dims[d] and dims[d + k]:
-                    if opposite:
-                        actions[(seq, d)] = milnor.right_multiplication(elem, d, algebra)
-                    else:
-                        actions[(seq, d)] = milnor.left_multiplication(elem, d, algebra)
+    multiply = milnor.right_multiplication if opposite else milnor.left_multiplication
+
+    def source(seq: Seq, d: int) -> BitMatrix:
+        return multiply(Element([seq]), d, algebra)
     top = algebra.top_degree()
     top_exact = top is not None and window.hi >= top
-    return GradedModule(algebra, window, dims, actions,
+    return GradedModule(algebra, window, dims, source,
                         bottom_exact=window.lo <= 0, top_exact=top_exact,
                         opposite=opposite)
 
@@ -264,22 +312,22 @@ def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
     is the transpose of right multiplication by a into degree -d.
     """
     dims = {d: algebra.dim(-d) if d <= 0 else 0 for d in window}
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for k in range(1, window.width + 1):
-        for seq in algebra.basis(k):
-            elem = Element([seq])
-            for d in window:
-                if d + k in window and dims[d] and dims[d + k]:
-                    actions[(seq, d)] = milnor.right_multiplication(
-                        elem, -d - k, algebra, transposed=True)
+
+    def source(seq: Seq, d: int) -> BitMatrix:
+        return milnor.right_multiplication(
+            Element([seq]), -d - milnor.degree(seq), algebra, transposed=True)
     top = algebra.top_degree()
     bottom_exact = top is not None and window.lo <= -top
-    return GradedModule(algebra, window, dims, actions,
+    return GradedModule(algebra, window, dims, source,
                         bottom_exact=bottom_exact, top_exact=window.hi >= 0)
 
 
 def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
-    """Degreewise direct sum of suspended copies, on the common window."""
+    """Degreewise direct sum of suspended copies, on the common window.
+
+    The action of a monomial stacks the parts' actions as diagonal blocks,
+    part by part, when it is first read.
+    """
     if not parts:
         raise ValueError("coproduct of nothing (use zero_module)")
     algebra = parts[0][0].algebra
@@ -307,26 +355,15 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
                 return False
         return True
 
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for k in range(1, window.width + 1):
-        for seq in algebra.basis(k):
-            for d in window:
-                if d + k not in window or not dims[d] or not dims[d + k]:
-                    continue
-                rows: list[int] = []
-                col_off = 0
-                row_off = 0
-                blocks = []
-                for m, s in parts:
-                    blocks.append((m.action(seq, d - s), m.dims[d - s]))
-                total_cols = dims[d]
-                for mat, src_dim in blocks:
-                    for r in mat.rows:
-                        rows.append(r << col_off)
-                    col_off += src_dim
-                    row_off += mat.nrows
-                actions[(seq, d)] = BitMatrix(dims[d + k], total_cols, rows)
-    return GradedModule(algebra, window, dims, actions,
+    def source(seq: Seq, d: int) -> BitMatrix:
+        rows: list[int] = []
+        col_off = 0
+        for m, s in parts:
+            mat = m.action(seq, d - s)
+            rows.extend(r << col_off for r in mat.rows)
+            col_off += mat.ncols
+        return BitMatrix(len(rows), col_off, rows)
+    return GradedModule(algebra, window, dims, source,
                         bottom_exact=edge_exact(True), top_exact=edge_exact(False),
                         opposite=opposite)
 
@@ -520,11 +557,10 @@ def dual_of(m: GradedModule) -> GradedModule:
     """
     w = Window(-m.window.hi, -m.window.lo)
     dims = {d: m.dims[-d] for d in w}
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for (seq, e), mat in m.actions.items():
-        k = milnor.degree(seq)
-        actions[(seq, -e - k)] = mat.transpose()
-    return GradedModule(m.algebra, w, dims, actions,
+
+    def source(seq: Seq, d: int) -> BitMatrix:
+        return m.action(seq, -d - milnor.degree(seq)).transpose()
+    return GradedModule(m.algebra, w, dims, source,
                         bottom_exact=m.top_exact, top_exact=m.bottom_exact,
                         opposite=not m.opposite)
 

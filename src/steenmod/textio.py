@@ -139,13 +139,14 @@ def print_module(m: GradedModule) -> str:
            f"window: {m.window}",
            f"exact: {_exact_str(m.bottom_exact, m.top_exact)}",
            f"dims: {_dims_line(m.dims, m.window)}"]
-    keys = sorted(m.actions, key=lambda sd: (milnor.degree(sd[0]), sd[0], sd[1]))
+    table = m.action_table()
+    keys = sorted(table, key=lambda sd: (milnor.degree(sd[0]), sd[0], sd[1]))
     current: Optional[Seq] = object()  # sentinel
     for seq, d in keys:
         if seq != current:
             out.append(f"action {_seq_str(seq)}")
             current = seq
-        mat = m.actions[(seq, d)]
+        mat = table[(seq, d)]
         out.append(f"@ {d}: {mat.nrows}x{mat.ncols}")
         out.extend(_matrix_lines(mat))
     out.append("end")

@@ -5,8 +5,9 @@ each entry at least twice the next) or on polynomial algebras, sharing no
 code path with the Milnor-basis engine: products come from the classical
 rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
-exception is the unpruned Milnor product enumerator, kept as the reference
-for the engine's pruned one.
+exceptions are the unpruned Milnor product enumerator, kept as the reference
+for the engine's pruned one, and the eager coproduct, kept as the reference
+for the engine's lazily assembled one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from steenmod.f2 import BitMatrix, solve
+from steenmod.gmodule import GradedModule
 
 Word = tuple[int, ...]
 
@@ -274,3 +276,52 @@ def rref_2x2_hand(m: list[list[int]]) -> list[list[int]]:
         if b or d:
             rows.append([0, 1])
     return rows
+
+
+# -- eager coproduct ------------------------------------------------------------
+
+
+def coproduct_eager(parts) -> GradedModule:
+    """Degreewise direct sum of suspended copies (module, shift), with every
+    block of the action table assembled up front from the parts' actions
+    and handed over as an explicit table."""
+    algebra = parts[0][0].algebra
+    opposite = parts[0][0].opposite
+    window = None
+    for m, s in parts:
+        w = m.window.shift(s)
+        window = w if window is None else window.intersect(w)
+
+    dims = {d: sum(m.dims[d - s] for m, s in parts) for d in window}
+
+    def edge_exact(lower: bool) -> bool:
+        for m, s in parts:
+            if lower:
+                if not m.bottom_exact:
+                    return False
+                cut = range(m.window.lo, window.lo - s)
+            else:
+                if not m.top_exact:
+                    return False
+                cut = range(window.hi - s + 1, m.window.hi + 1)
+            if any(m.dims[e] for e in cut):
+                return False
+        return True
+
+    actions = {}
+    for k in range(1, window.width + 1):
+        for seq in algebra.basis(k):
+            for d in window:
+                if d + k not in window or not dims[d] or not dims[d + k]:
+                    continue
+                rows = []
+                col_off = 0
+                for m, s in parts:
+                    mat = m.action(seq, d - s)
+                    for r in mat.rows:
+                        rows.append(r << col_off)
+                    col_off += m.dims[d - s]
+                actions[(seq, d)] = BitMatrix(dims[d + k], dims[d], rows)
+    return GradedModule(algebra, window, dims, actions,
+                        bottom_exact=edge_exact(True),
+                        top_exact=edge_exact(False), opposite=opposite)

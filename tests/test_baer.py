@@ -4,12 +4,13 @@ import pytest
 
 from steenmod import baer as B
 from steenmod import catalogs as CAT
-from steenmod.annihilator import HomIdeal, IdealChain, sq_power_chain
+from steenmod.annihilator import (HomIdeal, IdealChain, ideal_span,
+                                  sq_power_chain)
 from steenmod.baer import (baer_test, build_witness, graded_homs,
                            track_destabilizing_degrees)
 from steenmod.f2 import Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, dual_regular,
-                              free_module, quotient, regular)
+                              free_module, quotient, regular, submodule)
 from steenmod.milnor import Algebra, Element
 
 A1 = Algebra.subalgebra(1)
@@ -125,11 +126,17 @@ def test_baer_witness_map_is_genuinely_non_extendable():
             pytest.fail("witness map was extendable after all")
 
 
+def _ideal_module(ideal, algebra, window):
+    """The ideal as a graded module: degreewise spans inside the regular
+    module with the restricted action."""
+    amb = regular(algebra, window)
+    span = ideal_span(ideal, algebra, window)
+    return submodule(amb, {d: span.space(d) for d in window if d >= 0})
+
+
 def test_generator_coordinates_agree_with_dense_hom_solver():
     """The ideal-generator coordinatization and the dense equivariance
     solver compute the same map-space dimensions."""
-    from steenmod.baer import _ideal_module
-
     rng = random.Random(3)
     w = Window(-10, 12)
     r = regular(A1, w)

@@ -42,7 +42,7 @@ def test_validate_truncated_file(tmp_path, capsys):
     path = tmp_path / "broken.stm"
     path.write_text(text[: len(text) // 2])
     code = main(["validate", str(path)])
-    assert code == 2
+    assert code == 3
 
 
 def test_perp_subcommand(capsys):
@@ -99,7 +99,7 @@ def test_iota_subcommand(tmp_path, capsys):
 
 def test_scenario_unknown_name(capsys):
     code = main(["scenario", "does-not-exist"])
-    assert code == 2
+    assert code == 3
 
 
 def test_scenario_dims_deterministic(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from steenmod import gmodule as G
 from steenmod import milnor as M
 from steenmod.f2 import BitMatrix, Subspace
@@ -39,9 +40,9 @@ def test_zero_module_valid():
 def test_validate_detects_flipped_bit():
     r = regular(A1, Window(0, 6))
     seq, d = (1,), 2  # Sq(1): M^2 -> M^3
-    mat = r.actions[(seq, d)]
+    mat = r.action_table()[(seq, d)]
     flipped = BitMatrix(mat.nrows, mat.ncols, [mat.rows[0] ^ 1] + list(mat.rows[1:]))
-    actions = dict(r.actions)
+    actions = dict(r.action_table())
     actions[(seq, d)] = flipped
     bad = G.GradedModule(A1, r.window, dict(r.dims), actions, True, True)
     assert validate(bad) != []
@@ -105,48 +106,170 @@ def test_dual_regular_defining_identity():
                             assert (out >> bi) & 1 == want
 
 
-def _table_from_products(window, product, dual=False):
+def _table_from_products(algebra, window, product, dual=False):
     """Action table assembled column by column from the Milnor product:
     the column of basis monomial c holds product(seq, c), or, for the dual
     regular module, has bit b set when c is a term of product(seq, b)."""
     table = {}
     for k in range(1, window.width + 1):
-        for seq in FULL.basis(k):
+        for seq in algebra.basis(k):
             for d in window:
                 if d + k not in window:
                     continue
                 if dual:
-                    src, dst = FULL.basis(-d), FULL.basis(-d - k)
+                    src, dst = algebra.basis(-d), algebra.basis(-d - k)
                     cols = [sum(1 << i for i, b in enumerate(dst)
                                 if c in product(seq, b))
                             for c in src]
                 else:
-                    src, dst = FULL.basis(d), FULL.basis(d + k)
-                    cols = [M.coords_of(Element(product(seq, c)), d + k, FULL)
+                    src, dst = algebra.basis(d), algebra.basis(d + k)
+                    cols = [M.coords_of(Element(product(seq, c)), d + k, algebra)
                             for c in src]
                 if src and dst:
                     table[(seq, d)] = BitMatrix.from_columns(cols, len(dst))
     return table
 
 
+def _right(a, b):
+    return M.multiply_seqs(b, a)
+
+
 def test_memoized_tables_match_products():
     w = Window(0, 16)
     first = regular(FULL, w)
-    assert first.actions == _table_from_products(w, M.multiply_seqs)
+    assert first.action_table() == _table_from_products(FULL, w, M.multiply_seqs)
     again = regular(FULL, w)
     assert again == first
     # the left-multiplication memo shares one matrix per key
-    assert all(again.actions[key] is mat for key, mat in first.actions.items())
-
-    def right(a, b):
-        return M.multiply_seqs(b, a)
+    assert all(again.action_table()[key] is mat
+               for key, mat in first.action_table().items())
 
     opposite = regular(FULL, w, opposite=True)
-    assert opposite.actions == _table_from_products(w, right)
+    assert opposite.action_table() == _table_from_products(FULL, w, _right)
     assert regular(FULL, w, opposite=True) == opposite
     dw = Window(-16, 0)
-    assert dual_regular(FULL, dw).actions == _table_from_products(
-        dw, right, dual=True)
+    assert dual_regular(FULL, dw).action_table() == _table_from_products(
+        FULL, dw, _right, dual=True)
+
+
+def _explicit(like, table, window=None, algebra=None):
+    """A module with like's dims and flags (moved to window when given)
+    whose action table is handed over explicitly."""
+    window = like.window if window is None else window
+    dims = dict(zip(window, like.dims.values()))
+    return G.GradedModule(algebra or like.algebra, window, dims, table,
+                          like.bottom_exact, like.top_exact, like.opposite)
+
+
+def _eager_regular(algebra, window, opposite=False):
+    """regular() with its table built up front from the products."""
+    table = _table_from_products(algebra, window,
+                                 _right if opposite else M.multiply_seqs)
+    return _explicit(regular(algebra, window, opposite), table)
+
+
+def _eager_dual_regular(algebra, window):
+    table = _table_from_products(algebra, window, _right, dual=True)
+    return _explicit(dual_regular(algebra, window), table)
+
+
+def _assert_same(lazy, eager):
+    assert lazy.action_table() == eager.action_table()
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("algebra, hi, sub", [(FULL, 16, A2), (A2, 23, A1)],
+                         ids=["full", "A2"])
+def test_forced_tables_match_eager_references(algebra, hi, sub):
+    """Every lazily sourced constructor forces the same table as a reference
+    built up front from multiply_seqs and the eager coproduct."""
+    w = Window(0, hi)
+    ref = _eager_regular(algebra, w)
+    ref_table = ref.action_table()
+    _assert_same(regular(algebra, w), ref)
+    _assert_same(regular(algebra, w, opposite=True),
+                 _eager_regular(algebra, w, opposite=True))
+    dw = Window(-hi, 0)
+    ref_dual = _eager_dual_regular(algebra, dw)
+    _assert_same(dual_regular(algebra, dw), ref_dual)
+
+    shifts = [0, 3, 3, -2]
+    _assert_same(free_module(SuspensionProfile(shifts), algebra, w),
+                 oracles.coproduct_eager(
+                     [(_eager_regular(algebra, w.shift(-s)), s)
+                      for s in sorted(shifts)]))
+    _assert_same(coproduct([(regular(algebra, w), 0),
+                            (dual_regular(algebra, dw), hi)]),
+                 oracles.coproduct_eager([(ref, 0), (ref_dual, hi)]))
+
+    _assert_same(regular(algebra, w).suspend(5), _explicit(
+        ref, {(seq, d + 5): m for (seq, d), m in ref_table.items()},
+        w.shift(5)))
+    _assert_same(regular(algebra, w).restrict_to(sub), _explicit(
+        ref, {key: m for key, m in ref_table.items() if sub.contains(key[0])},
+        algebra=sub))
+    _assert_same(dual_of(regular(algebra, w)), G.GradedModule(
+        algebra, dw, {d: ref.dims[-d] for d in dw},
+        {(seq, -d - M.degree(seq)): m.transpose()
+         for (seq, d), m in ref_table.items()},
+        ref.top_exact, ref.bottom_exact, opposite=True))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: regular(FULL, Window(0, 24)),
+    lambda: regular(FULL, Window(0, 24), opposite=True),
+    lambda: dual_regular(FULL, Window(-24, 0)).suspend(24),
+    lambda: free_module(SuspensionProfile([0, 2, 2]), FULL, Window(0, 24)),
+    lambda: regular(A2, Window(0, 24)).restrict_to(A1).suspend(-1).suspend(1),
+    lambda: dual_of(dual_regular(FULL, Window(-24, 0))),
+], ids=["regular", "opposite", "dual-suspended", "free", "restricted",
+        "dual-of"])
+def test_one_read_builds_one_matrix(build):
+    """Constructors build nothing up front: reading one action of a fresh
+    module leaves exactly one entry in its memo."""
+    m = build()
+    assert m.actions == {}
+    mat = m.action((0, 1), 4)
+    assert m.actions == {((0, 1), 4): mat}
+    assert m.action((0, 1), 4) is mat
+
+
+def test_monomial_outside_the_algebra_is_refused():
+    r = regular(A2, Window(0, 20)).restrict_to(A1)
+    assert r.action((2,), 1) == regular(A1, Window(0, 20)).action((2,), 1)
+    with pytest.raises(ValueError, match=r"Sq\(4,\) is not in"):
+        r.action((4,), 1)
+
+
+def test_source_of_wrong_shape_is_refused():
+    r = regular(A1, Window(0, 6))
+
+    def source(seq, d):
+        mat = r.action(seq, d)
+        if (seq, d) == ((1,), 2):
+            return BitMatrix.zero(mat.nrows + 1, mat.ncols)
+        return mat
+
+    def bad():
+        return G.GradedModule(A1, r.window, dict(r.dims), source, True, True)
+
+    where = r"Sq\(1,\) at degree 2 has shape \(3, 1\), expected \(2, 1\)"
+    with pytest.raises(ValueError, match=where):
+        bad().action((1,), 2)
+    with pytest.raises(ValueError, match=where):
+        bad() == r
+    with pytest.raises(ValueError, match=where):
+        r == bad()
+    with pytest.raises(ValueError, match=where):
+        validate(bad())
+    m = bad()
+    assert m.action((1,), 1) == r.action((1,), 1)
+    assert m.actions == {((1,), 1): r.action((1,), 1)}
+    # validation forces the whole table, even keys no composition reads
+    short = G.GradedModule(A1, Window(0, 1), {0: 1, 1: 1},
+                           lambda seq, d: BitMatrix.zero(2, 1))
+    with pytest.raises(ValueError, match=r"Sq\(1,\) at degree 0"):
+        validate(short)
 
 
 def test_dual_regular_dims_mirror():
@@ -233,7 +356,7 @@ def test_freeness_inconclusive_without_anchor():
     mid = G.GradedModule(
         A1, mid_window,
         {d: r.dims[d] for d in mid_window},
-        {(seq, d): mat for (seq, d), mat in r.actions.items()
+        {(seq, d): mat for (seq, d), mat in r.action_table().items()
          if d in mid_window and d + seq_degree(seq) in mid_window},
         bottom_exact=False, top_exact=False)
     v = freeness_test(mid)
@@ -289,8 +412,9 @@ def test_every_constructor_output_validates():
 
 def test_from_generator_actions_completes_table():
     r = regular(A1, Window(0, 6))
-    gen_actions = {seq: {d: r.actions[(seq, d)]
-                         for d in r.window if (seq, d) in r.actions}
+    table = r.action_table()
+    gen_actions = {seq: {d: table[(seq, d)]
+                         for d in r.window if (seq, d) in table}
                    for seq in [(1,), (2,)]}
     rebuilt = G.from_generator_actions(A1, r.window, dict(r.dims), gen_actions,
                                        bottom_exact=True, top_exact=True)
@@ -299,8 +423,9 @@ def test_from_generator_actions_completes_table():
 
 def test_from_generator_actions_fails_loudly_on_inconsistency():
     r = regular(A1, Window(0, 6))
-    gen_actions = {seq: {d: r.actions[(seq, d)]
-                         for d in r.window if (seq, d) in r.actions}
+    table = r.action_table()
+    gen_actions = {seq: {d: table[(seq, d)]
+                         for d in r.window if (seq, d) in table}
                    for seq in [(1,), (2,)]}
     mat = gen_actions[(2,)][1]
     gen_actions[(2,)][1] = BitMatrix(mat.nrows, mat.ncols,
