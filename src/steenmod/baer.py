@@ -1,4 +1,4 @@
-"""Graded hom-spaces, the graded extension (Baer) test, and witness maps.
+"""The graded extension (Baer) test and witness maps.
 
 The extension test asks whether every graded map from a suspended ideal
 into a target module extends over the inclusion into the suspended regular
@@ -29,112 +29,13 @@ from typing import Optional
 from . import milnor
 from .annihilator import (HomIdeal, IdealChain, PerpProfile,
                           _left_mult_by_coords, chain_perp_profile)
-from .f2 import BitMatrix, Subspace, kernel, rref_rows
+from .f2 import BitMatrix, Subspace, kernel, mul_rows, rref_rows
 from .gmodule import GradedModule, SuspensionProfile
 from .milnor import Algebra, Element
 
 EXTENDS_ALL = "extends_all"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class GradedHom:
-    """A degree-shifting graded module map given by per-degree matrices."""
-
-    source: GradedModule
-    target: GradedModule
-    shift: int
-    mats: dict[int, BitMatrix]
-
-    def mat(self, d: int) -> BitMatrix:
-        if d in self.mats:
-            return self.mats[d]
-        sd = self.source.dim(d)
-        td = self.target.dim(d + self.shift)
-        if sd is None or td is None:
-            raise ValueError(f"map not representable at degree {d}")
-        return BitMatrix.zero(td, sd)
-
-    def is_equivariant(self) -> bool:
-        src, dst, s = self.source, self.target, self.shift
-        for k in range(1, src.window.width + 1):
-            for seq in src.algebra.basis(k):
-                for d in src.window:
-                    if d + k not in src.window:
-                        continue
-                    if (d + s) not in dst.window or (d + k + s) not in dst.window:
-                        continue
-                    lhs = dst.action(seq, d + s) @ self.mat(d)
-                    rhs = self.mat(d + k) @ src.action(seq, d)
-                    if lhs != rhs:
-                        return False
-        return True
-
-
-def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[GradedHom]:
-    """A basis of all shift-graded maps src -> dst, solved as one linear system.
-
-    Unknowns are the entries of every per-degree matrix; equations are the
-    equivariance constraints visible on the window overlap.
-    """
-    if src.algebra != dst.algebra or src.opposite != dst.opposite:
-        raise ValueError("hom between modules over different algebras")
-    degrees = [d for d in src.window
-               if src.dims[d] and (d + shift) in dst.window and dst.dims[d + shift]]
-    offsets: dict[int, int] = {}
-    total = 0
-    for d in degrees:
-        offsets[d] = total
-        total += src.dims[d] * dst.dims[d + shift]
-    if total == 0:
-        return []
-
-    def var(d: int, i: int, j: int) -> int:
-        return offsets[d] + i * src.dims[d] + j
-
-    rows: list[int] = []
-    for k in range(1, src.window.width + 1):
-        for seq in src.algebra.basis(k):
-            for d in src.window:
-                if d + k not in src.window:
-                    continue
-                if (d + shift) not in dst.window or (d + k + shift) not in dst.window:
-                    continue
-                a_src = src.action(seq, d)
-                a_dst = dst.action(seq, d + shift)
-                sd, sdk = src.dims[d], src.dims[d + k]
-                td, tdk = dst.dims[d + shift], dst.dims[d + k + shift]
-                for i in range(tdk):
-                    for j in range(sd):
-                        row = 0
-                        if d in offsets:
-                            for t in range(td):
-                                if a_dst.entry(i, t):
-                                    row ^= 1 << var(d, t, j)
-                        if (d + k) in offsets:
-                            for t in range(sdk):
-                                if a_src.entry(t, j):
-                                    row ^= 1 << var(d + k, i, t)
-                        if row:
-                            rows.append(row)
-    sysmat = BitMatrix(len(rows), total, rows) if rows else BitMatrix.zero(0, total)
-    sol = kernel(sysmat)
-    homs = []
-    for v in sol.basis.rows:
-        mats = {}
-        for d in degrees:
-            sd, td = src.dims[d], dst.dims[d + shift]
-            mrows = []
-            for i in range(td):
-                r = 0
-                for j in range(sd):
-                    if (v >> var(d, i, j)) & 1:
-                        r |= 1 << j
-                mrows.append(r)
-            mats[d] = BitMatrix(td, sd, mrows)
-        homs.append(GradedHom(src, dst, shift, mats))
-    return homs
 
 
 # -- the extension test --------------------------------------------------------
@@ -195,6 +96,13 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     The target is a single module; build coproducts first for multi-summand
     questions (extension over a finite direct sum holds iff it holds in
     every summand).
+
+    The constraints of relation degree e are assembled by one kernel
+    product: the relation rows times one wide row per relation column, in
+    which that column's action rows on the target sit side by side, each
+    shifted to its generator's block.  Cutting the product rows into
+    pieces of the map-space width gives one constraint per (relation,
+    target row); they join the reduced system in a single row reduction.
     """
     algebra = target.algebra
     gen_coords = []
@@ -224,8 +132,7 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         else:
             blocks.append(BitMatrix.zero(td, target.dim(shift)))
     restr = BitMatrix.vstack(blocks) if blocks else BitMatrix.zero(0, 0)
-    ext_space = Subspace.from_vectors(
-        [restr.column(j) for j in range(restr.ncols)], total)
+    ext_space = Subspace.from_vectors(restr.transpose().rows, total)
 
     min_gd = min(gd for gd, _ in gen_coords)
     max_gd = max(gd for gd, _ in gen_coords)
@@ -250,24 +157,26 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         if td_out:
             rel_rows, layout = _generator_relations(tuple(gen_coords), e, algebra)
             if rel_rows:
-                # action rows of every needed basis monomial, one lookup each
-                acts: dict[tuple[int, int], tuple[int, ...]] = {}
-                for gi, (gd, gv, td, off) in enumerate(gen_info):
-                    if e - gd < 0:
-                        continue
-                    for j, seq in enumerate(algebra.basis(e - gd)):
-                        acts[(gi, j)] = target.action(seq, shift + gd).rows
-                # constraint rows per (relation, output row) as one product:
-                # column ci contributes its action row shifted to the
-                # generator's coordinate block
+                # constraint row (relation rho, output row r): the XOR over
+                # the set bits c of rho of row r of c's action, shifted to
+                # c's generator block.  Column c's action rows are packed
+                # into one wide int, row r at bits r * total, so a single
+                # product yields every output row of every relation.
+                packed = []
+                for gi, j in layout:
+                    gd, _, _, off = gen_info[gi]
+                    seq = algebra.basis(e - gd)[j]
+                    acc = 0
+                    for v in reversed(target.action(seq, shift + gd).rows):
+                        acc = (acc << total) | v
+                    packed.append(acc << off)
+                mask = (1 << total) - 1
                 batch: list[int] = []
-                for r in range(td_out):
-                    per_col = [acts[(gi, j)][r] << gen_info[gi][3]
-                               for (gi, j) in layout]
-                    prod = BitMatrix(len(rel_rows), len(layout),
-                                     list(rel_rows)) @ BitMatrix(
-                                         len(per_col), total, per_col)
-                    batch.extend(v for v in prod.rows if v)
+                for v in mul_rows(rel_rows, packed):
+                    while v:
+                        if v & mask:
+                            batch.append(v & mask)
+                        v >>= total
                 pivot_rows, _ = rref_rows(pivot_rows + batch, total)
                 if total - len(pivot_rows) == ext_dim:
                     done_note = (f"map space pinned to restrictions by "

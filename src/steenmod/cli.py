@@ -5,7 +5,8 @@ witness, freeness, iota) plus the built-in scenario runner.  Output is
 deterministic given the flags and --seed; --format structured emits the
 line-oriented machine-readable form.  Exit codes: 0 all expectations met,
 1 a computed counterexample to an expectation, 2 inconclusive, 3 an error
-(unreadable input, a parse error or an invalid request).
+(unreadable input, a parse error, an invalid request or a usage error such
+as a malformed option value).
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from .scenarios import (EXIT_CODES, ScenarioConfig, render_structured,
 
 # kept apart from the verdict codes, 2 being "inconclusive"
 EXIT_ERROR = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR, not argparse's 2; subparsers
+    inherit the class through add_subparsers."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _parse_window(text: str) -> Window:
@@ -261,12 +271,12 @@ def cmd_scenario(args) -> int:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized parts of catalogs")
     common.add_argument("--format", choices=["text", "structured"],
                         default="text")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steenmod",
         description="desk-scale graded-module computations over the mod-2 "
                     "Steenrod algebra and its finite subalgebras")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import milnor
-from .f2 import BitMatrix, mask_to_bits
+from .f2 import BitMatrix, mask_to_bits, mul_rows
 from .gmodule import GradedModule, Window, coproduct, dual_regular, zero_module
 from .milnor import Algebra
 
@@ -179,63 +179,53 @@ def validate_coaction(c: GradedComodule) -> list[str]:
     The counit law is structural here (the k = 0 block is implicit).
     Coassociativity compares, for every (d, k1, k2), applying the coaction
     twice against applying it once and splitting the dual factor by the
-    transpose of multiplication.
+    transpose of multiplication.  Both sides are computed on whole rows,
+    each row a mask over the columns of M^d: the twice-applied side is one
+    product per jump index b1 of (d + k1, k2) against the b1 rows of
+    (d, k1), and the split side one product per target index m'' of the
+    transposed multiplication matrix against the m'' rows of (d, k1 + k2).
+    The XOR of matching rows marks the failing columns.
     """
     violations: list[str] = []
     alg = c.algebra
     w = c.window
+    split: dict[tuple[int, int], tuple[int, ...]] = {}
     for d in w:
         if not c.dims[d]:
             continue
         for k1 in range(1, w.hi - d + 1):
             a1 = alg.dim(k1)
-            if not c.dims.get(d + k1) or not a1:
+            mid = c.dims.get(d + k1)
+            if not mid or not a1:
                 continue
-            b1 = c.coaction(d, k1)
+            b1 = c.coaction(d, k1).rows
             for k2 in range(1, w.hi - d - k1 + 1):
                 a2 = alg.dim(k2)
                 td = c.dims.get(d + k1 + k2, 0)
                 if not td or not a2:
                     continue
-                b2 = c.coaction(d + k1, k2)
-                sd = c.dims[d]
-                big = c.coaction(d, k1 + k2)
-                mm = milnor.multiplication_matrix(k2, k1, alg)
+                b2 = c.coaction(d + k1, k2).rows
+                big = c.coaction(d, k1 + k2).rows
                 a12 = alg.dim(k1 + k2)
-                for col in range(sd):
-                    # twice: m -> (m', b1) -> ((m'', b2), b1)
-                    lhs: dict[tuple[int, int, int], int] = {}
-                    mid = b1.column(col)
-                    for r1 in range(c.dims[d + k1] * a1):
-                        if not (mid >> r1) & 1:
-                            continue
-                        mprime, bi1 = divmod(r1, a1)
-                        out = b2.column(mprime)
-                        for r2 in range(td * a2):
-                            if (out >> r2) & 1:
-                                m2, bi2 = divmod(r2, a2)
-                                key = (m2, bi2, bi1)
-                                lhs[key] = lhs.get(key, 0) ^ 1
-                    # once + split: m -> (m'', cbig) -> (m'', (b2, b1))
-                    rhs: dict[tuple[int, int, int], int] = {}
-                    out = big.column(col)
-                    for r in range(td * a12):
-                        if not (out >> r) & 1:
-                            continue
-                        m2, ci = divmod(r, a12)
-                        # c splits as sum over (x of deg k2, y of deg k1)
-                        # with c appearing in x * y
-                        for xi in range(a2):
-                            for yi in range(a1):
-                                if mm.entry(ci, xi * a1 + yi):
-                                    key = (m2, xi, yi)
-                                    rhs[key] = rhs.get(key, 0) ^ 1
-                    lhs = {k: v for k, v in lhs.items() if v}
-                    rhs = {k: v for k, v in rhs.items() if v}
-                    if lhs != rhs:
-                        violations.append(
-                            f"coassociativity fails at degree {d}, jumps "
-                            f"({k1}, {k2}), column {col}")
+                mm = milnor.multiplication_matrix(k2, k1, alg)
+                if (k2, k1) not in split:
+                    # row x * a1 + y: the degree k1 + k2 monomials in x * y
+                    split[(k2, k1)] = mm.transpose().rows
+                mm_t = split[(k2, k1)]
+                # twice: row m'' * a2 + x of lhs[y] holds ((m'', x), y)
+                lhs = [mul_rows(b2, b1[y::a1]) for y in range(a1)]
+                bad = 0
+                for m2 in range(td):
+                    # once + split: row x * a1 + y holds (m'', (x, y))
+                    rhs = mul_rows(mm_t, big[m2 * a12:(m2 + 1) * a12])
+                    for x in range(a2):
+                        row = m2 * a2 + x
+                        for y in range(a1):
+                            bad |= lhs[y][row] ^ rhs[x * a1 + y]
+                for col in mask_to_bits(bad):
+                    violations.append(
+                        f"coassociativity fails at degree {d}, jumps "
+                        f"({k1}, {k2}), column {col}")
     return violations
 
 

@@ -40,6 +40,15 @@ def rref_rows(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     return _impl.rref(list(rows), ncols)
 
 
+def mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
+    """Backend product on raw int rows: bit j of an A-row selects row j of B.
+
+    B-rows may be of any width, so one call can multiply against several
+    matrices packed side by side into wide rows.
+    """
+    return _impl.mul(list(a_rows), list(b_rows))
+
+
 def mask_to_bits(mask: int) -> list[int]:
     """Positions of the set bits of a vector mask, ascending."""
     out = []
@@ -154,7 +163,7 @@ class BitMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in @: {self.shape} x {other.shape}")
         return BitMatrix(self.nrows, other.ncols,
-                         _impl.mul(list(self._rows), list(other._rows)))
+                         mul_rows(self._rows, other._rows))
 
     def apply(self, v: int) -> int:
         """Matrix times column vector (v is a mask over columns)."""

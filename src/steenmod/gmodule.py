@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import milnor
-from .f2 import BitMatrix, Subspace
+from .f2 import BitMatrix, Subspace, mul_rows
 from .milnor import Algebra, Element, Seq
 
 
@@ -218,7 +218,12 @@ class GradedModule:
     # -- structural checks ---------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Composition check over every composable pair; [] means valid."""
+        """Composition check over every composable pair; [] means valid.
+
+        For monomials b, c and each degree d, the rows of action(b) @
+        action(c), one kernel product, are compared with the XOR of the
+        rows of action(t) over the terms t of b * c.
+        """
         self.action_table()
         violations = []
         w = self.window
@@ -230,10 +235,12 @@ class GradedModule:
                         for d in range(w.lo, w.hi + 1 - kb - kc):
                             if not (self.dims[d] and self.dims[d + kb + kc]):
                                 continue
-                            composite = self.action(b, d + kc) @ self.action(c, d)
-                            direct = BitMatrix.zero(self.dims[d + kb + kc], self.dims[d])
+                            composite = mul_rows(self.action(b, d + kc).rows,
+                                                 self.action(c, d).rows)
+                            direct = [0] * self.dims[d + kb + kc]
                             for t in prod:
-                                direct = direct + self.action(t, d)
+                                for i, v in enumerate(self.action(t, d).rows):
+                                    direct[i] ^= v
                             if direct != composite:
                                 violations.append(
                                     f"action(Sq{b}*Sq{c}) != action(Sq{b})action(Sq{c}) "

@@ -86,9 +86,12 @@ def _parse_dims(text: str, window: Window, line_no: int) -> dict[int, int]:
             dims[int(d_s)] = int(n_s)
         except ValueError:
             raise ParseError(line_no, f"bad dims token {tok!r}") from None
-    missing = [d for d in window if d not in dims]
-    if missing:
-        raise ParseError(line_no, f"dims missing degrees {missing}")
+    # stops at the first gap, so a huge window costs no more than the dims
+    # actually listed
+    for d in window:
+        if d not in dims:
+            raise ParseError(line_no,
+                             f"dims missing degree {d} of window {window}")
     return dims
 
 
@@ -118,7 +121,10 @@ class _Lines:
         return no, line[len(prefix):].strip()
 
 
-def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str) -> BitMatrix:
+def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
+                 header_no: int) -> BitMatrix:
+    if nrows < 0 or ncols < 0:
+        raise ParseError(header_no, f"negative shape {nrows}x{ncols} of {where}")
     rows = []
     for _ in range(nrows):
         no, line = lines.next(f"matrix row of {where}")
@@ -191,7 +197,7 @@ def parse_module(text: str) -> GradedModule:
             except ValueError:
                 raise ParseError(no, f"bad block header {line!r}") from None
             actions[(seq, d)] = _read_matrix(lines, nrows, ncols,
-                                             f"{_seq_str(seq)} @ {d}")
+                                             f"{_seq_str(seq)} @ {d}", no)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
     try:
@@ -246,7 +252,7 @@ def parse_comodule(text: str) -> GradedComodule:
             except ValueError:
                 raise ParseError(no, f"bad coaction header {line!r}") from None
             coactions[(d, k)] = _read_matrix(lines, nrows, ncols,
-                                             f"coaction ({d},{k})")
+                                             f"coaction ({d},{k})", no)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
     try:

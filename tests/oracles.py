@@ -6,16 +6,24 @@ code path with the Milnor-basis engine: products come from the classical
 rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
-for the engine's pruned one, and the eager coproduct, kept as the reference
-for the engine's lazily assembled one.
+for the engine's pruned one, the eager coproduct, kept as the reference
+for the engine's lazily assembled one, the dense graded hom solver, kept as
+an independent count of the extension test's map spaces, and the
+entry-wise and per-row forms of the three verifiers (module composition,
+coassociativity, extension test), kept as the references for the
+engine's row-level ones.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from steenmod.f2 import BitMatrix, solve
+from steenmod import milnor
+from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
+                           FailingMap, _generator_relations)
+from steenmod.f2 import BitMatrix, Subspace, kernel, rref_rows, solve
 from steenmod.gmodule import GradedModule
 
 Word = tuple[int, ...]
@@ -325,3 +333,307 @@ def coproduct_eager(parts) -> GradedModule:
     return GradedModule(algebra, window, dims, actions,
                         bottom_exact=edge_exact(True),
                         top_exact=edge_exact(False), opposite=opposite)
+
+
+# -- dense graded homs ---------------------------------------------------------
+
+
+@dataclass
+class GradedHom:
+    """A degree-shifting graded module map given by per-degree matrices."""
+
+    source: GradedModule
+    target: GradedModule
+    shift: int
+    mats: dict[int, BitMatrix]
+
+    def mat(self, d: int) -> BitMatrix:
+        if d in self.mats:
+            return self.mats[d]
+        sd = self.source.dim(d)
+        td = self.target.dim(d + self.shift)
+        if sd is None or td is None:
+            raise ValueError(f"map not representable at degree {d}")
+        return BitMatrix.zero(td, sd)
+
+    def is_equivariant(self) -> bool:
+        src, dst, s = self.source, self.target, self.shift
+        for k in range(1, src.window.width + 1):
+            for seq in src.algebra.basis(k):
+                for d in src.window:
+                    if d + k not in src.window:
+                        continue
+                    if (d + s) not in dst.window or (d + k + s) not in dst.window:
+                        continue
+                    lhs = dst.action(seq, d + s) @ self.mat(d)
+                    rhs = self.mat(d + k) @ src.action(seq, d)
+                    if lhs != rhs:
+                        return False
+        return True
+
+
+def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[GradedHom]:
+    """A basis of all shift-graded maps src -> dst, solved as one linear system.
+
+    Unknowns are the entries of every per-degree matrix; equations are the
+    equivariance constraints visible on the window overlap.
+    """
+    if src.algebra != dst.algebra or src.opposite != dst.opposite:
+        raise ValueError("hom between modules over different algebras")
+    degrees = [d for d in src.window
+               if src.dims[d] and (d + shift) in dst.window and dst.dims[d + shift]]
+    offsets: dict[int, int] = {}
+    total = 0
+    for d in degrees:
+        offsets[d] = total
+        total += src.dims[d] * dst.dims[d + shift]
+    if total == 0:
+        return []
+
+    def var(d: int, i: int, j: int) -> int:
+        return offsets[d] + i * src.dims[d] + j
+
+    rows: list[int] = []
+    for k in range(1, src.window.width + 1):
+        for seq in src.algebra.basis(k):
+            for d in src.window:
+                if d + k not in src.window:
+                    continue
+                if (d + shift) not in dst.window or (d + k + shift) not in dst.window:
+                    continue
+                a_src = src.action(seq, d)
+                a_dst = dst.action(seq, d + shift)
+                sd, sdk = src.dims[d], src.dims[d + k]
+                td, tdk = dst.dims[d + shift], dst.dims[d + k + shift]
+                for i in range(tdk):
+                    for j in range(sd):
+                        row = 0
+                        if d in offsets:
+                            for t in range(td):
+                                if a_dst.entry(i, t):
+                                    row ^= 1 << var(d, t, j)
+                        if (d + k) in offsets:
+                            for t in range(sdk):
+                                if a_src.entry(t, j):
+                                    row ^= 1 << var(d + k, i, t)
+                        if row:
+                            rows.append(row)
+    sysmat = BitMatrix(len(rows), total, rows) if rows else BitMatrix.zero(0, total)
+    sol = kernel(sysmat)
+    homs = []
+    for v in sol.basis.rows:
+        mats = {}
+        for d in degrees:
+            sd, td = src.dims[d], dst.dims[d + shift]
+            mrows = []
+            for i in range(td):
+                r = 0
+                for j in range(sd):
+                    if (v >> var(d, i, j)) & 1:
+                        r |= 1 << j
+                mrows.append(r)
+            mats[d] = BitMatrix(td, sd, mrows)
+        homs.append(GradedHom(src, dst, shift, mats))
+    return homs
+
+
+# -- verifiers, entry-wise and per row -----------------------------------------
+
+
+def validate_composition_dense(m: GradedModule) -> list[str]:
+    """The composition check with a BitMatrix per product and per sum:
+    action(b) @ action(c) against the sum of action(t) over the terms t of
+    b * c.  Same messages and order as GradedModule.validate."""
+    m.action_table()
+    violations = []
+    w = m.window
+    for kc in range(1, w.width + 1):
+        for kb in range(1, w.width + 1 - kc):
+            for b in m.algebra.basis(kb):
+                for c in m.algebra.basis(kc):
+                    prod = m.seq_product(b, c)
+                    for d in range(w.lo, w.hi + 1 - kb - kc):
+                        if not (m.dims[d] and m.dims[d + kb + kc]):
+                            continue
+                        composite = m.action(b, d + kc) @ m.action(c, d)
+                        direct = BitMatrix.zero(m.dims[d + kb + kc], m.dims[d])
+                        for t in prod:
+                            direct = direct + m.action(t, d)
+                        if direct != composite:
+                            violations.append(
+                                f"action(Sq{b}*Sq{c}) != action(Sq{b})action(Sq{c}) "
+                                f"at degree {d}")
+    return violations
+
+
+def validate_coaction_entrywise(c) -> list[str]:
+    """Coassociativity violations, column by column: both sides are
+    expanded bit by bit into dicts keyed by (m'', b2, b1), the split side
+    reading the multiplication matrix one entry at a time.  Same messages
+    and order as steenmod.comodule.validate_coaction."""
+    violations: list[str] = []
+    alg = c.algebra
+    w = c.window
+    for d in w:
+        if not c.dims[d]:
+            continue
+        for k1 in range(1, w.hi - d + 1):
+            a1 = alg.dim(k1)
+            if not c.dims.get(d + k1) or not a1:
+                continue
+            b1 = c.coaction(d, k1)
+            for k2 in range(1, w.hi - d - k1 + 1):
+                a2 = alg.dim(k2)
+                td = c.dims.get(d + k1 + k2, 0)
+                if not td or not a2:
+                    continue
+                b2 = c.coaction(d + k1, k2)
+                sd = c.dims[d]
+                big = c.coaction(d, k1 + k2)
+                mm = milnor.multiplication_matrix(k2, k1, alg)
+                a12 = alg.dim(k1 + k2)
+                for col in range(sd):
+                    # twice: m -> (m', b1) -> ((m'', b2), b1)
+                    lhs: dict[tuple[int, int, int], int] = {}
+                    mid = b1.column(col)
+                    for r1 in range(c.dims[d + k1] * a1):
+                        if not (mid >> r1) & 1:
+                            continue
+                        mprime, bi1 = divmod(r1, a1)
+                        out = b2.column(mprime)
+                        for r2 in range(td * a2):
+                            if (out >> r2) & 1:
+                                m2, bi2 = divmod(r2, a2)
+                                key = (m2, bi2, bi1)
+                                lhs[key] = lhs.get(key, 0) ^ 1
+                    # once + split: m -> (m'', cbig) -> (m'', (b2, b1))
+                    rhs: dict[tuple[int, int, int], int] = {}
+                    out = big.column(col)
+                    for r in range(td * a12):
+                        if not (out >> r) & 1:
+                            continue
+                        m2, ci = divmod(r, a12)
+                        # c splits as sum over (x of deg k2, y of deg k1)
+                        # with c appearing in x * y
+                        for xi in range(a2):
+                            for yi in range(a1):
+                                if mm.entry(ci, xi * a1 + yi):
+                                    key = (m2, xi, yi)
+                                    rhs[key] = rhs.get(key, 0) ^ 1
+                    lhs = {k: v for k, v in lhs.items() if v}
+                    rhs = {k: v for k, v in rhs.items() if v}
+                    if lhs != rhs:
+                        violations.append(
+                            f"coassociativity fails at degree {d}, jumps "
+                            f"({k1}, {k2}), column {col}")
+    return violations
+
+
+def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
+    """The extension test assembling its constraints one output row at a
+    time: for each row r of the degree-e target, the relation matrix times
+    a fresh matrix of every column's row r, as separate BitMatrix products.
+    Same verdict contract as steenmod.baer.baer_test."""
+    algebra = target.algebra
+    gen_coords = []
+    for g in ideal.generators:
+        gd = g.degree()
+        gen_coords.append((gd, milnor.coords_of(g, gd, algebra)))
+
+    gen_info = []  # (degree, coords, value dim, offset)
+    total = 0
+    for gd, gv in gen_coords:
+        td = target.dim(shift + gd)
+        if td is None:
+            return BaerVerdict(INCONCLUSIVE, 0, 0, False,
+                               f"value degree {shift + gd} leaves the window")
+        gen_info.append((gd, gv, td, total))
+        total += td
+
+    # restriction space: images of y in C^shift under y -> (g_i y)_i
+    if target.dim(shift) is None:
+        return BaerVerdict(INCONCLUSIVE, 0, 0, False,
+                           "restriction source degree leaves the window")
+    blocks = []
+    for gd, gv, td, _ in gen_info:
+        if td and target.dim(shift):
+            elem = milnor.element_from_coords(gv, gd, algebra)
+            blocks.append(target.action_of(elem, shift))
+        else:
+            blocks.append(BitMatrix.zero(td, target.dim(shift)))
+    restr = BitMatrix.vstack(blocks) if blocks else BitMatrix.zero(0, 0)
+    ext_space = Subspace.from_vectors(
+        [restr.column(j) for j in range(restr.ncols)], total)
+
+    min_gd = min(gd for gd, _ in gen_coords)
+    max_gd = max(gd for gd, _ in gen_coords)
+    window_cap = target.window.hi - shift
+    alg_top = algebra.top_degree()
+    rel_cap = None if alg_top is None else alg_top + max_gd
+
+    complete = True
+    # the constraint system is reduced incrementally; its rank determines
+    # the surviving map-space dimension without materializing a basis
+    pivot_rows: list[int] = []
+    ext_dim = ext_space.dim
+    e = min_gd
+    last = window_cap if rel_cap is None else min(window_cap, rel_cap)
+    done_note = None
+    while e <= last:
+        td_out = target.dim(shift + e)
+        if td_out is None:
+            complete = False
+            e += 1
+            continue
+        if td_out:
+            rel_rows, layout = _generator_relations(tuple(gen_coords), e, algebra)
+            if rel_rows:
+                # action rows of every needed basis monomial, one lookup each
+                acts: dict[tuple[int, int], tuple[int, ...]] = {}
+                for gi, (gd, gv, td, off) in enumerate(gen_info):
+                    if e - gd < 0:
+                        continue
+                    for j, seq in enumerate(algebra.basis(e - gd)):
+                        acts[(gi, j)] = target.action(seq, shift + gd).rows
+                # constraint rows per (relation, output row) as one product:
+                # column ci contributes its action row shifted to the
+                # generator's coordinate block
+                batch: list[int] = []
+                for r in range(td_out):
+                    per_col = [acts[(gi, j)][r] << gen_info[gi][3]
+                               for (gi, j) in layout]
+                    prod = BitMatrix(len(rel_rows), len(layout),
+                                     list(rel_rows)) @ BitMatrix(
+                                         len(per_col), total, per_col)
+                    batch.extend(v for v in prod.rows if v)
+                pivot_rows, _ = rref_rows(pivot_rows + batch, total)
+                if total - len(pivot_rows) == ext_dim:
+                    done_note = (f"map space pinned to restrictions by "
+                                 f"relations of degree <= {e}")
+                    break
+        e += 1
+    hom_dim = total - len(pivot_rows)
+    if done_note is not None:
+        return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, complete, done_note)
+    if rel_cap is not None and rel_cap > window_cap and not target.top_exact:
+        complete = False
+    if rel_cap is None and not target.top_exact:
+        complete = False
+    if hom_dim == ext_dim:
+        return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, complete,
+                           "all visible maps are restrictions")
+    status = FAILS if complete else INCONCLUSIVE
+    witness = None
+    if status == FAILS:
+        sol = kernel(BitMatrix(len(pivot_rows), total, pivot_rows))
+        for v in sol.basis.rows:
+            if not ext_space.contains(v):
+                values = []
+                for gd, gv, td, off in gen_info:
+                    mask = (v >> off) & ((1 << td) - 1)
+                    values.append((gd, shift + gd, mask))
+                witness = FailingMap(shift, values)
+                break
+    note = ("a visible map admits no extension" if status == FAILS else
+            "map space exceeds restrictions but some relations leave the window")
+    return BaerVerdict(status, hom_dim, ext_dim, complete, note, witness)

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from steenmod import textio
 from steenmod.cli import main
 from steenmod.gmodule import Window, regular
@@ -100,6 +102,30 @@ def test_iota_subcommand(tmp_path, capsys):
 def test_scenario_unknown_name(capsys):
     code = main(["scenario", "does-not-exist"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "prop-3-1", "--window=3..1"],
+    ["baer", "--shift", "x"],
+], ids=["empty-window", "bad-int"])
+def test_usage_error_exits_3(argv, capsys):
+    """A malformed option value is an error (3), not inconclusive (2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+    proc = subprocess.run([sys.executable, "-m", "steenmod.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["baer", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_scenario_dims_deterministic(capsys):

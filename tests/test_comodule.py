@@ -1,3 +1,8 @@
+import random
+
+import pytest
+
+import oracles
 from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
                                iota_injectivity_evidence,
                                iota_of_extended_reference, validate_coaction)
@@ -6,6 +11,7 @@ from steenmod.gmodule import Window, dual_regular, freeness_test, validate
 from steenmod.milnor import Algebra
 
 FULL = Algebra.full()
+A2 = Algebra.subalgebra(2)
 
 
 def test_extended_unit_is_the_dual_algebra():
@@ -109,3 +115,37 @@ def test_direct_freeness_of_iota_over_a1():
     verdict = freeness_test(m, Algebra.subalgebra(1))
     assert verdict.is_free
     assert all(g <= 0 for g in verdict.generator_degrees)
+
+
+def _flip_bits(c, rng):
+    """A copy of c with one to three coaction bits flipped."""
+    coactions = dict(c.coactions)
+    keys = sorted(coactions)
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(keys)
+        mat = coactions[key]
+        rows = list(mat.rows)
+        rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
+        coactions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
+    return GradedComodule(c.algebra, c.window, dict(c.dims), coactions,
+                          c.bottom_exact, c.top_exact)
+
+
+@pytest.mark.parametrize("algebra,v_dims,window,count", [
+    (FULL, {0: 1}, Window(-20, 0), 8),
+    (FULL, {0: 1}, Window(-16, 0), 32),
+    (A2, {0: 1, -3: 1}, Window(-12, 0), 60),
+], ids=["full-20", "full-16", "A2-12"])
+def test_violations_match_entrywise_oracle(algebra, v_dims, window, count):
+    """Seeded bit flips of extended comodules: the row-level check reports
+    exactly the entry-wise oracle's violations, in the same order."""
+    rng = random.Random(window.lo * 7 + count)
+    c = extended(ExtendedSpec(v_dims), algebra, window)
+    assert validate_coaction(c) == oracles.validate_coaction_entrywise(c) == []
+    caught = 0
+    for _ in range(count):
+        mutant = _flip_bits(c, rng)
+        bad = validate_coaction(mutant)
+        assert bad == oracles.validate_coaction_entrywise(mutant)
+        caught += bool(bad)
+    assert caught > count // 2

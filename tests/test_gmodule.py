@@ -48,6 +48,41 @@ def test_validate_detects_flipped_bit():
     assert validate(bad) != []
 
 
+def _flip_action_bits(m, rng):
+    """A copy of m, as an explicit table, with one to three action bits
+    flipped."""
+    actions = dict(m.action_table())
+    keys = sorted(actions)
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(keys)
+        mat = actions[key]
+        rows = list(mat.rows)
+        rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
+        actions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
+    return G.GradedModule(m.algebra, m.window, dict(m.dims), actions,
+                          m.bottom_exact, m.top_exact, m.opposite)
+
+
+@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota"])
+def test_validate_matches_dense_oracle_on_flipped_tables(name):
+    """Seeded bit flips of module tables: the row-level composition check
+    reports exactly the dense BitMatrix oracle's violations, in order."""
+    from steenmod.comodule import ExtendedSpec, extended, iota
+    m = {"regular": lambda: regular(FULL, Window(0, 14)),
+         "dual_regular": lambda: dual_regular(FULL, Window(-14, 0)),
+         "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
+                                       Window(-14, 0)))}[name]()
+    assert validate(m) == oracles.validate_composition_dense(m) == []
+    rng = random.Random(len(name))
+    caught = 0
+    for _ in range(40):
+        mutant = _flip_action_bits(m, rng)
+        bad = validate(mutant)
+        assert bad == oracles.validate_composition_dense(mutant)
+        caught += bool(bad)
+    assert caught > 20
+
+
 def test_free_module_dims():
     f = free_module(SuspensionProfile([0]), A1, Window(0, 6))
     assert [f.dims[d] for d in range(7)] == [1, 1, 1, 2, 1, 1, 1]

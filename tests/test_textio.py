@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steenmod import textio as T
 from steenmod.comodule import ExtendedSpec, extended
@@ -94,3 +96,70 @@ def test_opposite_modules_not_serialized():
     d = dual_of(regular(A1, Window(0, 6)))
     with pytest.raises(ValueError):
         T.print_module(d)
+
+
+MUTATION_BASES = [
+    (T.parse_module, T.print_module(regular(A1, Window(0, 6)))),
+    (T.parse_module, T.print_module(dual_regular(FULL, Window(-5, 0)))),
+    (T.parse_comodule, T.print_comodule(
+        extended(ExtendedSpec({0: 1, -1: 1}), FULL, Window(-5, 0)))),
+]
+HEX = "0123456789abcdef"
+
+
+def _mutate(text, kind, at, digit):
+    if kind == "delete-line":
+        lines = text.split("\n")
+        del lines[at % len(lines)]
+        return "\n".join(lines)
+    if kind == "flip-digit":
+        spots = [i for i, ch in enumerate(text) if ch in HEX]
+        if not spots:
+            return text
+        i = spots[at % len(spots)]
+        return text[:i] + digit + text[i + 1:]
+    return text[:at % (len(text) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(MUTATION_BASES))),
+       st.lists(st.tuples(st.sampled_from(["delete-line", "flip-digit",
+                                           "truncate"]),
+                          st.integers(0, 1 << 16), st.sampled_from(HEX)),
+                min_size=1, max_size=4))
+def test_mutated_text_parses_or_reports_a_line(base, mutations):
+    """Printed text with lines deleted, digits flipped or a tail cut off
+    either parses or raises ParseError naming a line; nothing else."""
+    parse, text = MUTATION_BASES[base]
+    for kind, at, digit in mutations:
+        text = _mutate(text, kind, at, digit)
+    try:
+        parse(text)
+    except T.ParseError as exc:
+        assert exc.line_no >= 1
+        assert str(exc).startswith(f"line {exc.line_no}: ")
+
+
+def test_negative_block_shape_reports_line():
+    text = T.print_module(regular(A1, Window(0, 3)))
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("@ "))
+    d_part, shape = lines[at].split(":")
+    lines[at] = f"{d_part}: -{shape.strip()}"
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module("\n".join(lines))
+    assert exc.value.line_no == at + 1
+    com = T.print_comodule(extended(ExtendedSpec({0: 1}), FULL, Window(-3, 0)))
+    com = com.replace(": 1x1", ": 1x-1", 1)
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_comodule(com)
+    assert "negative shape" in str(exc.value)
+
+
+def test_huge_window_names_first_missing_degree():
+    text = T.print_module(regular(A1, Window(0, 3)))
+    text = text.replace("window: 0..3", "window: 0..1000000000000")
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module(text)
+    assert str(exc.value) == ("line 5: dims missing degree 4 of window "
+                              "0..1000000000000")
