@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import milnor
-from .f2 import BitMatrix, Subspace
+from .f2 import BitMatrix, Subspace, mask_to_bits
 from .gmodule import GradedModule, Window
 from .milnor import Algebra, Element
 
@@ -141,17 +141,16 @@ def ideal_span(ideal: HomIdeal, algebra: Algebra, window: Window) -> WindowIdeal
 
 
 def _left_mult_by_coords(gv: int, e: int, k: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of b -> b*g from A^k to A^(k+e), g given by coordinates in A^e."""
-    mm = milnor.multiplication_matrix(k, e, algebra)
-    dim_k = algebra.dim(k)
+    """Matrix of b -> b*g from A^k to A^(k+e), g given by coordinates in A^e.
+
+    Column i is the XOR, over the set bits j of g, of the columns
+    i * dim A^e + j of the multiplication block (k, e).
+    """
+    block = milnor.product_columns(k, e, algebra)
     dim_e = algebra.dim(e)
-    cols = []
-    for i in range(dim_k):
-        v = 0
-        for j in range(dim_e):
-            if (gv >> j) & 1:
-                v ^= mm.column(i * dim_e + j)
-        cols.append(v)
+    cols = [0] * algebra.dim(k)
+    for j in mask_to_bits(gv):
+        cols = [a ^ b for a, b in zip(cols, block[j::dim_e])]
     return BitMatrix.from_columns(cols, algebra.dim(k + e))
 
 

@@ -100,15 +100,14 @@ def io_roundtrip(path: str) -> tuple[str, bool, list[str]]:
         com = textio.parse_comodule(text)
         bad = validate_coaction(com)
         reprint = textio.print_comodule(com)
-        fixpoint = (textio.parse_comodule(reprint) == com
-                    and textio.print_comodule(textio.parse_comodule(reprint))
-                    == reprint)
+        again = textio.parse_comodule(reprint)
+        fixpoint = again == com and textio.print_comodule(again) == reprint
         return "comodule", fixpoint, bad
     mod = textio.parse_module(text)
     bad = validate(mod)
     reprint = textio.print_module(mod)
-    fixpoint = (textio.parse_module(reprint) == mod
-                and textio.print_module(textio.parse_module(reprint)) == reprint)
+    again = textio.parse_module(reprint)
+    fixpoint = again == mod and textio.print_module(again) == reprint
     return "module", fixpoint, bad
 
 
@@ -131,7 +130,7 @@ def cmd_perp(args) -> int:
             e = milnor.parse_element(part)
             d = e.degree()
             if d is None:
-                raise SystemExit("perp elements must be nonzero homogeneous")
+                raise ValueError("perp elements must be nonzero homogeneous")
             elems.append((d, milnor.coords_of(e, d, m.algebra)))
         wi = perp_subset_in_algebra(elems, m)
         lines.append("algebra-degree dim certified")
@@ -220,7 +219,7 @@ def cmd_freeness(args) -> int:
     m = _load_module(args)
     sub = args.over if args.over is not None else args.subalgebra
     if sub.is_full:
-        raise SystemExit("freeness runs over a finite subalgebra; pass --over N")
+        raise ValueError("freeness runs over a finite subalgebra; pass --over N")
     v = freeness_test(m, sub)
     lines = [f"status: {v.status}"]
     if v.status == "free":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import milnor
-from .f2 import BitMatrix, Subspace, mul_rows
+from .f2 import BitMatrix, Subspace, mask_to_bits, mul_rows
 from .milnor import Algebra, Element, Seq
 
 
@@ -222,16 +222,27 @@ class GradedModule:
 
         For monomials b, c and each degree d, the rows of action(b) @
         action(c), one kernel product, are compared with the XOR of the
-        rows of action(t) over the terms t of b * c.
+        rows of action(t) over the terms t of b * c, read off a column of
+        the multiplication block (of c * b when opposite).
         """
         self.action_table()
         violations = []
         w = self.window
+        alg = self.algebra
         for kc in range(1, w.width + 1):
             for kb in range(1, w.width + 1 - kc):
-                for b in self.algebra.basis(kb):
-                    for c in self.algebra.basis(kc):
-                        prod = self.seq_product(b, c)
+                basis_b, basis_c = alg.basis(kb), alg.basis(kc)
+                basis_bc = alg.basis(kb + kc)
+                if self.opposite:
+                    block = milnor.product_columns(kc, kb, alg)
+                    stride_b, stride_c = 1, len(basis_b)
+                else:
+                    block = milnor.product_columns(kb, kc, alg)
+                    stride_b, stride_c = len(basis_c), 1
+                for bi, b in enumerate(basis_b):
+                    for ci, c in enumerate(basis_c):
+                        prod = [basis_bc[i] for i in mask_to_bits(
+                            block[bi * stride_b + ci * stride_c])]
                         for d in range(w.lo, w.hi + 1 - kb - kc):
                             if not (self.dims[d] and self.dims[d + kb + kc]):
                                 continue

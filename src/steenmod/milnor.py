@@ -11,17 +11,29 @@ checks rather than assumes.
 Products follow Milnor's formula: Sq(R) Sq(S) sums the monomials of
 diagonal sums of the matrices that split R by rows and S by columns, each
 counted with a product of multinomial coefficients.  A multinomial is odd
-iff its parts are carry-free, i.e. pairwise bitwise disjoint, so the
-enumeration keeps a running OR per diagonal and drops a partial matrix as
-soon as an entry overlaps its diagonal, instead of filling every matrix
-and testing it at the end.
+iff its parts are carry-free, i.e. pairwise bitwise disjoint.  The same
+matrices are enumerated in two directions:
 
-Basis lists, products, multiplication matrices and the left multiplication
-matrix of each monomial on each degree are memoized; construction is
-idempotent and the memoized matrices are immutable, so sharing them is
-safe.  Set STEENMOD_CACHE_DIR to also persist multiplication matrices
-across runs; each cache file carries a header (format, algebra, degrees,
-shape, checksum) and one that does not check out is recomputed.
+- ``multiply_seqs`` serves an isolated product (``Element.__mul__``).  It
+  fills the matrices of one pair (R, S), keeps a running OR per diagonal
+  and drops a partial matrix as soon as an entry overlaps its diagonal.
+- Multiplication *tables* (``multiplication_matrix``, left and right
+  multiplication, ``product_columns``) come from the dual coproduct
+  psi(xi_m) = sum_i xi_(m-i)^(2^i) (x) xi_i.  For each target monomial
+  Sq(T) of degree n, each bit of t_m goes to one of the m + 1 cells of
+  diagonal m, and each choice is one carry-free matrix, so one walk per T
+  meets only live terms and fills every block A^d1 (x) A^(n-d1) -> A^n at
+  once.  For a whole table this costs far less than one product per pair,
+  since no matrix that dies mod 2 is visited; for one pair it would cost
+  the whole degree, which is why isolated products keep the first path.
+
+Basis lists, isolated products, the blocks of each degree, multiplication
+matrices and the left multiplication matrix of each monomial on each
+degree are memoized; construction is idempotent and the memoized values
+are immutable, so sharing them is safe.  Set STEENMOD_CACHE_DIR to also
+persist multiplication matrices across runs; each cache file carries a
+header (format, algebra, degrees, shape, checksum) and one that does not
+check out is recomputed.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .f2 import BitMatrix
+from .f2 import BitMatrix, mask_to_bits
 
 Seq = tuple[int, ...]
 
@@ -399,6 +411,67 @@ def _write_cached_matrix(path: str, d1: int, d2: int, algebra: Algebra,
 
 
 @lru_cache(maxsize=None)
+def _product_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
+    """Every multiplication block into A^n, keyed by the degree d1 of the
+    left factor: entry i * dim A^(n-d1) + j of block d1 is the coordinate
+    mask in A^n of b_i c_j (b_i in A^d1, c_j in A^(n-d1)).
+
+    Walks the dual coproduct: a carry-free Milnor matrix with diagonal sums
+    t sends each bit of t_m to one cell x[i][m-i] of diagonal m, so the
+    matrices behind the row of Sq(t) are enumerated directly, one choice of
+    cell per bit.  Row i adds 2^(m-i) x[i][m-i] to r_i and column m - i adds
+    x[i][m-i] to s_(m-i).  R and S are packed into ints with one field of
+    n.bit_length() bits per exponent, so the sums never carry from one
+    field into the next and a packed sum is looked up in one dict.  A pair
+    (R, S) outside the algebra is dropped: products of A(n) monomials stay
+    in A(n), so the surviving terms are exactly the subalgebra's products.
+    """
+    width = max(n, 1).bit_length()
+    dims = [len(basis_in_degree(d, algebra)) for d in range(n + 1)]
+    index: dict[int, tuple[int, int]] = {}
+    for d in range(n + 1):
+        for i, seq in enumerate(basis_in_degree(d, algebra)):
+            packed = 0
+            for slot, r in enumerate(seq):
+                packed |= r << (width * slot)
+            index[packed] = (d, i)
+    cols = {d1: [0] * (dims[d1] * dims[n - d1]) for d1 in range(n + 1)}
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ti, t in enumerate(basis_in_degree(n, algebra)):
+        terms = [(0, 0)]
+        for m, tm in enumerate(t, 1):
+            while tm:
+                low = tm & -tm
+                tm ^= low
+                choices = cells.get((m, low))
+                if choices is None:
+                    # cell (i, m - i); row 0 feeds only S, column 0 only R
+                    choices = cells[(m, low)] = [
+                        ((low << (m - i)) << (width * (i - 1)) if i else 0,
+                         low << (width * (m - i - 1)) if i < m else 0)
+                        for i in range(m + 1)]
+                terms = [(r + dr, s + ds) for r, s in terms
+                         for dr, ds in choices]
+        bit = 1 << ti
+        for r, s in terms:
+            left = index.get(r)
+            right = index.get(s)
+            if left is None or right is None:
+                continue  # a factor outside the subalgebra
+            d1, i = left
+            cols[d1][i * dims[n - d1] + right[1]] ^= bit
+    return {d1: tuple(c) for d1, c in cols.items()}
+
+
+def product_columns(d1: int, d2: int, algebra: Algebra) -> tuple[int, ...]:
+    """Column masks of multiplication_matrix(d1, d2, algebra): entry
+    i * dim A^d2 + j holds the coordinates of b_i c_j in A^(d1+d2)."""
+    if d1 < 0 or d2 < 0:
+        raise ValueError("degrees must be >= 0")
+    return _product_blocks(d1 + d2, algebra)[d1]
+
+
+@lru_cache(maxsize=None)
 def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
     """Matrix of the product A^d1 (x) A^d2 -> A^(d1+d2) in the basis ordering.
 
@@ -409,48 +482,42 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
     """
     if d1 < 0 or d2 < 0:
         raise ValueError("degrees must be >= 0")
-    b1 = basis_in_degree(d1, algebra)
-    b2 = basis_in_degree(d2, algebra)
-    b3 = basis_in_degree(d1 + d2, algebra)
+    nrows = len(basis_in_degree(d1 + d2, algebra))
+    ncols = len(basis_in_degree(d1, algebra)) * len(basis_in_degree(d2, algebra))
     path = _disk_cache_path(d1, d2, algebra)
     if path:
-        mat = _read_cached_matrix(path, d1, d2, algebra,
-                                  len(b3), len(b1) * len(b2))
+        mat = _read_cached_matrix(path, d1, d2, algebra, nrows, ncols)
         if mat is not None:
             return mat
-
-    index = {seq: i for i, seq in enumerate(b3)}
-    rows = [0] * len(b3)
-    for i, r in enumerate(b1):
-        for j, s in enumerate(b2):
-            col = i * len(b2) + j
-            for t in multiply_seqs(r, s):
-                # profile closure makes the lookup total for subalgebras
-                rows[index[t]] |= 1 << col
-    mat = BitMatrix(len(b3), len(b1) * len(b2), rows)
+    mat = BitMatrix.from_columns(product_columns(d1, d2, algebra), nrows)
     if path:
         _write_cached_matrix(path, d1, d2, algebra, mat)
     return mat
 
 
-def _product_columns(elem: Element, d: int, algebra: Algebra,
-                     left: bool) -> tuple[int, list[int]]:
+def _action_columns(elem: Element, d: int, algebra: Algebra,
+                    left: bool) -> tuple[int, list[int]]:
     """dim A^(d + deg elem) and the column masks of x -> elem * x (left)
-    or x -> x * elem on A^d."""
+    or x -> x * elem on A^d.
+
+    Monomial j of degree k acts on the left through the contiguous slice
+    j * dim A^d ... of block (k, d), and on the right through the slice of
+    block (d, k) with stride dim A^k; the slices of the terms are XORed.
+    """
     k = elem.degree()
     if k is None:
         raise ValueError("need a nonzero homogeneous element")
-    src = basis_in_degree(d, algebra)
-    dst = basis_in_degree(d + k, algebra)
-    index = {seq: i for i, seq in enumerate(dst)}
-    cols = []
-    for c in src:
-        v = 0
-        for t in elem.terms:
-            for u in (multiply_seqs(t, c) if left else multiply_seqs(c, t)):
-                v ^= 1 << index[u]
-        cols.append(v)
-    return len(dst), cols
+    nrows = len(basis_in_degree(d + k, algebra))
+    dd = len(basis_in_degree(d, algebra))
+    if not dd:
+        return nrows, []
+    dk = len(basis_in_degree(k, algebra))
+    block = _product_blocks(d + k, algebra)[k if left else d]
+    cols = [0] * dd
+    for j in mask_to_bits(coords_of(elem, k, algebra)):
+        part = block[j * dd:(j + 1) * dd] if left else block[j::dk]
+        cols = [a ^ b for a, b in zip(cols, part)]
+    return nrows, cols
 
 
 @lru_cache(maxsize=None)
@@ -471,13 +538,13 @@ def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
     from it shares one immutable copy.
     """
     if len(elem.terms) != 1:
-        nrows, cols = _product_columns(elem, d, algebra, left=True)
+        nrows, cols = _action_columns(elem, d, algebra, left=True)
         return BitMatrix.from_columns(cols, nrows)
     (seq,) = elem.terms
     memo = _left_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
-        nrows, cols = _product_columns(elem, d, algebra, left=True)
+        nrows, cols = _action_columns(elem, d, algebra, left=True)
         mat = memo[seq] = BitMatrix.from_columns(cols, nrows)
     return mat
 
@@ -490,7 +557,7 @@ def right_multiplication(elem: Element, d: int, algebra: Algebra,
     Not memoized: the dual regular module keeps only the transpose, so a
     memo would hold a second copy of every matrix it stores.
     """
-    nrows, cols = _product_columns(elem, d, algebra, left=False)
+    nrows, cols = _action_columns(elem, d, algebra, left=False)
     if transposed:
         return BitMatrix(len(cols), nrows, cols)
     return BitMatrix.from_columns(cols, nrows)

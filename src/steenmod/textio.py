@@ -180,11 +180,15 @@ def parse_module(text: str) -> GradedModule:
         if line == "end":
             break
         if line.startswith("action "):
+            label = line[len("action "):]
             try:
-                elem = milnor.parse_element(line[len("action "):])
-                (seq,) = elem.terms
+                elem = milnor.parse_element(label)
             except ValueError as exc:
                 raise ParseError(no, str(exc)) from None
+            if len(elem.terms) != 1:
+                raise ParseError(no, "action header needs one monomial "
+                                     f"Sq(...), found {label!r}")
+            (seq,) = elem.terms
             continue
         if line.startswith("@ "):
             if seq is None:

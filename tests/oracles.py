@@ -6,7 +6,8 @@ code path with the Milnor-basis engine: products come from the classical
 rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
-for the engine's pruned one, the eager coproduct, kept as the reference
+for the engine's pruned one, the per-pair multiplication block, kept as
+the reference for the engine's coproduct walk, the eager coproduct, kept as the reference
 for the engine's lazily assembled one, the dense graded hom solver, kept as
 an independent count of the extension test's map spaces, and the
 entry-wise and per-row forms of the three verifiers (module composition,
@@ -141,6 +142,24 @@ def milnor_product_unpruned(r: tuple[int, ...],
 
     fill_row(1)
     return frozenset(acc)
+
+
+def multiplication_block_by_pairs(d1: int, d2: int,
+                                  algebra: milnor.Algebra) -> BitMatrix:
+    """The multiplication block (d1, d2) assembled one pair at a time from
+    ``milnor.multiply_seqs``: column i * dim A^d2 + j holds b_i c_j."""
+    b1 = milnor.basis_in_degree(d1, algebra)
+    b2 = milnor.basis_in_degree(d2, algebra)
+    b3 = milnor.basis_in_degree(d1 + d2, algebra)
+    index = {seq: i for i, seq in enumerate(b3)}
+    cols = []
+    for r in b1:
+        for s in b2:
+            v = 0
+            for t in milnor.multiply_seqs(r, s):
+                v ^= 1 << index[t]
+            cols.append(v)
+    return BitMatrix.from_columns(cols, len(b3))
 
 
 # -- action on polynomials -----------------------------------------------------

@@ -216,3 +216,24 @@ def test_ideal_span_membership():
     assert not wi.contains_element(Element.sq(2))
     prod = Element.sq(2) * Element.sq(1)
     assert wi.contains_element(prod)
+
+
+@pytest.mark.parametrize("algebra", [FULL, Algebra.subalgebra(2)],
+                         ids=["full", "A2"])
+def test_left_mult_by_coords_matches_products(algebra):
+    """Column i of b -> b * g is b_i * g, for multi-term g."""
+    from steenmod import milnor
+    from steenmod.annihilator import _left_mult_by_coords
+    rng = random.Random(6)
+    for _ in range(40):
+        e = rng.randint(1, 10)
+        k = rng.randint(0, 10)
+        dim_e = algebra.dim(e)
+        if not dim_e:
+            continue
+        gv = rng.randrange(1, 1 << dim_e)
+        g = milnor.element_from_coords(gv, e, algebra)
+        mm = _left_mult_by_coords(gv, e, k, algebra)
+        for i, b in enumerate(algebra.basis(k)):
+            assert milnor.element_from_coords(mm.column(i), k + e, algebra) \
+                == Element([b]) * g

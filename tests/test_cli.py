@@ -120,6 +120,19 @@ def test_usage_error_exits_3(argv, capsys):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["freeness", "--module", "regular", "--window", "0..4"],
+     "pass --over N"),
+    (["perp", "--module", "regular", "--window", "0..4",
+      "--elements", "Sq(1)+Sq(2)"], "nonzero homogeneous"),
+], ids=["freeness-full", "perp-inhomogeneous"])
+def test_invalid_request_exits_3(argv, message, capsys):
+    """An invalid request is an error (3), not a counterexample (1)."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["baer", "--help"]):
         with pytest.raises(SystemExit) as exc:

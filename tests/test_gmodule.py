@@ -63,7 +63,8 @@ def _flip_action_bits(m, rng):
                           m.bottom_exact, m.top_exact, m.opposite)
 
 
-@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota"])
+@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota",
+                                  "opposite"])
 def test_validate_matches_dense_oracle_on_flipped_tables(name):
     """Seeded bit flips of module tables: the row-level composition check
     reports exactly the dense BitMatrix oracle's violations, in order."""
@@ -71,7 +72,8 @@ def test_validate_matches_dense_oracle_on_flipped_tables(name):
     m = {"regular": lambda: regular(FULL, Window(0, 14)),
          "dual_regular": lambda: dual_regular(FULL, Window(-14, 0)),
          "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
-                                       Window(-14, 0)))}[name]()
+                                       Window(-14, 0))),
+         "opposite": lambda: dual_of(regular(FULL, Window(0, 14)))}[name]()
     assert validate(m) == oracles.validate_composition_dense(m) == []
     rng = random.Random(len(name))
     caught = 0

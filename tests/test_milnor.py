@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import milnor_product_unpruned
+from oracles import milnor_product_unpruned, multiplication_block_by_pairs
 from steenmod import milnor as M
 from steenmod.milnor import Algebra, Element
 
@@ -138,6 +138,30 @@ def test_products_match_unpruned_oracle_random(data):
     assert M.multiply_seqs(a, b) == milnor_product_unpruned(a, b)
 
 
+def test_blocks_match_per_pair_oracle_exhaustive():
+    """Every block with d1 + d2 <= 32 over the full algebra, and every
+    block of A(1) and A(2)."""
+    cases = [(d1, n - d1, FULL) for n in range(33) for d1 in range(n + 1)]
+    for alg in (Algebra.subalgebra(1), A2):
+        top = alg.top_degree()
+        cases += [(d1, d2, alg) for d1 in range(top + 1)
+                  for d2 in range(top + 1)]
+    for d1, d2, alg in cases:
+        want = multiplication_block_by_pairs(d1, d2, alg)
+        assert M.multiplication_matrix(d1, d2, alg) == want, (d1, d2, alg)
+        assert M.product_columns(d1, d2, alg) == \
+            tuple(want.column(c) for c in range(want.ncols))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_blocks_match_per_pair_oracle_random(data):
+    n = data.draw(st.integers(33, 40))
+    d1 = data.draw(st.integers(0, n))
+    want = multiplication_block_by_pairs(d1, n - d1, FULL)
+    assert M.multiplication_matrix(d1, n - d1, FULL) == want
+
+
 def test_multiplication_matrix_unit_blocks():
     for d in range(7):
         m = M.multiplication_matrix(0, d, FULL)
@@ -185,12 +209,16 @@ def test_mod2_cancellation():
 
 
 def test_left_right_multiplication_consistency():
+    """Monomials and multi-term elements, d + deg elem <= 16."""
     rng = random.Random(4)
-    for _ in range(25):
-        d = rng.randint(0, 6)
-        k = rng.randint(1, 6)
+    for trial in range(80):
+        k = rng.randint(1, 12)
+        d = rng.randint(0, 16 - k)
         basis = M.basis_in_degree(k, FULL)
-        elem = Element([rng.choice(basis)])
+        if trial % 2 and len(basis) > 1:
+            elem = Element(rng.sample(basis, rng.randint(2, len(basis))))
+        else:
+            elem = Element([rng.choice(basis)])
         src = M.basis_in_degree(d, FULL)
         lm = M.left_multiplication(elem, d, FULL)
         rm = M.right_multiplication(elem, d, FULL)
@@ -223,8 +251,12 @@ def _cached_block(tmp_path, monkeypatch, d1, d2):
     return mat, path
 
 
+_PRODUCT_BLOCKS = M._product_blocks
+
+
 def _reread(d1, d2):
     M.multiplication_matrix.cache_clear()
+    _PRODUCT_BLOCKS.cache_clear()
     try:
         return M.multiplication_matrix(d1, d2, FULL)
     finally:
@@ -235,10 +267,10 @@ def test_disk_cache_reads_a_valid_file_without_recomputing(tmp_path,
                                                           monkeypatch):
     want, _ = _cached_block(tmp_path, monkeypatch, 3, 4)
 
-    def no_products(r, s):
+    def no_blocks(n, algebra):
         raise AssertionError("block recomputed despite a valid cache file")
 
-    monkeypatch.setattr(M, "multiply_seqs", no_products)
+    monkeypatch.setattr(M, "_product_blocks", no_blocks)
     assert _reread(3, 4) == want
 
 

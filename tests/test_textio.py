@@ -163,3 +163,15 @@ def test_huge_window_names_first_missing_degree():
         T.parse_module(text)
     assert str(exc.value) == ("line 5: dims missing degree 4 of window "
                               "0..1000000000000")
+
+
+@pytest.mark.parametrize("header", ["0", "Sq(1)+Sq(0,1)"])
+def test_action_header_not_one_monomial_reports_line(header):
+    text = T.print_module(regular(A1, Window(0, 3)))
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("action "))
+    lines[at] = f"action {header}"
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module("\n".join(lines))
+    assert str(exc.value) == (f"line {at + 1}: action header needs one "
+                              f"monomial Sq(...), found {header!r}")
