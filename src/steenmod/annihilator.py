@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import milnor
-from .f2 import BitMatrix, Subspace, mask_to_bits
+from .f2 import BitMatrix, Subspace, kernel
 from .gmodule import GradedModule, Window
 from .milnor import Algebra, Element
 
@@ -133,25 +133,10 @@ def ideal_span(ideal: HomIdeal, algebra: Algebra, window: Window) -> WindowIdeal
             e = g.degree()
             if e > d:
                 continue
-            gv = milnor.coords_of(g, e, algebra)
-            mm = _left_mult_by_coords(gv, e, d - e, algebra)
-            vectors.extend(mm.column(j) for j in range(mm.ncols))
+            vectors.extend(
+                milnor.right_multiplication(g, d - e, algebra, transposed=True).rows)
         spaces[d] = Subspace.from_vectors(vectors, algebra.dim(d))
     return WindowIdeal(algebra, window, spaces)
-
-
-def _left_mult_by_coords(gv: int, e: int, k: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of b -> b*g from A^k to A^(k+e), g given by coordinates in A^e.
-
-    Column i is the XOR, over the set bits j of g, of the columns
-    i * dim A^e + j of the multiplication block (k, e).
-    """
-    block = milnor.product_columns(k, e, algebra)
-    dim_e = algebra.dim(e)
-    cols = [0] * algebra.dim(k)
-    for j in mask_to_bits(gv):
-        cols = [a ^ b for a, b in zip(cols, block[j::dim_e])]
-    return BitMatrix.from_columns(cols, algebra.dim(k + e))
 
 
 @dataclass
@@ -180,7 +165,7 @@ def perp_ideal_in_module(ideal: HomIdeal, m: GradedModule) -> PerpProfile:
     An element is killed by the whole ideal iff every generator kills it,
     so stacking the generator action matrices and taking kernels is exact.
     """
-    return chain_perp_profile(IdealChain([ideal]), m, verify=False)
+    return chain_perp_profile(IdealChain([ideal]), m)
 
 
 def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int) -> tuple[Optional[Subspace], bool]:
@@ -199,38 +184,31 @@ def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int) -> tuple[Optional[Subs
     if not blocks:
         return Subspace.full(n), certified
     stacked = BitMatrix.vstack(blocks)
-    basis = Subspace.from_vectors([], n) if n == 0 else _kernel_subspace(stacked)
+    basis = Subspace.from_vectors([], n) if n == 0 else kernel(stacked)
     return basis, certified
-
-
-def _kernel_subspace(mat: BitMatrix) -> Subspace:
-    from .f2 import kernel
-    return kernel(mat)
 
 
 def verify_ascending(chain: IdealChain, algebra: Algebra, window: Window) -> Optional[str]:
     """None when each stage's generators lie in the next stage's span;
     otherwise a message naming the first offending generator."""
-    spans = [ideal_span(st, algebra, window) for st in chain.stages]
-    for t in range(len(chain.stages) - 1):
+    for t, later in enumerate(chain.stages[1:]):
+        span = ideal_span(later, algebra, window)
         for g in chain.stages[t].generators:
             d = g.degree()
-            if d not in spans[t + 1].spaces:
+            if d not in span.spaces:
                 continue
-            if not spans[t + 1].contains_element(g):
+            if not span.contains_element(g):
                 return (f"stage {t} generator {g} is not in stage {t + 1} "
                         f"(checked degreewise on {window})")
     return None
 
 
-def chain_perp_profile(chain: IdealChain, m: GradedModule,
-                       verify: bool = True) -> PerpProfile:
+def chain_perp_profile(chain: IdealChain, m: GradedModule) -> PerpProfile:
     """Descending perp chains per degree, stabilization indices, certification."""
-    if verify:
-        span_hi = max(st.max_generator_degree() for st in chain.stages)
-        msg = verify_ascending(chain, m.algebra, Window(0, span_hi))
-        if msg:
-            raise ValueError(f"chain is not ascending: {msg}")
+    span_hi = max(st.max_generator_degree() for st in chain.stages)
+    msg = verify_ascending(chain, m.algebra, Window(0, span_hi))
+    if msg:
+        raise ValueError(f"chain is not ascending: {msg}")
     num = len(chain.stages)
     stages: dict[int, list[Subspace]] = {}
     ell: dict[int, int] = {}
@@ -259,8 +237,8 @@ def chain_perp_profile(chain: IdealChain, m: GradedModule,
     return PerpProfile(m.window, num, stages, ell, certified)
 
 
-def perp_subset_in_algebra(elements: Sequence[tuple[int, int]], m: GradedModule,
-                           check_left_ideal: bool = True) -> WindowIdeal:
+def perp_subset_in_algebra(elements: Sequence[tuple[int, int]],
+                           m: GradedModule) -> WindowIdeal:
     """Degreewise annihilator in the algebra of a set of module elements.
 
     elements are (degree, coordinate mask) pairs in m's bases.  Result at
@@ -287,12 +265,11 @@ def perp_subset_in_algebra(elements: Sequence[tuple[int, int]], m: GradedModule,
         if not ok:
             continue
         if rows_all:
-            spaces[k] = _kernel_subspace(BitMatrix(len(rows_all), dim_k, rows_all))
+            spaces[k] = kernel(BitMatrix(len(rows_all), dim_k, rows_all))
         else:
             spaces[k] = Subspace.full(dim_k)
     out = WindowIdeal(algebra, Window(0, kmax), spaces)
-    if check_left_ideal:
-        _check_left_ideal(out, kmax)
+    _check_left_ideal(out, kmax)
     return out
 
 
@@ -304,9 +281,10 @@ def _check_left_ideal(wi: WindowIdeal, kmax: int) -> None:
             for j in range(1, kmax - k + 1):
                 if k + j not in wi.spaces:
                     continue
-                mm = _left_mult_by_coords(v, k, j, wi.algebra)
-                for i in range(mm.ncols):
-                    if not wi.spaces[k + j].contains(mm.column(i)):
+                r = milnor.element_from_coords(v, k, wi.algebra)
+                mm = milnor.right_multiplication(r, j, wi.algebra, transposed=True)
+                for col in mm.rows:
+                    if not wi.spaces[k + j].contains(col):
                         raise AssertionError(
                             f"annihilator not a left ideal at degree {k + j}")
 
@@ -425,8 +403,7 @@ def _unbounded_moves(profiles: list[PerpProfile], chains: list[IdealChain],
     }
 
 
-def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
-                   finite_shift_set: Sequence[int] = (0,)) -> SigmaClass:
+def classify_sigma(m: GradedModule, chains: Sequence[IdealChain]) -> SigmaClass:
     """Evaluate the taxonomy against a chain catalog on the module's window.
 
     Structural branch: when the relevant degree family is effectively
@@ -447,8 +424,8 @@ def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
 
     finite_sets = FlagReport(
         VERDICT_EVIDENCE,
-        f"finite suspension set {sorted(set(finite_shift_set))}: finitely many "
-        "degrees, each stabilizing by finite-dimensionality")
+        "finite suspension set [0]: finitely many degrees, each "
+        "stabilizing by finite-dimensionality")
 
     def side_report(side: str) -> FlagReport:
         exact = m.top_exact if side == "above" else m.bottom_exact

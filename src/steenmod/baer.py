@@ -27,8 +27,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import milnor
-from .annihilator import (HomIdeal, IdealChain, PerpProfile,
-                          _left_mult_by_coords, chain_perp_profile)
+from .annihilator import HomIdeal, IdealChain, PerpProfile, chain_perp_profile
 from .f2 import BitMatrix, Subspace, kernel, mul_rows, rref_rows
 from .gmodule import GradedModule, SuspensionProfile
 from .milnor import Algebra, Element
@@ -80,10 +79,10 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
         k = e - gd
         if k < 0:
             continue
-        mm = _left_mult_by_coords(gv, gd, k, algebra)
-        for j in range(mm.ncols):
-            cols.append(mm.column(j))
-            layout.append((gi, j))
+        g = milnor.element_from_coords(gv, gd, algebra)
+        part = milnor.right_multiplication(g, k, algebra, transposed=True).rows
+        cols.extend(part)
+        layout.extend((gi, j) for j in range(len(part)))
     if not cols:
         return (), ()
     block = BitMatrix.from_columns(cols, algebra.dim(e))

@@ -97,10 +97,9 @@ def _family_generators(m: GradedModule, family: dict[int, Subspace]
     return gens
 
 
-def structured_ideal_catalog(algebra: Algebra, seed: int,
-                             num_random: int = 3,
-                             max_random_degree: int = 10) -> list[HomIdeal]:
-    """Subsets of the generating squares plus seeded random elements."""
+def structured_ideal_catalog(algebra: Algebra, seed: int) -> list[HomIdeal]:
+    """Subsets of the generating squares plus three ideals (Sq(1), x) with
+    x a seeded random element of degree 2..10."""
     squares = [Element.sq(1), Element.sq(2), Element.sq(4), Element.sq(8)]
     squares = [s for s in squares
                if algebra.is_full or algebra.contains(next(iter(s.terms)))]
@@ -111,8 +110,8 @@ def structured_ideal_catalog(algebra: Algebra, seed: int,
         out.append(HomIdeal(gens))
     rng = random.Random(seed)
     made = 0
-    while made < num_random:
-        d = rng.randint(2, max_random_degree)
+    while made < 3:
+        d = rng.randint(2, 10)
         basis = algebra.basis(d)
         if not basis:
             continue

@@ -94,11 +94,6 @@ class GradedComodule:
             return BitMatrix.zero(td * ak, sd)
         return self.coactions[(d, k)]
 
-    def dim(self, d: int) -> Optional[int]:
-        if d in self.window:
-            return self.dims[d]
-        return None
-
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -183,13 +178,13 @@ def validate_coaction(c: GradedComodule) -> list[str]:
     each row a mask over the columns of M^d: the twice-applied side is one
     product per jump index b1 of (d + k1, k2) against the b1 rows of
     (d, k1), and the split side one product per target index m'' of the
-    transposed multiplication matrix against the m'' rows of (d, k1 + k2).
+    multiplication block's column masks against the m'' rows of
+    (d, k1 + k2).
     The XOR of matching rows marks the failing columns.
     """
     violations: list[str] = []
     alg = c.algebra
     w = c.window
-    split: dict[tuple[int, int], tuple[int, ...]] = {}
     for d in w:
         if not c.dims[d]:
             continue
@@ -207,11 +202,8 @@ def validate_coaction(c: GradedComodule) -> list[str]:
                 b2 = c.coaction(d + k1, k2).rows
                 big = c.coaction(d, k1 + k2).rows
                 a12 = alg.dim(k1 + k2)
-                mm = milnor.multiplication_matrix(k2, k1, alg)
-                if (k2, k1) not in split:
-                    # row x * a1 + y: the degree k1 + k2 monomials in x * y
-                    split[(k2, k1)] = mm.transpose().rows
-                mm_t = split[(k2, k1)]
+                # row x * a1 + y: the degree k1 + k2 monomials in x * y
+                mm_t = milnor.product_columns(k2, k1, alg)
                 # twice: row m'' * a2 + x of lhs[y] holds ((m'', x), y)
                 lhs = [mul_rows(b2, b1[y::a1]) for y in range(a1)]
                 bad = 0

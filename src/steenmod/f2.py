@@ -211,8 +211,12 @@ class BitMatrix:
 
     def to_text_rows(self) -> list[str]:
         """Rows as '01...' strings, column 0 first."""
-        return ["".join("1" if (r >> j) & 1 else "0" for j in range(self.ncols))
-                for r in self._rows]
+        if not self.ncols:
+            return [""] * self.nrows  # format(0, "00b") would give "0"
+        spec = f"0{self.ncols}b"
+        # join, not [::-1]: a one-column row then stays the shared
+        # one-character string instead of a new object per row
+        return ["".join(reversed(format(r, spec))) for r in self._rows]
 
 
 @lru_cache(maxsize=4096)

@@ -174,10 +174,6 @@ class GradedModule:
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def seq_product(self, a: Seq, b: Seq) -> frozenset[Seq]:
-        """a * b in the module's algebra view (reversed when opposite)."""
-        return milnor.multiply_seqs(b, a) if self.opposite else milnor.multiply_seqs(a, b)
-
     def action(self, seq: Seq, d: int) -> BitMatrix:
         """Matrix of the basis monomial on M^d, including the implicit unit.
 
@@ -619,8 +615,7 @@ def minimal_generators(m: GradedModule) -> GeneratorReport:
             if src == 0 or not m.algebra.dim(k):
                 continue
             for seq in m.algebra.basis(k):
-                mat = m.action(seq, d - k)
-                image_rows.extend(mat.column(j) for j in range(mat.ncols))
+                image_rows.extend(m.action(seq, d - k).transpose().rows)
         if top is None and not m.bottom_exact:
             cert = False
         n = m.dims[d]

@@ -17,8 +17,9 @@ matrices are enumerated in two directions:
 - ``multiply_seqs`` serves an isolated product (``Element.__mul__``).  It
   fills the matrices of one pair (R, S), keeps a running OR per diagonal
   and drops a partial matrix as soon as an entry overlaps its diagonal.
-- Multiplication *tables* (``multiplication_matrix``, left and right
-  multiplication, ``product_columns``) come from the dual coproduct
+- Multiplication *tables* (``product_columns`` and everything read from
+  it: ``multiplication_matrix``, left and right multiplication) come from
+  one memoized walk per degree, ``_product_blocks``, of the dual coproduct
   psi(xi_m) = sum_i xi_(m-i)^(2^i) (x) xi_i.  For each target monomial
   Sq(T) of degree n, each bit of t_m goes to one of the m + 1 cells of
   diagonal m, and each choice is one carry-free matrix, so one walk per T
@@ -30,18 +31,14 @@ matrices are enumerated in two directions:
 Basis lists, isolated products, the blocks of each degree, multiplication
 matrices and the left multiplication matrix of each monomial on each
 degree are memoized; construction is idempotent and the memoized values
-are immutable, so sharing them is safe.  Set STEENMOD_CACHE_DIR to also
-persist multiplication matrices across runs; each cache file carries a
-header (format, algebra, degrees, shape, checksum) and one that does not
-check out is recomputed.
+are immutable, so sharing them is safe.  Nothing is kept across runs: a
+degree's blocks are rebuilt by one walk the first time a process reads
+them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import re
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -288,11 +285,6 @@ class Element:
         return f"Element({self})"
 
 
-def product(a: Element, b: Element) -> Element:
-    """Bilinear extension of the Milnor product."""
-    return a * b
-
-
 def parse_element(text: str) -> Element:
     """Parse the textual element syntax, e.g. 'Sq(3,1)+Sq(6)'.
 
@@ -344,70 +336,6 @@ def element_from_coords(mask: int, d: int, algebra: Algebra) -> Element:
     if mask < 0 or mask >> len(basis):
         raise ValueError("coordinate mask outside basis range")
     return Element(basis[i] for i in range(len(basis)) if (mask >> i) & 1)
-
-
-def _cache_dir() -> Optional[str]:
-    return os.environ.get("STEENMOD_CACHE_DIR") or None
-
-
-# First field of a cache file's header; bump it when the layout changes.
-_CACHE_FORMAT = "steenmod-mult-2"
-
-
-def _algebra_tag(algebra: Algebra) -> str:
-    return "full" if algebra.is_full else f"p{algebra.profile_index}"
-
-
-def _disk_cache_path(d1: int, d2: int, algebra: Algebra) -> Optional[str]:
-    root = _cache_dir()
-    if root is None:
-        return None
-    return os.path.join(root, f"mult-{_algebra_tag(algebra)}-{d1}-{d2}.txt")
-
-
-def _cache_header(d1: int, d2: int, algebra: Algebra, nrows: int, ncols: int,
-                  body: str) -> str:
-    checksum = zlib.crc32(body.encode("ascii"))
-    return (f"{_CACHE_FORMAT} {_algebra_tag(algebra)} {d1} {d2} "
-            f"{nrows} {ncols} {checksum:08x}\n")
-
-
-def _read_cached_matrix(path: str, d1: int, d2: int, algebra: Algebra,
-                        nrows: int, ncols: int) -> Optional[BitMatrix]:
-    """The block stored at path, or None when the file is missing, from
-    another format, algebra or degree pair, truncated, or corrupt."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    header, _, body = text.partition("\n")
-    if header + "\n" != _cache_header(d1, d2, algebra, nrows, ncols, body):
-        return None
-    lines = body.split("\n")
-    if len(lines) != nrows + 1 or lines[-1]:
-        return None
-    try:
-        return BitMatrix(nrows, ncols, [int(line, 16) for line in lines[:-1]])
-    except ValueError:
-        return None
-
-
-def _write_cached_matrix(path: str, d1: int, d2: int, algebra: Algebra,
-                         mat: BitMatrix) -> None:
-    body = "".join(f"{r:x}\n" for r in mat.rows)
-    header = _cache_header(d1, d2, algebra, mat.nrows, mat.ncols, body)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    # a per-process name, so concurrent writers never share a file
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(header + body)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 @lru_cache(maxsize=None)
@@ -477,22 +405,9 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
 
     Shape: dim A^(d1+d2) rows by dim A^d1 * dim A^d2 columns; the column for
     the pair (i, j) is i * dim A^d2 + j and holds the coordinates of b_i c_j.
-    With STEENMOD_CACHE_DIR set, a block is read from its cache file when
-    the file checks out, and recomputed and rewritten otherwise.
     """
-    if d1 < 0 or d2 < 0:
-        raise ValueError("degrees must be >= 0")
-    nrows = len(basis_in_degree(d1 + d2, algebra))
-    ncols = len(basis_in_degree(d1, algebra)) * len(basis_in_degree(d2, algebra))
-    path = _disk_cache_path(d1, d2, algebra)
-    if path:
-        mat = _read_cached_matrix(path, d1, d2, algebra, nrows, ncols)
-        if mat is not None:
-            return mat
-    mat = BitMatrix.from_columns(product_columns(d1, d2, algebra), nrows)
-    if path:
-        _write_cached_matrix(path, d1, d2, algebra, mat)
-    return mat
+    return BitMatrix.from_columns(product_columns(d1, d2, algebra),
+                                  len(basis_in_degree(d1 + d2, algebra)))
 
 
 def _action_columns(elem: Element, d: int, algebra: Algebra,

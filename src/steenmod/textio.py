@@ -7,7 +7,7 @@ regression check.  Parsers are strict and report the offending line.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import milnor
 from .annihilator import HomIdeal, IdealChain
@@ -95,10 +95,6 @@ def _parse_dims(text: str, window: Window, line_no: int) -> dict[int, int]:
     return dims
 
 
-def _matrix_lines(mat: BitMatrix) -> Iterator[str]:
-    yield from mat.to_text_rows()
-
-
 class _Lines:
     def __init__(self, text: str):
         self.lines = text.splitlines()
@@ -128,9 +124,10 @@ def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
     rows = []
     for _ in range(nrows):
         no, line = lines.next(f"matrix row of {where}")
+        # int(s, 2) would also take '_', signs and whitespace
         if len(line) != ncols or set(line) - {"0", "1"}:
             raise ParseError(no, f"bad matrix row {line!r} ({ncols} bits expected)")
-        rows.append(sum((1 << j) for j, ch in enumerate(line) if ch == "1"))
+        rows.append(int(line[::-1], 2))
     return BitMatrix(nrows, ncols, rows)
 
 
@@ -154,7 +151,7 @@ def print_module(m: GradedModule) -> str:
             current = seq
         mat = table[(seq, d)]
         out.append(f"@ {d}: {mat.nrows}x{mat.ncols}")
-        out.extend(_matrix_lines(mat))
+        out.extend(mat.to_text_rows())
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -222,7 +219,7 @@ def print_comodule(c: GradedComodule) -> str:
     for (d, k) in sorted(c.coactions):
         mat = c.coactions[(d, k)]
         out.append(f"coaction {d} {k}: {mat.nrows}x{mat.ncols}")
-        out.extend(_matrix_lines(mat))
+        out.extend(mat.to_text_rows())
     out.append("end")
     return "\n".join(out) + "\n"
 

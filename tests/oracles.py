@@ -459,6 +459,11 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
 # -- verifiers, entry-wise and per row -----------------------------------------
 
 
+def seq_product(m: GradedModule, a: milnor.Seq, b: milnor.Seq) -> frozenset[milnor.Seq]:
+    """a * b in the module's algebra view (reversed when opposite)."""
+    return milnor.multiply_seqs(b, a) if m.opposite else milnor.multiply_seqs(a, b)
+
+
 def validate_composition_dense(m: GradedModule) -> list[str]:
     """The composition check with a BitMatrix per product and per sum:
     action(b) @ action(c) against the sum of action(t) over the terms t of
@@ -470,7 +475,7 @@ def validate_composition_dense(m: GradedModule) -> list[str]:
         for kb in range(1, w.width + 1 - kc):
             for b in m.algebra.basis(kb):
                 for c in m.algebra.basis(kc):
-                    prod = m.seq_product(b, c)
+                    prod = seq_product(m, b, c)
                     for d in range(w.lo, w.hi + 1 - kb - kc):
                         if not (m.dims[d] and m.dims[d + kb + kc]):
                             continue

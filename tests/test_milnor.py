@@ -209,97 +209,25 @@ def test_mod2_cancellation():
 
 
 def test_left_right_multiplication_consistency():
-    """Monomials and multi-term elements, d + deg elem <= 16."""
+    """Monomials and multi-term elements, d + deg elem <= 16, in the full
+    algebra and in A(2)."""
     rng = random.Random(4)
-    for trial in range(80):
-        k = rng.randint(1, 12)
-        d = rng.randint(0, 16 - k)
-        basis = M.basis_in_degree(k, FULL)
-        if trial % 2 and len(basis) > 1:
-            elem = Element(rng.sample(basis, rng.randint(2, len(basis))))
-        else:
-            elem = Element([rng.choice(basis)])
-        src = M.basis_in_degree(d, FULL)
-        lm = M.left_multiplication(elem, d, FULL)
-        rm = M.right_multiplication(elem, d, FULL)
-        assert M.right_multiplication(elem, d, FULL, transposed=True) \
-            == rm.transpose()
-        for j, c in enumerate(src):
-            assert M.element_from_coords(lm.column(j), d + k, FULL) == elem * Element([c])
-            assert M.element_from_coords(rm.column(j), d + k, FULL) == Element([c]) * elem
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("STEENMOD_CACHE_DIR", str(tmp_path))
-    M.multiplication_matrix.cache_clear()
-    first = M.multiplication_matrix(2, 3, FULL)
-    files = list(tmp_path.iterdir())
-    assert files, "cache file written"
-    M.multiplication_matrix.cache_clear()
-    again = M.multiplication_matrix(2, 3, FULL)
-    assert first == again
-    M.multiplication_matrix.cache_clear()
-    monkeypatch.delenv("STEENMOD_CACHE_DIR")
-
-
-def _cached_block(tmp_path, monkeypatch, d1, d2):
-    """Compute a block with the disk cache on; return it and its file."""
-    monkeypatch.setenv("STEENMOD_CACHE_DIR", str(tmp_path))
-    M.multiplication_matrix.cache_clear()
-    mat = M.multiplication_matrix(d1, d2, FULL)
-    (path,) = tmp_path.iterdir()
-    return mat, path
-
-
-_PRODUCT_BLOCKS = M._product_blocks
-
-
-def _reread(d1, d2):
-    M.multiplication_matrix.cache_clear()
-    _PRODUCT_BLOCKS.cache_clear()
-    try:
-        return M.multiplication_matrix(d1, d2, FULL)
-    finally:
-        M.multiplication_matrix.cache_clear()
-
-
-def test_disk_cache_reads_a_valid_file_without_recomputing(tmp_path,
-                                                          monkeypatch):
-    want, _ = _cached_block(tmp_path, monkeypatch, 3, 4)
-
-    def no_blocks(n, algebra):
-        raise AssertionError("block recomputed despite a valid cache file")
-
-    monkeypatch.setattr(M, "_product_blocks", no_blocks)
-    assert _reread(3, 4) == want
-
-
-def test_disk_cache_truncated_file_is_a_miss(tmp_path, monkeypatch):
-    want, path = _cached_block(tmp_path, monkeypatch, 3, 4)
-    assert sum(bin(r).count("1") for r in want.rows) == 2
-    lines = path.read_text().splitlines(keepends=True)
-    for keep in range(len(lines)):
-        path.write_text("".join(lines[:keep]))
-        assert _reread(3, 4) == want
-        # the miss rewrote the file, and the rewrite reads back
-        assert path.read_text() == "".join(lines)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-def test_disk_cache_bit_flipped_file_is_a_miss(tmp_path, monkeypatch):
-    want, path = _cached_block(tmp_path, monkeypatch, 3, 4)
-    good = path.read_bytes()
-    for pos in range(len(good)):
-        for bit in (1, 4):
-            path.write_bytes(good[:pos] + bytes([good[pos] ^ bit])
-                             + good[pos + 1:])
-            assert _reread(3, 4) == want, (pos, bit)
-            assert path.read_bytes() == good
-
-
-def test_disk_cache_file_of_another_block_is_a_miss(tmp_path, monkeypatch):
-    want = M.multiplication_matrix.__wrapped__(3, 4, FULL)
-    other, path = _cached_block(tmp_path, monkeypatch, 4, 3)
-    path.replace(path.with_name(path.name.replace("-4-3", "-3-4")))
-    assert other.shape == want.shape and other != want
-    assert _reread(3, 4) == want
+    for algebra in (FULL, A2):
+        for trial in range(80):
+            k = rng.randint(1, 12)
+            d = rng.randint(0, 16 - k)
+            basis = M.basis_in_degree(k, algebra)
+            if trial % 2 and len(basis) > 1:
+                elem = Element(rng.sample(basis, rng.randint(2, len(basis))))
+            else:
+                elem = Element([rng.choice(basis)])
+            src = M.basis_in_degree(d, algebra)
+            lm = M.left_multiplication(elem, d, algebra)
+            rm = M.right_multiplication(elem, d, algebra)
+            assert M.right_multiplication(elem, d, algebra, transposed=True) \
+                == rm.transpose()
+            for j, c in enumerate(src):
+                assert M.element_from_coords(lm.column(j), d + k, algebra) \
+                    == elem * Element([c])
+                assert M.element_from_coords(rm.column(j), d + k, algebra) \
+                    == Element([c]) * elem

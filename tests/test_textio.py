@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenmod import textio as T
+from steenmod.annihilator import sq_power_chain
 from steenmod.comodule import ExtendedSpec, extended
 from steenmod.f2 import Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, dual_regular,
@@ -103,6 +104,7 @@ MUTATION_BASES = [
     (T.parse_module, T.print_module(dual_regular(FULL, Window(-5, 0)))),
     (T.parse_comodule, T.print_comodule(
         extended(ExtendedSpec({0: 1, -1: 1}), FULL, Window(-5, 0)))),
+    (T.parse_chain, T.print_chain(sq_power_chain(4))),
 ]
 HEX = "0123456789abcdef"
 
