@@ -95,8 +95,7 @@ def io_roundtrip(path: str) -> tuple[str, bool, list[str]]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first = text.splitlines()[0].strip() if text.strip() else ""
-    if first == textio.COMODULE_HEADER:
+    if textio.header_line(text) == textio.COMODULE_HEADER:
         com = textio.parse_comodule(text)
         bad = validate_coaction(com)
         reprint = textio.print_comodule(com)

@@ -95,6 +95,23 @@ def _parse_dims(text: str, window: Window, line_no: int) -> dict[int, int]:
     return dims
 
 
+def header_line(text: str) -> str:
+    """The first line a parser reads, stripped: the first one that is
+    neither blank nor a '#' comment ('' when there is none).  Lines are
+    split only up to that one."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        for raw in text[start:end].splitlines():
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                return line
+        start = end + 1
+    return ""
+
+
 class _Lines:
     def __init__(self, text: str):
         self.lines = text.splitlines()
@@ -121,6 +138,16 @@ def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
                  header_no: int) -> BitMatrix:
     if nrows < 0 or ncols < 0:
         raise ParseError(header_no, f"negative shape {nrows}x{ncols} of {where}")
+    # a block as printed: the next nrows lines are its rows, bare (a row
+    # of width 0 is a blank line, which only the loop below skips)
+    pos = lines.pos
+    block = lines.lines[pos:pos + nrows]
+    if (ncols and len(block) == nrows
+            and all(len(line) == ncols for line in block)
+            and not "".join(block).strip("01")):
+        lines.pos = pos + nrows
+        return BitMatrix(nrows, ncols, [int(line[::-1], 2) for line in block])
+    # otherwise row by row, past comments, blank lines and padding
     rows = []
     for _ in range(nrows):
         no, line = lines.next(f"matrix row of {where}")

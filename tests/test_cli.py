@@ -47,6 +47,26 @@ def test_validate_truncated_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("prefix", ["# a note\n", "\n"],
+                         ids=["comment", "blank"])
+@pytest.mark.parametrize("kind", ["module", "comodule"])
+def test_validate_detects_kind_past_comments_and_blanks(kind, prefix,
+                                                        tmp_path, capsys):
+    """The kind is read from the first line the parsers read, so a file
+    may open with a comment or a blank line."""
+    from steenmod.comodule import ExtendedSpec, extended
+    if kind == "module":
+        text = textio.print_module(regular(Algebra.subalgebra(1), Window(0, 6)))
+    else:
+        text = textio.print_comodule(extended(
+            ExtendedSpec({0: 1}), Algebra.full(), Window(-4, 0)))
+    path = tmp_path / "noted.stm"
+    path.write_text(prefix + text)
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 0
+    assert out == f"kind: {kind}\nviolations: 0\nroundtrip: bit-exact\n"
+
+
 def test_perp_subcommand(capsys):
     code, out = run_cli(["perp", "--module", "regular", "--subalgebra", "1",
                          "--window", "0..6", "--ideal", "Sq(1)"], capsys)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from steenmod import gmodule as G
@@ -48,23 +50,29 @@ def test_validate_detects_flipped_bit():
     assert validate(bad) != []
 
 
-def _flip_action_bits(m, rng):
-    """A copy of m, as an explicit table, with one to three action bits
-    flipped."""
+def _flip_one_bit(m, key, rng):
+    """A copy of m, as an explicit table, with one bit of the action at
+    key flipped."""
     actions = dict(m.action_table())
-    keys = sorted(actions)
-    for _ in range(rng.randint(1, 3)):
-        key = rng.choice(keys)
-        mat = actions[key]
-        rows = list(mat.rows)
-        rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
-        actions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
+    mat = actions[key]
+    rows = list(mat.rows)
+    rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
+    actions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
     return G.GradedModule(m.algebra, m.window, dict(m.dims), actions,
                           m.bottom_exact, m.top_exact, m.opposite)
 
 
+def _flip_action_bits(m, rng):
+    """A copy of m, as an explicit table, with one to three action bits
+    flipped."""
+    keys = sorted(m.action_table())
+    for _ in range(rng.randint(1, 3)):
+        m = _flip_one_bit(m, rng.choice(keys), rng)
+    return m
+
+
 @pytest.mark.parametrize("name", ["regular", "dual_regular", "iota",
-                                  "opposite"])
+                                  "opposite", "a2", "a2_opposite"])
 def test_validate_matches_dense_oracle_on_flipped_tables(name):
     """Seeded bit flips of module tables: the row-level composition check
     reports exactly the dense BitMatrix oracle's violations, in order."""
@@ -73,7 +81,9 @@ def test_validate_matches_dense_oracle_on_flipped_tables(name):
          "dual_regular": lambda: dual_regular(FULL, Window(-14, 0)),
          "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
                                        Window(-14, 0))),
-         "opposite": lambda: dual_of(regular(FULL, Window(0, 14)))}[name]()
+         "opposite": lambda: dual_of(regular(FULL, Window(0, 14))),
+         "a2": lambda: regular(A2, Window(0, 14)),
+         "a2_opposite": lambda: dual_of(regular(A2, Window(0, 14)))}[name]()
     assert validate(m) == oracles.validate_composition_dense(m) == []
     rng = random.Random(len(name))
     caught = 0
@@ -83,6 +93,62 @@ def test_validate_matches_dense_oracle_on_flipped_tables(name):
         assert bad == oracles.validate_composition_dense(mutant)
         caught += bool(bad)
     assert caught > 20
+
+
+def _square_pass_is_clean(m):
+    """Whether validate's first pass, over the pairs (Sq(2^i), c), finds
+    nothing."""
+    return next(m._composition_failures(G._is_square), None) is None
+
+
+@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota",
+                                  "opposite", "a1", "a2"])
+def test_square_pairs_decide_validity(name):
+    """The Sq(2^i) generate the algebra, so the pass over pairs
+    (Sq(2^i), c) is clean exactly when the check of every pair is: on
+    seeded random flips, and on one flip of each square's action at each
+    degree."""
+    from steenmod.comodule import ExtendedSpec, extended, iota
+    m = {"regular": lambda: regular(FULL, Window(0, 12)),
+         "dual_regular": lambda: dual_regular(FULL, Window(-12, 0)),
+         "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
+                                       Window(-12, 0))),
+         "opposite": lambda: dual_of(regular(FULL, Window(0, 12))),
+         "a1": lambda: regular(A1, Window(0, 6)),
+         "a2": lambda: regular(A2, Window(0, 12))}[name]()
+    assert _square_pass_is_clean(m)
+    rng = random.Random(7 * len(name))
+    mutants = [_flip_action_bits(m, rng) for _ in range(25)]
+    mutants += [_flip_one_bit(m, key, rng) for key in sorted(m.action_table())
+                if G._is_square(key[0])]
+    caught = 0
+    for mutant in mutants:
+        full_pass = oracles.validate_composition_dense(mutant)
+        assert _square_pass_is_clean(mutant) == (full_pass == [])
+        caught += bool(full_pass)
+    assert caught > len(mutants) // 2
+
+
+def test_valid_module_runs_only_the_square_pass(monkeypatch):
+    """Validating a module makes one kernel product per (Sq(2^i), c,
+    degree) and no more: the pass over every pair never runs."""
+    m = regular(FULL, Window(0, 20))
+    expected = 0
+    for kc in range(1, 21):
+        for kb in (1, 2, 4, 8, 16):
+            if kb + kc <= 20:
+                expected += len(FULL.basis(kc)) * sum(
+                    1 for d in range(0, 21 - kb - kc)
+                    if m.dims[d] and m.dims[d + kb + kc])
+    calls = []
+    kernel = G.mul_rows
+
+    def counting(a, b):
+        calls.append(None)
+        return kernel(a, b)
+    monkeypatch.setattr(G, "mul_rows", counting)
+    assert validate(m) == []
+    assert len(calls) == expected
 
 
 def test_free_module_dims():
@@ -445,6 +511,53 @@ def test_every_constructor_output_validates():
     ]
     for m in outputs:
         assert validate(m) == [], m
+
+
+PROPERTY_BASES = [
+    regular(A1, Window(0, 6)),
+    dual_regular(A1, Window(-6, 0)),
+    regular(FULL, Window(0, 8)),
+    free_module(SuspensionProfile([0, 2]), A1, Window(-1, 7)),
+]
+
+
+def _generated_family(m, gens):
+    """The smallest invariant family of subspaces holding the vectors
+    gens, given as (degree, vector) pairs: each degree takes its own
+    vectors and the images of every lower degree's space."""
+    spaces = {}
+    for e in m.window:
+        rows = [v for d, v in gens if d == e]
+        for d in range(m.window.lo, e):
+            for seq in m.algebra.basis(e - d):
+                mat = m.action(seq, d)
+                rows.extend(mat.apply(v) for v in spaces[d].basis.rows)
+        spaces[e] = Subspace.from_vectors(rows, m.dims[e])
+    return spaces
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(PROPERTY_BASES))),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(1, 255)),
+                max_size=3),
+       st.integers(-2, 2))
+def test_submodule_quotient_coproduct_of_valid_modules_validate(base, picks,
+                                                                 shift):
+    """Submodules and quotients by a generated invariant family, and
+    coproducts of those with the module, validate, and the dense oracle
+    agrees."""
+    m = PROPERTY_BASES[base]
+    degrees = [d for d in m.window if m.dims[d]]
+    gens = []
+    for i, v in picks:
+        d = degrees[i % len(degrees)]
+        gens.append((d, v % (1 << m.dims[d])))
+    spaces = _generated_family(m, gens)
+    sub = submodule(m, spaces)
+    quo = quotient(m, spaces)
+    for out in (sub, quo, coproduct([(m, 0), (sub, shift)]),
+                coproduct([(quo, shift), (m, 0), (sub, 0)])):
+        assert validate(out) == oracles.validate_composition_dense(out) == []
 
 
 def test_from_generator_actions_completes_table():

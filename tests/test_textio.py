@@ -177,3 +177,102 @@ def test_action_header_not_one_monomial_reports_line(header):
         T.parse_module("\n".join(lines))
     assert str(exc.value) == (f"line {at + 1}: action header needs one "
                               f"monomial Sq(...), found {header!r}")
+
+
+NOISE_BASES = [
+    (T.parse_module, T.print_module(regular(A1, Window(0, 6)))),
+    (T.parse_module, T.print_module(dual_regular(FULL, Window(-6, 0)))),
+    (T.parse_comodule, T.print_comodule(
+        extended(ExtendedSpec({0: 1, -1: 1}), FULL, Window(-6, 0)))),
+]
+
+
+def _is_block_header(line):
+    return line.startswith("@ ") or line.startswith("coaction ")
+
+
+def _noisy_blocks(text):
+    """The text with a comment line and a blank line before the first row
+    of every matrix block and every row of the block space-padded."""
+    out = []
+    in_block = False
+    for line in text.split("\n"):
+        if in_block and line and set(line) <= {"0", "1"}:
+            out.append(f"  {line} ")
+            continue
+        in_block = _is_block_header(line)
+        out.append(line)
+        if in_block:
+            out += ["# inside a block", ""]
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("base", range(len(NOISE_BASES)))
+def test_comments_blanks_and_padding_inside_blocks(base):
+    parse, text = NOISE_BASES[base]
+    noisy = _noisy_blocks(text)
+    assert noisy != text
+    assert parse(noisy) == parse(text)
+
+
+@pytest.mark.parametrize("base", range(len(NOISE_BASES)))
+def test_bad_row_after_comments_reports_its_line(base):
+    parse, text = NOISE_BASES[base]
+    lines = text.split("\n")
+    at = next(i for i, ln in enumerate(lines) if _is_block_header(ln))
+    lines[at + 1:at + 1] = ["# a comment", "", "   "]
+    row = at + 4
+    lines[row] = lines[row] + "1"
+    with pytest.raises(T.ParseError) as exc:
+        parse("\n".join(lines))
+    assert exc.value.line_no == row + 1
+    assert "bad matrix row" in str(exc.value)
+
+
+@pytest.mark.parametrize("base", range(len(NOISE_BASES)))
+def test_truncated_block_reports_end_of_file(base):
+    parse, text = NOISE_BASES[base]
+    lines = text.split("\n")
+    at = next(i for i, ln in enumerate(lines)
+              if _is_block_header(ln) and int(ln.split("x")[0].split()[-1]) > 1)
+    with pytest.raises(T.ParseError) as exc:
+        parse("\n".join(lines[:at + 2]))
+    assert "unexpected end of file (matrix row of" in str(exc.value)
+    assert exc.value.line_no == at + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(NOISE_BASES))),
+       st.lists(st.tuples(st.sampled_from(["comment", "blank", "indent"]),
+                          st.integers(0, 1 << 16)),
+                min_size=1, max_size=8))
+def test_comments_blanks_and_indentation_anywhere_parse_the_same(base, noise):
+    """Comment lines, blank lines and indentation inserted at random
+    positions leave the parsed module or comodule unchanged."""
+    parse, text = NOISE_BASES[base]
+    lines = text.split("\n")
+    for kind, at in noise:
+        i = at % len(lines)
+        if kind == "comment":
+            lines.insert(i, "# noise 0101")
+        elif kind == "blank":
+            lines.insert(i, " " * (at % 3))
+        else:
+            lines[i] = " " * (1 + at % 3) + lines[i]
+    assert parse("\n".join(lines)) == parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "steenmod module v1\n",
+    "# c\r\n\r\n  steenmod comodule v1  \r\nalgebra: full\n",
+    "\n \t\n# a\n  # b\n\tsteenmod module v1\n",
+    "# c\rsteenmod comodule v1\n",
+    "# c\x0csteenmod comodule v1",
+])
+def test_header_line_is_the_first_line_the_parser_reads(text):
+    assert T.header_line(text) == T._Lines(text).next("header")[1]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  \n"])
+def test_header_line_of_a_file_without_content_is_empty(text):
+    assert T.header_line(text) == ""
