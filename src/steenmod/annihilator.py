@@ -378,8 +378,7 @@ class SigmaClass:
         }
 
 
-def _unbounded_moves(profiles: list[PerpProfile], chains: list[IdealChain],
-                     side: str) -> Optional[dict]:
+def _unbounded_moves(profiles: list[PerpProfile], side: str) -> Optional[dict]:
     """A witness that stage-depth of observed movement is unbounded toward
     one window edge: for every candidate bound, a certified degree moving
     past it.  Returns None when some candidate bound survives."""
@@ -435,7 +434,7 @@ def classify_sigma(m: GradedModule, chains: Sequence[IdealChain]) -> SigmaClass:
                 f"module vanishes {side} the window edge, so every degree "
                 f"family bounded {'below' if side == 'above' else 'above'} "
                 "is effectively finite (structural)")
-        witness = _unbounded_moves(profiles, list(chains), side)
+        witness = _unbounded_moves(profiles, side)
         if witness is not None:
             return FlagReport(
                 VERDICT_COUNTER,

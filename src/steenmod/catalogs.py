@@ -16,9 +16,9 @@ from typing import Optional
 from . import milnor
 from .annihilator import HomIdeal
 from .f2 import Subspace
-from .gmodule import (GradedModule, SuspensionProfile, Window, coproduct,
-                      dual_regular, free_module, quotient, regular, submodule,
-                      zero_module)
+from .gmodule import (GradedModule, SuspensionProfile, Window, _first_escape,
+                      coproduct, dual_regular, free_module, quotient, regular,
+                      submodule, zero_module)
 from .milnor import Algebra, Element
 
 
@@ -48,25 +48,12 @@ def all_a1_ideals() -> list[HomIdeal]:
     ideals: list[HomIdeal] = []
     for combo in iproduct(*per_degree):
         family = dict(zip(range(W.lo, W.hi + 1), combo))
-        if not _invariant(R, family):
+        if _first_escape(R, family) is not None:
             continue
         gens = _family_generators(R, family)
         if gens is not None:
             ideals.append(HomIdeal(gens) if gens else None)
     return [i for i in ideals if i is not None]
-
-
-def _invariant(m: GradedModule, family: dict[int, Subspace]) -> bool:
-    for k in range(1, m.window.width + 1):
-        for seq in m.algebra.basis(k):
-            for d in m.window:
-                if d + k not in m.window:
-                    continue
-                mat = m.action(seq, d)
-                for v in family[d].basis.rows:
-                    if not family[d + k].contains(mat.apply(v)):
-                        return False
-    return True
 
 
 def _family_generators(m: GradedModule, family: dict[int, Subspace]

@@ -96,18 +96,19 @@ def io_roundtrip(path: str) -> tuple[str, bool, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if textio.header_line(text) == textio.COMODULE_HEADER:
-        com = textio.parse_comodule(text)
-        bad = validate_coaction(com)
-        reprint = textio.print_comodule(com)
-        again = textio.parse_comodule(reprint)
-        fixpoint = again == com and textio.print_comodule(again) == reprint
-        return "comodule", fixpoint, bad
-    mod = textio.parse_module(text)
-    bad = validate(mod)
-    reprint = textio.print_module(mod)
-    again = textio.parse_module(reprint)
-    fixpoint = again == mod and textio.print_module(again) == reprint
-    return "module", fixpoint, bad
+        kind, parse, show, check = ("comodule", textio.parse_comodule,
+                                    textio.print_comodule, validate_coaction)
+    else:
+        kind, parse, show, check = ("module", textio.parse_module,
+                                    textio.print_module, validate)
+    obj = parse(text)
+    bad = check(obj)
+    reprint = show(obj)
+    if reprint == text:
+        # parsing the reprint would give obj again, and printing it reprint
+        return kind, True, bad
+    again = parse(reprint)
+    return kind, again == obj and show(again) == reprint, bad
 
 
 def cmd_validate(args) -> int:

@@ -16,11 +16,11 @@ in nonpositive degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import milnor
 from .f2 import BitMatrix, mask_to_bits, mul_rows
-from .gmodule import GradedModule, Window, coproduct, dual_regular, zero_module
+from .gmodule import (GradedModule, Window, _graded_header, coproduct,
+                      dual_regular, zero_module)
 from .milnor import Algebra
 
 
@@ -37,12 +37,6 @@ class ExtendedSpec:
                 raise ValueError("negative dimension")
         object.__setattr__(self, "v_dims", items)
 
-    def degrees(self) -> list[int]:
-        return [d for d, _ in self.v_dims]
-
-    def is_zero(self) -> bool:
-        return not self.v_dims
-
 
 class GradedComodule:
     """A graded right comodule on a window, with full coaction blocks.
@@ -57,11 +51,7 @@ class GradedComodule:
     def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
                  coactions: dict[tuple[int, int], BitMatrix],
                  bottom_exact: bool = False, top_exact: bool = False):
-        self.algebra = algebra
-        self.window = window
-        self.bottom_exact = bottom_exact
-        self.top_exact = top_exact
-        self.dims = {d: dims.get(d, 0) for d in window}
+        _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
         table: dict[tuple[int, int], BitMatrix] = {}
         for d in window:
             if not self.dims[d]:
@@ -223,27 +213,17 @@ def validate_coaction(c: GradedComodule) -> list[str]:
 
 def iota(c: GradedComodule) -> GradedModule:
     """The adjoint-action module: a of degree k acts on M^d through the
-    (d, k) coaction block paired against a in the dual basis."""
+    (d, k) coaction block paired against a in the dual basis, the rows
+    m * dim A^k + (index of a) of the block."""
     alg = c.algebra
-    w = c.window
-    actions: dict[tuple[milnor.Seq, int], BitMatrix] = {}
-    for k in range(1, w.width + 1):
+
+    def source(seq: milnor.Seq, d: int) -> BitMatrix:
+        k = milnor.degree(seq)
         basis_k = alg.basis(k)
-        ak = len(basis_k)
-        if not ak:
-            continue
-        for d in w:
-            if d + k not in w or not c.dims[d] or not c.dims[d + k]:
-                continue
-            block = c.coaction(d, k)
-            td = c.dims[d + k]
-            for ai, seq in enumerate(basis_k):
-                rows = [block.row(mi * ak + ai) for mi in range(td)]
-                actions[(seq, d)] = BitMatrix(td, c.dims[d], rows)
-    dims = dict(c.dims)
-    return GradedModule(alg, w, dims, actions,
-                        bottom_exact=c.bottom_exact, top_exact=c.top_exact,
-                        opposite=False)
+        rows = c.coaction(d, k).rows[basis_k.index(seq)::len(basis_k)]
+        return BitMatrix(len(rows), c.dims[d], rows)
+    return GradedModule(alg, c.window, c.dims, source,
+                        bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
 
 def iota_of_extended_reference(v: ExtendedSpec, algebra: Algebra,
@@ -261,53 +241,3 @@ def iota_of_extended_reference(v: ExtendedSpec, algebra: Algebra,
     parts = [(dual_regular(algebra, window.shift(-g)), g) for g in gens]
     out = coproduct(parts)
     return out
-
-
-@dataclass
-class IotaEvidence:
-    """Outcome of the injectivity evidence pipeline for iota(extended(v))."""
-
-    verdict: str  # 'free' | 'witness_failure' | 'inconclusive'
-    detail: str
-    freeness_status: Optional[str] = None
-    witness_fails: Optional[bool] = None
-
-
-def iota_injectivity_evidence(v: ExtendedSpec, n: int, window: Window
-                              ) -> IotaEvidence:
-    """Freeness of iota(extended(v)) over A(n), or the chain pipeline.
-
-    Bounded-above V (every V is, here: specs are finite) with support
-    comfortably inside the window yields a freeness verdict; a V whose
-    degrees run to the lower window edge is fed to the annihilator/witness
-    pipeline against the coproduct, which inherits the dual-regular
-    destabilization pattern.
-    """
-    from .annihilator import sq_power_chain
-    from .baer import build_witness
-    from .gmodule import freeness_test
-
-    algebra = Algebra.full()
-    sub = Algebra.subalgebra(n)
-    if v.is_zero():
-        return IotaEvidence("free", "zero space: trivially free",
-                            freeness_status="free")
-    module = iota(extended(v, algebra, window))
-
-    lo_gen = min(v.degrees())
-    top = sub.top_degree()
-    runs_to_edge = lo_gen - top * 2 <= window.lo
-    if not runs_to_edge:
-        verdict = freeness_test(module, sub)
-        return IotaEvidence(
-            "free" if verdict.is_free else "inconclusive",
-            f"freeness over {sub} on {window}: {verdict.status}",
-            freeness_status=verdict.status)
-
-    chain = sq_power_chain(4)
-    wm, wv = build_witness(chain, 0, module)
-    return IotaEvidence(
-        "witness_failure" if wv.extension_fails else "inconclusive",
-        "unbounded-below spec: witness pipeline against the coproduct; "
-        + wv.note,
-        witness_fails=wv.extension_fails)

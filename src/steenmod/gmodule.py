@@ -6,12 +6,13 @@ A module acts through the matrix of each algebra basis monomial b with
 b: M^d -> M^(d+deg b).  The matrices are not built up front.  A module holds
 a *source*, a function (b, d) -> matrix, and derives each matrix from it the
 first time it is read, checks its shape there and memoizes it per module in
-``actions``.  Regular, dual regular, free and coproduct modules and their
-suspensions, restrictions and duals are sources of this kind; a table given
-explicitly (parsed text, submodules, quotients, iota, completed generator
-actions) is checked for shape and completeness at construction and serves
-as its own source.  Only equality, hashing, validation and printing force
-the full table (``action_table``).
+``actions``.  Regular, dual regular, free and coproduct modules, their
+suspensions, restrictions and duals, submodules, quotients and the comodule
+embedding ``comodule.iota`` are sources of this kind.  Only parsed text,
+``from_generator_actions`` and ``zero_module`` hand over an explicit table,
+which is checked for shape and completeness at construction and serves as
+its own source.  Only equality, hashing, validation and printing force the
+full table (``action_table``).
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed
@@ -87,6 +88,21 @@ class SuspensionProfile:
 Source = Callable[[Seq, int], BitMatrix]
 
 
+def _graded_header(obj, algebra: Algebra, window: Window,
+                   dims: Mapping[int, int], bottom_exact: bool,
+                   top_exact: bool) -> None:
+    """Set the algebra, window, dims and exactness flags that modules and
+    comodules share: dims get every window degree, a missing one meaning
+    zero, and a negative dimension is rejected."""
+    obj.algebra = algebra
+    obj.window = window
+    obj.dims = {d: dims.get(d, 0) for d in window}
+    if any(n < 0 for n in obj.dims.values()):
+        raise ValueError("negative dimension")
+    obj.bottom_exact = bottom_exact
+    obj.top_exact = top_exact
+
+
 class GradedModule:
     """A graded left module on a window, acting through matrices derived
     from a source on first read.
@@ -104,17 +120,7 @@ class GradedModule:
                  actions: Union[Source, Mapping[tuple[Seq, int], BitMatrix]],
                  bottom_exact: bool = False, top_exact: bool = False,
                  opposite: bool = False):
-        self.algebra = algebra
-        self.window = window
-        full_dims = {}
-        for d in window:
-            n = dims.get(d, 0)
-            if n < 0:
-                raise ValueError("negative dimension")
-            full_dims[d] = n
-        self.dims = full_dims
-        self.bottom_exact = bottom_exact
-        self.top_exact = top_exact
+        _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
         self.opposite = opposite
         # the matrices built so far, keyed by (monomial, degree)
         self.actions: dict[tuple[Seq, int], BitMatrix] = {}
@@ -424,89 +430,89 @@ def free_module(gens: SuspensionProfile, algebra: Algebra, window: Window,
     return coproduct(parts)
 
 
+def _family(m: GradedModule, spaces: Mapping[int, Subspace]) -> dict[int, Subspace]:
+    """spaces on every window degree of m, a missing degree meaning zero."""
+    family = {}
+    for d in m.window:
+        sp = spaces.get(d)
+        if sp is None:
+            sp = Subspace.zero(m.dims[d])
+        if sp.ambient_dim != m.dims[d]:
+            raise ValueError(f"subspace at degree {d} has wrong ambient dimension")
+        family[d] = sp
+    return family
+
+
+def _first_escape(m: GradedModule, family: Mapping[int, Subspace]
+                  ) -> Optional[tuple[Seq, int]]:
+    """The first (monomial, degree), scanning by degree k, basis order,
+    then d, whose action maps family[d] outside family[d + k]; None when
+    the family is closed.  Every monomial is checked: closure under the
+    squares alone implies closure only when m is known to be a module."""
+    w = m.window
+    for k in range(1, w.width + 1):
+        for seq in m.algebra.basis(k):
+            for d in range(w.lo, w.hi + 1 - k):
+                vectors = family[d].basis.rows
+                if not vectors:
+                    continue
+                mat = m.action(seq, d)
+                if not all(family[d + k].contains(mat.apply(v)) for v in vectors):
+                    return seq, d
+    return None
+
+
 def submodule(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
     """The submodule spanned degreewise by invariant subspaces.
 
     spaces maps window degrees to subspaces of M^d (missing degrees mean
     zero).  Raises when the family is not closed under the action.
     """
-    w = m.window
-    basis: dict[int, Subspace] = {}
-    for d in w:
-        sp = spaces.get(d)
-        if sp is None:
-            sp = Subspace.zero(m.dims[d])
-        if sp.ambient_dim != m.dims[d]:
-            raise ValueError(f"subspace at degree {d} has wrong ambient dimension")
-        basis[d] = sp
-    dims = {d: basis[d].dim for d in w}
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for k in range(1, w.width + 1):
-        for seq in m.algebra.basis(k):
-            for d in w:
-                if d + k not in w or not dims[d] or not dims.get(d + k):
-                    # closure still needs checking when the target space is 0
-                    if d + k in w and dims[d]:
-                        mat = m.action(seq, d)
-                        for v in basis[d].basis.rows:
-                            if not basis[d + k].contains(mat.apply(v)):
-                                raise ValueError(
-                                    f"family not closed: Sq{seq} at degree {d}")
-                    continue
-                mat = m.action(seq, d)
-                cols = []
-                for v in basis[d].basis.rows:
-                    img = mat.apply(v)
-                    coords = basis[d + k].coordinates(img)
-                    if coords is None:
-                        raise ValueError(f"family not closed: Sq{seq} at degree {d}")
-                    cols.append(coords)
-                actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
-    return GradedModule(m.algebra, w, dims, actions,
+    family = _family(m, spaces)
+    escape = _first_escape(m, family)
+    if escape is not None:
+        raise ValueError(f"family not closed: Sq{escape[0]} at degree {escape[1]}")
+
+    def source(seq: Seq, d: int) -> BitMatrix:
+        mat = m.action(seq, d)
+        target = family[d + milnor.degree(seq)]
+        return BitMatrix.from_columns(
+            [target.coordinates(mat.apply(v)) for v in family[d].basis.rows],
+            target.dim)
+    return GradedModule(m.algebra, m.window,
+                        {d: sp.dim for d, sp in family.items()}, source,
                         m.bottom_exact, m.top_exact, m.opposite)
 
 
 def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
     """The quotient of m by an invariant degreewise family of subspaces."""
-    w = m.window
-    sub: dict[int, Subspace] = {}
-    for d in w:
-        sp = spaces.get(d)
-        if sp is None:
-            sp = Subspace.zero(m.dims[d])
-        if sp.ambient_dim != m.dims[d]:
-            raise ValueError(f"subspace at degree {d} has wrong ambient dimension")
-        sub[d] = sp
+    family = _family(m, spaces)
+    escape = _first_escape(m, family)
+    if escape is not None:
+        raise ValueError(
+            f"family not invariant: Sq{escape[0]} at degree {escape[1]}")
     # coset coordinates: entries at non-pivot columns after reduction
     free_cols = {}
-    for d in w:
-        pivots = {(r & -r).bit_length() - 1 for r in sub[d].basis.rows}
+    for d, sp in family.items():
+        pivots = {(r & -r).bit_length() - 1 for r in sp.basis.rows}
         free_cols[d] = [j for j in range(m.dims[d]) if j not in pivots]
-    dims = {d: len(free_cols[d]) for d in w}
 
     def project(d: int, v: int) -> int:
-        v = sub[d].reduce(v)
+        v = family[d].reduce(v)
         out = 0
         for idx, j in enumerate(free_cols[d]):
             if (v >> j) & 1:
                 out |= 1 << idx
         return out
 
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    for k in range(1, w.width + 1):
-        for seq in m.algebra.basis(k):
-            for d in w:
-                if d + k not in w:
-                    continue
-                mat = m.action(seq, d)
-                for v in sub[d].basis.rows:
-                    if not sub[d + k].contains(mat.apply(v)):
-                        raise ValueError(f"family not invariant: Sq{seq} at degree {d}")
-                if not dims[d] or not dims[d + k]:
-                    continue
-                cols = [project(d + k, mat.apply(1 << j)) for j in free_cols[d]]
-                actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
-    return GradedModule(m.algebra, w, dims, actions,
+    def source(seq: Seq, d: int) -> BitMatrix:
+        e = d + milnor.degree(seq)
+        mat = m.action(seq, d)
+        return BitMatrix.from_columns(
+            [project(e, mat.apply(1 << j)) for j in free_cols[d]],
+            len(free_cols[e]))
+    return GradedModule(m.algebra, m.window,
+                        {d: len(cols) for d, cols in free_cols.items()}, source,
                         m.bottom_exact, m.top_exact, m.opposite)
 
 

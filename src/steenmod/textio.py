@@ -74,18 +74,19 @@ def _parse_window(text: str, line_no: int) -> Window:
         raise ParseError(line_no, f"bad window {text!r} (expected LO..HI)") from None
 
 
-def _dims_line(dims: dict[int, int], window: Window) -> str:
-    return " ".join(f"{d}={dims[d]}" for d in window)
-
-
 def _parse_dims(text: str, window: Window, line_no: int) -> dict[int, int]:
     dims: dict[int, int] = {}
     for tok in text.split():
         try:
             d_s, n_s = tok.split("=")
-            dims[int(d_s)] = int(n_s)
+            d, n = int(d_s), int(n_s)
         except ValueError:
             raise ParseError(line_no, f"bad dims token {tok!r}") from None
+        if d in dims:
+            raise ParseError(line_no, f"dims repeat degree {d}")
+        if d not in window:
+            raise ParseError(line_no, f"dims degree {d} outside window {window}")
+        dims[d] = n
     # stops at the first gap, so a huge window costs no more than the dims
     # actually listed
     for d in window:
@@ -158,17 +159,41 @@ def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
     return BitMatrix(nrows, ncols, rows)
 
 
+def _print_preamble(header: str, x: GradedModule | GradedComodule) -> list[str]:
+    """The header and field lines of a module or comodule."""
+    return [header,
+            f"algebra: {_algebra_str(x.algebra)}",
+            f"window: {x.window}",
+            f"exact: {_exact_str(x.bottom_exact, x.top_exact)}",
+            "dims: " + " ".join(f"{d}={x.dims[d]}" for d in x.window)]
+
+
+def _parse_preamble(lines: _Lines, header: str) -> dict:
+    """Read the header and field lines of a module or comodule; returns the
+    keyword arguments algebra, window, dims, bottom_exact and top_exact of
+    its constructor."""
+    no, line = lines.next("header")
+    if line != header:
+        raise ParseError(no, f"expected {header!r}")
+    _, alg_text = lines.expect_field("algebra")
+    algebra = _parse_algebra(alg_text, lines.pos)
+    _, win_text = lines.expect_field("window")
+    window = _parse_window(win_text, lines.pos)
+    _, exact_text = lines.expect_field("exact")
+    bottom, top = _parse_exact(exact_text, lines.pos)
+    no, dims_text = lines.expect_field("dims")
+    return dict(algebra=algebra, window=window,
+                dims=_parse_dims(dims_text, window, no),
+                bottom_exact=bottom, top_exact=top)
+
+
 # -- modules -------------------------------------------------------------------
 
 
 def print_module(m: GradedModule) -> str:
     if m.opposite:
         raise ValueError("opposite-algebra modules are internal; not serialized")
-    out = [MODULE_HEADER,
-           f"algebra: {_algebra_str(m.algebra)}",
-           f"window: {m.window}",
-           f"exact: {_exact_str(m.bottom_exact, m.top_exact)}",
-           f"dims: {_dims_line(m.dims, m.window)}"]
+    out = _print_preamble(MODULE_HEADER, m)
     table = m.action_table()
     keys = sorted(table, key=lambda sd: (milnor.degree(sd[0]), sd[0], sd[1]))
     current: Optional[Seq] = object()  # sentinel
@@ -185,17 +210,7 @@ def print_module(m: GradedModule) -> str:
 
 def parse_module(text: str) -> GradedModule:
     lines = _Lines(text)
-    no, header = lines.next("header")
-    if header != MODULE_HEADER:
-        raise ParseError(no, f"expected {MODULE_HEADER!r}")
-    _, alg_text = lines.expect_field("algebra")
-    algebra = _parse_algebra(alg_text, lines.pos)
-    _, win_text = lines.expect_field("window")
-    window = _parse_window(win_text, lines.pos)
-    _, exact_text = lines.expect_field("exact")
-    bottom, top = _parse_exact(exact_text, lines.pos)
-    no, dims_text = lines.expect_field("dims")
-    dims = _parse_dims(dims_text, window, no)
+    preamble = _parse_preamble(lines, MODULE_HEADER)
 
     actions: dict[tuple[Seq, int], BitMatrix] = {}
     seq: Optional[Seq] = None
@@ -229,7 +244,7 @@ def parse_module(text: str) -> GradedModule:
             continue
         raise ParseError(no, f"unexpected line {line!r}")
     try:
-        return GradedModule(algebra, window, dims, actions, bottom, top)
+        return GradedModule(actions=actions, **preamble)
     except ValueError as exc:
         raise ParseError(lines.pos, f"inconsistent module data: {exc}") from None
 
@@ -238,11 +253,7 @@ def parse_module(text: str) -> GradedModule:
 
 
 def print_comodule(c: GradedComodule) -> str:
-    out = [COMODULE_HEADER,
-           f"algebra: {_algebra_str(c.algebra)}",
-           f"window: {c.window}",
-           f"exact: {_exact_str(c.bottom_exact, c.top_exact)}",
-           f"dims: {_dims_line(c.dims, c.window)}"]
+    out = _print_preamble(COMODULE_HEADER, c)
     for (d, k) in sorted(c.coactions):
         mat = c.coactions[(d, k)]
         out.append(f"coaction {d} {k}: {mat.nrows}x{mat.ncols}")
@@ -253,17 +264,7 @@ def print_comodule(c: GradedComodule) -> str:
 
 def parse_comodule(text: str) -> GradedComodule:
     lines = _Lines(text)
-    no, header = lines.next("header")
-    if header != COMODULE_HEADER:
-        raise ParseError(no, f"expected {COMODULE_HEADER!r}")
-    _, alg_text = lines.expect_field("algebra")
-    algebra = _parse_algebra(alg_text, lines.pos)
-    _, win_text = lines.expect_field("window")
-    window = _parse_window(win_text, lines.pos)
-    _, exact_text = lines.expect_field("exact")
-    bottom, top = _parse_exact(exact_text, lines.pos)
-    no, dims_text = lines.expect_field("dims")
-    dims = _parse_dims(dims_text, window, no)
+    preamble = _parse_preamble(lines, COMODULE_HEADER)
 
     coactions: dict[tuple[int, int], BitMatrix] = {}
     while True:
@@ -284,7 +285,7 @@ def parse_comodule(text: str) -> GradedComodule:
             continue
         raise ParseError(no, f"unexpected line {line!r}")
     try:
-        return GradedComodule(algebra, window, dims, coactions, bottom, top)
+        return GradedComodule(coactions=coactions, **preamble)
     except ValueError as exc:
         raise ParseError(lines.pos, f"inconsistent comodule data: {exc}") from None
 

@@ -7,8 +7,9 @@ rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
 for the engine's pruned one, the per-pair multiplication block, kept as
-the reference for the engine's coproduct walk, the eager coproduct, kept as the reference
-for the engine's lazily assembled one, the dense graded hom solver, kept as
+the reference for the engine's coproduct walk, the eager coproduct,
+submodule, quotient and comodule embedding, kept as the references for the
+engine's lazily sourced ones, the dense graded hom solver, kept as
 an independent count of the extension test's map spaces, and the
 entry-wise and per-row forms of the three verifiers (module composition,
 coassociativity, extension test), kept as the references for the
@@ -305,7 +306,7 @@ def rref_2x2_hand(m: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-# -- eager coproduct ------------------------------------------------------------
+# -- eager constructors ---------------------------------------------------------
 
 
 def coproduct_eager(parts) -> GradedModule:
@@ -352,6 +353,111 @@ def coproduct_eager(parts) -> GradedModule:
     return GradedModule(algebra, window, dims, actions,
                         bottom_exact=edge_exact(True),
                         top_exact=edge_exact(False), opposite=opposite)
+
+
+def _full_family(m: GradedModule, spaces) -> dict:
+    family = {}
+    for d in m.window:
+        sp = spaces.get(d)
+        if sp is None:
+            sp = Subspace.zero(m.dims[d])
+        if sp.ambient_dim != m.dims[d]:
+            raise ValueError(f"subspace at degree {d} has wrong ambient dimension")
+        family[d] = sp
+    return family
+
+
+def submodule_eager(m: GradedModule, spaces) -> GradedModule:
+    """The submodule spanned degreewise by invariant subspaces, every block
+    built up front while closure is checked, monomial by monomial."""
+    w = m.window
+    basis = _full_family(m, spaces)
+    dims = {d: basis[d].dim for d in w}
+    actions = {}
+    for k in range(1, w.width + 1):
+        for seq in m.algebra.basis(k):
+            for d in w:
+                if d + k not in w or not dims[d] or not dims.get(d + k):
+                    # closure still needs checking when the target space is 0
+                    if d + k in w and dims[d]:
+                        mat = m.action(seq, d)
+                        for v in basis[d].basis.rows:
+                            if not basis[d + k].contains(mat.apply(v)):
+                                raise ValueError(
+                                    f"family not closed: Sq{seq} at degree {d}")
+                    continue
+                mat = m.action(seq, d)
+                cols = []
+                for v in basis[d].basis.rows:
+                    coords = basis[d + k].coordinates(mat.apply(v))
+                    if coords is None:
+                        raise ValueError(f"family not closed: Sq{seq} at degree {d}")
+                    cols.append(coords)
+                actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
+    return GradedModule(m.algebra, w, dims, actions,
+                        m.bottom_exact, m.top_exact, m.opposite)
+
+
+def quotient_eager(m: GradedModule, spaces) -> GradedModule:
+    """The quotient by an invariant family, every block built up front
+    while invariance is checked, monomial by monomial."""
+    w = m.window
+    sub = _full_family(m, spaces)
+    # coset coordinates: entries at non-pivot columns after reduction
+    free_cols = {}
+    for d in w:
+        pivots = {(r & -r).bit_length() - 1 for r in sub[d].basis.rows}
+        free_cols[d] = [j for j in range(m.dims[d]) if j not in pivots]
+    dims = {d: len(free_cols[d]) for d in w}
+
+    def project(d: int, v: int) -> int:
+        v = sub[d].reduce(v)
+        out = 0
+        for idx, j in enumerate(free_cols[d]):
+            if (v >> j) & 1:
+                out |= 1 << idx
+        return out
+
+    actions = {}
+    for k in range(1, w.width + 1):
+        for seq in m.algebra.basis(k):
+            for d in w:
+                if d + k not in w:
+                    continue
+                mat = m.action(seq, d)
+                for v in sub[d].basis.rows:
+                    if not sub[d + k].contains(mat.apply(v)):
+                        raise ValueError(f"family not invariant: Sq{seq} at degree {d}")
+                if not dims[d] or not dims[d + k]:
+                    continue
+                cols = [project(d + k, mat.apply(1 << j)) for j in free_cols[d]]
+                actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
+    return GradedModule(m.algebra, w, dims, actions,
+                        m.bottom_exact, m.top_exact, m.opposite)
+
+
+def iota_eager(c) -> GradedModule:
+    """The adjoint-action module of a comodule, every block sliced up front
+    from the coaction blocks, row by row."""
+    alg = c.algebra
+    w = c.window
+    actions = {}
+    for k in range(1, w.width + 1):
+        basis_k = alg.basis(k)
+        ak = len(basis_k)
+        if not ak:
+            continue
+        for d in w:
+            if d + k not in w or not c.dims[d] or not c.dims[d + k]:
+                continue
+            block = c.coaction(d, k)
+            td = c.dims[d + k]
+            for ai, seq in enumerate(basis_k):
+                rows = [block.row(mi * ak + ai) for mi in range(td)]
+                actions[(seq, d)] = BitMatrix(td, c.dims[d], rows)
+    return GradedModule(alg, w, dict(c.dims), actions,
+                        bottom_exact=c.bottom_exact, top_exact=c.top_exact,
+                        opposite=False)
 
 
 # -- dense graded homs ---------------------------------------------------------

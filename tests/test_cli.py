@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from steenmod import textio
-from steenmod.cli import main
+from steenmod.cli import io_roundtrip, main
 from steenmod.gmodule import Window, regular
 from steenmod.milnor import Algebra
 
@@ -65,6 +65,44 @@ def test_validate_detects_kind_past_comments_and_blanks(kind, prefix,
     code, out = run_cli(["validate", str(path)], capsys)
     assert code == 0
     assert out == f"kind: {kind}\nviolations: 0\nroundtrip: bit-exact\n"
+
+
+@pytest.mark.parametrize("header, dims, message", [
+    ("module", "0=-3", "inconsistent module data: negative dimension"),
+    ("comodule", "0=-3", "inconsistent comodule data: negative dimension"),
+    ("comodule", "0=1 0=0 9=4", "line 5: dims repeat degree 0"),
+    ("module", "0=1 9=4", "line 5: dims degree 9 outside window 0..0"),
+], ids=["module-negative", "comodule-negative", "repeated-degree",
+        "outside-window"])
+def test_validate_rejects_bad_dims(header, dims, message, tmp_path, capsys):
+    path = tmp_path / "bad.stm"
+    path.write_text(f"steenmod {header} v1\nalgebra: full\nwindow: 0..0\n"
+                    f"exact: none\ndims: {dims}\nend\n")
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+def test_validate_skips_the_second_pass_on_a_canonical_file(tmp_path,
+                                                            monkeypatch):
+    """A file that reprints as itself is parsed once; one with a comment
+    is parsed again from its reprint, and both reach the fixpoint."""
+    calls = []
+    parse = textio.parse_module
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+    monkeypatch.setattr(textio, "parse_module", counted)
+    text = textio.print_module(regular(Algebra.subalgebra(1), Window(0, 6)))
+    path = tmp_path / "reg.stm"
+    path.write_text(text)
+    assert io_roundtrip(str(path)) == ("module", True, [])
+    assert calls == [text]
+    calls.clear()
+    path.write_text("# a note\n" + text)
+    assert io_roundtrip(str(path)) == ("module", True, [])
+    assert calls == ["# a note\n" + text, text]
 
 
 def test_perp_subcommand(capsys):

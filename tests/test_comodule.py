@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
-                               iota_injectivity_evidence,
                                iota_of_extended_reference, validate_coaction)
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import Window, dual_regular, freeness_test, validate
@@ -93,20 +92,6 @@ def test_iota_exactness_of_sequences():
     ma, mab, mb = iota(a), iota(ab), iota(b)
     for d in w:
         assert mab.dims[d] == ma.dims[d] + mb.dims[d]
-
-
-def test_evidence_bounded_above():
-    ev = iota_injectivity_evidence(ExtendedSpec({0: 1, -2: 1}), 1, Window(-20, 0))
-    assert ev.verdict == "free"
-    ev0 = iota_injectivity_evidence(ExtendedSpec({}), 1, Window(-10, 0))
-    assert ev0.verdict == "free"
-
-
-def test_evidence_unbounded_below_window():
-    ev = iota_injectivity_evidence(
-        ExtendedSpec({-7 * k: 1 for k in range(4)}), 1, Window(-30, 0))
-    assert ev.verdict == "witness_failure"
-    assert ev.witness_fails
 
 
 def test_direct_freeness_of_iota_over_a1():

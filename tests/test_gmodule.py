@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from steenmod import gmodule as G
 from steenmod import milnor as M
+from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, coproduct, dual_of,
                               dual_regular, free_module, freeness_test,
@@ -14,6 +15,7 @@ from steenmod.gmodule import (SuspensionProfile, Window, coproduct, dual_of,
                               submodule, validate, zero_module)
 from steenmod.milnor import Algebra, Element
 
+A0 = Algebra.subalgebra(0)
 A1 = Algebra.subalgebra(1)
 A2 = Algebra.subalgebra(2)
 FULL = Algebra.full()
@@ -281,11 +283,13 @@ def _assert_same(lazy, eager):
     assert lazy == eager
 
 
-@pytest.mark.parametrize("algebra, hi, sub", [(FULL, 16, A2), (A2, 23, A1)],
-                         ids=["full", "A2"])
+@pytest.mark.parametrize("algebra, hi, sub", [(FULL, 16, A2), (A2, 23, A1),
+                                              (A1, 10, A0)],
+                         ids=["full", "A2", "A1"])
 def test_forced_tables_match_eager_references(algebra, hi, sub):
     """Every lazily sourced constructor forces the same table as a reference
-    built up front from multiply_seqs and the eager coproduct."""
+    built up front: from multiply_seqs, or by the eager coproduct,
+    submodule, quotient and comodule embedding of tests/oracles.py."""
     w = Window(0, hi)
     ref = _eager_regular(algebra, w)
     ref_table = ref.action_table()
@@ -316,6 +320,75 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
         {(seq, -d - M.degree(seq)): m.transpose()
          for (seq, d), m in ref_table.items()},
         ref.top_exact, ref.bottom_exact, opposite=True))
+
+    rng = random.Random(hi)
+    for m in (regular(algebra, w), regular(algebra, w, opposite=True),
+              dual_regular(algebra, dw)):
+        # generators in the upper half generate a proper submodule
+        degrees = [d for d in m.window if m.dims[d]]
+        gens = [(d, rng.randrange(1, 1 << m.dims[d]))
+                for d in rng.sample(degrees[len(degrees) // 2:], 2)]
+        spaces = _generated_family(m, gens)
+        sub_m = submodule(m, spaces)
+        assert 0 < sub_m.total_dim() < m.total_dim()
+        _assert_same(sub_m, oracles.submodule_eager(m, spaces))
+        _assert_same(quotient(m, spaces), oracles.quotient_eager(m, spaces))
+
+    # the two comodules of the embedding criterion's acceptance test
+    for v_dims, cw in (({0: 1, -2: 1}, Window(-20, 0)),
+                       ({-7 * k: 1 for k in range(4)}, Window(-30, 0))):
+        c = extended(ExtendedSpec(v_dims), algebra, cw)
+        _assert_same(iota(c), oracles.iota_eager(c))
+
+
+@pytest.mark.parametrize("name", ["a1", "a1_dual", "full", "full_opposite"])
+def test_closure_errors_match_eager_references(name):
+    """Seeded families that are not invariant raise, at construction, the
+    message of the eager reference: random families on a module, and on a
+    copy of it with a bit flipped in the action of a monomial that is not
+    a square, the family generated in the module by the flipped column's
+    basis vector, which a check of the squares alone would pass.  Families
+    that are closed force the reference's table."""
+    seed, m = {"a1": (1, regular(A1, Window(0, 6))),
+               "a1_dual": (2, dual_regular(A1, Window(-6, 0))),
+               "full": (3, regular(FULL, Window(0, 10))),
+               "full_opposite": (4, regular(FULL, Window(0, 10),
+                                            opposite=True))}[name]
+    rng = random.Random(seed)
+    degrees = [d for d in m.window if m.dims[d]]
+    cases = []
+    for _ in range(20):
+        spaces = {}
+        for d in rng.sample(degrees, rng.randint(1, 3)):
+            spaces[d] = Subspace.from_vectors(
+                [rng.randrange(1, 1 << m.dims[d])], m.dims[d])
+        cases.append((m, spaces))
+    table = m.action_table()
+    non_squares = [key for key in sorted(table) if not G._is_square(key[0])]
+    for _ in range(20):
+        key = rng.choice(non_squares)
+        mat = table[key]
+        col = rng.randrange(mat.ncols)
+        rows = list(mat.rows)
+        rows[rng.randrange(mat.nrows)] ^= 1 << col
+        flipped = dict(table)
+        flipped[key] = BitMatrix(mat.nrows, mat.ncols, rows)
+        cases.append((_explicit(m, flipped),
+                      _generated_family(m, [(key[1], 1 << col)])))
+    raised = []
+    for base, spaces in cases:
+        for build, eager in ((submodule, oracles.submodule_eager),
+                             (quotient, oracles.quotient_eager)):
+            try:
+                ref = eager(base, spaces)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    build(base, spaces)
+                assert str(got.value) == str(exc)
+                raised.append(base is not m)
+            else:
+                _assert_same(build(base, spaces), ref)
+    assert raised.count(False) > 20 and raised.count(True) >= 4
 
 
 @pytest.mark.parametrize("build", [
