@@ -237,6 +237,21 @@ def chain_perp_profile(chain: IdealChain, m: GradedModule) -> PerpProfile:
     return PerpProfile(m.window, num, stages, ell, certified)
 
 
+def _profile_for(chain: IdealChain, m: GradedModule,
+                 profile: Optional[PerpProfile]) -> PerpProfile:
+    """The chain's perp profile in m: computed when profile is None, else
+    the given one, which must cover m's window with one stage per stage
+    of the chain."""
+    if profile is None:
+        return chain_perp_profile(chain, m)
+    if profile.window != m.window or profile.num_stages != len(chain):
+        raise ValueError(
+            f"profile covers {profile.window} with {profile.num_stages} "
+            f"stages; the module window is {m.window} and the chain has "
+            f"{len(chain)} stages")
+    return profile
+
+
 def perp_subset_in_algebra(elements: Sequence[tuple[int, int]],
                            m: GradedModule) -> WindowIdeal:
     """Degreewise annihilator in the algebra of a set of module elements.
@@ -402,8 +417,14 @@ def _unbounded_moves(profiles: list[PerpProfile], side: str) -> Optional[dict]:
     }
 
 
-def classify_sigma(m: GradedModule, chains: Sequence[IdealChain]) -> SigmaClass:
+def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
+                   profiles: Optional[Sequence[PerpProfile]] = None
+                   ) -> SigmaClass:
     """Evaluate the taxonomy against a chain catalog on the module's window.
+
+    profiles, when given, holds each chain's perp profile in m, in the
+    order of chains, so that a caller who already has them does not pay
+    for them twice.
 
     Structural branch: when the relevant degree family is effectively
     finite (the module is exact on that side), descending chains of
@@ -414,7 +435,11 @@ def classify_sigma(m: GradedModule, chains: Sequence[IdealChain]) -> SigmaClass:
     counterexample, observed uniform stability is (non-definitive)
     evidence, and anything else is inconclusive.
     """
-    profiles = [chain_perp_profile(c, m) for c in chains]
+    if profiles is None:
+        profiles = [None] * len(chains)
+    elif len(profiles) != len(chains):
+        raise ValueError(f"{len(profiles)} profiles for {len(chains)} chains")
+    profiles = [_profile_for(c, m, p) for c, p in zip(chains, profiles)]
 
     strictly = FlagReport(
         VERDICT_EVIDENCE,

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import milnor
-from .annihilator import HomIdeal, IdealChain, PerpProfile, chain_perp_profile
+from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
 from .f2 import BitMatrix, Subspace, kernel, mul_rows, rref_rows
 from .gmodule import GradedModule, SuspensionProfile
 from .milnor import Algebra, Element
@@ -262,7 +262,8 @@ def track_destabilizing_degrees(profile: PerpProfile) -> SuspensionProfile:
 
 def build_witness(chain: IdealChain, shift: int, m: GradedModule,
                   degree_function: Optional[SuspensionProfile] = None,
-                  prefer_stable: bool = False
+                  prefer_stable: bool = False,
+                  profile: Optional[PerpProfile] = None
                   ) -> tuple[WitnessMap, WitnessVerdict]:
     """Choose x_n in the stage-n perp per stage and analyze the extension.
 
@@ -275,9 +276,11 @@ def build_witness(chain: IdealChain, shift: int, m: GradedModule,
     reported failure means every extension is forced to full support across
     the destabilized stages, the finite-chain image of the unbounded-chain
     non-extension.  Whether that failure refutes a bounded-family flag is a
-    question for the profile trend, which the verdict records.
+    question for the profile trend, which the verdict records.  profile,
+    when given, is the chain's perp profile in m, which is then not
+    computed again.
     """
-    profile = chain_perp_profile(chain, m)
+    profile = _profile_for(chain, m, profile)
     K = len(chain.stages) - 1
     union = chain.stages[-1]
 

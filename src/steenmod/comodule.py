@@ -219,8 +219,8 @@ def iota(c: GradedComodule) -> GradedModule:
 
     def source(seq: milnor.Seq, d: int) -> BitMatrix:
         k = milnor.degree(seq)
-        basis_k = alg.basis(k)
-        rows = c.coaction(d, k).rows[basis_k.index(seq)::len(basis_k)]
+        index = milnor._basis_index(k, alg.profile_index)
+        rows = c.coaction(d, k).rows[index[seq]::len(index)]
         return BitMatrix(len(rows), c.dims[d], rows)
     return GradedModule(alg, c.window, c.dims, source,
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact)

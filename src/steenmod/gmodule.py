@@ -12,7 +12,11 @@ embedding ``comodule.iota`` are sources of this kind.  Only parsed text,
 ``from_generator_actions`` and ``zero_module`` hand over an explicit table,
 which is checked for shape and completeness at construction and serves as
 its own source.  Only equality, hashing, validation and printing force the
-full table (``action_table``).
+full table (``action_table``).  The sources of regular modules (the
+opposite ones excepted) and of dual regular modules read ``milnor``'s per-degree memos of left and transposed right
+multiplication by a monomial, so all such modules, and the suspended
+copies built from them, hold one shared immutable matrix per monomial and
+degree.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed

@@ -28,12 +28,13 @@ matrices are enumerated in two directions:
   since no matrix that dies mod 2 is visited; for one pair it would cost
   the whole degree, which is why isolated products keep the first path.
 
-Basis lists, isolated products, the blocks of each degree, multiplication
-matrices and the left multiplication matrix of each monomial on each
-degree are memoized; construction is idempotent and the memoized values
-are immutable, so sharing them is safe.  Nothing is kept across runs: a
-degree's blocks are rebuilt by one walk the first time a process reads
-them.
+Basis lists and each monomial's position in its basis, monomial degrees,
+isolated products, the blocks of each degree, multiplication matrices, and
+the left and the transposed right multiplication matrix of each monomial
+on each degree are memoized; construction is idempotent and the memoized
+values are immutable, so sharing them is safe.  Nothing is kept across
+runs: a degree's blocks are rebuilt by one walk the first time a process
+reads them.
 """
 
 from __future__ import annotations
@@ -60,9 +61,16 @@ def _canonical(seq: Iterable[int]) -> Seq:
     return s
 
 
+_DEGREES: dict[Seq, int] = {}
+
+
 def degree(seq: Seq) -> int:
-    """Degree of Sq(r1,...,rk): sum of r_i * (2^i - 1)."""
-    return sum(r * ((1 << (i + 1)) - 1) for i, r in enumerate(seq))
+    """Degree of Sq(r1,...,rk): sum of r_i * (2^i - 1), memoized per seq."""
+    d = _DEGREES.get(seq)
+    if d is None:
+        d = _DEGREES[seq] = sum(r * ((1 << (i + 1)) - 1)
+                                for i, r in enumerate(seq))
+    return d
 
 
 def in_profile(seq: Seq, n: int) -> bool:
@@ -155,6 +163,12 @@ def _basis_cached(d: int, profile_index: Optional[int]) -> tuple[Seq, ...]:
 def basis_in_degree(d: int, algebra: Algebra) -> tuple[Seq, ...]:
     """All basis monomials of degree d in the algebra, ordered lexicographically."""
     return _basis_cached(d, algebra.profile_index)
+
+
+@lru_cache(maxsize=None)
+def _basis_index(d: int, profile_index: Optional[int]) -> dict[Seq, int]:
+    """Position of each monomial in basis_in_degree(d); do not mutate."""
+    return {seq: i for i, seq in enumerate(_basis_cached(d, profile_index))}
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +332,7 @@ def parse_element(text: str) -> Element:
 
 def coords_of(elem: Element, d: int, algebra: Algebra) -> int:
     """Coordinate mask of a homogeneous element in basis_in_degree(d)."""
-    basis = basis_in_degree(d, algebra)
-    index = {seq: i for i, seq in enumerate(basis)}
+    index = _basis_index(d, algebra.profile_index)
     v = 0
     for t in elem.terms:
         if degree(t) != d:
@@ -464,14 +477,32 @@ def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _right_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
+    """Transposed right multiplication matrices on A^d, keyed by monomial,
+    laid out as ``_left_memo``."""
+    return {}
+
+
 def right_multiplication(elem: Element, d: int, algebra: Algebra,
                          transposed: bool = False) -> BitMatrix:
     """Matrix of x -> x * elem from A^d to A^(d + deg elem), or with
     transposed=True its transpose, whose rows are the column masks.
 
-    Not memoized: the dual regular module keeps only the transpose, so a
-    memo would hold a second copy of every matrix it stores.
+    The transpose of a single monomial is memoized.  It is the matrix the
+    dual regular module reads, so every dual regular module, suspended
+    copies included, shares that one immutable copy and no second copy
+    exists.  Sums of monomials and the untransposed form are rebuilt on
+    every call.
     """
+    if transposed and len(elem.terms) == 1:
+        (seq,) = elem.terms
+        memo = _right_memo(d, algebra)
+        mat = memo.get(seq)
+        if mat is None:
+            nrows, cols = _action_columns(elem, d, algebra, left=False)
+            mat = memo[seq] = BitMatrix(len(cols), nrows, cols)
+        return mat
     nrows, cols = _action_columns(elem, d, algebra, left=False)
     if transposed:
         return BitMatrix(len(cols), nrows, cols)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import catalogs
-from .annihilator import classify_sigma, sq_power_chain
+from .annihilator import chain_perp_profile, classify_sigma, sq_power_chain
 from .baer import baer_test, build_witness
 from .comodule import (ExtendedSpec, extended, iota,
                        iota_of_extended_reference, validate_coaction)
-from .gmodule import (SuspensionProfile, Window, dual_regular,
+from .gmodule import (SuspensionProfile, Window, dual_regular, free_module,
                       freeness_test, regular, validate)
 from .milnor import Algebra
 
@@ -93,7 +93,6 @@ def run_prop_3_1(cfg: ScenarioConfig) -> Report:
     rep.add("chain", chain)
     module = dual_regular(Algebra.full(), window)
 
-    from .annihilator import chain_perp_profile
     prof = chain_perp_profile(chain, module)
     for d in sorted(prof.window):
         dims = "/".join(str(prof.stages[d][i].dim) for i in range(prof.num_stages))
@@ -109,7 +108,7 @@ def run_prop_3_1(cfg: ScenarioConfig) -> Report:
         rep.add(f"deeper-than.{t}", max(deeper) if deeper else "none")
         rep.expect(f"movement-past-stage-{t}", bool(deeper))
 
-    wm, wv = build_witness(chain, 0, module)
+    wm, wv = build_witness(chain, 0, module, profile=prof)
     rep.add("witness.degree-function", list(wm.degree_function.shifts))
     for n, (deg, mask) in enumerate(wm.choices):
         rep.add(f"witness.choice.{n}", f"degree {deg} coords {mask:x}")
@@ -119,7 +118,7 @@ def run_prop_3_1(cfg: ScenarioConfig) -> Report:
     rep.add("witness.note", wv.note)
     rep.expect("witness-extension-fails", wv.extension_fails)
 
-    cls = classify_sigma(module, [chain])
+    cls = classify_sigma(module, [chain], [prof])
     for name, verdict in sorted(cls.flags().items()):
         rep.add(f"classify.{name}", verdict)
     rep.expect("bounded-abovely-evidence",
@@ -163,7 +162,6 @@ def run_cor_2_6(cfg: ScenarioConfig) -> Report:
     # cross-check of the block machinery
     checked = 0
     agree = True
-    from .gmodule import free_module
     for fam in shift_families[:4]:
         cop = free_module(SuspensionProfile(fam), full,
                           Window(window.lo, window.hi + pad))
@@ -264,14 +262,15 @@ def run_iota_failure(cfg: ScenarioConfig) -> Report:
 
     chain = sq_power_chain(cfg.stages)
     rep.add("chain", chain)
-    wm, wv = build_witness(chain, 0, module)
+    prof = chain_perp_profile(chain, module)
+    wm, wv = build_witness(chain, 0, module, profile=prof)
     rep.add("witness.degree-function", list(wm.degree_function.shifts))
     rep.add("witness.forced-stages", wv.forced_stages)
     for n in sorted(wm.stage_witnesses):
         rep.add(f"witness.destabilizer.{n}", wm.stage_witnesses[n])
     rep.expect("witness-extension-fails", wv.extension_fails)
 
-    cls = classify_sigma(module, [chain])
+    cls = classify_sigma(module, [chain], [prof])
     for name, verdict in sorted(cls.flags().items()):
         rep.add(f"classify.{name}", verdict)
     rep.expect("bounded-belowly-counterexample",

@@ -259,3 +259,82 @@ def test_verdicts_match_per_row_oracle_on_a1_corpus():
                     name, idl, shift)
                 witnesses += v.witness is not None
     assert witnesses > 0
+
+
+def _profile_case(name):
+    """A module and a chain: the dual regular module, a finite regular
+    module, and ι of the criterion-7 spec whose generators run to the
+    lower window edge."""
+    from steenmod.comodule import ExtendedSpec, extended, iota
+
+    if name == "dual_regular":
+        return dual_regular(FULL, Window(-30, 0)), sq_power_chain(4)
+    if name == "regular_a1":
+        return regular(A1, Window(0, 6)), sq_power_chain(2)
+    spec = ExtendedSpec({-7 * k: 1 for k in range(4)})
+    return iota(extended(spec, FULL, Window(-30, 0))), sq_power_chain(4)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("name", ["dual_regular", "regular_a1",
+                                  "iota_criterion_7"])
+def test_passed_profile_gives_the_same_results(name):
+    from steenmod.annihilator import chain_perp_profile, classify_sigma
+
+    m, chain = _profile_case(name)
+    prof = chain_perp_profile(chain, m)
+    K = len(chain) - 1
+    stable = max(d for d in prof.window
+                 if prof.certified[d] and prof.stages[d][K].dim)
+    for kwargs in ({}, {"degree_function": SuspensionProfile([-stable] * (K + 1)),
+                        "prefer_stable": True}):
+        want = _outcome(build_witness, chain, 0, m, **kwargs)
+        got = _outcome(build_witness, chain, 0, m, profile=prof, **kwargs)
+        assert got == want, kwargs
+    assert classify_sigma(m, [chain], [prof]) == classify_sigma(m, [chain])
+
+
+def test_mismatched_profile_is_rejected():
+    from steenmod.annihilator import chain_perp_profile, classify_sigma
+
+    m = dual_regular(FULL, Window(-30, 0))
+    chain = sq_power_chain(4)
+    other_window = chain_perp_profile(chain, dual_regular(FULL, Window(-20, 0)))
+    other_stages = chain_perp_profile(sq_power_chain(3), m)
+    for prof in (other_window, other_stages):
+        with pytest.raises(ValueError, match="profile covers"):
+            build_witness(chain, 0, m, profile=prof)
+        with pytest.raises(ValueError, match="profile covers"):
+            classify_sigma(m, [chain], [prof])
+    with pytest.raises(ValueError, match="1 profiles for 2 chains"):
+        classify_sigma(m, [chain, chain], [other_window])
+
+
+@pytest.mark.parametrize("scenario", ["prop-3-1", "iota-failure"])
+def test_scenarios_compute_each_profile_once(scenario, monkeypatch):
+    """Every chain_perp_profile call of the scenario, through any module's
+    binding, is counted per (chain, module) pair."""
+    import sys
+
+    from steenmod import annihilator, scenarios
+
+    calls: dict[tuple[int, int], int] = {}
+    real = annihilator.chain_perp_profile
+
+    def counted(chain, m):
+        key = (id(chain), id(m))
+        calls[key] = calls.get(key, 0) + 1
+        return real(chain, m)
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("steenmod")
+                and getattr(mod, "chain_perp_profile", None) is real):
+            monkeypatch.setattr(mod, "chain_perp_profile", counted)
+    rep = scenarios.run_scenario(scenario, scenarios.ScenarioConfig())
+    assert rep.status == scenarios.OK
+    assert list(calls.values()) == [1]

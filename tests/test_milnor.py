@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from oracles import milnor_product_unpruned, multiplication_block_by_pairs
 from steenmod import milnor as M
+from steenmod.f2 import BitMatrix
+from steenmod.gmodule import Window, dual_regular
 from steenmod.milnor import Algebra, Element
 
 FULL = Algebra.full()
@@ -231,3 +233,98 @@ def test_left_right_multiplication_consistency():
                     == elem * Element([c])
                 assert M.element_from_coords(rm.column(j), d + k, algebra) \
                     == Element([c]) * elem
+
+
+def _check_right_memo(e, k, alg):
+    """Each memoized transposed right multiplication by a monomial of
+    degree k on A^e against the per-pair block (e, k): the rows for
+    monomial j are the block's columns j, j + dim A^k, ..."""
+    block = multiplication_block_by_pairs(e, k, alg)
+    basis_k = M.basis_in_degree(k, alg)
+    de = len(M.basis_in_degree(e, alg))
+    for j, seq in enumerate(basis_k):
+        mat = M.right_multiplication(Element([seq]), e, alg, transposed=True)
+        assert mat is M._right_memo(e, alg)[seq]
+        rows = [block.column(j + i * len(basis_k)) for i in range(de)]
+        assert mat == BitMatrix(de, block.nrows, rows), (seq, e, alg)
+
+
+def test_right_memo_matches_per_pair_oracle_exhaustive():
+    """Every monomial of degree k >= 1 on every A^e with e + k <= 32 over
+    the full algebra, and every pair of degrees of A(1) and A(2)."""
+    cases = [(n - k, k, FULL) for n in range(33) for k in range(1, n + 1)]
+    for alg in (Algebra.subalgebra(1), A2):
+        top = alg.top_degree()
+        cases += [(e, k, alg) for e in range(top + 1)
+                  for k in range(1, top + 1)]
+    for e, k, alg in cases:
+        _check_right_memo(e, k, alg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_right_memo_matches_per_pair_oracle_random(data):
+    n = data.draw(st.integers(33, 64))
+    k = data.draw(st.integers(1, n))
+    _check_right_memo(n - k, k, FULL)
+
+
+@pytest.mark.parametrize("alg", [FULL, Algebra.subalgebra(1), A2],
+                         ids=["full", "a1", "a2"])
+def test_dual_regular_modules_share_memoized_matrices(alg):
+    """Dual regular modules on different windows, and a suspended copy,
+    hold the same matrix object for the same (monomial, degree)."""
+    wide = dual_regular(alg, Window(-30, 0))
+    narrow = dual_regular(alg, Window(-20, -4))
+    moved = dual_regular(alg, Window(-27, 3)).suspend(-3)
+    shared = 0
+    for k in range(1, 17):
+        for seq in M.basis_in_degree(k, alg):
+            for d in range(-20, -4 - k + 1):
+                if not (wide.dims[d] and wide.dims[d + k]):
+                    continue
+                mat = wide.action(seq, d)
+                assert narrow.action(seq, d) is mat
+                assert moved.action(seq, d - 3) is mat
+                assert mat is M.right_multiplication(
+                    Element([seq]), -d - k, alg, transposed=True)
+                shared += 1
+    assert shared
+
+
+def test_multi_term_right_multiplication_is_not_memoized():
+    """A sum of monomials, and the untransposed form, are rebuilt on every
+    call and equal the XOR of the terms' memoized matrices."""
+    for e, k in [(3, 4), (7, 6), (10, 8)]:
+        terms = M.basis_in_degree(k, FULL)
+        elem = Element(terms[:2])
+        memo = M._right_memo(e, FULL)
+        before = dict(memo)
+        first = M.right_multiplication(elem, e, FULL, transposed=True)
+        again = M.right_multiplication(elem, e, FULL, transposed=True)
+        assert first == again and first is not again
+        assert memo == before
+        want = M.right_multiplication(Element([terms[0]]), e, FULL, True) \
+            + M.right_multiplication(Element([terms[1]]), e, FULL, True)
+        assert first == want
+        plain = M.right_multiplication(Element([terms[0]]), e, FULL)
+        assert plain is not M.right_multiplication(Element([terms[0]]), e, FULL)
+        assert plain == M._right_memo(e, FULL)[terms[0]].transpose()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_degree_memo_and_basis_index_match_closed_forms(data):
+    alg = data.draw(st.sampled_from([FULL, Algebra.subalgebra(1), A2]))
+    d = data.draw(st.integers(0, 40 if alg.is_full else alg.top_degree()))
+    basis = M.basis_in_degree(d, alg)
+    index = M._basis_index(d, alg.profile_index)
+    assert len(index) == len(basis)
+    for seq in basis:
+        assert index[seq] == basis.index(seq)
+        closed = sum(r * (2 ** (i + 1) - 1) for i, r in enumerate(seq))
+        assert M.degree(seq) == closed == d
+    seq = tuple(data.draw(st.lists(st.integers(0, 9), max_size=4)))
+    closed = sum(r * (2 ** (i + 1) - 1) for i, r in enumerate(seq))
+    assert M.degree(seq) == closed  # first read, or a memo hit
+    assert M.degree(seq) == closed  # a memo hit
