@@ -1,8 +1,7 @@
 """Pure-Python GF(2) kernels.
 
 Rows are Python ints used as bit masks: bit j of a row is the entry in
-column j.  All functions are total and deterministic; steenmod._f2core is
-a drop-in compiled replacement that must produce bit-identical results.
+column j.  All functions are total and deterministic.
 """
 
 from __future__ import annotations

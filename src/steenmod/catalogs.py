@@ -10,8 +10,7 @@ elements so runs stay reproducible under a single seed.
 from __future__ import annotations
 
 import random
-from itertools import product as iproduct
-from typing import Optional
+from itertools import combinations, product as iproduct
 
 from . import milnor
 from .annihilator import HomIdeal
@@ -27,7 +26,6 @@ def _all_subspaces(n: int) -> list[Subspace]:
     seen = {}
     vectors = list(range(1, 1 << n))
     for r in range(0, n + 1):
-        from itertools import combinations
         for combo in combinations(vectors, r):
             sp = Subspace.from_vectors(list(combo), n)
             seen[(sp.basis.rows, n)] = sp
@@ -51,13 +49,13 @@ def all_a1_ideals() -> list[HomIdeal]:
         if _first_escape(R, family) is not None:
             continue
         gens = _family_generators(R, family)
-        if gens is not None:
-            ideals.append(HomIdeal(gens) if gens else None)
-    return [i for i in ideals if i is not None]
+        if gens:
+            ideals.append(HomIdeal(gens))
+    return ideals
 
 
 def _family_generators(m: GradedModule, family: dict[int, Subspace]
-                       ) -> Optional[list[Element]]:
+                       ) -> list[Element]:
     """Minimal generators of an invariant family inside the regular module.
 
     Returns [] for the zero family (no ideal), a generator list otherwise.
@@ -79,8 +77,6 @@ def _family_generators(m: GradedModule, family: dict[int, Subspace]
             if not image.contains(v):
                 gens.append(milnor.element_from_coords(v, d, alg))
                 image = image.sum_with(Subspace.from_vectors([v], m.dims[d]))
-    if not gens:
-        return []
     return gens
 
 

@@ -38,6 +38,20 @@ class ExtendedSpec:
         object.__setattr__(self, "v_dims", items)
 
 
+def _required_coaction_keys(algebra: Algebra, window: Window,
+                            dims: dict[int, int]):
+    """Yield the (degree, k) of every coaction block a comodule with these
+    dims holds: k >= 1 (the counit block is the identity, kept implicit),
+    d and d + k in the window, both dimensions and the algebra's dimension
+    in degree k nonzero."""
+    for d in window:
+        if not dims[d]:
+            continue
+        for k in range(1, window.hi - d + 1):
+            if dims[d + k] and algebra.dim(k):
+                yield d, k
+
+
 class GradedComodule:
     """A graded right comodule on a window, with full coaction blocks.
 
@@ -53,24 +67,16 @@ class GradedComodule:
                  bottom_exact: bool = False, top_exact: bool = False):
         _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
         table: dict[tuple[int, int], BitMatrix] = {}
-        for d in window:
-            if not self.dims[d]:
-                continue
-            for k in range(0, window.hi - d + 1):
-                td = self.dims.get(d + k, 0)
-                ak = algebra.dim(k)
-                if not td or not ak:
-                    continue
-                if k == 0:
-                    continue  # counit block is the identity, kept implicit
-                mat = coactions.get((d, k))
-                if mat is None:
-                    raise ValueError(f"missing coaction block ({d}, {k})")
-                if mat.shape != (td * ak, self.dims[d]):
-                    raise ValueError(
-                        f"coaction block ({d}, {k}) has shape {mat.shape}, "
-                        f"expected {(td * ak, self.dims[d])}")
-                table[(d, k)] = mat
+        for d, k in _required_coaction_keys(algebra, window, self.dims):
+            mat = coactions.get((d, k))
+            if mat is None:
+                raise ValueError(f"missing coaction block ({d}, {k})")
+            expected = (self.dims[d + k] * algebra.dim(k), self.dims[d])
+            if mat.shape != expected:
+                raise ValueError(
+                    f"coaction block ({d}, {k}) has shape {mat.shape}, "
+                    f"expected {expected}")
+            table[(d, k)] = mat
         self.coactions = table
 
     def coaction(self, d: int, k: int) -> BitMatrix:

@@ -2,9 +2,8 @@
 
 Matrices are dense and bit-packed: each row is a Python int whose bit j is
 the entry in column j.  Vectors are single ints of the same shape.  The
-inner loops live in a backend module: the compiled extension
-``steenmod._f2core`` when available, otherwise ``steenmod._f2pure``.  Set
-``STEENMOD_F2_BACKEND=pure|compiled|auto`` to override the selection.
+inner loops live in ``steenmod._f2pure``, bound here as ``_impl`` and
+looked up on it at call time, so a profiler can rebind them in one place.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -12,26 +11,14 @@ threads.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-_choice = os.environ.get("STEENMOD_F2_BACKEND", "auto")
-if _choice == "pure":
-    from . import _f2pure as _impl
-elif _choice == "compiled":
-    from . import _f2core as _impl  # type: ignore[no-redef]
-elif _choice == "auto":
-    try:
-        from . import _f2core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _f2pure as _impl
-else:
-    raise RuntimeError(f"STEENMOD_F2_BACKEND={_choice!r} not one of pure/compiled/auto")
+from . import _f2pure as _impl
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend ('pure' or 'compiled')."""
+    """Name of the kernel backend ('pure')."""
     return _impl.BACKEND_NAME
 
 

@@ -107,6 +107,21 @@ def _graded_header(obj, algebra: Algebra, window: Window,
     obj.top_exact = top_exact
 
 
+def _required_action_keys(algebra: Algebra, window: Window,
+                          dims: dict[int, int]):
+    """Yield the (monomial, degree) of every action matrix a module with
+    these dims holds: a monomial of positive degree k and a degree d with
+    d and d + k in the window and both dimensions nonzero."""
+    lo, hi = window.lo, window.hi
+    for k in range(1, hi - lo + 1):
+        sources = [d for d in range(lo, hi - k + 1) if dims[d] and dims[d + k]]
+        if not sources:
+            continue
+        for seq in algebra.basis(k):
+            for d in sources:
+                yield seq, d
+
+
 class GradedModule:
     """A graded left module on a window, acting through matrices derived
     from a source on first read.
@@ -142,28 +157,17 @@ class GradedModule:
                     f"action of Sq{seq} at degree {d} has shape {mat.shape}, "
                     f"expected {(td, sd)}")
             table[(seq, d)] = mat
-        for seq, d in self._required_action_keys():
+        for seq, d in _required_action_keys(algebra, window, self.dims):
             if (seq, d) not in table:
                 raise ValueError(f"missing action of Sq{seq} at degree {d}")
         # complete, so the source is never reached for a required key
         self._source = table.__getitem__
 
-    def _required_action_keys(self):
-        lo, hi = self.window.lo, self.window.hi
-        dims = self.dims
-        for k in range(1, hi - lo + 1):
-            sources = [d for d in range(lo, hi - k + 1) if dims[d] and dims[d + k]]
-            if not sources:
-                continue
-            for seq in self.algebra.basis(k):
-                for d in sources:
-                    yield seq, d
-
     def action_table(self) -> dict[tuple[Seq, int], BitMatrix]:
         """The full action table: every required matrix, built if not yet
         read.  The returned dict is the module's memo; do not mutate it."""
         table = self.actions
-        for key in self._required_action_keys():
+        for key in _required_action_keys(self.algebra, self.window, self.dims):
             if key not in table:
                 self.action(*key)
         return table

@@ -7,13 +7,13 @@ regression check.  Parsers are strict and report the offending line.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Iterable, Optional
 
 from . import milnor
 from .annihilator import HomIdeal, IdealChain
-from .comodule import GradedComodule
+from .comodule import GradedComodule, _required_coaction_keys
 from .f2 import BitMatrix
-from .gmodule import GradedModule, Window
+from .gmodule import GradedModule, Window, _required_action_keys
 from .milnor import Algebra, Seq
 
 MODULE_HEADER = "steenmod module v1"
@@ -59,11 +59,10 @@ def _parse_exact(text: str, line_no: int) -> tuple[bool, bool]:
     toks = text.split()
     if toks == ["none"]:
         return False, False
-    bottom = "below" in toks
-    top = "above" in toks
-    if set(toks) - {"below", "above"}:
+    if (not toks or len(set(toks)) != len(toks)
+            or set(toks) - {"below", "above"}):
         raise ParseError(line_no, f"bad exactness flags {text!r}")
-    return bottom, top
+    return "below" in toks, "above" in toks
 
 
 def _parse_window(text: str, line_no: int) -> Window:
@@ -159,6 +158,24 @@ def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
     return BitMatrix(nrows, ncols, rows)
 
 
+def _reject_unrequested(blocks: dict[Hashable, tuple[int, str]],
+                        required: Iterable[Hashable]) -> None:
+    """Raise at the header line of the first block, in file order, that
+    ``required`` does not yield.  ``blocks`` maps each block's key to the
+    line and name of its header.  The scan of ``required`` stops at its
+    first key with no block, which the constructor reports, so it holds no
+    more keys than the file has blocks."""
+    seen = set()
+    for key in required:
+        if key not in blocks:
+            return
+        seen.add(key)
+    for key, (no, where) in blocks.items():
+        if key not in seen:
+            raise ParseError(no, f"block {where} is not one the header "
+                                 "calls for")
+
+
 def _print_preamble(header: str, x: GradedModule | GradedComodule) -> list[str]:
     """The header and field lines of a module or comodule."""
     return [header,
@@ -213,6 +230,8 @@ def parse_module(text: str) -> GradedModule:
     preamble = _parse_preamble(lines, MODULE_HEADER)
 
     actions: dict[tuple[Seq, int], BitMatrix] = {}
+    # line and name of each block's header
+    blocks: dict[tuple[Seq, int], tuple[int, str]] = {}
     seq: Optional[Seq] = None
     while True:
         no, line = lines.next("action block or end")
@@ -239,10 +258,15 @@ def parse_module(text: str) -> GradedModule:
                 nrows, ncols = int(nrows_s), int(ncols_s)
             except ValueError:
                 raise ParseError(no, f"bad block header {line!r}") from None
-            actions[(seq, d)] = _read_matrix(lines, nrows, ncols,
-                                             f"{_seq_str(seq)} @ {d}", no)
+            where = f"{_seq_str(seq)} @ {d}"
+            if (seq, d) in blocks:
+                raise ParseError(no, f"repeated block {where}")
+            blocks[(seq, d)] = no, where
+            actions[(seq, d)] = _read_matrix(lines, nrows, ncols, where, no)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
+    _reject_unrequested(blocks, _required_action_keys(
+        preamble["algebra"], preamble["window"], preamble["dims"]))
     try:
         return GradedModule(actions=actions, **preamble)
     except ValueError as exc:
@@ -267,6 +291,8 @@ def parse_comodule(text: str) -> GradedComodule:
     preamble = _parse_preamble(lines, COMODULE_HEADER)
 
     coactions: dict[tuple[int, int], BitMatrix] = {}
+    # line and name of each block's header
+    blocks: dict[tuple[int, int], tuple[int, str]] = {}
     while True:
         no, line = lines.next("coaction block or end")
         if line == "end":
@@ -280,10 +306,15 @@ def parse_comodule(text: str) -> GradedComodule:
                 nrows, ncols = int(nrows_s), int(ncols_s)
             except ValueError:
                 raise ParseError(no, f"bad coaction header {line!r}") from None
-            coactions[(d, k)] = _read_matrix(lines, nrows, ncols,
-                                             f"coaction ({d},{k})", no)
+            where = f"coaction ({d},{k})"
+            if (d, k) in blocks:
+                raise ParseError(no, f"repeated block {where}")
+            blocks[(d, k)] = no, where
+            coactions[(d, k)] = _read_matrix(lines, nrows, ncols, where, no)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
+    _reject_unrequested(blocks, _required_coaction_keys(
+        preamble["algebra"], preamble["window"], preamble["dims"]))
     try:
         return GradedComodule(coactions=coactions, **preamble)
     except ValueError as exc:

@@ -1,18 +1,11 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenmod import _f2pure
 from steenmod.f2 import BitMatrix, Subspace, intersect, kernel, rref, solve
 
 from oracles import rref_2x2_hand
-
-try:
-    from steenmod import _f2core
-except ImportError:
-    _f2core = None
 
 
 def random_matrix(rng, nrows, ncols):
@@ -184,20 +177,3 @@ def test_transpose_involution_and_apply():
         w = m.apply(v)
         for i in range(m.nrows):
             assert (w >> i) & 1 == (m.row(i) & v).bit_count() % 2
-
-
-@pytest.mark.skipif(_f2core is None, reason="compiled core not built")
-def test_backend_parity_random():
-    rng = random.Random(0)
-    for _ in range(500):
-        n, k = rng.randint(0, 130), rng.randint(0, 40)
-        rows = [rng.getrandbits(n) for _ in range(k)]
-        assert _f2pure.rref(rows, n) == _f2core.rref(rows, n)
-        assert _f2pure.nullspace(rows, n) == _f2core.nullspace(rows, n)
-        t = rng.getrandbits(k) if k else 0
-        assert _f2pure.solve(list(rows), n, t) == _f2core.solve(list(rows), n, t)
-        if k:
-            arows = [rng.getrandbits(k) for _ in range(rng.randint(0, 9))]
-            assert _f2pure.mul(arows, rows) == _f2core.mul(arows, rows)
-            v = rng.getrandbits(n) if n else 0
-            assert _f2pure.apply(rows, v) == _f2core.apply(rows, v)

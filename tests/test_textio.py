@@ -276,3 +276,69 @@ def test_header_line_is_the_first_line_the_parser_reads(text):
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  \n"])
 def test_header_line_of_a_file_without_content_is_empty(text):
     assert T.header_line(text) == ""
+
+
+A1_REGULAR = T.print_module(regular(A1, Window(0, 3)))
+A1_FREE = T.print_module(free_module(SuspensionProfile([0]), A1, Window(0, 8)))
+EXTENDED = T.print_comodule(
+    extended(ExtendedSpec({0: 1, -2: 1}), FULL, Window(-4, 0)))
+A1_EXTENDED = T.print_comodule(
+    extended(ExtendedSpec({0: 1}), A1, Window(-8, 0)))
+UNREQUESTED = "is not one the header calls for"
+
+
+@pytest.mark.parametrize("parse, text, before, inserted, message", [
+    (T.parse_module, A1_REGULAR, "@ 1: 1x1", ["@ 0: 1x1", "1"],
+     "repeated block Sq(1) @ 0"),
+    (T.parse_module, A1_REGULAR, "end", ["action Sq(2)", "@ 1: 2x1", "0", "0"],
+     "repeated block Sq(2) @ 1"),
+    (T.parse_module, A1_REGULAR, "end", ["action Sq(1)", "@ 3: 0x2"],
+     f"block Sq(1) @ 3 {UNREQUESTED}"),
+    (T.parse_module, A1_REGULAR, "end", ["action Sq(2)", "@ -1: 0x0"],
+     f"block Sq(2) @ -1 {UNREQUESTED}"),
+    (T.parse_module, A1_REGULAR, "end", ["action Sq()", "@ 0: 1x1", "1"],
+     f"block Sq() @ 0 {UNREQUESTED}"),
+    (T.parse_module, T.print_module(regular(A1, Window(0, 6))), "end",
+     ["action Sq(4)", "@ 0: 1x1", "0"], f"block Sq(4) @ 0 {UNREQUESTED}"),
+    (T.parse_module, A1_FREE, "end", ["action Sq(1)", "@ 6: 0x1"],
+     f"block Sq(1) @ 6 {UNREQUESTED}"),
+    (T.parse_module, A1_FREE, "end", ["action Sq(1)", "@ 7: 0x0"],
+     f"block Sq(1) @ 7 {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "coaction -2 1: 1x2",
+     ["coaction -3 2: 1x3", "001"], "repeated block coaction (-3,2)"),
+    (T.parse_comodule, EXTENDED, "end", ["coaction 0 1: 1x1", "1"],
+     f"block coaction (0,1) {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "end", ["coaction 1 1: 0x0"],
+     f"block coaction (1,1) {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "end", ["coaction -1 0: 1x1", "1"],
+     f"block coaction (-1,0) {UNREQUESTED}"),
+    (T.parse_comodule, A1_EXTENDED, "end", ["coaction -8 2: 0x0"],
+     f"block coaction (-8,2) {UNREQUESTED}"),
+], ids=["module-repeat-same-action", "module-repeat-reopened-action",
+        "module-target-outside-window", "module-degree-outside-window",
+        "module-unit", "module-not-in-algebra", "module-zero-target",
+        "module-zero-source", "comodule-repeat", "comodule-target-outside-window",
+        "comodule-degree-outside-window", "comodule-counit",
+        "comodule-zero-source"])
+def test_repeated_and_unrequested_blocks_report_their_header(
+        parse, text, before, inserted, message):
+    """A block the header does not call for, or a second block at the same
+    key, is rejected at the line of that block's header."""
+    lines = text.split("\n")
+    at = lines.index(before)
+    lines[at:at] = inserted
+    header = at + next(i for i, ln in enumerate(inserted)
+                       if _is_block_header(ln))
+    with pytest.raises(T.ParseError) as exc:
+        parse("\n".join(lines))
+    assert str(exc.value) == f"line {header + 1}: {message}"
+
+
+@pytest.mark.parametrize("flags", ["", "below below", "above above",
+                                   "below above below", "none none",
+                                   "none below", "sideways"])
+def test_bad_exact_field_reports_its_line(flags):
+    text = A1_REGULAR.replace("exact: below", f"exact: {flags}")
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module(text)
+    assert str(exc.value) == f"line 4: bad exactness flags {flags!r}"

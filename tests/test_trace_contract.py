@@ -1,5 +1,7 @@
 """The benchmark's tracer reads the Milnor layer's memo statistics from
-``cache_info()``; this guards the names and caches it relies on."""
+``cache_info()``, reports ``f2.backend_name()`` and counts kernel bits by
+rebinding the kernels on ``f2._impl``; this guards the names, caches and
+binding it relies on."""
 
 import json
 import os
@@ -14,12 +16,16 @@ import json
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-from steenmod import milnor
+from steenmod import f2, milnor
 from steenmod.gmodule import Window, dual_regular
 full = milnor.Algebra.full()
 dual_regular(full, Window(-12, 0)).action_table()
 milnor.multiplication_matrix(3, 4, full)
-print(json.dumps(tracer.cache_stats()))
+bits = tracer.counts["f2.kernel_bits"]
+f2.BitMatrix(2, 3, [0b011, 0b110]).rank()
+print(json.dumps({"caches": tracer.cache_stats(),
+                  "backend": f2.backend_name(),
+                  "kernel_bits": [bits, tracer.counts["f2.kernel_bits"]]}))
 """
 
 
@@ -30,7 +36,11 @@ def test_tracer_reads_both_milnor_caches():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    stats = json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    assert out["backend"] == "pure"
+    before, after = out["kernel_bits"]
+    assert after > before
+    stats = out["caches"]
     assert set(stats) == {"milnor.multiply_seqs",
                           "milnor.multiplication_matrix"}
     lookups, built = stats["milnor.multiplication_matrix"]
