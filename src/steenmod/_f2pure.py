@@ -13,31 +13,46 @@ def rref(rows, ncols):
     """Reduced row-echelon form.
 
     Returns (reduced_rows, pivot_cols).  Zero rows are dropped, so the
-    result has exactly rank(rows) rows, ordered by pivot column.
+    result has exactly rank(rows) rows, ordered by pivot column.  Pivots
+    lie below ncols: a row that reduces to bits at or above ncols only
+    counts as zero.
+
+    Elimination is by pivot insertion.  Each row in turn is reduced against
+    a table of pivot rows keyed by their lowest set bit: while its lowest
+    bit is a key, XOR that pivot row in, which moves the lowest bit up.  A
+    row left nonzero joins the table under its new lowest bit.  The table
+    is then in echelon form, and back-substitution in descending pivot
+    order makes it reduced: every higher pivot row is already free of the
+    other pivot columns, so XORing it in clears exactly its own bit.  Each
+    row is touched once per pivot it meets, instead of once per column.
     """
-    rows = list(rows)
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << col
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i] & bit:
-                piv = i
+    if not rows:
+        return [], []
+    limit = 1 << ncols
+    table = {}
+    for v in rows:
+        while v:
+            low = v & -v
+            p = table.get(low)
+            if p is None:
+                if low < limit:
+                    table[low] = v
                 break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rv = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rv
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+            v ^= p
+    pivmask = 0
+    for low in table:
+        pivmask |= low
+    order = sorted(table, reverse=True)
+    for low in order:
+        v = table[low]
+        m = (v & pivmask) ^ low
+        while m:
+            b = m & -m
+            v ^= table[b]
+            m ^= b
+        table[low] = v
+    order.reverse()
+    return [table[b] for b in order], [b.bit_length() - 1 for b in order]
 
 
 def mul(a_rows, b_rows):

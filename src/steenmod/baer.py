@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import milnor
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
-from .f2 import BitMatrix, Subspace, kernel, mul_rows, rref_rows
+from .f2 import BitMatrix, Subspace, kernel, mul_rows
 from .gmodule import GradedModule, SuspensionProfile
 from .milnor import Algebra, Element
 
@@ -101,7 +101,10 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     which that column's action rows on the target sit side by side, each
     shifted to its generator's block.  Cutting the product rows into
     pieces of the map-space width gives one constraint per (relation,
-    target row); they join the reduced system in a single row reduction.
+    target row).  Each joins the system by pivot insertion: it is reduced
+    against the pivot rows kept so far, keyed by their lowest set bit, and
+    a nonzero residue becomes a new pivot, so no row is reduced twice and
+    the rank is the number of pivots.
     """
     algebra = target.algebra
     gen_coords = []
@@ -140,9 +143,10 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     rel_cap = None if alg_top is None else alg_top + max_gd
 
     complete = True
-    # the constraint system is reduced incrementally; its rank determines
-    # the surviving map-space dimension without materializing a basis
-    pivot_rows: list[int] = []
+    # the constraint system in echelon form, each row keyed by its lowest
+    # set bit; its rank determines the surviving map-space dimension
+    # without materializing a basis
+    pivots: dict[int, int] = {}
     ext_dim = ext_space.dim
     e = min_gd
     last = window_cap if rel_cap is None else min(window_cap, rel_cap)
@@ -170,19 +174,23 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
                         acc = (acc << total) | v
                     packed.append(acc << off)
                 mask = (1 << total) - 1
-                batch: list[int] = []
                 for v in mul_rows(rel_rows, packed):
                     while v:
-                        if v & mask:
-                            batch.append(v & mask)
+                        row = v & mask
+                        while row:
+                            low = row & -row
+                            p = pivots.get(low)
+                            if p is None:
+                                pivots[low] = row
+                                break
+                            row ^= p
                         v >>= total
-                pivot_rows, _ = rref_rows(pivot_rows + batch, total)
-                if total - len(pivot_rows) == ext_dim:
+                if total - len(pivots) == ext_dim:
                     done_note = (f"map space pinned to restrictions by "
                                  f"relations of degree <= {e}")
                     break
         e += 1
-    hom_dim = total - len(pivot_rows)
+    hom_dim = total - len(pivots)
     if done_note is not None:
         return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, complete, done_note)
     if rel_cap is not None and rel_cap > window_cap and not target.top_exact:
@@ -195,7 +203,9 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     status = FAILS if complete else INCONCLUSIVE
     witness = None
     if status == FAILS:
-        sol = kernel(BitMatrix(len(pivot_rows), total, pivot_rows))
+        # the kernel's basis is canonical, whatever form the rows are in
+        rows = list(pivots.values())
+        sol = kernel(BitMatrix(len(rows), total, rows))
         for v in sol.basis.rows:
             if not ext_space.contains(v):
                 values = []

@@ -112,48 +112,48 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
 
     Basis at degree d: pairs (generator g of V, monomial s of degree g - d),
     generator-major, monomials in basis order.
+
+    Each coaction block (d, k) is assembled from product-block slices.  For
+    a generator g with n = g - d >= k, entry sp * dim A^k + bi of
+    ``milnor.product_columns(n - k, k)`` is the mask of the monomials s of
+    A^n that occur in s' * b, for s' the sp-th monomial of degree n - k and
+    b the bi-th of degree k.  That is row (s', b) of 1 (x) psi restricted
+    to g's block, so the whole tuple, each entry shifted left by g's column
+    offset at d, is the run of rows that starts at g's row offset at d + k
+    times dim A^k.  A generator with n < k has no basis at d + k and adds
+    no rows.
     """
     gens: list[int] = []
     for g, n in v.v_dims:
         gens.extend([g] * n)
 
-    def basis_layout(d: int) -> list[tuple[int, int]]:
-        # (generator position, algebra basis index) pairs
-        out = []
-        for gi, g in enumerate(gens):
-            k = g - d
-            if k < 0:
-                continue
-            for si in range(algebra.dim(k)):
-                out.append((gi, si))
-        return out
-
-    layouts = {d: basis_layout(d) for d in window}
-    dims = {d: len(layouts[d]) for d in window}
+    # offsets[d][gi]: first basis index of generator gi at degree d
+    offsets: dict[int, list[int]] = {}
+    dims: dict[int, int] = {}
+    for d in window:
+        offs = offsets[d] = []
+        total = 0
+        for g in gens:
+            offs.append(total)
+            if g >= d:
+                total += algebra.dim(g - d)
+        dims[d] = total
     coactions: dict[tuple[int, int], BitMatrix] = {}
     for d in window:
         if not dims[d]:
             continue
-        src_index = {pair: i for i, pair in enumerate(layouts[d])}
+        offs = offsets[d]
         for k in range(1, window.hi - d + 1):
-            ak = algebra.dim(k)
-            if not dims.get(d + k) or not ak:
+            if not dims[d + k] or not algebra.dim(k):
                 continue
-            tgt_index = {pair: i for i, pair in enumerate(layouts[d + k])}
-            rows = [0] * (dims[d + k] * ak)
-            for (gi, si), col in src_index.items():
-                g = gens[gi]
-                n_deg = g - d  # degree of the dual monomial being split
-                if n_deg < k:
-                    continue  # too short to split off a degree-k factor
-                mm = milnor.multiplication_matrix(n_deg - k, k, algebra)
-                # s lands on (s', b) whenever s appears in s' * b; row si
-                # of mm has bit sp * ak + bi set exactly for those pairs
-                for bit in mask_to_bits(mm.row(si)):
-                    sp, bi = divmod(bit, ak)
-                    ti = tgt_index[(gi, sp)]
-                    rows[ti * ak + bi] ^= 1 << col
-            coactions[(d, k)] = BitMatrix(dims[d + k] * ak, dims[d], rows)
+            rows: list[int] = []
+            for g, off in zip(gens, offs):
+                n = g - d
+                if n < k:
+                    continue
+                block = milnor.product_columns(n - k, k, algebra)
+                rows.extend([c << off for c in block] if off else block)
+            coactions[(d, k)] = BitMatrix(len(rows), dims[d], rows)
     top = algebra.top_degree()
     if gens:
         top_exact = window.hi >= max(gens)

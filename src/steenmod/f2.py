@@ -79,18 +79,6 @@ class BitMatrix:
         return _identity_cached(n)
 
     @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BitMatrix":
-        rows = []
-        width = ncols
-        for er in entries:
-            if width is None:
-                width = len(er)
-            elif len(er) != width:
-                raise ValueError("ragged entry rows")
-            rows.append(sum((1 << j) for j, e in enumerate(er) if e & 1))
-        return cls(len(rows), width or 0, rows)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "BitMatrix":
         rows = [0] * nrows
         for j, c in enumerate(cols):

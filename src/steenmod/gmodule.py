@@ -13,10 +13,11 @@ embedding ``comodule.iota`` are sources of this kind.  Only parsed text,
 which is checked for shape and completeness at construction and serves as
 its own source.  Only equality, hashing, validation and printing force the
 full table (``action_table``).  The sources of regular modules (the
-opposite ones excepted) and of dual regular modules read ``milnor``'s per-degree memos of left and transposed right
-multiplication by a monomial, so all such modules, and the suspended
-copies built from them, hold one shared immutable matrix per monomial and
-degree.
+opposite ones excepted) and of dual regular modules read ``milnor``'s
+per-degree memos of left and transposed right multiplication by a
+monomial (``_left_action``, ``_right_action``), so all such modules, and
+the suspended copies built from them, hold one shared immutable matrix per
+monomial and degree.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed
@@ -128,8 +129,10 @@ class GradedModule:
 
     ``actions`` is either a source function or an explicit table keyed by
     (monomial, degree).  An explicit table is checked at once for shape and
-    completeness; a source is called only for keys with both dimensions
-    nonzero, and its matrices are checked as they are built.
+    completeness, and a key with both dimensions nonzero that the header
+    does not call for is refused; a source is called only for keys with
+    both dimensions nonzero, and its matrices are checked as they are
+    built.
     """
 
     __slots__ = ("algebra", "window", "dims", "actions", "_source",
@@ -157,9 +160,19 @@ class GradedModule:
                     f"action of Sq{seq} at degree {d} has shape {mat.shape}, "
                     f"expected {(td, sd)}")
             table[(seq, d)] = mat
+        found = 0
         for seq, d in _required_action_keys(algebra, window, self.dims):
             if (seq, d) not in table:
                 raise ValueError(f"missing action of Sq{seq} at degree {d}")
+            found += 1
+        if found != len(table):
+            # a key the header never calls for, such as the unit or a
+            # monomial outside the algebra, would print as a block that
+            # the parser rejects
+            required = set(_required_action_keys(algebra, window, self.dims))
+            seq, d = next(key for key in table if key not in required)
+            raise ValueError(f"action of Sq{seq} at degree {d} is not one "
+                             f"the header calls for")
         # complete, so the source is never reached for a required key
         self._source = table.__getitem__
 
@@ -353,10 +366,11 @@ def zero_module(algebra: Algebra, window: Window, opposite: bool = False) -> Gra
 def regular(algebra: Algebra, window: Window, opposite: bool = False) -> GradedModule:
     """The algebra acting on itself by multiplication, truncated to window."""
     dims = {d: algebra.dim(d) if d >= 0 else 0 for d in window}
-    multiply = milnor.right_multiplication if opposite else milnor.left_multiplication
 
     def source(seq: Seq, d: int) -> BitMatrix:
-        return multiply(Element([seq]), d, algebra)
+        if opposite:
+            return milnor.right_multiplication(Element([seq]), d, algebra)
+        return milnor._left_action(seq, d, algebra)
     top = algebra.top_degree()
     top_exact = top is not None and window.hi >= top
     return GradedModule(algebra, window, dims, source,
@@ -373,8 +387,7 @@ def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
     dims = {d: algebra.dim(-d) if d <= 0 else 0 for d in window}
 
     def source(seq: Seq, d: int) -> BitMatrix:
-        return milnor.right_multiplication(
-            Element([seq]), -d - milnor.degree(seq), algebra, transposed=True)
+        return milnor._right_action(seq, -d - milnor.degree(seq), algebra)
     top = algebra.top_degree()
     bottom_exact = top is not None and window.lo <= -top
     return GradedModule(algebra, window, dims, source,
@@ -385,7 +398,8 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
     """Degreewise direct sum of suspended copies, on the common window.
 
     The action of a monomial stacks the parts' actions as diagonal blocks,
-    part by part, when it is first read.
+    part by part, when it is first read.  A part with a zero dimension at
+    either end contributes zero rows or no columns and is not read.
     """
     if not parts:
         raise ValueError("coproduct of nothing (use zero_module)")
@@ -415,12 +429,18 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
         return True
 
     def source(seq: Seq, d: int) -> BitMatrix:
+        k = milnor.degree(seq)
         rows: list[int] = []
         col_off = 0
         for m, s in parts:
-            mat = m.action(seq, d - s)
-            rows.extend(r << col_off for r in mat.rows)
-            col_off += mat.ncols
+            sd, td = m.dims[d - s], m.dims[d - s + k]
+            if sd and td:
+                mat = m.action(seq, d - s)
+                rows.extend([r << col_off for r in mat.rows]
+                            if col_off else mat.rows)
+            elif td:
+                rows.extend([0] * td)
+            col_off += sd
         return BitMatrix(len(rows), col_off, rows)
     return GradedModule(algebra, window, dims, source,
                         bottom_exact=edge_exact(True), top_exact=edge_exact(False),

@@ -17,9 +17,8 @@ matrices are enumerated in two directions:
 - ``multiply_seqs`` serves an isolated product (``Element.__mul__``).  It
   fills the matrices of one pair (R, S), keeps a running OR per diagonal
   and drops a partial matrix as soon as an entry overlaps its diagonal.
-- Multiplication *tables* (``product_columns`` and everything read from
-  it: ``multiplication_matrix``, left and right multiplication) come from
-  one memoized walk per degree, ``_product_blocks``, of the dual coproduct
+- Multiplication *tables* come from one memoized walk per degree,
+  ``_product_blocks``, of the dual coproduct
   psi(xi_m) = sum_i xi_(m-i)^(2^i) (x) xi_i.  For each target monomial
   Sq(T) of degree n, each bit of t_m goes to one of the m + 1 cells of
   diagonal m, and each choice is one carry-free matrix, so one walk per T
@@ -27,6 +26,22 @@ matrices are enumerated in two directions:
   once.  For a whole table this costs far less than one product per pair,
   since no matrix that dies mod 2 is visited; for one pair it would cost
   the whole degree, which is why isolated products keep the first path.
+
+The table readers are slices of one block:
+
+- ``product_columns(d1, d2)``: block (d1, d2) itself, one column mask per
+  pair; ``comodule.extended`` reads its coaction rows from it directly.
+- ``multiplication_matrix(d1, d2)``: the same block as a matrix, for
+  callers outside the engine.
+- ``_left_action(seq, d)``: left multiplication by one monomial on A^d,
+  the contiguous run of block (deg seq, d) at the monomial's index; the
+  regular module's source.
+- ``_right_action(seq, d)``: the transposed right multiplication by one
+  monomial on A^d, the run of block (d, deg seq) at stride dim A^(deg seq);
+  the dual regular module's source.
+- ``left_multiplication`` and ``right_multiplication``: the same for any
+  homogeneous element, a monomial going through the two readers above and
+  a sum XORing the slices of its terms.
 
 Basis lists and each monomial's position in its basis, monomial degrees,
 isolated products, the blocks of each degree, multiplication matrices, and
@@ -459,24 +474,6 @@ def _left_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
     return {}
 
 
-def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of x -> elem * x from A^d to A^(d + deg elem).
-
-    The matrix of a single monomial is memoized, so every module built
-    from it shares one immutable copy.
-    """
-    if len(elem.terms) != 1:
-        nrows, cols = _action_columns(elem, d, algebra, left=True)
-        return BitMatrix.from_columns(cols, nrows)
-    (seq,) = elem.terms
-    memo = _left_memo(d, algebra)
-    mat = memo.get(seq)
-    if mat is None:
-        nrows, cols = _action_columns(elem, d, algebra, left=True)
-        mat = memo[seq] = BitMatrix.from_columns(cols, nrows)
-    return mat
-
-
 @lru_cache(maxsize=None)
 def _right_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
     """Transposed right multiplication matrices on A^d, keyed by monomial,
@@ -484,25 +481,79 @@ def _right_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
     return {}
 
 
+def _monomial_slot(seq: Seq, algebra: Algebra) -> tuple[int, int, int]:
+    """Degree of the monomial, its index in its basis and that basis's size."""
+    k = degree(seq)
+    index = _basis_index(k, algebra.profile_index)
+    j = index.get(seq)
+    if j is None:
+        raise ValueError(f"term {seq} lies outside {algebra}")
+    return k, j, len(index)
+
+
+def _left_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
+    """Memoized matrix of x -> Sq(seq) * x from A^d to A^(d + deg seq).
+
+    Its columns are the contiguous slice of the product block (k, d) that
+    starts at the monomial's index times dim A^d, read once into
+    ``_left_memo``.
+    """
+    memo = _left_memo(d, algebra)
+    mat = memo.get(seq)
+    if mat is None:
+        k, j, _ = _monomial_slot(seq, algebra)
+        dd = len(basis_in_degree(d, algebra))
+        nrows = len(basis_in_degree(d + k, algebra))
+        cols = product_columns(k, d, algebra)[j * dd:(j + 1) * dd] if dd else ()
+        mat = memo[seq] = BitMatrix.from_columns(cols, nrows)
+    return mat
+
+
+def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
+    """Memoized transpose of x -> x * Sq(seq) from A^d to A^(d + deg seq).
+
+    Its rows are the column masks of the product block (d, k) at the
+    monomial's index with stride dim A^k, read once into ``_right_memo``:
+    the dual regular action, shared by every module that reads it.
+    """
+    memo = _right_memo(d, algebra)
+    mat = memo.get(seq)
+    if mat is None:
+        k, j, dk = _monomial_slot(seq, algebra)
+        nrows = len(basis_in_degree(d + k, algebra))
+        rows = (product_columns(d, k, algebra)[j::dk]
+                if basis_in_degree(d, algebra) else ())
+        mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
+    return mat
+
+
+def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
+    """Matrix of x -> elem * x from A^d to A^(d + deg elem).
+
+    The matrix of a single monomial is memoized (``_left_action``), so
+    every module built from it shares one immutable copy.
+    """
+    if len(elem.terms) == 1:
+        (seq,) = elem.terms
+        return _left_action(seq, d, algebra)
+    nrows, cols = _action_columns(elem, d, algebra, left=True)
+    return BitMatrix.from_columns(cols, nrows)
+
+
 def right_multiplication(elem: Element, d: int, algebra: Algebra,
                          transposed: bool = False) -> BitMatrix:
     """Matrix of x -> x * elem from A^d to A^(d + deg elem), or with
     transposed=True its transpose, whose rows are the column masks.
 
-    The transpose of a single monomial is memoized.  It is the matrix the
-    dual regular module reads, so every dual regular module, suspended
-    copies included, shares that one immutable copy and no second copy
-    exists.  Sums of monomials and the untransposed form are rebuilt on
-    every call.
+    The transpose of a single monomial is memoized (``_right_action``).
+    It is the matrix the dual regular module reads, so every dual regular
+    module, suspended copies included, shares that one immutable copy and
+    no second copy exists.  Sums of monomials and the untransposed form
+    are rebuilt on every call.
     """
     if transposed and len(elem.terms) == 1:
         (seq,) = elem.terms
-        memo = _right_memo(d, algebra)
-        mat = memo.get(seq)
-        if mat is None:
-            nrows, cols = _action_columns(elem, d, algebra, left=False)
-            mat = memo[seq] = BitMatrix(len(cols), nrows, cols)
-        return mat
+        return _right_action(seq, d, algebra)
     nrows, cols = _action_columns(elem, d, algebra, left=False)
     if transposed:
         return BitMatrix(len(cols), nrows, cols)

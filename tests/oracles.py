@@ -7,13 +7,15 @@ rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
 for the engine's pruned one, the per-pair multiplication block, kept as
-the reference for the engine's coproduct walk, the eager coproduct,
-submodule, quotient and comodule embedding, kept as the references for the
-engine's lazily sourced ones, the dense graded hom solver, kept as
-an independent count of the extension test's map spaces, and the
-entry-wise and per-row forms of the three verifiers (module composition,
-coassociativity, extension test), kept as the references for the
-engine's row-level ones.
+the reference for the engine's coproduct walk, the column-scan row
+reduction, kept as the reference for the engine's pivot insertion, the
+per-bit extended comodule, kept as the reference for the engine's
+product-block slices, the eager coproduct, submodule, quotient and
+comodule embedding, kept as the references for the engine's lazily sourced
+ones, the dense graded hom solver, kept as an independent count of the
+extension test's map spaces, and the entry-wise and per-row forms of the
+three verifiers (module composition, coassociativity, extension test),
+kept as the references for the engine's row-level ones.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from itertools import permutations
 from steenmod import milnor
 from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
                            FailingMap, _generator_relations)
-from steenmod.f2 import BitMatrix, Subspace, kernel, rref_rows, solve
+from steenmod.comodule import GradedComodule
+from steenmod.f2 import (BitMatrix, Subspace, kernel, mask_to_bits,
+                         rref_rows, solve)
 from steenmod.gmodule import GradedModule
 
 Word = tuple[int, ...]
@@ -285,6 +289,20 @@ def quotient_by_subalgebra_dims(n: int, dmax: int) -> list[int]:
 # -- tiny hand oracles ----------------------------------------------------------
 
 
+def bitmatrix_from_entries(entries, ncols=None) -> BitMatrix:
+    """A BitMatrix from rows of 0/1 entries, column 0 first; ncols is
+    needed only when there are no rows."""
+    rows = []
+    width = ncols
+    for er in entries:
+        if width is None:
+            width = len(er)
+        elif len(er) != width:
+            raise ValueError("ragged entry rows")
+        rows.append(sum((1 << j) for j, e in enumerate(er) if e & 1))
+    return BitMatrix(len(rows), width or 0, rows)
+
+
 def rref_2x2_hand(m: list[list[int]]) -> list[list[int]]:
     """Reduced echelon form of a 2x2 bit matrix by explicit case analysis."""
     a, b = m[0]
@@ -304,6 +322,37 @@ def rref_2x2_hand(m: list[list[int]]) -> list[list[int]]:
         if b or d:
             rows.append([0, 1])
     return rows
+
+
+def rref_by_columns(rows, ncols):
+    """Reduced row-echelon form by a scan over the columns: for each column
+    in turn, the first remaining row with that bit becomes its pivot row
+    and is XORed into every other row holding the bit.  Same contract as
+    steenmod._f2pure.rref: (reduced rows, pivot columns), zero rows
+    dropped, rows ordered by pivot column."""
+    rows = list(rows)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        bit = 1 << col
+        piv = -1
+        for i in range(r, nrows):
+            if rows[i] & bit:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rv = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rv
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
 
 
 # -- eager constructors ---------------------------------------------------------
@@ -458,6 +507,60 @@ def iota_eager(c) -> GradedModule:
     return GradedModule(alg, w, dict(c.dims), actions,
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact,
                         opposite=False)
+
+
+def extended_by_bits(v, algebra: milnor.Algebra, window):
+    """The extended comodule V (x) dual built one coaction bit at a time:
+    for each source basis pair (generator, s) and jump k, every pair
+    (s', b) with s in s' * b is read off a set bit of s's row of the
+    multiplication matrix (n - k, k) and toggled in the target row of
+    (generator, s') and b.  Same contract as steenmod.comodule.extended."""
+    gens: list[int] = []
+    for g, n in v.v_dims:
+        gens.extend([g] * n)
+
+    def basis_layout(d: int) -> list[tuple[int, int]]:
+        # (generator position, algebra basis index) pairs
+        out = []
+        for gi, g in enumerate(gens):
+            k = g - d
+            if k < 0:
+                continue
+            for si in range(algebra.dim(k)):
+                out.append((gi, si))
+        return out
+
+    layouts = {d: basis_layout(d) for d in window}
+    dims = {d: len(layouts[d]) for d in window}
+    coactions = {}
+    for d in window:
+        if not dims[d]:
+            continue
+        src_index = {pair: i for i, pair in enumerate(layouts[d])}
+        for k in range(1, window.hi - d + 1):
+            ak = algebra.dim(k)
+            if not dims.get(d + k) or not ak:
+                continue
+            tgt_index = {pair: i for i, pair in enumerate(layouts[d + k])}
+            rows = [0] * (dims[d + k] * ak)
+            for (gi, si), col in src_index.items():
+                n_deg = gens[gi] - d  # degree of the dual monomial split
+                if n_deg < k:
+                    continue
+                mm = milnor.multiplication_matrix(n_deg - k, k, algebra)
+                for bit in mask_to_bits(mm.row(si)):
+                    sp, bi = divmod(bit, ak)
+                    ti = tgt_index[(gi, sp)]
+                    rows[ti * ak + bi] ^= 1 << col
+            coactions[(d, k)] = BitMatrix(dims[d + k] * ak, dims[d], rows)
+    top = algebra.top_degree()
+    if gens:
+        top_exact = window.hi >= max(gens)
+        bottom_exact = top is not None and window.lo <= min(gens) - top
+    else:
+        top_exact = bottom_exact = True
+    return GradedComodule(algebra, window, dims, coactions,
+                          bottom_exact=bottom_exact, top_exact=top_exact)
 
 
 # -- dense graded homs ---------------------------------------------------------

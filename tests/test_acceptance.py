@@ -244,7 +244,7 @@ def test_criterion_8_invariant_suites():
     # rref idempotence on structured and random matrices
     rng = random.Random(1)
     structured = [BitMatrix.identity(5), BitMatrix.zero(3, 5),
-                  BitMatrix.from_entries([[1, 1], [1, 0]])]
+                  oracles.bitmatrix_from_entries([[1, 1], [1, 0]])]
     randoms = []
     for _ in range(200):
         r = rng.randint(0, 8)

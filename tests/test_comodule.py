@@ -82,6 +82,30 @@ def test_iota_extended_is_coproduct_of_suspended_duals():
         assert iota(extended(v, FULL, w)) == iota_of_extended_reference(v, FULL, w)
 
 
+A1 = Algebra.subalgebra(1)
+
+
+@pytest.mark.parametrize("algebra,v_dims,window", [
+    (FULL, {0: 1, -4: 1}, Window(-18, 0)),
+    (FULL, {0: 2, -3: 1, -7: 2}, Window(-16, 0)),
+    (FULL, {3: 1, 0: 1, -2: 1}, Window(-12, 5)),
+    (A1, {0: 1, -2: 2}, Window(-12, 0)),
+    (A1, {2: 1, -1: 1}, Window(-9, 3)),
+    (A2, {0: 1, -5: 1}, Window(-26, 0)),
+], ids=["full", "full-repeated", "full-positive", "A1-repeated",
+        "A1-positive", "A2"])
+def test_extended_matches_per_bit_oracle(algebra, v_dims, window):
+    """The slice-built comodule equals the per-bit build block for block,
+    and its embedding is the coproduct of suspended dual regular modules."""
+    v = ExtendedSpec(v_dims)
+    c = extended(v, algebra, window)
+    ref = oracles.extended_by_bits(v, algebra, window)
+    assert c.coactions == ref.coactions
+    assert c == ref
+    assert c.coactions  # the spec is not degenerate
+    assert iota(c) == iota_of_extended_reference(v, algebra, window)
+
+
 def test_iota_exactness_of_sequences():
     """Degreewise exactness of a short exact sequence of comodules is
     preserved: dims of kernel and cokernel match under the embedding."""

@@ -3,9 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenmod import _f2pure
 from steenmod.f2 import BitMatrix, Subspace, intersect, kernel, rref, solve
 
-from oracles import rref_2x2_hand
+from oracles import bitmatrix_from_entries, rref_2x2_hand, rref_by_columns
 
 
 def random_matrix(rng, nrows, ncols):
@@ -34,13 +35,13 @@ def test_rref_2x2_hand_oracle():
     for bits in range(16):
         entries = [[(bits >> 0) & 1, (bits >> 1) & 1],
                    [(bits >> 2) & 1, (bits >> 3) & 1]]
-        got = rref(BitMatrix.from_entries(entries))
-        want = BitMatrix.from_entries(rref_2x2_hand(entries), ncols=2)
+        got = rref(bitmatrix_from_entries(entries))
+        want = bitmatrix_from_entries(rref_2x2_hand(entries), ncols=2)
         assert got == want, entries
 
 
 def test_rref_spec_example():
-    m = BitMatrix.from_entries([[1, 1], [1, 0]])
+    m = bitmatrix_from_entries([[1, 1], [1, 0]])
     assert rref(m) == BitMatrix.identity(2)
 
 
@@ -65,10 +66,10 @@ def test_kernel_examples():
     assert kernel(BitMatrix.identity(5)).dim == 0
     full = kernel(BitMatrix.zero(3, 4))
     assert full.dim == 4
-    k = kernel(BitMatrix.from_entries([[1, 1]]))
+    k = kernel(bitmatrix_from_entries([[1, 1]]))
     assert k.dim == 1 and k.basis.rows == (0b11,)
     # exhaustive check over all four vectors
-    m = BitMatrix.from_entries([[1, 1]])
+    m = bitmatrix_from_entries([[1, 1]])
     members = [v for v in range(4) if m.apply(v) == 0]
     assert members == [0, 0b11]
 
@@ -135,7 +136,7 @@ def test_solve_examples():
     assert solve(i4, 0b1010) == 0b1010
     z = BitMatrix.zero(3, 2)
     assert solve(z, 0b001) is None
-    m = BitMatrix.from_entries([[1, 1]])
+    m = bitmatrix_from_entries([[1, 1]])
     x = solve(m, 1)
     assert x in (0b01, 0b10) and m.apply(x) == 1
 
@@ -177,3 +178,83 @@ def test_transpose_involution_and_apply():
         w = m.apply(v)
         for i in range(m.nrows):
             assert (w >> i) & 1 == (m.row(i) & v).bit_count() % 2
+
+
+# -- pivot insertion against the column scan --------------------------------
+
+
+@st.composite
+def row_lists(draw):
+    """(rows, width): up to 4x as many rows as columns, widths to 200, with
+    zero rows, duplicates and rows that are sums of earlier ones mixed in."""
+    width = draw(st.integers(0, 200))
+    nrows = draw(st.integers(0, 4 * width))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    repeat = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < repeat / 2:
+            rows.append(rng.choice(rows))
+        elif rows and roll < repeat:
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        elif roll < repeat + 0.05:
+            rows.append(0)
+        else:
+            rows.append(sum(1 << j for j in range(width)
+                            if rng.random() < density))
+    return rows, width
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_lists())
+def test_rref_matches_column_scan_oracle(case):
+    rows, width = case
+    before = list(rows)
+    assert _f2pure.rref(rows, width) == rref_by_columns(rows, width)
+    assert rows == before  # the input list is not touched
+
+
+def test_rref_edge_cases_match_column_scan_oracle():
+    rng = random.Random(5)
+    cases = [([], 0), ([], 7), ([0, 0], 0), ([0, 0, 0], 5),
+             ([1 << j for j in range(9)], 9),                 # identity
+             ([(1 << 9) - 1 >> j for j in range(9)], 9),      # full rank
+             ([rng.getrandbits(40) for _ in range(40)], 40),
+             ([rng.getrandbits(12) for _ in range(48)], 12),
+             ([0b10], 1), ([0b110, 0b011], 1)]                 # bits past ncols
+    for rows, width in cases:
+        assert _f2pure.rref(rows, width) == rref_by_columns(rows, width)
+    assert _f2pure.rref([], 3) == ([], [])
+    red, piv = _f2pure.rref([(1 << 9) - 1 >> j for j in range(9)], 9)
+    assert red == [1 << j for j in range(9)] and piv == list(range(9))
+
+
+def test_solve_augmented_column_matches_column_scan_oracle():
+    """solve reduces [M | target] with one column more; the extra column
+    is a pivot exactly when the system is inconsistent."""
+    rng = random.Random(17)
+    for _ in range(300):
+        ncols = rng.randint(0, 12)
+        nrows = rng.randint(0, 16)
+        base = [rng.getrandbits(ncols) if ncols else 0
+                for _ in range(rng.randint(0, 4))]
+        rows = []
+        for _ in range(nrows):
+            v = 0
+            for b in base:
+                if rng.random() < 0.5:
+                    v ^= b
+            rows.append(v)
+        target = rng.getrandbits(nrows) if nrows else 0
+        tbit = 1 << ncols
+        aug = [rv | tbit if (target >> i) & 1 else rv
+               for i, rv in enumerate(rows)]
+        got = _f2pure.rref(aug, ncols + 1)
+        assert got == rref_by_columns(aug, ncols + 1)
+        inconsistent = bool(got[1]) and got[1][-1] == ncols
+        x = _f2pure.solve(rows, ncols, target)
+        assert (x is None) == inconsistent
+        if x is not None:
+            assert _f2pure.apply(rows, x) == target

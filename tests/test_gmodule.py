@@ -417,6 +417,51 @@ def test_monomial_outside_the_algebra_is_refused():
         r.action((4,), 1)
 
 
+def test_table_keys_the_header_does_not_call_for_are_refused():
+    """An explicit table may not hold a key no header calls for: printed,
+    it would be a block the parser rejects."""
+    r = regular(A1, Window(0, 3))
+    table = dict(r.action_table())
+    table[((), 0)] = BitMatrix.identity(1)
+    with pytest.raises(ValueError, match=r"Sq\(\) at degree 0 is not one "
+                                         r"the header calls for"):
+        G.GradedModule(A1, r.window, dict(r.dims), table, True, True)
+    # a monomial outside the algebra: the full table handed to A(0)
+    f = regular(FULL, Window(0, 4))
+    with pytest.raises(ValueError, match=r"Sq\(2,\) at degree 0 is not one"):
+        G.GradedModule(A0, f.window, dict(f.dims), f.action_table(), True)
+    # keys with a zero dimension at either end are not stored, so harmless
+    table = dict(r.action_table())
+    table[((4,), 0)] = BitMatrix.zero(0, 1)
+    table[((1,), 5)] = BitMatrix.zero(0, 0)
+    m = G.GradedModule(A1, r.window, dict(r.dims), table, True, False)
+    assert m.actions == r.action_table()
+
+
+def test_every_explicit_table_module_reprints_to_a_parse():
+    from steenmod import textio
+    r = regular(A1, Window(0, 6))
+    squares = {seq: {d: r.action(seq, d) for d in r.window
+                     if d + M.degree(seq) in r.window}
+               for seq in [(1,), (2,)]}
+    explicit = [
+        G.GradedModule(A1, r.window, dict(r.dims), dict(r.action_table()),
+                       r.bottom_exact, r.top_exact),
+        zero_module(A1, Window(0, 3)),
+        G.from_generator_actions(A1, r.window, dict(r.dims), squares,
+                                 True, True),
+        oracles.coproduct_eager([(r, 0), (r, 2)]),
+        oracles.iota_eager(extended(ExtendedSpec({0: 1, -2: 1}), A1,
+                                    Window(-8, 0))),
+        textio.parse_module(textio.print_module(
+            dual_regular(FULL, Window(-8, 0)))),
+    ]
+    for m in explicit:
+        text = textio.print_module(m)
+        assert textio.parse_module(text) == m
+        assert textio.print_module(textio.parse_module(text)) == text
+
+
 def test_source_of_wrong_shape_is_refused():
     r = regular(A1, Window(0, 6))
 
