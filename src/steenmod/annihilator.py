@@ -304,54 +304,6 @@ def _check_left_ideal(wi: WindowIdeal, kmax: int) -> None:
                             f"annihilator not a left ideal at degree {k + j}")
 
 
-def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
-                    degrees: Sequence[int]) -> HomIdeal:
-    """A finitely generated subideal with the same perp as `ideal` at `degrees`.
-
-    Greedy accumulation in deterministic order: walk the ideal's degreewise
-    basis ascending and keep any generator that strictly shrinks some perp
-    degree.  Terminates because the tracked dimensions are finite.
-    """
-    if isinstance(ideal, HomIdeal):
-        span = ideal_span(ideal, m.algebra, Window(0, m.window.width))
-    else:
-        span = ideal
-    degrees = sorted(degrees)
-    for d in degrees:
-        if m.dim(d) is None:
-            raise ValueError(f"degree {d} is not certified in the module window")
-
-    def perp_dims(gens: Sequence[Element]) -> list[int]:
-        if not gens:
-            return [m.dim(d) for d in degrees]
-        prof = perp_ideal_in_module(HomIdeal(gens), m)
-        for d in degrees:
-            if not prof.certified[d]:
-                raise ValueError(f"perp at degree {d} leaves the window")
-        return [prof.stages[d][0].dim for d in degrees]
-
-    full_gens: list[Element] = []
-    for k in sorted(span.spaces):
-        full_gens.extend(span.basis_elements(k))
-    target = perp_dims(full_gens)
-
-    chosen: list[Element] = []
-    current = perp_dims(chosen)
-    for k in sorted(span.spaces):
-        if current == target:
-            break
-        for cand in span.basis_elements(k):
-            trial = perp_dims(chosen + [cand])
-            if trial != current:
-                chosen.append(cand)
-                current = trial
-                if current == target:
-                    break
-    if current != target:
-        raise AssertionError("greedy subideal search failed to reach the target perp")
-    return HomIdeal(chosen)
-
-
 # -- classifier ---------------------------------------------------------------
 
 

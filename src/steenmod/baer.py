@@ -10,6 +10,17 @@ certifies extends_all even when higher relations are not representable in
 the window; a failure verdict instead requires every relation degree to
 have been visible, otherwise the run reports inconclusive.
 
+Only a minimal presentation of the relations is imposed.  The relations
+form a left submodule, and the squares Sq(2^k) generate the algebra
+(Milnor, Ann. of Math. 67, 1958), so the relations of degree e are spanned
+by the Sq(2^k)-multiples of lower ones plus a few indecomposable rows.  In
+a module the constraints of a * rho are a's action applied to those of rho,
+so the multiples add nothing once the lower degrees are imposed, and the
+constraint row space after each degree is the one the full relation space
+gives.  The argument needs the target to be a module; ``steenmod baer
+--module FILE`` does not check that, so run ``steenmod validate`` on the
+file first.
+
 Witness maps package the chain data r -> (r x_0, r x_1, ...): each x_n is
 annihilated by stage n, and the chosen suspension degrees track where the
 perp chain moves.  A finite coproduct of copies of a gr-injective module
@@ -89,6 +100,58 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     return tuple(kernel(block).basis.rows), tuple(layout)
 
 
+@lru_cache(maxsize=None)
+def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
+                       algebra: Algebra) -> tuple[int, ...]:
+    """The degree-e rows of ``_generator_relations`` that are independent
+    modulo D_e, the sum over the squares Sq(2^k) of the algebra of
+    Sq(2^k) * R_(e - 2^k), in the same column layout.
+
+    They span R_e together with D_e, and there are dim R_e - dim D_e of
+    them.  Sq(2^k) sends a lower relation's block of generator i, in
+    A^(m), m = e - 2^k - |g_i|, to A^(m + 2^k) through the columns of
+    Sq(2^k) in ``milnor.product_columns(2^k, m)``, shifted to the block's
+    offset at degree e; one kernel product maps every lower row at once.
+    Rows of R_e are reduced by pivot insertion against the images and the
+    rows kept so far, and a row with a nonzero residue is kept as it is.
+    """
+    rows, layout = _generator_relations(gen_coords, e, algebra)
+    if not rows:
+        return ()
+    offsets = {gi: pos for pos, (gi, j) in enumerate(layout) if j == 0}
+    min_gd = min(gd for gd, _ in gen_coords)
+    table: dict[int, int] = {}
+
+    def insert(v: int) -> bool:
+        while v:
+            low = v & -v
+            p = table.get(low)
+            if p is None:
+                table[low] = v
+                return True
+            v ^= p
+        return False
+
+    s = 1
+    while s <= e - min_gd and algebra.contains((s,)):
+        lower, lower_layout = _generator_relations(gen_coords, e - s, algebra)
+        if lower:
+            sq = algebra.basis(s).index((s,))
+            shifted = []
+            for gi, j in lower_layout:
+                if j == 0:  # a generator's block starts: look up its slice
+                    m = e - s - gen_coords[gi][0]
+                    dm = algebra.dim(m)
+                    cols = milnor.product_columns(s, m, algebra)[
+                        sq * dm:(sq + 1) * dm]
+                    off = offsets.get(gi)
+                shifted.append(0 if off is None else cols[j] << off)
+            for v in mul_rows(lower, shifted):
+                insert(v)
+        s <<= 1
+    return tuple(v for v in rows if insert(v))
+
+
 def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     """Do all graded maps Sigma^shift(ideal) -> target extend over the algebra?
 
@@ -96,16 +159,36 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     questions (extension over a finite direct sum holds iff it holds in
     every summand).
 
+    Precondition: the target is a module, or at least its action
+    composes on every pair (Sq(2^k), c) of a square and a basis monomial
+    in the window: action(Sq(2^k) c) = action(Sq(2^k)) action(c).  That
+    is the first pass of ``GradedModule.validate``, and every module the
+    library builds satisfies it.  Under it, the constraints of a relation
+    Sq(2^k) * rho are combinations of rho's, so at each degree only the
+    rows of ``_minimal_relations`` are imposed and the constraint row
+    space is the one the full relation space gives.  Every degree the
+    loop reaches lies at or above a generator's value degree, which is in
+    the window or below an exact bottom edge, so no lower degree that
+    the argument uses is unknown.  A module over the opposite algebra
+    composes the other way round and is not a left module, so it is
+    refused.
+
     The constraints of relation degree e are assembled by one kernel
     product: the relation rows times one wide row per relation column, in
     which that column's action rows on the target sit side by side, each
-    shifted to its generator's block.  Cutting the product rows into
-    pieces of the map-space width gives one constraint per (relation,
-    target row).  Each joins the system by pivot insertion: it is reduced
-    against the pivot rows kept so far, keyed by their lowest set bit, and
-    a nonzero residue becomes a new pivot, so no row is reduced twice and
-    the rank is the number of pivots.
+    shifted to its generator's block; a column no row uses is not read.
+    Cutting the product rows into pieces of the map-space width gives one
+    constraint per (relation, target row).  Each joins the system by pivot
+    insertion: it is reduced against the pivot rows kept so far, keyed by
+    their lowest set bit, and a nonzero residue becomes a new pivot, so no
+    row is reduced twice and the rank is the number of pivots.  The rank
+    never passes total - ext_dim, as every restriction satisfies every
+    constraint, so the loop stops as soon as it gets there, at the degrees
+    where the full relation space is nonempty and the target is nonzero.
     """
+    if target.opposite:
+        raise ValueError("the extension test needs a left module, not one "
+                         "over the opposite algebra")
     algebra = target.algebra
     gen_coords = []
     for g in ideal.generators:
@@ -148,47 +231,59 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     # without materializing a basis
     pivots: dict[int, int] = {}
     ext_dim = ext_space.dim
+    goal = total - ext_dim  # the rank at which the map space is pinned
+    key = tuple(gen_coords)
+    mask = (1 << total) - 1
     e = min_gd
     last = window_cap if rel_cap is None else min(window_cap, rel_cap)
     done_note = None
-    while e <= last:
+    while e <= last and done_note is None:
         td_out = target.dim(shift + e)
         if td_out is None:
             complete = False
             e += 1
             continue
-        if td_out:
-            rel_rows, layout = _generator_relations(tuple(gen_coords), e, algebra)
-            if rel_rows:
-                # constraint row (relation rho, output row r): the XOR over
-                # the set bits c of rho of row r of c's action, shifted to
-                # c's generator block.  Column c's action rows are packed
-                # into one wide int, row r at bits r * total, so a single
-                # product yields every output row of every relation.
-                packed = []
-                for gi, j in layout:
-                    gd, _, _, off = gen_info[gi]
-                    seq = algebra.basis(e - gd)[j]
-                    acc = 0
-                    for v in reversed(target.action(seq, shift + gd).rows):
-                        acc = (acc << total) | v
-                    packed.append(acc << off)
-                mask = (1 << total) - 1
-                for v in mul_rows(rel_rows, packed):
-                    while v:
-                        row = v & mask
-                        while row:
-                            low = row & -row
-                            p = pivots.get(low)
-                            if p is None:
-                                pivots[low] = row
-                                break
-                            row ^= p
-                        v >>= total
-                if total - len(pivots) == ext_dim:
-                    done_note = (f"map space pinned to restrictions by "
-                                 f"relations of degree <= {e}")
+        rel_rows, layout = (_generator_relations(key, e, algebra) if td_out
+                            else ((), ()))
+        rows = (_minimal_relations(key, e, algebra)
+                if rel_rows and len(pivots) < goal else ())
+        if rows:
+            # constraint row (relation rho, output row r): the XOR over the
+            # set bits c of rho of row r of c's action, shifted to c's
+            # generator block.  Column c's action rows are packed into one
+            # wide int, row r at bits r * total, so a single product yields
+            # every output row of every relation.
+            used = 0
+            for v in rows:
+                used |= v
+            packed = [0] * len(layout)
+            while used:
+                low = used & -used
+                used ^= low
+                c = low.bit_length() - 1
+                gi, j = layout[c]
+                gd, _, _, off = gen_info[gi]
+                acc = 0
+                for v in reversed(target.action(algebra.basis(e - gd)[j],
+                                                shift + gd).rows):
+                    acc = (acc << total) | v
+                packed[c] = acc << off
+            for v in mul_rows(rows, packed):
+                while v:
+                    row = v & mask
+                    while row:
+                        low = row & -row
+                        p = pivots.get(low)
+                        if p is None:
+                            pivots[low] = row
+                            break
+                        row ^= p
+                    v >>= total
+                if len(pivots) == goal:
                     break
+        if rel_rows and len(pivots) == goal:
+            done_note = (f"map space pinned to restrictions by "
+                         f"relations of degree <= {e}")
         e += 1
     hom_dim = total - len(pivots)
     if done_note is not None:

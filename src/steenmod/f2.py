@@ -22,11 +22,6 @@ def backend_name() -> str:
     return _impl.BACKEND_NAME
 
 
-def rref_rows(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Backend row reduction on raw int rows: (reduced rows, pivot columns)."""
-    return _impl.rref(list(rows), ncols)
-
-
 def mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
     """Backend product on raw int rows: bit j of an A-row selects row j of B.
 
@@ -216,9 +211,19 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: BitMatrix):
         if basis.ncols != ambient_dim:
             raise ValueError("basis width disagrees with ambient dimension")
-        red, pivots = _impl.rref(list(basis.rows), ambient_dim)
-        if list(basis.rows) != red:
-            raise ValueError("basis is not in canonical reduced form")
+        # the reduced echelon form is the unique basis whose rows are
+        # nonzero, whose lowest set bits (the pivots) strictly increase,
+        # and which has no bit at another row's pivot
+        pivmask = prev = 0
+        for r in basis.rows:
+            low = r & -r
+            if low <= prev:
+                raise ValueError("basis is not in canonical reduced form")
+            pivmask |= low
+            prev = low
+        for r in basis.rows:
+            if r & pivmask != r & -r:
+                raise ValueError("basis is not in canonical reduced form")
         self.ambient_dim = ambient_dim
         self.basis = basis
 

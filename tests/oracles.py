@@ -13,9 +13,12 @@ per-bit extended comodule, kept as the reference for the engine's
 product-block slices, the eager coproduct, submodule, quotient and
 comodule embedding, kept as the references for the engine's lazily sourced
 ones, the dense graded hom solver, kept as an independent count of the
-extension test's map spaces, and the entry-wise and per-row forms of the
+extension test's map spaces, the entry-wise and per-row forms of the
 three verifiers (module composition, coassociativity, extension test),
-kept as the references for the engine's row-level ones.
+kept as the references for the engine's row-level ones, the term-by-term
+Sq(2^k)-multiples of lower relations, kept as the reference for the
+extension test's minimal presentation, and the greedy finite-subideal
+search, which no engine path needs.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import Sequence
 
-from steenmod import milnor
+from steenmod import _f2pure, milnor
+from steenmod.annihilator import (HomIdeal, WindowIdeal, ideal_span,
+                                  perp_ideal_in_module)
 from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
                            FailingMap, _generator_relations)
 from steenmod.comodule import GradedComodule
-from steenmod.f2 import (BitMatrix, Subspace, kernel, mask_to_bits,
-                         rref_rows, solve)
-from steenmod.gmodule import GradedModule
+from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits, solve
+from steenmod.gmodule import GradedModule, Window
+from steenmod.milnor import Element
 
 Word = tuple[int, ...]
 
@@ -762,6 +768,39 @@ def validate_coaction_entrywise(c) -> list[str]:
     return violations
 
 
+def rref_rows(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Backend row reduction on raw int rows: (reduced rows, pivot columns)."""
+    return _f2pure.rref(list(rows), ncols)
+
+
+def decomposable_relations(gen_coords, e: int,
+                           algebra: milnor.Algebra) -> list[int]:
+    """A spanning set of D_e, the sum over the squares Sq(2^k) of the
+    algebra of Sq(2^k) * R_(e - 2^k), in the column layout of
+    ``_generator_relations(gen_coords, e, algebra)``.  Each lower relation
+    is multiplied term by term with Element products, not read off a
+    product block."""
+    _, layout = _generator_relations(gen_coords, e, algebra)
+    position = {col: p for p, col in enumerate(layout)}
+    out = []
+    s = 1
+    while s <= e and algebra.contains((s,)):
+        lower, lower_layout = _generator_relations(gen_coords, e - s, algebra)
+        images = []
+        for gi, j in lower_layout:
+            m = e - s - gen_coords[gi][0]
+            prod = Element.sq(s) * Element([algebra.basis(m)[j]])
+            images.append(sum(1 << position[(gi, i)] for i in mask_to_bits(
+                milnor.coords_of(prod, m + s, algebra))))
+        for row in lower:
+            v = 0
+            for c in mask_to_bits(row):
+                v ^= images[c]
+            out.append(v)
+        s <<= 1
+    return out
+
+
 def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
     """The extension test assembling its constraints one output row at a
     time: for each row r of the degree-e target, the relation matrix times
@@ -870,3 +909,51 @@ def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")
     return BaerVerdict(status, hom_dim, ext_dim, complete, note, witness)
+
+
+def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
+                    degrees: Sequence[int]) -> HomIdeal:
+    """A finitely generated subideal with the same perp as `ideal` at `degrees`.
+
+    Greedy accumulation in deterministic order: walk the ideal's degreewise
+    basis ascending and keep any generator that strictly shrinks some perp
+    degree.  Terminates because the tracked dimensions are finite.
+    """
+    if isinstance(ideal, HomIdeal):
+        span = ideal_span(ideal, m.algebra, Window(0, m.window.width))
+    else:
+        span = ideal
+    degrees = sorted(degrees)
+    for d in degrees:
+        if m.dim(d) is None:
+            raise ValueError(f"degree {d} is not certified in the module window")
+
+    def perp_dims(gens: Sequence[Element]) -> list[int]:
+        if not gens:
+            return [m.dim(d) for d in degrees]
+        prof = perp_ideal_in_module(HomIdeal(gens), m)
+        for d in degrees:
+            if not prof.certified[d]:
+                raise ValueError(f"perp at degree {d} leaves the window")
+        return [prof.stages[d][0].dim for d in degrees]
+
+    full_gens: list[Element] = []
+    for k in sorted(span.spaces):
+        full_gens.extend(span.basis_elements(k))
+    target = perp_dims(full_gens)
+
+    chosen: list[Element] = []
+    current = perp_dims(chosen)
+    for k in sorted(span.spaces):
+        if current == target:
+            break
+        for cand in span.basis_elements(k):
+            trial = perp_dims(chosen + [cand])
+            if trial != current:
+                chosen.append(cand)
+                current = trial
+                if current == target:
+                    break
+    if current != target:
+        raise AssertionError("greedy subideal search failed to reach the target perp")
+    return HomIdeal(chosen)

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from steenmod.annihilator import (HomIdeal, IdealChain, chain_perp_profile,
-                                  classify_sigma, finite_subideal, ideal_span,
+                                  classify_sigma, ideal_span,
                                   perp_ideal_in_module,
                                   perp_subset_in_algebra, sq_power_chain)
 from steenmod.gmodule import Window, dual_regular, regular
 from steenmod.milnor import Algebra, Element
 
 import oracles
+from oracles import finite_subideal
 
 A1 = Algebra.subalgebra(1)
 FULL = Algebra.full()

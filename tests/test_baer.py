@@ -1,21 +1,28 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import graded_homs
 from steenmod import baer as B
 from steenmod import catalogs as CAT
+from steenmod import milnor
 from steenmod.annihilator import (HomIdeal, IdealChain, ideal_span,
                                   sq_power_chain)
 from steenmod.baer import (baer_test, build_witness,
                            track_destabilizing_degrees)
 from steenmod.f2 import Subspace
-from steenmod.gmodule import (SuspensionProfile, Window, dual_regular,
-                              free_module, quotient, regular, submodule)
+from steenmod.gmodule import (SuspensionProfile, Window, dual_of,
+                              dual_regular, free_module, quotient, regular,
+                              submodule)
 from steenmod.milnor import Algebra, Element
 
 A1 = Algebra.subalgebra(1)
+A2 = Algebra.subalgebra(2)
 FULL = Algebra.full()
 
 
@@ -259,6 +266,121 @@ def test_verdicts_match_per_row_oracle_on_a1_corpus():
                     name, idl, shift)
                 witnesses += v.witness is not None
     assert witnesses > 0
+
+
+# -- the minimal presentation ---------------------------------------------------
+
+
+def _gen_coords(ideal, algebra):
+    return tuple((g.degree(), milnor.coords_of(g, g.degree(), algebra))
+                 for g in ideal.generators)
+
+
+def _presentation_totals(ideals, algebra, top):
+    """Check _minimal_relations against an independent D_e at every degree
+    through top; return the summed (dim R_e, dim D_e, minimal rows)."""
+    totals = [0, 0, 0]
+    for idl in ideals:
+        key = _gen_coords(idl, algebra)
+        for e in range(top + 1):
+            rel, layout = B._generator_relations(key, e, algebra)
+            width = len(layout)
+            minimal = B._minimal_relations(key, e, algebra)
+            r = Subspace.from_vectors(rel, width)
+            d = Subspace.from_vectors(
+                oracles.decomposable_relations(key, e, algebra), width)
+            assert r.contains_subspace(d), (idl, e)
+            assert set(minimal) <= set(rel), (idl, e)
+            both = d.sum_with(Subspace.from_vectors(minimal, width))
+            # the minimal rows span R_e with D_e, and are independent of it
+            assert both == r, (idl, e)
+            assert len(minimal) == r.dim - d.dim, (idl, e)
+            totals[0] += r.dim
+            totals[1] += d.dim
+            totals[2] += len(minimal)
+    return tuple(totals)
+
+
+def test_minimal_relations_present_the_structured_catalogs():
+    """The cor-2-6 catalogs at seeds 0 and 7, over the full algebra."""
+    ideals = {str(idl): idl for seed in (0, 7)
+              for idl in CAT.structured_ideal_catalog(FULL, seed)}
+    assert _presentation_totals(ideals.values(), FULL, 32) == (7872, 7801, 71)
+
+
+def test_minimal_relations_present_every_a1_ideal():
+    assert _presentation_totals(CAT.all_a1_ideals(), A1, 32) == (128, 94, 34)
+
+
+@lru_cache(maxsize=None)
+def _hyp_target(kind, algebra):
+    """One shared module per (kind, algebra), so examples share its tables."""
+    top = algebra.top_degree()
+    hi = 16 if top is None else top + 4
+    if kind == "regular":
+        return regular(algebra, Window(-4, hi))
+    if kind == "regular-open-bottom":
+        return regular(algebra, Window(2, hi))
+    if kind == "dual-regular":
+        return dual_regular(algebra, Window(-hi, 4))
+    if kind == "free":
+        return free_module(SuspensionProfile([0, 3]), algebra, Window(-4, hi))
+    assert kind == "socle-quotient"
+    return quotient(regular(algebra, Window(-4, hi)), {top: Subspace.full(1)})
+
+
+_HYP_ALGEBRAS = {"A": FULL, "A(1)": A1, "A(2)": A2}
+
+
+@st.composite
+def _baer_cases(draw):
+    """(algebra, generators as (degree, mask), target kind, shift)."""
+    name = draw(st.sampled_from(sorted(_HYP_ALGEBRAS)))
+    algebra = _HYP_ALGEBRAS[name]
+    degrees = [d for d in range(9) if algebra.dim(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(degrees))
+        gens.append((d, draw(st.integers(1, (1 << algebra.dim(d)) - 1))))
+    kinds = ["regular", "regular-open-bottom", "dual-regular", "free"]
+    if not algebra.is_full:
+        kinds.append("socle-quotient")
+    kind = draw(st.sampled_from(kinds))
+    w = _hyp_target(kind, algebra).window
+    shift = draw(st.integers(w.lo - 8, w.hi))
+    return name, tuple(gens), kind, shift
+
+
+def test_verdicts_match_per_row_oracle_on_random_ideals():
+    """1-3 random homogeneous generators of degree <= 8 over A, A(1) and
+    A(2), against regular modules with and without an exact bottom edge,
+    dual regular modules, a free coproduct and the socle quotient: equal
+    verdicts field by field, witnesses included.  Every status occurs."""
+    statuses = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_baer_cases())
+    @example(("A(1)", ((1, 1),), "socle-quotient", 4))
+    @example(("A(1)", ((1, 1),), "regular-open-bottom", 0))
+    @example(("A", ((0, 1),), "regular", 0))
+    def check(case):
+        name, gens, kind, shift = case
+        algebra = _HYP_ALGEBRAS[name]
+        ideal = HomIdeal(milnor.element_from_coords(mask, d, algebra)
+                         for d, mask in gens)
+        target = _hyp_target(kind, algebra)
+        got = baer_test(ideal, shift, target)
+        assert got == oracles.baer_test_per_row(ideal, shift, target)
+        statuses[got.status] += 1
+
+    check()
+    assert set(statuses) == {B.EXTENDS_ALL, B.FAILS, B.INCONCLUSIVE}, statuses
+
+
+def test_baer_refuses_a_module_over_the_opposite_algebra():
+    target = dual_of(regular(A1, Window(-4, 10)))
+    with pytest.raises(ValueError, match="opposite algebra"):
+        baer_test(HomIdeal([Element.sq(1)]), 0, target)
 
 
 def _profile_case(name):

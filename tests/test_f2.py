@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +130,37 @@ def test_canonical_form_bit_identical():
     b = Subspace.from_vectors([0b110, 0b011], 3)
     assert a == b
     assert a.basis.rows == b.basis.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.integers(0, 63))
+def test_subspace_accepts_exactly_the_reduced_form(m, flip):
+    """The linear canonical-form check agrees with re-reducing the rows, on
+    the matrix, on its reduced form, and on that form with one bit flipped."""
+    red, _ = _f2pure.rref(list(m.rows), m.ncols)
+    cases = [list(m.rows), red]
+    if red and m.ncols:
+        i, j = flip % len(red), (flip // len(red)) % m.ncols
+        cases.append(red[:i] + [red[i] ^ (1 << j)] + red[i + 1:])
+    for rows in cases:
+        b = BitMatrix(len(rows), m.ncols, rows)
+        if _f2pure.rref(rows, m.ncols)[0] == rows:
+            assert Subspace(m.ncols, b).basis == b
+        else:
+            with pytest.raises(ValueError, match="canonical reduced form"):
+                Subspace(m.ncols, b)
+
+
+@pytest.mark.parametrize("rows", [
+    [0b010, 0b001],          # pivots out of order
+    [0b011, 0b010],          # row 0 keeps a bit at row 1's pivot
+    [0b001, 0b000],          # a zero row
+    [0b000],
+    [0b101, 0b101],          # a duplicate row
+])
+def test_subspace_rejects_non_canonical_basis(rows):
+    with pytest.raises(ValueError, match="canonical reduced form"):
+        Subspace(3, BitMatrix(len(rows), 3, rows))
 
 
 def test_solve_examples():
