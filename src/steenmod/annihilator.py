@@ -35,6 +35,8 @@ class HomIdeal:
 
     def __init__(self, generators: Iterable[Element]):
         gens = tuple(generators)
+        if not gens:
+            raise ValueError("ideal has an empty generator list")
         for g in gens:
             if g.is_zero() or not g.is_homogeneous():
                 raise ValueError("ideal generators must be nonzero homogeneous")
@@ -44,7 +46,7 @@ class HomIdeal:
         return tuple(g.degree() for g in self.generators)
 
     def max_generator_degree(self) -> int:
-        return max(self.generator_degrees(), default=0)
+        return max(self.generator_degrees())
 
     def __str__(self) -> str:
         return "[" + ",".join(str(g) for g in self.generators) + "]"
@@ -134,7 +136,7 @@ def ideal_span(ideal: HomIdeal, algebra: Algebra, window: Window) -> WindowIdeal
             if e > d:
                 continue
             vectors.extend(
-                milnor.right_multiplication(g, d - e, algebra, transposed=True).rows)
+                milnor.right_multiplication(g, d - e, algebra).rows)
         spaces[d] = Subspace.from_vectors(vectors, algebra.dim(d))
     return WindowIdeal(algebra, window, spaces)
 
@@ -258,8 +260,15 @@ def perp_subset_in_algebra(elements: Sequence[tuple[int, int]],
 
     elements are (degree, coordinate mask) pairs in m's bases.  Result at
     algebra degree k is {r in A^k : r y = 0 for all y}, certified where all
-    the targets are representable; uncertified degrees are omitted.
+    the targets are representable; uncertified degrees are omitted.  An
+    element whose mask does not fit the module's known dimension at its
+    degree is refused.
     """
+    for dy, vy in elements:
+        n = m.dim(dy)
+        if n is not None and (vy < 0 or vy >> n):
+            raise ValueError(f"element at degree {dy} does not fit the "
+                             f"module, whose dimension there is {n}")
     algebra = m.algebra
     kmax = m.window.width
     spaces: dict[int, Subspace] = {}
@@ -297,7 +306,7 @@ def _check_left_ideal(wi: WindowIdeal, kmax: int) -> None:
                 if k + j not in wi.spaces:
                     continue
                 r = milnor.element_from_coords(v, k, wi.algebra)
-                mm = milnor.right_multiplication(r, j, wi.algebra, transposed=True)
+                mm = milnor.right_multiplication(r, j, wi.algebra)
                 for col in mm.rows:
                     if not wi.spaces[k + j].contains(col):
                         raise AssertionError(

@@ -91,7 +91,7 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
         if k < 0:
             continue
         g = milnor.element_from_coords(gv, gd, algebra)
-        part = milnor.right_multiplication(g, k, algebra, transposed=True).rows
+        part = milnor.right_multiplication(g, k, algebra).rows
         cols.extend(part)
         layout.extend((gi, j) for j in range(len(part)))
     if not cols:

@@ -41,6 +41,20 @@ def mask_to_bits(mask: int) -> list[int]:
     return out
 
 
+def _transpose_masks(masks: Sequence[int], n: int) -> list[int]:
+    """Transpose of a bit matrix given by its masks: mask j of the n
+    returned has bit i set iff masks[i] has bit j set.  Turns columns into
+    rows, or rows into columns."""
+    out = [0] * n
+    for i, r in enumerate(masks):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return out
+
+
 class BitMatrix:
     """An immutable nrows x ncols matrix over GF(2).
 
@@ -75,11 +89,7 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "BitMatrix":
-        rows = [0] * nrows
-        for j, c in enumerate(cols):
-            for i in mask_to_bits(c):
-                rows[i] |= 1 << j
-        return cls(nrows, len(cols), rows)
+        return cls(nrows, len(cols), _transpose_masks(cols, nrows))
 
     @classmethod
     def vstack(cls, mats: Iterable["BitMatrix"]) -> "BitMatrix":
@@ -115,13 +125,8 @@ class BitMatrix:
         return (self._rows[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.ncols
-        for i, r in enumerate(self._rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(self.ncols, self.nrows, out)
+        return BitMatrix(self.ncols, self.nrows,
+                         _transpose_masks(self._rows, self.ncols))
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -159,7 +164,8 @@ class BitMatrix:
         return len(self.pivots())
 
     def solve(self, target: int) -> Optional[int]:
-        """Some x with self @ x = target, verified by substitution."""
+        """Some x with self @ x = target, verified by substitution, or
+        None when the system is inconsistent."""
         if target < 0 or target >> self.nrows:
             raise ValueError("target outside row range")
         x = _impl.solve(list(self._rows), self.ncols, target)
@@ -291,35 +297,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def rref(m: BitMatrix) -> BitMatrix:
-    """The unique reduced row-echelon form of m, zero rows dropped."""
-    return m.rref()
-
-
 def kernel(m: BitMatrix) -> Subspace:
     """{v : m @ v = 0} in canonical form; dim = ncols - rank."""
     basis = _impl.nullspace(list(m.rows), m.ncols)
     return Subspace(m.ncols, BitMatrix(len(basis), m.ncols, basis))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical basis of the intersection (Zassenhaus block elimination).
-
-    Rows [a | a] for a in basis(a) and [b | 0] for b in basis(b) are
-    reduced with the first block taking elimination priority; reduced rows
-    whose first block vanished carry an intersection basis in the second.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    stacked = [(r << n) | r for r in a.basis.rows]
-    stacked += list(b.basis.rows)
-    red, _ = _impl.rref(stacked, 2 * n)
-    mask = (1 << n) - 1
-    inter = [r >> n for r in red if (r & mask) == 0]
-    return Subspace.from_vectors(inter, n)
-
-
-def solve(m: BitMatrix, target: int) -> Optional[int]:
-    """Some x with m @ x = target, or None when the system is inconsistent."""
-    return m.solve(target)

@@ -8,16 +8,15 @@ a *source*, a function (b, d) -> matrix, and derives each matrix from it the
 first time it is read, checks its shape there and memoizes it per module in
 ``actions``.  Regular, dual regular, free and coproduct modules, their
 suspensions, restrictions and duals, submodules, quotients and the comodule
-embedding ``comodule.iota`` are sources of this kind.  Only parsed text,
-``from_generator_actions`` and ``zero_module`` hand over an explicit table,
-which is checked for shape and completeness at construction and serves as
-its own source.  Only equality, hashing, validation and printing force the
-full table (``action_table``).  The sources of regular modules (the
-opposite ones excepted) and of dual regular modules read ``milnor``'s
-per-degree memos of left and transposed right multiplication by a
-monomial (``_left_action``, ``_right_action``), so all such modules, and
-the suspended copies built from them, hold one shared immutable matrix per
-monomial and degree.
+embedding ``comodule.iota`` are sources of this kind.  Only parsed text
+and ``zero_module`` hand over an explicit table, which is checked for
+shape and completeness at construction and serves as its own source.
+Only equality, hashing, validation and printing force the full table
+(``action_table``).  The sources of regular and of dual regular modules
+read ``milnor``'s per-degree memos of left and transposed right
+multiplication by a monomial (``_left_action``, ``_right_action``), so all
+such modules, and the suspended copies built from them, hold one shared
+immutable matrix per monomial and degree.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed
@@ -25,8 +24,9 @@ downstream carries the degree range on which it is exact, so truncation is
 never silently promoted to a global claim.
 
 A module with ``opposite=True`` is a left module over the opposite algebra
-(products reversed).  These arise internally as transpose-duals of
-bounded-above modules and never leave the freeness engine or tests.
+(products reversed).  ``dual_of`` is the only constructor that turns a
+module's side; the freeness test applies it to bounded-above modules, and
+the results never leave the freeness engine or tests.
 
 All modules are immutable after construction: the memo only ever gains the
 matrices the source determines, and nothing here mutates inputs.
@@ -359,23 +359,20 @@ def validate(m: GradedModule) -> list[str]:
     return m.validate()
 
 
-def zero_module(algebra: Algebra, window: Window, opposite: bool = False) -> GradedModule:
-    return GradedModule(algebra, window, {}, {}, True, True, opposite)
+def zero_module(algebra: Algebra, window: Window) -> GradedModule:
+    return GradedModule(algebra, window, {}, {}, True, True)
 
 
-def regular(algebra: Algebra, window: Window, opposite: bool = False) -> GradedModule:
+def regular(algebra: Algebra, window: Window) -> GradedModule:
     """The algebra acting on itself by multiplication, truncated to window."""
     dims = {d: algebra.dim(d) if d >= 0 else 0 for d in window}
 
     def source(seq: Seq, d: int) -> BitMatrix:
-        if opposite:
-            return milnor.right_multiplication(Element([seq]), d, algebra)
         return milnor._left_action(seq, d, algebra)
     top = algebra.top_degree()
     top_exact = top is not None and window.hi >= top
     return GradedModule(algebra, window, dims, source,
-                        bottom_exact=window.lo <= 0, top_exact=top_exact,
-                        opposite=opposite)
+                        bottom_exact=window.lo <= 0, top_exact=top_exact)
 
 
 def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
@@ -447,14 +444,14 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
                         opposite=opposite)
 
 
-def free_module(gens: SuspensionProfile, algebra: Algebra, window: Window,
-                opposite: bool = False) -> GradedModule:
+def free_module(gens: SuspensionProfile, algebra: Algebra,
+                window: Window) -> GradedModule:
     """Direct sum of suspended regular modules, one per generator degree."""
     if not len(gens):
-        return zero_module(algebra, window, opposite)
+        return zero_module(algebra, window)
     parts = []
     for s in gens.shifts:
-        parts.append((regular(algebra, window.shift(-s), opposite), s))
+        parts.append((regular(algebra, window.shift(-s)), s))
     return coproduct(parts)
 
 
@@ -542,90 +539,6 @@ def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
     return GradedModule(m.algebra, m.window,
                         {d: len(cols) for d, cols in free_cols.items()}, source,
                         m.bottom_exact, m.top_exact, m.opposite)
-
-
-def from_generator_actions(algebra: Algebra, window: Window,
-                           dims: dict[int, int],
-                           gen_actions: dict[Seq, dict[int, BitMatrix]],
-                           bottom_exact: bool = False,
-                           top_exact: bool = False) -> GradedModule:
-    """Complete a full action table from the actions of the generating
-    squares Sq(2^i) alone, factoring every other basis monomial through
-    products, and fail loudly when the data is inconsistent.
-
-    Every positive-degree basis monomial outside the generating set is a
-    combination of products Sq(2^i) * c with c of lower degree, so its
-    action is forced; well-definedness over the whole algebra is then
-    checked by a final composition validation.
-    """
-    from .f2 import solve as f2_solve
-
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    width = window.width
-
-    def act(seq: Seq, d: int) -> Optional[BitMatrix]:
-        k = milnor.degree(seq)
-        sd = dims.get(d, 0) if d in window else 0
-        td = dims.get(d + k, 0) if (d + k) in window else 0
-        if seq == milnor.UNIT:
-            return BitMatrix.identity(sd)
-        if not sd or not td:
-            return BitMatrix.zero(td, sd)
-        return actions.get((seq, d))
-
-    for k in range(1, width + 1):
-        for seq in algebra.basis(k):
-            given = gen_actions.get(seq)
-            if given is not None:
-                for d in window:
-                    if d + k in window and dims.get(d, 0) and dims.get(d + k, 0):
-                        if d not in given:
-                            raise ValueError(
-                                f"generator action of Sq{seq} missing at "
-                                f"degree {d}")
-                        actions[(seq, d)] = given[d]
-                continue
-            # write the monomial as a combination of Sq(2^i) * c with c of
-            # strictly lower degree (so its action is already known)
-            cols = []
-            layout = []
-            g = 1
-            while g < k:
-                if algebra.contains((g,)):
-                    gm = milnor.left_multiplication(Element.sq(g), k - g, algebra)
-                    for j, c in enumerate(algebra.basis(k - g)):
-                        cols.append(gm.column(j))
-                        layout.append((g, c))
-                g <<= 1
-            if not cols:
-                raise ValueError(f"action of generator Sq{seq} is required")
-            mat = BitMatrix.from_columns(cols, algebra.dim(k))
-            target = milnor.coords_of(Element([seq]), k, algebra)
-            x = f2_solve(mat, target)
-            if x is None:
-                raise ValueError(f"action of generator Sq{seq} is required")
-            decomposition = [layout[i] for i in range(len(layout))
-                             if (x >> i) & 1]
-            for d in window:
-                if d + k not in window or not dims.get(d, 0) or not dims.get(d + k, 0):
-                    continue
-                acc = BitMatrix.zero(dims[d + k], dims[d])
-                for g, c in decomposition:
-                    inner = act(c, d)
-                    outer = act((g,), d + (k - g))
-                    if inner is None or outer is None:
-                        raise ValueError(
-                            f"cannot complete Sq{seq} at degree {d}: "
-                            f"missing factor action")
-                    acc = acc + (outer @ inner)
-                actions[(seq, d)] = acc
-
-    out = GradedModule(algebra, window, dims, actions, bottom_exact,
-                       top_exact)
-    bad = out.validate()
-    if bad:
-        raise ValueError("inconsistent generator actions: " + bad[0])
-    return out
 
 
 def dual_of(m: GradedModule) -> GradedModule:

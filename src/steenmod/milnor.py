@@ -39,9 +39,10 @@ The table readers are slices of one block:
 - ``_right_action(seq, d)``: the transposed right multiplication by one
   monomial on A^d, the run of block (d, deg seq) at stride dim A^(deg seq);
   the dual regular module's source.
-- ``left_multiplication`` and ``right_multiplication``: the same for any
-  homogeneous element, a monomial going through the two readers above and
-  a sum XORing the slices of its terms.
+- ``right_multiplication``: the transposed right multiplication by any
+  homogeneous element, a monomial going through ``_right_action`` and a
+  sum XORing the stride slices of its terms; ideal spans and relations
+  read it.
 
 Basis lists and each monomial's position in its basis, monomial degrees,
 isolated products, the blocks of each degree, multiplication matrices, and
@@ -438,31 +439,6 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
                                   len(basis_in_degree(d1 + d2, algebra)))
 
 
-def _action_columns(elem: Element, d: int, algebra: Algebra,
-                    left: bool) -> tuple[int, list[int]]:
-    """dim A^(d + deg elem) and the column masks of x -> elem * x (left)
-    or x -> x * elem on A^d.
-
-    Monomial j of degree k acts on the left through the contiguous slice
-    j * dim A^d ... of block (k, d), and on the right through the slice of
-    block (d, k) with stride dim A^k; the slices of the terms are XORed.
-    """
-    k = elem.degree()
-    if k is None:
-        raise ValueError("need a nonzero homogeneous element")
-    nrows = len(basis_in_degree(d + k, algebra))
-    dd = len(basis_in_degree(d, algebra))
-    if not dd:
-        return nrows, []
-    dk = len(basis_in_degree(k, algebra))
-    block = _product_blocks(d + k, algebra)[k if left else d]
-    cols = [0] * dd
-    for j in mask_to_bits(coords_of(elem, k, algebra)):
-        part = block[j * dd:(j + 1) * dd] if left else block[j::dk]
-        cols = [a ^ b for a, b in zip(cols, part)]
-    return nrows, cols
-
-
 @lru_cache(maxsize=None)
 def _left_memo(d: int, algebra: Algebra) -> dict[Seq, BitMatrix]:
     """Left multiplication matrices on A^d, keyed by monomial.
@@ -527,34 +503,28 @@ def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     return mat
 
 
-def left_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
-    """Matrix of x -> elem * x from A^d to A^(d + deg elem).
+def right_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
+    """Transpose of the matrix of x -> x * elem from A^d to A^(d + deg elem):
+    row i holds the coordinates of b_i * elem for the basis b of A^d.
 
-    The matrix of a single monomial is memoized (``_left_action``), so
-    every module built from it shares one immutable copy.
+    A monomial reads ``_right_action``'s memo, so every dual regular module,
+    suspended copies included, shares that one immutable matrix.  A sum of
+    monomials XORs the stride slices of its terms in block (d, deg elem) and
+    is rebuilt on every call.
     """
     if len(elem.terms) == 1:
         (seq,) = elem.terms
-        return _left_action(seq, d, algebra)
-    nrows, cols = _action_columns(elem, d, algebra, left=True)
-    return BitMatrix.from_columns(cols, nrows)
-
-
-def right_multiplication(elem: Element, d: int, algebra: Algebra,
-                         transposed: bool = False) -> BitMatrix:
-    """Matrix of x -> x * elem from A^d to A^(d + deg elem), or with
-    transposed=True its transpose, whose rows are the column masks.
-
-    The transpose of a single monomial is memoized (``_right_action``).
-    It is the matrix the dual regular module reads, so every dual regular
-    module, suspended copies included, shares that one immutable copy and
-    no second copy exists.  Sums of monomials and the untransposed form
-    are rebuilt on every call.
-    """
-    if transposed and len(elem.terms) == 1:
-        (seq,) = elem.terms
         return _right_action(seq, d, algebra)
-    nrows, cols = _action_columns(elem, d, algebra, left=False)
-    if transposed:
-        return BitMatrix(len(cols), nrows, cols)
-    return BitMatrix.from_columns(cols, nrows)
+    k = elem.degree()
+    if k is None:
+        raise ValueError("need a nonzero homogeneous element")
+    nrows = len(basis_in_degree(d + k, algebra))
+    dd = len(basis_in_degree(d, algebra))
+    if not dd:
+        return BitMatrix(0, nrows, ())
+    dk = len(basis_in_degree(k, algebra))
+    block = _product_blocks(d + k, algebra)[d]
+    rows = [0] * dd
+    for j in mask_to_bits(coords_of(elem, k, algebra)):
+        rows = [a ^ b for a, b in zip(rows, block[j::dk])]
+    return BitMatrix(dd, nrows, rows)

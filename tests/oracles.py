@@ -34,7 +34,7 @@ from steenmod.annihilator import (HomIdeal, WindowIdeal, ideal_span,
 from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
                            FailingMap, _generator_relations)
 from steenmod.comodule import GradedComodule
-from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits, solve
+from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits
 from steenmod.gmodule import GradedModule, Window
 from steenmod.milnor import Element
 
@@ -249,7 +249,7 @@ def milnor_to_admissible_table(d: int) -> dict[tuple[int, ...], frozenset[Word]]
     table = {}
     for seq in M.basis_in_degree(d, M.Algebra.full()):
         target = vec(milnor_action(seq, d))
-        x = solve(mat, target)
+        x = mat.solve(target)
         assert x is not None, f"action of Sq{seq} not spanned by admissibles"
         table[seq] = frozenset(words[i] for i in range(len(words))
                                if (x >> i) & 1)
@@ -956,4 +956,6 @@ def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
                     break
     if current != target:
         raise AssertionError("greedy subideal search failed to reach the target perp")
-    return HomIdeal(chosen)
+    # nothing chosen: every element already has the target perp, and a
+    # HomIdeal needs at least one generator
+    return HomIdeal(chosen or full_gens[:1])

@@ -21,6 +21,8 @@ def test_homideal_rejects_bad_generators():
         HomIdeal([Element.zero()])
     with pytest.raises(ValueError):
         HomIdeal([Element.sq(1) + Element.sq(2)])  # inhomogeneous
+    with pytest.raises(ValueError, match="empty generator list"):
+        HomIdeal([])
 
 
 def test_perp_of_zero_and_unit_ideals():
@@ -30,6 +32,20 @@ def test_perp_of_zero_and_unit_ideals():
         assert full_prof.dim(k) == A1.dim(k)
     unit_perp = perp_subset_in_algebra([(0, 1)], r)
     assert all(unit_perp.dim(k) == 0 for k in range(7))
+
+
+def test_perp_refuses_elements_that_do_not_fit_the_module():
+    """A mask wider than the module's known dimension at its degree is
+    refused by name; a degree outside the window stays uncertified."""
+    d = dual_regular(FULL, Window(-8, 0))
+    with pytest.raises(ValueError, match="degree 1 does not fit the module, "
+                                         "whose dimension there is 0"):
+        perp_subset_in_algebra([(1, 1)], d)
+    with pytest.raises(ValueError, match="degree -2 does not fit the module, "
+                                         "whose dimension there is 1"):
+        perp_subset_in_algebra([(-2, 0b10)], d)
+    assert perp_subset_in_algebra([(-2, 1)], d).spaces[2].dim == 0
+    assert perp_subset_in_algebra([(-9, 1)], d).spaces == {}
 
 
 def test_perp_sq1_in_regular_a1():

@@ -183,7 +183,13 @@ def test_usage_error_exits_3(argv, capsys):
      "pass --over N"),
     (["perp", "--module", "regular", "--window", "0..4",
       "--elements", "Sq(1)+Sq(2)"], "nonzero homogeneous"),
-], ids=["freeness-full", "perp-inhomogeneous"])
+    (["baer", "--ideal", ";"], "empty generator list"),
+    (["perp", "--ideal", ";"], "empty generator list"),
+    (["perp", "--module", "dual-regular", "--window=-8..0",
+      "--elements", "Sq(1)"], "degree 1 does not fit the module, whose "
+                              "dimension there is 0"),
+], ids=["freeness-full", "perp-inhomogeneous", "baer-empty-ideal",
+        "perp-empty-ideal", "perp-element-outside-module"])
 def test_invalid_request_exits_3(argv, message, capsys):
     """An invalid request is an error (3), not a counterexample (1)."""
     assert main(argv) == 3

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenmod import _f2pure
-from steenmod.f2 import BitMatrix, Subspace, intersect, kernel, rref, solve
+from steenmod.f2 import BitMatrix, Subspace, kernel
 
 from oracles import bitmatrix_from_entries, rref_2x2_hand, rref_by_columns
 
@@ -23,34 +23,34 @@ matrices = st.integers(0, 8).flatmap(
 
 def test_rref_identity_fixed_point():
     i3 = BitMatrix.identity(3)
-    assert rref(i3) == i3
+    assert i3.rref() == i3
 
 
 def test_rref_zero_matrix_drops_rows():
     z = BitMatrix.zero(4, 3)
-    assert rref(z).nrows == 0
-    assert rref(z).rank() == 0
+    assert z.rref().nrows == 0
+    assert z.rref().rank() == 0
 
 
 def test_rref_2x2_hand_oracle():
     for bits in range(16):
         entries = [[(bits >> 0) & 1, (bits >> 1) & 1],
                    [(bits >> 2) & 1, (bits >> 3) & 1]]
-        got = rref(bitmatrix_from_entries(entries))
+        got = bitmatrix_from_entries(entries).rref()
         want = bitmatrix_from_entries(rref_2x2_hand(entries), ncols=2)
         assert got == want, entries
 
 
 def test_rref_spec_example():
     m = bitmatrix_from_entries([[1, 1], [1, 0]])
-    assert rref(m) == BitMatrix.identity(2)
+    assert m.rref() == BitMatrix.identity(2)
 
 
 @settings(max_examples=200)
 @given(matrices)
 def test_rref_idempotent_and_rank_preserving(m):
-    r = rref(m)
-    assert rref(r) == r
+    r = m.rref()
+    assert r.rref() == r
     assert r.rank() == m.rank()
     # row space preserved: every original row reduces to zero
     sp = Subspace(m.ncols, r)
@@ -91,45 +91,29 @@ def test_kernel_members_exhaustive_random():
         assert members == spanned
 
 
-def test_intersect_examples():
-    a = Subspace.from_vectors([0b01], 2)
-    b = Subspace.from_vectors([0b11], 2)
-    assert intersect(a, b).dim == 0
-    assert intersect(a, a) == a
-    assert intersect(a, Subspace.full(2)) == a
-
-
-@settings(max_examples=100)
-@given(matrices, matrices)
-def test_intersect_commutative(m1, m2):
-    n = max(m1.ncols, m2.ncols)
-    a = Subspace.from_vectors(m1.rows, n)
-    b = Subspace.from_vectors(m2.rows, n)
-    assert intersect(a, b) == intersect(b, a)
-    assert intersect(a, b).dim <= min(a.dim, b.dim)
-
-
-def test_intersect_associative_and_monotone():
-    rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        a, b, c = (Subspace.from_vectors(
-            [rng.getrandbits(n) for _ in range(rng.randint(0, 4))], n)
-            for _ in range(3))
-        assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
-        ab = intersect(a, b)
-        assert ab.dim <= a.dim
-        if a.contains_subspace(b):
-            assert intersect(a, b) == b
-        # dimension formula via the sum
-        assert ab.dim == a.dim + b.dim - a.sum_with(b).dim
-
-
 def test_canonical_form_bit_identical():
     a = Subspace.from_vectors([0b011, 0b101], 3)
     b = Subspace.from_vectors([0b110, 0b011], 3)
     assert a == b
     assert a.basis.rows == b.basis.rows
+    # sums and containment read the same canonical bases
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a, b = (Subspace.from_vectors(
+            [rng.getrandbits(n) for _ in range(rng.randint(0, 4))], n)
+            for _ in range(2))
+        ab = a.sum_with(b)
+        assert ab == b.sum_with(a)
+        assert ab == Subspace.from_vectors(a.basis.rows + b.basis.rows, n)
+        assert ab.contains_subspace(a) and ab.contains_subspace(b)
+        assert a.contains_subspace(b) == (ab == a)
+        assert a.contains_subspace(Subspace.zero(n))
+        assert Subspace.full(n).contains_subspace(ab)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        Subspace.zero(2).sum_with(Subspace.zero(3))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        Subspace.zero(2).contains_subspace(Subspace.zero(3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,11 +149,11 @@ def test_subspace_rejects_non_canonical_basis(rows):
 
 def test_solve_examples():
     i4 = BitMatrix.identity(4)
-    assert solve(i4, 0b1010) == 0b1010
+    assert i4.solve(0b1010) == 0b1010
     z = BitMatrix.zero(3, 2)
-    assert solve(z, 0b001) is None
+    assert z.solve(0b001) is None
     m = bitmatrix_from_entries([[1, 1]])
-    x = solve(m, 1)
+    x = m.solve(1)
     assert x in (0b01, 0b10) and m.apply(x) == 1
 
 
@@ -177,7 +161,7 @@ def test_solve_examples():
 @given(matrices, st.integers(0, 255))
 def test_solve_verified_by_substitution(m, seed):
     target = seed & ((1 << m.nrows) - 1)
-    x = solve(m, target)
+    x = m.solve(target)
     if x is not None:
         assert m.apply(x) == target
     else:
@@ -206,6 +190,9 @@ def test_transpose_involution_and_apply():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
         assert m.transpose().transpose() == m
+        cols = [m.column(j) for j in range(m.ncols)]
+        assert m.transpose() == BitMatrix(m.ncols, m.nrows, cols)
+        assert BitMatrix.from_columns(cols, m.nrows) == m
         v = rng.getrandbits(m.ncols) if m.ncols else 0
         w = m.apply(v)
         for i in range(m.nrows):

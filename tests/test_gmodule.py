@@ -239,6 +239,13 @@ def _right(a, b):
     return M.multiply_seqs(b, a)
 
 
+def _opposite_regular(algebra, window):
+    """The regular module over the opposite algebra on window: the
+    transpose dual of the dual regular module on the mirrored window, as
+    the freeness test builds it."""
+    return dual_of(dual_regular(algebra, Window(-window.hi, -window.lo)))
+
+
 def test_memoized_tables_match_products():
     w = Window(0, 16)
     first = regular(FULL, w)
@@ -249,9 +256,9 @@ def test_memoized_tables_match_products():
     assert all(again.action_table()[key] is mat
                for key, mat in first.action_table().items())
 
-    opposite = regular(FULL, w, opposite=True)
+    opposite = _opposite_regular(FULL, w)
     assert opposite.action_table() == _table_from_products(FULL, w, _right)
-    assert regular(FULL, w, opposite=True) == opposite
+    assert _opposite_regular(FULL, w) == opposite
     dw = Window(-16, 0)
     assert dual_regular(FULL, dw).action_table() == _table_from_products(
         FULL, dw, _right, dual=True)
@@ -270,7 +277,8 @@ def _eager_regular(algebra, window, opposite=False):
     """regular() with its table built up front from the products."""
     table = _table_from_products(algebra, window,
                                  _right if opposite else M.multiply_seqs)
-    return _explicit(regular(algebra, window, opposite), table)
+    lazy = (_opposite_regular if opposite else regular)(algebra, window)
+    return _explicit(lazy, table)
 
 
 def _eager_dual_regular(algebra, window):
@@ -294,7 +302,7 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
     ref = _eager_regular(algebra, w)
     ref_table = ref.action_table()
     _assert_same(regular(algebra, w), ref)
-    _assert_same(regular(algebra, w, opposite=True),
+    _assert_same(_opposite_regular(algebra, w),
                  _eager_regular(algebra, w, opposite=True))
     dw = Window(-hi, 0)
     ref_dual = _eager_dual_regular(algebra, dw)
@@ -322,7 +330,7 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
         ref.top_exact, ref.bottom_exact, opposite=True))
 
     rng = random.Random(hi)
-    for m in (regular(algebra, w), regular(algebra, w, opposite=True),
+    for m in (regular(algebra, w), _opposite_regular(algebra, w),
               dual_regular(algebra, dw)):
         # generators in the upper half generate a proper submodule
         degrees = [d for d in m.window if m.dims[d]]
@@ -352,8 +360,8 @@ def test_closure_errors_match_eager_references(name):
     seed, m = {"a1": (1, regular(A1, Window(0, 6))),
                "a1_dual": (2, dual_regular(A1, Window(-6, 0))),
                "full": (3, regular(FULL, Window(0, 10))),
-               "full_opposite": (4, regular(FULL, Window(0, 10),
-                                            opposite=True))}[name]
+               "full_opposite": (4, _opposite_regular(FULL,
+                                                      Window(0, 10)))}[name]
     rng = random.Random(seed)
     degrees = [d for d in m.window if m.dims[d]]
     cases = []
@@ -393,13 +401,11 @@ def test_closure_errors_match_eager_references(name):
 
 @pytest.mark.parametrize("build", [
     lambda: regular(FULL, Window(0, 24)),
-    lambda: regular(FULL, Window(0, 24), opposite=True),
     lambda: dual_regular(FULL, Window(-24, 0)).suspend(24),
     lambda: free_module(SuspensionProfile([0, 2, 2]), FULL, Window(0, 24)),
     lambda: regular(A2, Window(0, 24)).restrict_to(A1).suspend(-1).suspend(1),
     lambda: dual_of(dual_regular(FULL, Window(-24, 0))),
-], ids=["regular", "opposite", "dual-suspended", "free", "restricted",
-        "dual-of"])
+], ids=["regular", "dual-suspended", "free", "restricted", "dual-of"])
 def test_one_read_builds_one_matrix(build):
     """Constructors build nothing up front: reading one action of a fresh
     module leaves exactly one entry in its memo."""
@@ -441,15 +447,10 @@ def test_table_keys_the_header_does_not_call_for_are_refused():
 def test_every_explicit_table_module_reprints_to_a_parse():
     from steenmod import textio
     r = regular(A1, Window(0, 6))
-    squares = {seq: {d: r.action(seq, d) for d in r.window
-                     if d + M.degree(seq) in r.window}
-               for seq in [(1,), (2,)]}
     explicit = [
         G.GradedModule(A1, r.window, dict(r.dims), dict(r.action_table()),
                        r.bottom_exact, r.top_exact),
         zero_module(A1, Window(0, 3)),
-        G.from_generator_actions(A1, r.window, dict(r.dims), squares,
-                                 True, True),
         oracles.coproduct_eager([(r, 0), (r, 2)]),
         oracles.iota_eager(extended(ExtendedSpec({0: 1, -2: 1}), A1,
                                     Window(-8, 0))),
@@ -676,28 +677,3 @@ def test_submodule_quotient_coproduct_of_valid_modules_validate(base, picks,
     for out in (sub, quo, coproduct([(m, 0), (sub, shift)]),
                 coproduct([(quo, shift), (m, 0), (sub, 0)])):
         assert validate(out) == oracles.validate_composition_dense(out) == []
-
-
-def test_from_generator_actions_completes_table():
-    r = regular(A1, Window(0, 6))
-    table = r.action_table()
-    gen_actions = {seq: {d: table[(seq, d)]
-                         for d in r.window if (seq, d) in table}
-                   for seq in [(1,), (2,)]}
-    rebuilt = G.from_generator_actions(A1, r.window, dict(r.dims), gen_actions,
-                                       bottom_exact=True, top_exact=True)
-    assert rebuilt == r
-
-
-def test_from_generator_actions_fails_loudly_on_inconsistency():
-    r = regular(A1, Window(0, 6))
-    table = r.action_table()
-    gen_actions = {seq: {d: table[(seq, d)]
-                         for d in r.window if (seq, d) in table}
-                   for seq in [(1,), (2,)]}
-    mat = gen_actions[(2,)][1]
-    gen_actions[(2,)][1] = BitMatrix(mat.nrows, mat.ncols,
-                                     [mat.rows[0] ^ 1] + list(mat.rows[1:]))
-    with pytest.raises(ValueError):
-        G.from_generator_actions(A1, r.window, dict(r.dims), gen_actions,
-                                 bottom_exact=True, top_exact=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import milnor_product_unpruned, multiplication_block_by_pairs
 from steenmod import milnor as M
 from steenmod.f2 import BitMatrix
-from steenmod.gmodule import Window, dual_regular
+from steenmod.gmodule import Window, dual_regular, regular
 from steenmod.milnor import Algebra, Element
 
 FULL = Algebra.full()
@@ -211,7 +211,9 @@ def test_mod2_cancellation():
 
 
 def test_left_right_multiplication_consistency():
-    """Monomials and multi-term elements, d + deg elem <= 16, in the full
+    """The regular module's action of an element and the rows of its
+    transposed right multiplication against products of elements:
+    monomials and multi-term elements, d + deg elem <= 16, in the full
     algebra and in A(2)."""
     rng = random.Random(4)
     for algebra in (FULL, A2):
@@ -224,14 +226,13 @@ def test_left_right_multiplication_consistency():
             else:
                 elem = Element([rng.choice(basis)])
             src = M.basis_in_degree(d, algebra)
-            lm = M.left_multiplication(elem, d, algebra)
+            lm = regular(algebra, Window(0, 16)).action_of(elem, d)
             rm = M.right_multiplication(elem, d, algebra)
-            assert M.right_multiplication(elem, d, algebra, transposed=True) \
-                == rm.transpose()
+            assert rm.shape == (len(src), algebra.dim(d + k))
             for j, c in enumerate(src):
                 assert M.element_from_coords(lm.column(j), d + k, algebra) \
                     == elem * Element([c])
-                assert M.element_from_coords(rm.column(j), d + k, algebra) \
+                assert M.element_from_coords(rm.row(j), d + k, algebra) \
                     == Element([c]) * elem
 
 
@@ -243,7 +244,7 @@ def _check_right_memo(e, k, alg):
     basis_k = M.basis_in_degree(k, alg)
     de = len(M.basis_in_degree(e, alg))
     for j, seq in enumerate(basis_k):
-        mat = M.right_multiplication(Element([seq]), e, alg, transposed=True)
+        mat = M.right_multiplication(Element([seq]), e, alg)
         assert mat is M._right_memo(e, alg)[seq]
         rows = [block.column(j + i * len(basis_k)) for i in range(de)]
         assert mat == BitMatrix(de, block.nrows, rows), (seq, e, alg)
@@ -287,29 +288,26 @@ def test_dual_regular_modules_share_memoized_matrices(alg):
                 assert narrow.action(seq, d) is mat
                 assert moved.action(seq, d - 3) is mat
                 assert mat is M.right_multiplication(
-                    Element([seq]), -d - k, alg, transposed=True)
+                    Element([seq]), -d - k, alg)
                 shared += 1
     assert shared
 
 
 def test_multi_term_right_multiplication_is_not_memoized():
-    """A sum of monomials, and the untransposed form, are rebuilt on every
-    call and equal the XOR of the terms' memoized matrices."""
+    """A sum of monomials is rebuilt on every call and equals the XOR of
+    the terms' memoized matrices."""
     for e, k in [(3, 4), (7, 6), (10, 8)]:
         terms = M.basis_in_degree(k, FULL)
         elem = Element(terms[:2])
         memo = M._right_memo(e, FULL)
         before = dict(memo)
-        first = M.right_multiplication(elem, e, FULL, transposed=True)
-        again = M.right_multiplication(elem, e, FULL, transposed=True)
+        first = M.right_multiplication(elem, e, FULL)
+        again = M.right_multiplication(elem, e, FULL)
         assert first == again and first is not again
         assert memo == before
-        want = M.right_multiplication(Element([terms[0]]), e, FULL, True) \
-            + M.right_multiplication(Element([terms[1]]), e, FULL, True)
+        want = M.right_multiplication(Element([terms[0]]), e, FULL) \
+            + M.right_multiplication(Element([terms[1]]), e, FULL)
         assert first == want
-        plain = M.right_multiplication(Element([terms[0]]), e, FULL)
-        assert plain is not M.right_multiplication(Element([terms[0]]), e, FULL)
-        assert plain == M._right_memo(e, FULL)[terms[0]].transpose()
 
 
 @settings(max_examples=60, deadline=None)
