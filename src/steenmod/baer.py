@@ -322,7 +322,6 @@ class WitnessMap:
     """The chain map r -> (r x_0, ..., r x_K) with its full choice data."""
 
     chain: IdealChain
-    shift: int
     degree_function: SuspensionProfile
     choices: list[tuple[int, int]]  # (degree of x_n, coordinate mask in M)
     forced_stages: list[int]
@@ -365,7 +364,7 @@ def track_destabilizing_degrees(profile: PerpProfile) -> SuspensionProfile:
     return SuspensionProfile([-d for d in degrees])
 
 
-def build_witness(chain: IdealChain, shift: int, m: GradedModule,
+def build_witness(chain: IdealChain, m: GradedModule,
                   degree_function: Optional[SuspensionProfile] = None,
                   prefer_stable: bool = False,
                   profile: Optional[PerpProfile] = None
@@ -376,7 +375,7 @@ def build_witness(chain: IdealChain, shift: int, m: GradedModule,
     union's perp when possible (the destabilizing choice that drives the
     obstruction), while prefer_stable picks inside the union's perp when
     possible (the choice available to bounded families).  The assembled map
-    on the union ideal into the coproduct of components Sigma^(d(n)+shift) M
+    on the union ideal into the coproduct of components Sigma^d(n) M
     lands in the direct sum and extends componentwise via y_n = x_n; the
     reported failure means every extension is forced to full support across
     the destabilized stages, the finite-chain image of the unbounded-chain
@@ -433,8 +432,7 @@ def build_witness(chain: IdealChain, shift: int, m: GradedModule,
         if fails else
         "some stage admits a union-stable choice; the witness map extends "
         "with support below the last stage")
-    wm = WitnessMap(chain, shift, degree_function, choices, forced,
-                    stage_witnesses)
+    wm = WitnessMap(chain, degree_function, choices, forced, stage_witnesses)
     return wm, WitnessVerdict(fails, True, forced, K + 1, note)
 
 

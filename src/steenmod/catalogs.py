@@ -105,8 +105,9 @@ def structured_ideal_catalog(algebra: Algebra, seed: int) -> list[HomIdeal]:
     return out
 
 
-def a1_module_corpus(pad: int = 8) -> list[tuple[str, GradedModule]]:
+def a1_module_corpus() -> list[tuple[str, GradedModule]]:
     """Named small modules over A(1), free and non-free, on generous windows."""
+    pad = 8  # degrees past A(1)'s own 0..6 on either side
     alg = Algebra.subalgebra(1)
     W = Window(-pad, 6 + pad)
     R = regular(alg, W)

@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
 Subcommands expose each engine layer (dims, validate, perp, chain, baer,
-witness, freeness, iota) plus the built-in scenario runner.  Output is
-deterministic given the flags and --seed; --format structured emits the
-line-oriented machine-readable form.  Exit codes: 0 all expectations met,
+witness, freeness, iota) plus the built-in scenario runner; each accepts
+only the options it reads.  Output is deterministic given the flags;
+--format structured (dims, scenario) emits the line-oriented
+machine-readable form.  Exit codes: 0 all expectations met,
 1 a computed counterexample to an expectation, 2 inconclusive, 3 an error
 (unreadable input, a parse error, an invalid request or a usage error such
 as a malformed option value).
@@ -50,12 +51,20 @@ def _parse_subalgebra(text: str) -> Algebra:
     return Algebra.subalgebra(int(text))
 
 
+def _algebra_and_window(args) -> tuple[Algebra, Window]:
+    """--subalgebra and --window, defaulting to the full algebra on 0..12."""
+    algebra = Algebra.full() if args.subalgebra is None else args.subalgebra
+    window = Window(0, 12) if args.window is None else args.window
+    return algebra, window
+
+
 def _load_module(args) -> GradedModule:
     spec = args.module
-    if spec == "regular":
-        return regular(args.subalgebra, args.window)
-    if spec == "dual-regular":
-        return dual_regular(args.subalgebra, args.window)
+    if spec in ("regular", "dual-regular"):
+        build = regular if spec == "regular" else dual_regular
+        return build(*_algebra_and_window(args))
+    if args.window is not None or args.subalgebra is not None:
+        raise ValueError("a module file carries its own window and algebra")
     with open(spec, "r", encoding="utf-8") as fh:
         return textio.parse_module(fh.read())
 
@@ -65,9 +74,8 @@ def _parse_ideal(text: str) -> HomIdeal:
     return HomIdeal(gens)
 
 
-def _emit(args, lines: list[str]) -> None:
-    out = "\n".join(lines) + "\n"
-    sys.stdout.write(out)
+def _emit(lines: list[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_dims(args) -> int:
@@ -84,7 +92,7 @@ def cmd_dims(args) -> int:
         else:
             names = " ".join(str(milnor.Element([s])) for s in basis)
             lines.append(f"degree {d}: dim {len(basis)}  {names}")
-    _emit(args, lines)
+    _emit(lines)
     return 0
 
 
@@ -117,11 +125,13 @@ def cmd_validate(args) -> int:
     for v in bad[:10]:
         lines.append(f"  {v}")
     lines.append(f"roundtrip: {'bit-exact' if fixpoint else 'BROKEN'}")
-    _emit(args, lines)
+    _emit(lines)
     return 0 if fixpoint and not bad else 1
 
 
 def cmd_perp(args) -> int:
+    if args.elements and args.module != "regular":
+        raise ValueError("--elements takes elements of --module regular only")
     m = _load_module(args)
     lines = []
     if args.elements:
@@ -146,7 +156,7 @@ def cmd_perp(args) -> int:
         for d in prof.window:
             cert = "yes" if prof.certified[d] else "no"
             lines.append(f"{d} {prof.stages[d][0].dim} {cert}")
-    _emit(args, lines)
+    _emit(lines)
     return 0
 
 
@@ -162,7 +172,7 @@ def cmd_chain(args) -> int:
         cert = "yes" if prof.certified[d] else "no"
         note = " (moving at final stage)" if prof.ell[d] == prof.num_stages else ""
         lines.append(f"{d} {dims} {prof.ell[d]}{note} {cert}")
-    _emit(args, lines)
+    _emit(lines)
     return 0
 
 
@@ -191,7 +201,7 @@ def cmd_baer(args) -> int:
         for gd, vd, mask in v.witness.values:
             lines.append(f"witness-value: generator-degree {gd} "
                          f"value-degree {vd} coords {mask:x}")
-    _emit(args, lines)
+    _emit(lines)
     return 0 if v.passed else (1 if v.status == "fails" else 2)
 
 
@@ -201,7 +211,7 @@ def cmd_witness(args) -> int:
     dfun = None
     if args.degree_function:
         dfun = SuspensionProfile(int(t) for t in args.degree_function.split(","))
-    wm, wv = build_witness(chain, args.shift, m, dfun)
+    wm, wv = build_witness(chain, m, dfun)
     lines = [f"chain: {chain}",
              f"degree-function: {list(wm.degree_function.shifts)}",
              f"forced-stages: {wv.forced_stages} of {wv.num_stages}",
@@ -211,13 +221,13 @@ def cmd_witness(args) -> int:
         lines.append(f"choice {n}: degree {deg} coords {mask:x}")
     for n in sorted(wm.stage_witnesses):
         lines.append(f"destabilizer {n}: {wm.stage_witnesses[n]}")
-    _emit(args, lines)
+    _emit(lines)
     return 0
 
 
 def cmd_freeness(args) -> int:
     m = _load_module(args)
-    sub = args.over if args.over is not None else args.subalgebra
+    sub = m.algebra if args.over is None else args.over
     if sub.is_full:
         raise ValueError("freeness runs over a finite subalgebra; pass --over N")
     v = freeness_test(m, sub)
@@ -231,7 +241,7 @@ def cmd_freeness(args) -> int:
     if v.certified_degrees:
         lines.append(f"certified: {min(v.certified_degrees)}.."
                      f"{max(v.certified_degrees)}")
-    _emit(args, lines)
+    _emit(lines)
     return 0 if v.status == "free" else (1 if v.status == "not_free" else 2)
 
 
@@ -241,7 +251,7 @@ def cmd_iota(args) -> int:
         d, n = part.split(":")
         v_dims[int(d)] = int(n)
     spec = ExtendedSpec(v_dims)
-    com = extended(spec, Algebra.full(), args.window)
+    com = extended(spec, *_algebra_and_window(args))
     bad = validate_coaction(com)
     m = iota(com)
     bad_m = validate(m)
@@ -253,7 +263,7 @@ def cmd_iota(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(textio.print_module(m))
         lines.append(f"module-written: {args.out}")
-    _emit(args, lines)
+    _emit(lines)
     return 0 if not bad and not bad_m else 1
 
 
@@ -269,12 +279,7 @@ def cmd_scenario(args) -> int:
     return EXIT_CODES[rep.status]
 
 
-def main(argv=None) -> int:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized parts of catalogs")
-    common.add_argument("--format", choices=["text", "structured"],
-                        default="text")
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="steenmod",
         description="desk-scale graded-module computations over the mod-2 "
@@ -282,40 +287,41 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, module=False):
-        p.add_argument("--window", type=_parse_window, default=Window(0, 12),
-                       help="degree window LO..HI")
-        p.add_argument("--subalgebra", type=_parse_subalgebra,
-                       default=Algebra.full(), help="N or 'full'")
+        p.add_argument("--window", type=_parse_window, default=None,
+                       help="degree window LO..HI (default 0..12)")
+        p.add_argument("--subalgebra", type=_parse_subalgebra, default=None,
+                       help="N or 'full' (default full)")
         if module:
             p.add_argument("--module", default="regular",
                            help="'regular', 'dual-regular', or a module file")
 
-    p = sub.add_parser("dims", parents=[common], help="basis dimensions per degree")
+    p = sub.add_parser("dims", help="basis dimensions per degree")
+    p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--max", type=int, default=24)
     p.add_argument("--subalgebra", type=_parse_subalgebra,
                    default=Algebra.full())
     p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("validate", parents=[common], help="parse, validate and round-trip a file")
+    p = sub.add_parser("validate", help="parse, validate and round-trip a file")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("perp", parents=[common], help="annihilator tables")
+    p = sub.add_parser("perp", help="annihilator tables")
     add_common(p, module=True)
     p.add_argument("--ideal", default="Sq(1)",
                    help="generators separated by ';'")
     p.add_argument("--elements", default="",
-                   help="module elements (as algebra elements of the regular "
-                        "module) whose algebra annihilator is wanted")
+                   help="elements of --module regular, written as algebra "
+                        "elements, whose algebra annihilator is wanted")
     p.set_defaults(func=cmd_perp)
 
-    p = sub.add_parser("chain", parents=[common], help="perp profile of an ascending chain")
+    p = sub.add_parser("chain", help="perp profile of an ascending chain")
     add_common(p, module=True)
     p.add_argument("--chain", required=True,
                    help="chain file or inline 'chain: [Sq(1)] ; ...'")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("baer", parents=[common], help="graded extension test")
+    p = sub.add_parser("baer", help="graded extension test")
     add_common(p, module=True)
     p.add_argument("--ideal", default="Sq(1)")
     p.add_argument("--shift", type=int, default=0)
@@ -323,37 +329,42 @@ def main(argv=None) -> int:
                    help="coproduct suspension shifts, comma separated")
     p.set_defaults(func=cmd_baer)
 
-    p = sub.add_parser("witness", parents=[common], help="chain witness map construction")
+    p = sub.add_parser("witness", help="chain witness map construction")
     add_common(p, module=True)
     p.add_argument("--chain", required=True)
-    p.add_argument("--shift", type=int, default=0)
     p.add_argument("--degree-function", default="",
                    help="comma-separated d(n); derived from the profile "
                         "when omitted")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("freeness", parents=[common], help="freeness / gr-injectivity test")
+    p = sub.add_parser("freeness", help="freeness / gr-injectivity test")
     add_common(p, module=True)
     p.add_argument("--over", type=_parse_subalgebra, default=None,
                    help="finite subalgebra to test over (default: the "
                         "module's own)")
     p.set_defaults(func=cmd_freeness)
 
-    p = sub.add_parser("iota", parents=[common], help="embed an extended comodule as a module")
+    p = sub.add_parser("iota", help="embed an extended comodule as a module")
     add_common(p)
     p.add_argument("--v", required=True, help="graded dims like '0:1,-2:1'")
     p.add_argument("--out", default="", help="write the module file here")
     p.set_defaults(func=cmd_iota)
 
-    p = sub.add_parser("scenario", parents=[common], help="run a built-in scenario")
+    p = sub.add_parser("scenario", help="run a built-in scenario")
     p.add_argument("name")
+    p.add_argument("--format", choices=["text", "structured"], default="text")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized parts of catalogs")
     p.add_argument("--window", type=_parse_window, default=None)
     p.add_argument("--n", type=int, default=None, help="subalgebra index")
     p.add_argument("--stages", type=int, default=4)
     p.add_argument("--max", type=int, default=24)
     p.set_defaults(func=cmd_scenario)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except textio.ParseError as exc:

@@ -28,7 +28,7 @@ def mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
     B-rows may be of any width, so one call can multiply against several
     matrices packed side by side into wide rows.
     """
-    return _impl.mul(list(a_rows), list(b_rows))
+    return _impl.mul(a_rows, b_rows)
 
 
 def mask_to_bits(mask: int) -> list[int]:
@@ -63,7 +63,7 @@ class BitMatrix:
     the right: ``m.apply(v)``.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_hash")
+    __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
         if nrows < 0 or ncols < 0:
@@ -77,7 +77,6 @@ class BitMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self._rows = tuple(rows)
-        self._hash = hash((nrows, ncols, self._rows))
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "BitMatrix":
@@ -144,7 +143,7 @@ class BitMatrix:
         """Matrix times column vector (v is a mask over columns)."""
         if v < 0 or v >> self.ncols:
             raise ValueError("vector outside column range")
-        return _impl.apply(list(self._rows), v)
+        return _impl.apply(self._rows, v)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -154,11 +153,11 @@ class BitMatrix:
         return not any(self._rows)
 
     def rref(self) -> "BitMatrix":
-        red, _ = _impl.rref(list(self._rows), self.ncols)
+        red, _ = _impl.rref(self._rows, self.ncols)
         return BitMatrix(len(red), self.ncols, red)
 
     def pivots(self) -> list[int]:
-        return _impl.rref(list(self._rows), self.ncols)[1]
+        return _impl.rref(self._rows, self.ncols)[1]
 
     def rank(self) -> int:
         return len(self.pivots())
@@ -168,7 +167,7 @@ class BitMatrix:
         None when the system is inconsistent."""
         if target < 0 or target >> self.nrows:
             raise ValueError("target outside row range")
-        x = _impl.solve(list(self._rows), self.ncols, target)
+        x = _impl.solve(self._rows, self.ncols, target)
         if x is not None and self.apply(x) != target:
             raise AssertionError("backend returned an unverified solution")
         return x
@@ -180,7 +179,7 @@ class BitMatrix:
                 and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.nrows, self.ncols, self._rows))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"
@@ -299,5 +298,5 @@ class Subspace:
 
 def kernel(m: BitMatrix) -> Subspace:
     """{v : m @ v = 0} in canonical form; dim = ncols - rank."""
-    basis = _impl.nullspace(list(m.rows), m.ncols)
+    basis = _impl.nullspace(m.rows, m.ncols)
     return Subspace(m.ncols, BitMatrix(len(basis), m.ncols, basis))

@@ -83,12 +83,6 @@ class SuspensionProfile:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.shifts:
-            out[s] = out.get(s, 0) + 1
-        return out
-
 
 Source = Callable[[Seq, int], BitMatrix]
 

@@ -140,10 +140,6 @@ class Algebra:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    @property
-    def label(self) -> str:
-        return "full" if self.is_full else f"profile {self.profile_index}"
-
     def __str__(self) -> str:
         return "A" if self.is_full else f"A({self.profile_index})"
 

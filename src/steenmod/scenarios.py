@@ -108,7 +108,7 @@ def run_prop_3_1(cfg: ScenarioConfig) -> Report:
         rep.add(f"deeper-than.{t}", max(deeper) if deeper else "none")
         rep.expect(f"movement-past-stage-{t}", bool(deeper))
 
-    wm, wv = build_witness(chain, 0, module, profile=prof)
+    wm, wv = build_witness(chain, module, profile=prof)
     rep.add("witness.degree-function", list(wm.degree_function.shifts))
     for n, (deg, mask) in enumerate(wm.choices):
         rep.add(f"witness.choice.{n}", f"degree {deg} coords {mask:x}")
@@ -263,7 +263,7 @@ def run_iota_failure(cfg: ScenarioConfig) -> Report:
     chain = sq_power_chain(cfg.stages)
     rep.add("chain", chain)
     prof = chain_perp_profile(chain, module)
-    wm, wv = build_witness(chain, 0, module, profile=prof)
+    wm, wv = build_witness(chain, module, profile=prof)
     rep.add("witness.degree-function", list(wm.degree_function.shifts))
     rep.add("witness.forced-stages", wv.forced_stages)
     for n in sorted(wm.stage_witnesses):

@@ -89,7 +89,7 @@ def test_criterion_4_chain_reproduction():
         assert any(prof.ell[d] > t for d in certified), t
 
     # (c) the tracked witness map fails: full support forced
-    wm, wv = build_witness(chain, 0, dA)
+    wm, wv = build_witness(chain, dA)
     assert wv.extension_fails
     assert wv.forced_stages == [0, 1, 2]
     assert list(wm.degree_function.shifts) == [2, 4, 8, 16]
@@ -186,7 +186,7 @@ def test_criterion_7_embedding_both_halves():
     # coproduct
     v2 = ExtendedSpec({-7 * k: 1 for k in range(4)})
     m2 = iota(extended(v2, FULL, Window(-30, 0)))
-    wm, wv = build_witness(sq_power_chain(4), 0, m2)
+    wm, wv = build_witness(sq_power_chain(4), m2)
     assert wv.extension_fails
     elapsed = time.time() - t0
     report(7, f"embedding is bit-identical to suspended duals; bounded-above "

@@ -164,7 +164,7 @@ def test_generator_coordinates_agree_with_dense_hom_solver():
 def test_witness_constant_chain_extends():
     dA = dual_regular(FULL, Window(-20, 0))
     const = IdealChain([HomIdeal([Element.sq(1)])] * 3)
-    wm, wv = build_witness(const, 0, dA, SuspensionProfile([2, 2, 2]))
+    wm, wv = build_witness(const, dA, SuspensionProfile([2, 2, 2]))
     assert not wv.extension_fails
     assert wv.plain_extension_exists
 
@@ -172,7 +172,7 @@ def test_witness_constant_chain_extends():
 def test_witness_dual_regular_fails():
     dA = dual_regular(FULL, Window(-30, 0))
     chain = sq_power_chain(4)
-    wm, wv = build_witness(chain, 0, dA)
+    wm, wv = build_witness(chain, dA)
     assert wv.extension_fails
     assert wv.forced_stages == [0, 1, 2]
     assert list(wm.degree_function.shifts) == [2, 4, 8, 16]
@@ -198,7 +198,7 @@ def test_witness_regular_with_stable_choices_extends():
                       if prof.certified[d] and prof.stages[d][K].dim > 0]
     assert stable_degrees, "window too small to see the union perp"
     d0 = min(stable_degrees)
-    wm, wv = build_witness(chain, 0, r,
+    wm, wv = build_witness(chain, r,
                            SuspensionProfile([-d0] * (K + 1)),
                            prefer_stable=True)
     assert not wv.extension_fails
@@ -416,8 +416,8 @@ def test_passed_profile_gives_the_same_results(name):
                  if prof.certified[d] and prof.stages[d][K].dim)
     for kwargs in ({}, {"degree_function": SuspensionProfile([-stable] * (K + 1)),
                         "prefer_stable": True}):
-        want = _outcome(build_witness, chain, 0, m, **kwargs)
-        got = _outcome(build_witness, chain, 0, m, profile=prof, **kwargs)
+        want = _outcome(build_witness, chain, m, **kwargs)
+        got = _outcome(build_witness, chain, m, profile=prof, **kwargs)
         assert got == want, kwargs
     assert classify_sigma(m, [chain], [prof]) == classify_sigma(m, [chain])
 
@@ -431,7 +431,7 @@ def test_mismatched_profile_is_rejected():
     other_stages = chain_perp_profile(sq_power_chain(3), m)
     for prof in (other_window, other_stages):
         with pytest.raises(ValueError, match="profile covers"):
-            build_witness(chain, 0, m, profile=prof)
+            build_witness(chain, m, profile=prof)
         with pytest.raises(ValueError, match="profile covers"):
             classify_sigma(m, [chain], [prof])
     with pytest.raises(ValueError, match="1 profiles for 2 chains"):

@@ -1,9 +1,12 @@
+import argparse
+import ast
+import inspect
 import subprocess
 import sys
 
 import pytest
 
-from steenmod import textio
+from steenmod import cli, textio
 from steenmod.cli import io_roundtrip, main
 from steenmod.gmodule import Window, regular
 from steenmod.milnor import Algebra
@@ -147,6 +150,16 @@ def test_freeness_subcommand(capsys):
     assert "status: free" in out
 
 
+def test_freeness_defaults_to_the_module_algebra(tmp_path, capsys):
+    """Without --over, a module file over A(1) is tested over A(1)."""
+    path = tmp_path / "a1.stm"
+    path.write_text(textio.print_module(
+        regular(Algebra.subalgebra(1), Window(0, 10))))
+    code, out = run_cli(["freeness", "--module", str(path)], capsys)
+    assert code == 0
+    assert "status: free" in out
+
+
 def test_iota_subcommand(tmp_path, capsys):
     out_path = tmp_path / "iota.stm"
     code, out = run_cli(["iota", "--v", "0:1,-2:1", "--window=-10..0",
@@ -157,6 +170,17 @@ def test_iota_subcommand(tmp_path, capsys):
     assert parsed.dims[0] == 1
 
 
+def test_iota_over_a_subalgebra(tmp_path, capsys):
+    out_path = tmp_path / "iota.stm"
+    code, _ = run_cli(["iota", "--v", "0:1,-2:1", "--window=-10..0",
+                       "--subalgebra", "1", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "algebra: subalgebra 1" in out_path.read_text().splitlines()
+    code, out = run_cli(["validate", str(out_path)], capsys)
+    assert code == 0
+    assert "violations: 0" in out and "bit-exact" in out
+
+
 def test_scenario_unknown_name(capsys):
     code = main(["scenario", "does-not-exist"])
     assert code == 3
@@ -165,7 +189,11 @@ def test_scenario_unknown_name(capsys):
 @pytest.mark.parametrize("argv", [
     ["scenario", "prop-3-1", "--window=3..1"],
     ["baer", "--shift", "x"],
-], ids=["empty-window", "bad-int"])
+    ["baer", "--seed", "1"],
+    ["validate", "F", "--format", "structured"],
+    ["witness", "--chain", "chain: [Sq(1)]", "--shift", "1"],
+], ids=["empty-window", "bad-int", "seed-not-accepted", "format-not-accepted",
+        "shift-not-accepted"])
 def test_usage_error_exits_3(argv, capsys):
     """A malformed option value is an error (3), not inconclusive (2)."""
     with pytest.raises(SystemExit) as exc:
@@ -186,15 +214,67 @@ def test_usage_error_exits_3(argv, capsys):
     (["baer", "--ideal", ";"], "empty generator list"),
     (["perp", "--ideal", ";"], "empty generator list"),
     (["perp", "--module", "dual-regular", "--window=-8..0",
-      "--elements", "Sq(1)"], "degree 1 does not fit the module, whose "
-                              "dimension there is 0"),
+      "--elements", "Sq(1)"], "--module regular only"),
+    (["perp", "--module", "FILE", "--elements", "Sq(1)"],
+     "--module regular only"),
+    (["chain", "--module", "FILE", "--window", "0..4",
+      "--chain", "chain: [Sq(1)]"], "carries its own window and algebra"),
+    (["freeness", "--module", "FILE", "--subalgebra", "1"],
+     "carries its own window and algebra"),
 ], ids=["freeness-full", "perp-inhomogeneous", "baer-empty-ideal",
-        "perp-empty-ideal", "perp-element-outside-module"])
-def test_invalid_request_exits_3(argv, message, capsys):
-    """An invalid request is an error (3), not a counterexample (1)."""
+        "perp-empty-ideal", "perp-element-outside-module",
+        "perp-elements-file", "file-window", "file-subalgebra"])
+def test_invalid_request_exits_3(argv, message, tmp_path, capsys):
+    """An invalid request is an error (3), not a counterexample (1).  FILE
+    stands for a module file: the regular A(1) module suspended once."""
+    path = tmp_path / "susp.stm"
+    path.write_text(textio.print_module(
+        regular(Algebra.subalgebra(1), Window(0, 6)).suspend(1)))
+    argv = [str(path) if a == "FILE" else a for a in argv]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert message in captured.err and not captured.out
+
+
+def _attributes_read(name, param, defs, seen):
+    """Attributes that function name of steenmod.cli reads off its
+    parameter param, and that the module's functions it passes param to
+    read in turn."""
+    if (name, param) in seen:
+        return set()
+    seen.add((name, param))
+    reads = set()
+    for node in ast.walk(defs[name]):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in defs):
+            params = defs[node.func.id].args.args
+            for arg, p in zip(node.args, params):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    reads |= _attributes_read(node.func.id, p.arg, defs, seen)
+    return reads
+
+
+def test_every_option_is_read():
+    """Each subcommand accepts only options its handler reads, directly
+    or through a helper it passes the parsed arguments to."""
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, parser in commands.choices.items():
+        handler = parser.get_default("func").__name__
+        reads = _attributes_read(handler, defs[handler].args.args[0].arg,
+                                 defs, set())
+        unread += [f"{command} {action.dest}" for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and action.dest not in reads]
+    assert not unread
 
 
 def test_help_exits_0(capsys):
