@@ -2,7 +2,8 @@
 
 Subcommands expose each engine layer (dims, validate, perp, chain, baer,
 witness, freeness, iota) plus the built-in scenario runner; each accepts
-only the options it reads.  Output is deterministic given the flags;
+only the options it reads, and ``scenario`` refuses an option that the
+named scenario does not read.  Output is deterministic given the flags;
 --format structured (dims, scenario) emits the line-oriented
 machine-readable form.  Exit codes: 0 all expectations met,
 1 a computed counterexample to an expectation, 2 inconclusive, 3 an error
@@ -24,8 +25,8 @@ from .comodule import ExtendedSpec, extended, iota, validate_coaction
 from .gmodule import (GradedModule, SuspensionProfile, Window, coproduct,
                       dual_regular, freeness_test, regular, validate)
 from .milnor import Algebra
-from .scenarios import (EXIT_CODES, ScenarioConfig, render_structured,
-                        render_text, run_scenario)
+from .scenarios import (EXIT_CODES, READS, ScenarioConfig,
+                        render_structured, render_text, run_scenario)
 
 # kept apart from the verdict codes, 2 being "inconclusive"
 EXIT_ERROR = 3
@@ -268,10 +269,20 @@ def cmd_iota(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    cfg = ScenarioConfig(window=args.window, subalgebra=args.n,
-                         stages=args.stages, seed=args.seed,
-                         max_degree=args.max)
-    rep = run_scenario(args.name, cfg)
+    # option -> (ScenarioConfig field, value); an option not given is None
+    options = {"--seed": ("seed", args.seed),
+               "--window": ("window", args.window),
+               "--n": ("subalgebra", args.n),
+               "--stages": ("stages", args.stages),
+               "--max": ("max_degree", args.max)}
+    given = {}
+    for option, (field, value) in options.items():
+        if value is None:
+            continue
+        if args.name in READS and field not in READS[args.name]:
+            raise ValueError(f"scenario {args.name} does not read {option}")
+        given[field] = value
+    rep = run_scenario(args.name, ScenarioConfig(**given))
     if args.format == "structured":
         sys.stdout.write(render_structured(rep))
     else:
@@ -353,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run a built-in scenario")
     p.add_argument("name")
     p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomized parts of catalogs")
     p.add_argument("--window", type=_parse_window, default=None)
     p.add_argument("--n", type=int, default=None, help="subalgebra index")
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--max", type=int, default=24)
+    p.add_argument("--stages", type=int, default=None)
+    p.add_argument("--max", type=int, default=None)
     p.set_defaults(func=cmd_scenario)
     return parser
 

@@ -178,9 +178,6 @@ class BitMatrix:
                 and self.ncols == other.ncols
                 and self._rows == other._rows)
 
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._rows))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
@@ -288,9 +285,6 @@ class Subspace:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

@@ -7,11 +7,11 @@ b: M^d -> M^(d+deg b).  The matrices are not built up front.  A module holds
 a *source*, a function (b, d) -> matrix, and derives each matrix from it the
 first time it is read, checks its shape there and memoizes it per module in
 ``actions``.  Regular, dual regular, free and coproduct modules, their
-suspensions, restrictions and duals, submodules, quotients and the comodule
+suspensions and restrictions, submodules, quotients and the comodule
 embedding ``comodule.iota`` are sources of this kind.  Only parsed text
 and ``zero_module`` hand over an explicit table, which is checked for
 shape and completeness at construction and serves as its own source.
-Only equality, hashing, validation and printing force the full table
+Only equality, validation and printing force the full table
 (``action_table``).  The sources of regular and of dual regular modules
 read ``milnor``'s per-degree memos of left and transposed right
 multiplication by a monomial (``_left_action``, ``_right_action``), so all
@@ -23,10 +23,8 @@ on that side (dims are then zero beyond the edge); every verdict computed
 downstream carries the degree range on which it is exact, so truncation is
 never silently promoted to a global claim.
 
-A module with ``opposite=True`` is a left module over the opposite algebra
-(products reversed).  ``dual_of`` is the only constructor that turns a
-module's side; the freeness test applies it to bounded-above modules, and
-the results never leave the freeness engine or tests.
+Every module is a left module, except the transpose dual that the
+freeness test reads a bounded-above module through (``_transpose_dual``).
 
 All modules are immutable after construction: the memo only ever gains the
 matrices the source determines, and nothing here mutates inputs.
@@ -130,14 +128,12 @@ class GradedModule:
     """
 
     __slots__ = ("algebra", "window", "dims", "actions", "_source",
-                 "bottom_exact", "top_exact", "opposite")
+                 "bottom_exact", "top_exact")
 
     def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
                  actions: Union[Source, Mapping[tuple[Seq, int], BitMatrix]],
-                 bottom_exact: bool = False, top_exact: bool = False,
-                 opposite: bool = False):
+                 bottom_exact: bool = False, top_exact: bool = False):
         _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
-        self.opposite = opposite
         # the matrices built so far, keyed by (monomial, degree)
         self.actions: dict[tuple[Seq, int], BitMatrix] = {}
         if callable(actions):
@@ -240,7 +236,7 @@ class GradedModule:
         For monomials b, c and each degree d, the rows of action(b) @
         action(c), one kernel product, are compared with the XOR of the
         rows of action(t) over the terms t of b * c, read off a column of
-        the multiplication block (of c * b when opposite).
+        the multiplication block.
 
         A first pass takes b among the squares Sq(2^i) of the algebra only
         (all i for A, i <= n for A(n)), which generate it as an algebra
@@ -255,8 +251,7 @@ class GradedModule:
         so every intermediate degree lies between d and d + |b| + |c|,
         inside the window, and every step is a pair the first pass
         checked (a pair it skips for a zero dimension holds trivially).
-        The argument reads the same in the opposite algebra, which the
-        same squares generate.  If any square pair fails, the check reruns
+        If any square pair fails, the check reruns
         over every pair, so a violation list has the same content and
         order as a check of every pair would give.
         """
@@ -278,16 +273,11 @@ class GradedModule:
                     continue
                 basis_c = alg.basis(kc)
                 basis_bc = alg.basis(kb + kc)
-                if self.opposite:
-                    block = milnor.product_columns(kc, kb, alg)
-                    stride_b, stride_c = 1, len(basis_b)
-                else:
-                    block = milnor.product_columns(kb, kc, alg)
-                    stride_b, stride_c = len(basis_c), 1
+                block = milnor.product_columns(kb, kc, alg)
                 for bi, b in lefts:
                     for ci, c in enumerate(basis_c):
                         prod = [basis_bc[i] for i in mask_to_bits(
-                            block[bi * stride_b + ci * stride_c])]
+                            block[bi * len(basis_c) + ci])]
                         for d in range(w.lo, w.hi + 1 - kb - kc):
                             if not (self.dims[d] and self.dims[d + kb + kc]):
                                 continue
@@ -311,7 +301,7 @@ class GradedModule:
         def source(seq: Seq, d: int) -> BitMatrix:
             return self.action(seq, d - k)
         return GradedModule(self.algebra, self.window.shift(k), dims, source,
-                            self.bottom_exact, self.top_exact, self.opposite)
+                            self.bottom_exact, self.top_exact)
 
     def restrict_to(self, algebra: Algebra) -> "GradedModule":
         """The same window of dims, acted on by a subalgebra only."""
@@ -321,7 +311,7 @@ class GradedModule:
         elif algebra.is_full and not self.algebra.is_full:
             raise ValueError("cannot extend a subalgebra module to the full algebra")
         return GradedModule(algebra, self.window, dict(self.dims), self.action,
-                            self.bottom_exact, self.top_exact, self.opposite)
+                            self.bottom_exact, self.top_exact)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GradedModule)
@@ -330,18 +320,11 @@ class GradedModule:
                 and self.dims == other.dims
                 and self.bottom_exact == other.bottom_exact
                 and self.top_exact == other.top_exact
-                and self.opposite == other.opposite
                 and self.action_table() == other.action_table())
 
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.window, tuple(sorted(self.dims.items())),
-                     tuple(sorted(self.action_table().items())),
-                     self.bottom_exact, self.top_exact, self.opposite))
-
     def __repr__(self) -> str:
-        side = " (opposite)" if self.opposite else ""
         return (f"GradedModule({self.algebra} on {self.window}, "
-                f"total dim {self.total_dim()}{side})")
+                f"total dim {self.total_dim()})")
 
 
 def _is_square(seq: Seq) -> bool:
@@ -395,10 +378,9 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
     if not parts:
         raise ValueError("coproduct of nothing (use zero_module)")
     algebra = parts[0][0].algebra
-    opposite = parts[0][0].opposite
     window = None
     for m, s in parts:
-        if m.algebra != algebra or m.opposite != opposite:
+        if m.algebra != algebra:
             raise ValueError("coproduct parts live over different algebras")
         w = m.window.shift(s)
         window = w if window is None else window.intersect(w)
@@ -434,8 +416,7 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
             col_off += sd
         return BitMatrix(len(rows), col_off, rows)
     return GradedModule(algebra, window, dims, source,
-                        bottom_exact=edge_exact(True), top_exact=edge_exact(False),
-                        opposite=opposite)
+                        bottom_exact=edge_exact(True), top_exact=edge_exact(False))
 
 
 def free_module(gens: SuspensionProfile, algebra: Algebra,
@@ -500,7 +481,7 @@ def submodule(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
             target.dim)
     return GradedModule(m.algebra, m.window,
                         {d: sp.dim for d, sp in family.items()}, source,
-                        m.bottom_exact, m.top_exact, m.opposite)
+                        m.bottom_exact, m.top_exact)
 
 
 def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
@@ -532,14 +513,22 @@ def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
             len(free_cols[e]))
     return GradedModule(m.algebra, m.window,
                         {d: len(cols) for d, cols in free_cols.items()}, source,
-                        m.bottom_exact, m.top_exact, m.opposite)
+                        m.bottom_exact, m.top_exact)
 
 
-def dual_of(m: GradedModule) -> GradedModule:
-    """Transpose dual: a left module over the opposite algebra view.
+# -- generators and freeness -------------------------------------------------
 
-    (dual M)^d is the dual of M^(-d); the action of b is the transpose of
-    b's action into degree -d.  Exactness flags mirror.
+
+def _transpose_dual(m: GradedModule) -> GradedModule:
+    """Transpose dual, for the freeness test of a bounded-above m: degree d
+    holds the dual of M^(-d), b acts by the transpose of its action into
+    degree -d, and the exactness flags mirror.
+
+    The result has the transposed action matrices and is *not* a left
+    A-module (acting by c and then by b is acting by c b), so ``validate``
+    would reject it.  ``minimal_generators`` and
+    ``_freeness_bottom_anchored`` read it only through spans of action
+    images and never compose two actions.
     """
     w = Window(-m.window.hi, -m.window.lo)
     dims = {d: m.dims[-d] for d in w}
@@ -547,11 +536,7 @@ def dual_of(m: GradedModule) -> GradedModule:
     def source(seq: Seq, d: int) -> BitMatrix:
         return m.action(seq, -d - milnor.degree(seq)).transpose()
     return GradedModule(m.algebra, w, dims, source,
-                        bottom_exact=m.top_exact, top_exact=m.bottom_exact,
-                        opposite=not m.opposite)
-
-
-# -- generators and freeness -------------------------------------------------
+                        bottom_exact=m.top_exact, top_exact=m.bottom_exact)
 
 
 @dataclass
@@ -619,13 +604,16 @@ class FreenessVerdict:
         return self.status == "free"
 
 
-def _freeness_bottom_anchored(m: GradedModule) -> FreenessVerdict:
+def _freeness_bottom_anchored(m: GradedModule) -> tuple[
+        dict[int, int], list[int], list[tuple[int, str]]]:
     """Compare m against the free module on its minimal generators.
 
     Sound for bottom-exact modules: the cokernel lifts generate every
     window degree (downward induction from the exact bottom edge), so the
     canonical map is surjective wherever it is defined, and freeness at a
-    degree reduces to a dimension match plus full rank there.
+    degree reduces to a dimension match plus full rank there.  Returns the
+    nonzero generator counts, the certified degrees (ascending) and a
+    (degree, reason) per certified degree where the comparison fails.
     """
     gens = minimal_generators(m)
     counts = {d: c for d, c in gens.counts.items() if c}
@@ -643,7 +631,7 @@ def _freeness_bottom_anchored(m: GradedModule) -> FreenessVerdict:
         if all(gens.certified[e] for e in needed):
             certified.append(d)
 
-    failures: list[str] = []
+    failures: list[tuple[int, str]] = []
     for d in certified:
         cols: list[int] = []
         fdim = 0
@@ -658,40 +646,44 @@ def _freeness_bottom_anchored(m: GradedModule) -> FreenessVerdict:
                 else:
                     cols.append(m.action(seq, g).apply(rep))
         if fdim != m.dims[d]:
-            failures.append(f"degree {d}: free rank {fdim} != module dim {m.dims[d]}")
+            failures.append((d, f"free rank {fdim} != module dim {m.dims[d]}"))
             continue
         phi = BitMatrix.from_columns(cols, m.dims[d])
         if phi.rank() != m.dims[d]:
-            failures.append(f"degree {d}: canonical map drops rank")
-    if failures:
-        return FreenessVerdict("not_free", counts, "; ".join(failures[:3]),
-                               tuple(certified))
-    if not certified:
-        return FreenessVerdict("window_inconclusive", counts,
-                               "no certified degrees", ())
-    return FreenessVerdict("free", counts, None, tuple(certified))
+            failures.append((d, "canonical map drops rank"))
+    return counts, certified, failures
 
 
 def freeness_test(m: GradedModule, algebra: Optional[Algebra] = None) -> FreenessVerdict:
     """Decide degreewise whether m is free over a finite subalgebra.
 
     Bounded-below modules are compared against the free module on their
-    minimal generators; bounded-above modules are transpose-dualized to a
-    bounded-below module over the opposite algebra first, and the reported
-    generator degrees are mirrored back (g = -h - topdeg).
+    minimal generators.  A bounded-above module is compared through its
+    transpose dual, which is bounded below, and every degree reported is
+    mirrored back: a generator degree h of the dual to -h - topdeg, and a
+    certified or failing degree d to -d.
     """
     if algebra is not None and algebra != m.algebra:
         m = m.restrict_to(algebra)
     if m.algebra.is_full:
         raise ValueError("freeness test needs a finite subalgebra")
-    top = m.algebra.top_degree()
     if m.bottom_exact:
-        return _freeness_bottom_anchored(m)
-    if m.top_exact:
-        dual = dual_of(m)
-        verdict = _freeness_bottom_anchored(dual)
-        gens = {-h - top: c for h, c in verdict.generator_degrees.items()}
-        certified = tuple(sorted(-d for d in verdict.certified_degrees))
-        return FreenessVerdict(verdict.status, gens, verdict.witness, certified)
-    return FreenessVerdict("window_inconclusive", {},
-                           "module is anchored on neither side", ())
+        counts, certified, failures = _freeness_bottom_anchored(m)
+    elif m.top_exact:
+        top = m.algebra.top_degree()
+        counts, certified, failures = _freeness_bottom_anchored(
+            _transpose_dual(m))
+        counts = {-h - top: c for h, c in counts.items()}
+        certified = sorted(-d for d in certified)
+        failures = [(-d, reason) for d, reason in failures]
+    else:
+        return FreenessVerdict("window_inconclusive", {},
+                               "module is anchored on neither side", ())
+    if failures:
+        witness = "; ".join(f"degree {d}: {reason}"
+                            for d, reason in failures[:3])
+        return FreenessVerdict("not_free", counts, witness, tuple(certified))
+    if not certified:
+        return FreenessVerdict("window_inconclusive", counts,
+                               "no certified degrees", ())
+    return FreenessVerdict("free", counts, None, tuple(certified))

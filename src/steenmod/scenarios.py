@@ -287,6 +287,16 @@ SCENARIOS = {
     "iota-failure": run_iota_failure,
 }
 
+# the ScenarioConfig fields each scenario reads; the CLI refuses the others
+READS = {
+    "dims": ("max_degree",),
+    "prop-3-1": ("window", "stages"),
+    "cor-2-6": ("window", "seed"),
+    "faith-equiv-a1": (),
+    "iota-bounded-above": ("window", "subalgebra"),
+    "iota-failure": ("window", "stages"),
+}
+
 
 def run_scenario(name: str, cfg: ScenarioConfig) -> Report:
     if name not in SCENARIOS:

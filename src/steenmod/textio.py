@@ -208,8 +208,6 @@ def _parse_preamble(lines: _Lines, header: str) -> dict:
 
 
 def print_module(m: GradedModule) -> str:
-    if m.opposite:
-        raise ValueError("opposite-algebra modules are internal; not serialized")
     out = _print_preamble(MODULE_HEADER, m)
     table = m.action_table()
     keys = sorted(table, key=lambda sd: (milnor.degree(sd[0]), sd[0], sd[1]))

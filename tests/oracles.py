@@ -369,7 +369,6 @@ def coproduct_eager(parts) -> GradedModule:
     block of the action table assembled up front from the parts' actions
     and handed over as an explicit table."""
     algebra = parts[0][0].algebra
-    opposite = parts[0][0].opposite
     window = None
     for m, s in parts:
         w = m.window.shift(s)
@@ -407,7 +406,7 @@ def coproduct_eager(parts) -> GradedModule:
                 actions[(seq, d)] = BitMatrix(dims[d + k], dims[d], rows)
     return GradedModule(algebra, window, dims, actions,
                         bottom_exact=edge_exact(True),
-                        top_exact=edge_exact(False), opposite=opposite)
+                        top_exact=edge_exact(False))
 
 
 def _full_family(m: GradedModule, spaces) -> dict:
@@ -450,7 +449,7 @@ def submodule_eager(m: GradedModule, spaces) -> GradedModule:
                     cols.append(coords)
                 actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
     return GradedModule(m.algebra, w, dims, actions,
-                        m.bottom_exact, m.top_exact, m.opposite)
+                        m.bottom_exact, m.top_exact)
 
 
 def quotient_eager(m: GradedModule, spaces) -> GradedModule:
@@ -488,7 +487,7 @@ def quotient_eager(m: GradedModule, spaces) -> GradedModule:
                 cols = [project(d + k, mat.apply(1 << j)) for j in free_cols[d]]
                 actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
     return GradedModule(m.algebra, w, dims, actions,
-                        m.bottom_exact, m.top_exact, m.opposite)
+                        m.bottom_exact, m.top_exact)
 
 
 def iota_eager(c) -> GradedModule:
@@ -511,8 +510,7 @@ def iota_eager(c) -> GradedModule:
                 rows = [block.row(mi * ak + ai) for mi in range(td)]
                 actions[(seq, d)] = BitMatrix(td, c.dims[d], rows)
     return GradedModule(alg, w, dict(c.dims), actions,
-                        bottom_exact=c.bottom_exact, top_exact=c.top_exact,
-                        opposite=False)
+                        bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
 
 def extended_by_bits(v, algebra: milnor.Algebra, window):
@@ -612,7 +610,7 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
     Unknowns are the entries of every per-degree matrix; equations are the
     equivariance constraints visible on the window overlap.
     """
-    if src.algebra != dst.algebra or src.opposite != dst.opposite:
+    if src.algebra != dst.algebra:
         raise ValueError("hom between modules over different algebras")
     degrees = [d for d in src.window
                if src.dims[d] and (d + shift) in dst.window and dst.dims[d + shift]]
@@ -674,11 +672,6 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
 # -- verifiers, entry-wise and per row -----------------------------------------
 
 
-def seq_product(m: GradedModule, a: milnor.Seq, b: milnor.Seq) -> frozenset[milnor.Seq]:
-    """a * b in the module's algebra view (reversed when opposite)."""
-    return milnor.multiply_seqs(b, a) if m.opposite else milnor.multiply_seqs(a, b)
-
-
 def validate_composition_dense(m: GradedModule) -> list[str]:
     """The composition check with a BitMatrix per product and per sum:
     action(b) @ action(c) against the sum of action(t) over the terms t of
@@ -690,7 +683,7 @@ def validate_composition_dense(m: GradedModule) -> list[str]:
         for kb in range(1, w.width + 1 - kc):
             for b in m.algebra.basis(kb):
                 for c in m.algebra.basis(kc):
-                    prod = seq_product(m, b, c)
+                    prod = milnor.multiply_seqs(b, c)
                     for d in range(w.lo, w.hi + 1 - kb - kc):
                         if not (m.dims[d] and m.dims[d + kb + kc]):
                             continue

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from steenmod import cli, textio
+from steenmod import cli, scenarios, textio
 from steenmod.cli import io_roundtrip, main
 from steenmod.gmodule import Window, regular
 from steenmod.milnor import Algebra
@@ -206,6 +206,21 @@ def test_usage_error_exits_3(argv, capsys):
     assert proc.returncode == 3
 
 
+# the options each scenario reads, and a valid value for each option
+SCENARIO_OPTIONS = {
+    "dims": {"--max"},
+    "prop-3-1": {"--window", "--stages"},
+    "cor-2-6": {"--window", "--seed"},
+    "faith-equiv-a1": set(),
+    "iota-bounded-above": {"--window", "--n"},
+    "iota-failure": {"--window", "--stages"},
+}
+OPTION_VALUES = {"--seed": "1", "--window": "-4..0", "--n": "1",
+                 "--stages": "2", "--max": "4"}
+UNREAD = [(name, option) for name, reads in SCENARIO_OPTIONS.items()
+          for option in OPTION_VALUES if option not in reads]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["freeness", "--module", "regular", "--window", "0..4"],
      "pass --over N"),
@@ -221,12 +236,16 @@ def test_usage_error_exits_3(argv, capsys):
       "--chain", "chain: [Sq(1)]"], "carries its own window and algebra"),
     (["freeness", "--module", "FILE", "--subalgebra", "1"],
      "carries its own window and algebra"),
-], ids=["freeness-full", "perp-inhomogeneous", "baer-empty-ideal",
-        "perp-empty-ideal", "perp-element-outside-module",
-        "perp-elements-file", "file-window", "file-subalgebra"])
+] + [(["scenario", name, f"{option}={OPTION_VALUES[option]}"],
+      f"scenario {name} does not read {option}") for name, option in UNREAD],
+    ids=["freeness-full", "perp-inhomogeneous", "baer-empty-ideal",
+         "perp-empty-ideal", "perp-element-outside-module",
+         "perp-elements-file", "file-window", "file-subalgebra"]
+    + [f"scenario-{name}{option[1:]}" for name, option in UNREAD])
 def test_invalid_request_exits_3(argv, message, tmp_path, capsys):
-    """An invalid request is an error (3), not a counterexample (1).  FILE
-    stands for a module file: the regular A(1) module suspended once."""
+    """An invalid request is an error (3), not a counterexample (1): also
+    a scenario option that the named scenario does not read.  FILE stands
+    for a module file: the regular A(1) module suspended once."""
     path = tmp_path / "susp.stm"
     path.write_text(textio.print_module(
         regular(Algebra.subalgebra(1), Window(0, 6)).suspend(1)))
@@ -275,6 +294,20 @@ def test_every_option_is_read():
                    if not isinstance(action, argparse._HelpAction)
                    and action.dest not in reads]
     assert not unread
+
+
+def test_scenario_reads_table_matches_the_runners():
+    """scenarios.READS names exactly the ScenarioConfig fields that each
+    runner reads off its configuration."""
+    tree = ast.parse(inspect.getsource(scenarios))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert set(scenarios.READS) == set(scenarios.SCENARIOS)
+    for name, run in scenarios.SCENARIOS.items():
+        reads = _attributes_read(run.__name__,
+                                 defs[run.__name__].args.args[0].arg,
+                                 defs, set())
+        assert reads == set(scenarios.READS[name]), name
 
 
 def test_help_exits_0(capsys):

@@ -9,7 +9,7 @@ from steenmod import gmodule as G
 from steenmod import milnor as M
 from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
-from steenmod.gmodule import (SuspensionProfile, Window, coproduct, dual_of,
+from steenmod.gmodule import (SuspensionProfile, Window, coproduct,
                               dual_regular, free_module, freeness_test,
                               minimal_generators, quotient, regular,
                               submodule, validate, zero_module)
@@ -61,7 +61,7 @@ def _flip_one_bit(m, key, rng):
     rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
     actions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
     return G.GradedModule(m.algebra, m.window, dict(m.dims), actions,
-                          m.bottom_exact, m.top_exact, m.opposite)
+                          m.bottom_exact, m.top_exact)
 
 
 def _flip_action_bits(m, rng):
@@ -73,8 +73,7 @@ def _flip_action_bits(m, rng):
     return m
 
 
-@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota",
-                                  "opposite", "a2", "a2_opposite"])
+@pytest.mark.parametrize("name", ["regular", "dual_regular", "iota", "a2"])
 def test_validate_matches_dense_oracle_on_flipped_tables(name):
     """Seeded bit flips of module tables: the row-level composition check
     reports exactly the dense BitMatrix oracle's violations, in order."""
@@ -83,9 +82,7 @@ def test_validate_matches_dense_oracle_on_flipped_tables(name):
          "dual_regular": lambda: dual_regular(FULL, Window(-14, 0)),
          "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
                                        Window(-14, 0))),
-         "opposite": lambda: dual_of(regular(FULL, Window(0, 14))),
-         "a2": lambda: regular(A2, Window(0, 14)),
-         "a2_opposite": lambda: dual_of(regular(A2, Window(0, 14)))}[name]()
+         "a2": lambda: regular(A2, Window(0, 14))}[name]()
     assert validate(m) == oracles.validate_composition_dense(m) == []
     rng = random.Random(len(name))
     caught = 0
@@ -104,7 +101,7 @@ def _square_pass_is_clean(m):
 
 
 @pytest.mark.parametrize("name", ["regular", "dual_regular", "iota",
-                                  "opposite", "a1", "a2"])
+                                  "a1", "a2"])
 def test_square_pairs_decide_validity(name):
     """The Sq(2^i) generate the algebra, so the pass over pairs
     (Sq(2^i), c) is clean exactly when the check of every pair is: on
@@ -115,7 +112,6 @@ def test_square_pairs_decide_validity(name):
          "dual_regular": lambda: dual_regular(FULL, Window(-12, 0)),
          "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
                                        Window(-12, 0))),
-         "opposite": lambda: dual_of(regular(FULL, Window(0, 12))),
          "a1": lambda: regular(A1, Window(0, 6)),
          "a2": lambda: regular(A2, Window(0, 12))}[name]()
     assert _square_pass_is_clean(m)
@@ -240,10 +236,12 @@ def _right(a, b):
 
 
 def _opposite_regular(algebra, window):
-    """The regular module over the opposite algebra on window: the
-    transpose dual of the dual regular module on the mirrored window, as
-    the freeness test builds it."""
-    return dual_of(dual_regular(algebra, Window(-window.hi, -window.lo)))
+    """The algebra acting on itself by right multiplication on window, which
+    is the regular module of the opposite algebra: the transpose dual of
+    the dual regular module on the mirrored window, as the freeness test
+    builds it.  Its tables are checked here; it is not a left module."""
+    return G._transpose_dual(
+        dual_regular(algebra, Window(-window.hi, -window.lo)))
 
 
 def test_memoized_tables_match_products():
@@ -256,9 +254,9 @@ def test_memoized_tables_match_products():
     assert all(again.action_table()[key] is mat
                for key, mat in first.action_table().items())
 
-    opposite = _opposite_regular(FULL, w)
-    assert opposite.action_table() == _table_from_products(FULL, w, _right)
-    assert _opposite_regular(FULL, w) == opposite
+    right = _opposite_regular(FULL, w)
+    assert right.action_table() == _table_from_products(FULL, w, _right)
+    assert _opposite_regular(FULL, w) == right
     dw = Window(-16, 0)
     assert dual_regular(FULL, dw).action_table() == _table_from_products(
         FULL, dw, _right, dual=True)
@@ -270,14 +268,15 @@ def _explicit(like, table, window=None, algebra=None):
     window = like.window if window is None else window
     dims = dict(zip(window, like.dims.values()))
     return G.GradedModule(algebra or like.algebra, window, dims, table,
-                          like.bottom_exact, like.top_exact, like.opposite)
+                          like.bottom_exact, like.top_exact)
 
 
-def _eager_regular(algebra, window, opposite=False):
-    """regular() with its table built up front from the products."""
+def _eager_regular(algebra, window, right=False):
+    """regular(), or _opposite_regular() when right, with its table built
+    up front from the products."""
     table = _table_from_products(algebra, window,
-                                 _right if opposite else M.multiply_seqs)
-    lazy = (_opposite_regular if opposite else regular)(algebra, window)
+                                 _right if right else M.multiply_seqs)
+    lazy = (_opposite_regular if right else regular)(algebra, window)
     return _explicit(lazy, table)
 
 
@@ -303,7 +302,7 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
     ref_table = ref.action_table()
     _assert_same(regular(algebra, w), ref)
     _assert_same(_opposite_regular(algebra, w),
-                 _eager_regular(algebra, w, opposite=True))
+                 _eager_regular(algebra, w, right=True))
     dw = Window(-hi, 0)
     ref_dual = _eager_dual_regular(algebra, dw)
     _assert_same(dual_regular(algebra, dw), ref_dual)
@@ -323,11 +322,11 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
     _assert_same(regular(algebra, w).restrict_to(sub), _explicit(
         ref, {key: m for key, m in ref_table.items() if sub.contains(key[0])},
         algebra=sub))
-    _assert_same(dual_of(regular(algebra, w)), G.GradedModule(
+    _assert_same(G._transpose_dual(regular(algebra, w)), G.GradedModule(
         algebra, dw, {d: ref.dims[-d] for d in dw},
         {(seq, -d - M.degree(seq)): m.transpose()
          for (seq, d), m in ref_table.items()},
-        ref.top_exact, ref.bottom_exact, opposite=True))
+        ref.top_exact, ref.bottom_exact))
 
     rng = random.Random(hi)
     for m in (regular(algebra, w), _opposite_regular(algebra, w),
@@ -404,7 +403,7 @@ def test_closure_errors_match_eager_references(name):
     lambda: dual_regular(FULL, Window(-24, 0)).suspend(24),
     lambda: free_module(SuspensionProfile([0, 2, 2]), FULL, Window(0, 24)),
     lambda: regular(A2, Window(0, 24)).restrict_to(A1).suspend(-1).suspend(1),
-    lambda: dual_of(dual_regular(FULL, Window(-24, 0))),
+    lambda: G._transpose_dual(dual_regular(FULL, Window(-24, 0))),
 ], ids=["regular", "dual-suspended", "free", "restricted", "dual-of"])
 def test_one_read_builds_one_matrix(build):
     """Constructors build nothing up front: reading one action of a fresh
@@ -570,6 +569,20 @@ def test_freeness_full_restricted_to_a2():
     assert all(g <= 0 for g in vd.generator_degrees)
 
 
+def test_freeness_witness_names_degrees_of_a_bounded_above_module():
+    """A bounded-above module is tested through its transpose dual; the
+    witness, like the generator and certified degrees, names the module's
+    own degrees, mirrored from the dual's in the dual's order."""
+    m = quotient(dual_regular(FULL, Window(-20, 0)), {0: Subspace.full(1)})
+    v = freeness_test(m, A1)
+    assert v.status == "not_free"
+    assert v.certified_degrees == tuple(range(-20, 1))
+    assert v.witness == ("degree -2: free rank 2 != module dim 1; "
+                         "degree -4: free rank 4 != module dim 2; "
+                         "degree -5: free rank 4 != module dim 2")
+    assert (m.dims[-2], m.dims[-4], m.dims[-5]) == (1, 2, 2)
+
+
 def test_freeness_inconclusive_without_anchor():
     from steenmod.milnor import degree as seq_degree
 
@@ -586,10 +599,13 @@ def test_freeness_inconclusive_without_anchor():
 
 
 def test_dual_of_roundtrip():
-    r = regular(A1, Window(0, 6))
-    d = dual_of(r)
-    assert d.opposite and validate(d) == []
-    assert dual_of(d) == r
+    """The transpose dual mirrors the window and the exactness flags, and
+    taking it twice gives the module back."""
+    r = regular(A1, Window(0, 4))
+    d = G._transpose_dual(r)
+    assert d.window == Window(-4, 0) and d.top_exact and not d.bottom_exact
+    assert (d.bottom_exact, d.top_exact) == (r.top_exact, r.bottom_exact)
+    assert G._transpose_dual(d) == r
 
 
 def test_submodule_closure_checked():
@@ -623,7 +639,6 @@ def test_every_constructor_output_validates():
         zero_module(A1, w),
         coproduct([(regular(A1, w), 0), (regular(A1, w.shift(-2)), 2)]),
         regular(A1, w).suspend(3),
-        dual_of(regular(A1, Window(0, 6))),
         quotient(regular(A1, Window(0, 6)), {6: Subspace.full(1)}),
         submodule(regular(A1, Window(0, 6)),
                   {6: Subspace.full(1)}),

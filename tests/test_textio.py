@@ -92,13 +92,6 @@ def test_chain_roundtrip_and_errors():
         T.parse_chain("chain: [Sq(1)] ; []")
 
 
-def test_opposite_modules_not_serialized():
-    from steenmod.gmodule import dual_of
-    d = dual_of(regular(A1, Window(0, 6)))
-    with pytest.raises(ValueError):
-        T.print_module(d)
-
-
 MUTATION_BASES = [
     (T.parse_module, T.print_module(regular(A1, Window(0, 6)))),
     (T.parse_module, T.print_module(dual_regular(FULL, Window(-5, 0)))),
