@@ -246,12 +246,24 @@ def cmd_freeness(args) -> int:
     return 0 if v.status == "free" else (1 if v.status == "not_free" else 2)
 
 
+def _parse_v_dims(text: str) -> dict[int, int]:
+    """--v 'DEG:DIM,...': each degree once, each part two integers."""
+    v_dims: dict[int, int] = {}
+    for part in text.split(","):
+        fields = part.split(":")
+        try:
+            d, n = (int(f) for f in fields)
+        except ValueError:
+            raise ValueError(
+                f"bad --v part {part!r} (expected DEG:DIM)") from None
+        if d in v_dims:
+            raise ValueError(f"--v repeats degree {d}")
+        v_dims[d] = n
+    return v_dims
+
+
 def cmd_iota(args) -> int:
-    v_dims = {}
-    for part in args.v.split(","):
-        d, n = part.split(":")
-        v_dims[int(d)] = int(n)
-    spec = ExtendedSpec(v_dims)
+    spec = ExtendedSpec(_parse_v_dims(args.v))
     com = extended(spec, *_algebra_and_window(args))
     bad = validate_coaction(com)
     m = iota(com)

@@ -38,6 +38,14 @@ class ExtendedSpec:
         object.__setattr__(self, "v_dims", items)
 
 
+def _generators(v: ExtendedSpec) -> list[int]:
+    """The degree of each generator of V, ascending, repeated by dim."""
+    gens: list[int] = []
+    for g, n in v.v_dims:
+        gens.extend([g] * n)
+    return gens
+
+
 def _required_coaction_keys(algebra: Algebra, window: Window,
                             dims: dict[int, int]):
     """Yield the (degree, k) of every coaction block a comodule with these
@@ -123,9 +131,7 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
     times dim A^k.  A generator with n < k has no basis at d + k and adds
     no rows.
     """
-    gens: list[int] = []
-    for g, n in v.v_dims:
-        gens.extend([g] * n)
+    gens = _generators(v)
 
     # offsets[d][gi]: first basis index of generator gi at degree d
     offsets: dict[int, list[int]] = {}
@@ -172,49 +178,83 @@ def validate_coaction(c: GradedComodule) -> list[str]:
     twice against applying it once and splitting the dual factor by the
     transpose of multiplication.  Both sides are computed on whole rows,
     each row a mask over the columns of M^d: the twice-applied side is one
-    product per jump index b1 of (d + k1, k2) against the b1 rows of
+    product per jump index y of (d + k1, k2) against the y rows of
     (d, k1), and the split side one product per target index m'' of the
     multiplication block's column masks against the m'' rows of
-    (d, k1 + k2).
-    The XOR of matching rows marks the failing columns.
+    (d, k1 + k2).  The XOR of matching rows marks the failing columns.
+    A zero middle degree d + k1 is checked too: the twice-applied side is
+    0 there, but the split side need not be.
+
+    A first pass takes the outer jump k2 = 2^i only where Sq(2^i) is in
+    the algebra, and reads only the rows of x = Sq(2^i): its rows of
+    (d + k1, k2) and the entries x * dim A^k1 ... of the multiplication
+    block.  If no such row fails, the comodule is coassociative.  Proof:
+    pairing block (d, k) with a monomial a of degree k is the action of a
+    on M^d in ``iota``, and block (d, k1, k2) paired with x (x) y, for x
+    of degree k2 and y of degree k1, says action(x) action(y) =
+    action(x y) at degree d.  So the first pass is ``GradedModule.validate``'s
+    first pass on iota(c), the squares Sq(2^i) generate the algebra
+    (Milnor, Ann. of Math. 67, 1958), and that method's induction over
+    words in the squares carries over unchanged: every step is a pair
+    (square, monomial) at a degree d with d + k1 + k2 in the window, which
+    the first pass checked or skipped for a zero end.  If any square row
+    fails, the check reruns over every x, so a violation list has the same
+    content and order as a check of every (d, k1, k2) would give.
     """
-    violations: list[str] = []
+    if next(_coassociativity_failures(c, squares_only=True), None) is None:
+        return []
+    return list(_coassociativity_failures(c, squares_only=False))
+
+
+def _coassociativity_failures(c: GradedComodule, squares_only: bool):
+    """Yield a message per failing (d, k1, k2, column), in the order of
+    validate_coaction's full pass; with squares_only, only the rows of
+    x = Sq(k2) for k2 a power of two with Sq(k2) in the algebra."""
     alg = c.algebra
     w = c.window
+    # degree 2^i -> index of Sq(2^i) in its basis, for the squares in alg
+    squares = {k: milnor._basis_index(k, alg.profile_index)[(k,)]
+               for k in (1 << i for i in range(w.width.bit_length()))
+               if alg.contains((k,))}
     for d in w:
         if not c.dims[d]:
             continue
         for k1 in range(1, w.hi - d + 1):
             a1 = alg.dim(k1)
-            mid = c.dims.get(d + k1)
-            if not mid or not a1:
+            if not a1:
                 continue
             b1 = c.coaction(d, k1).rows
+            b1_by_y = [b1[y::a1] for y in range(a1)]
             for k2 in range(1, w.hi - d - k1 + 1):
                 a2 = alg.dim(k2)
-                td = c.dims.get(d + k1 + k2, 0)
-                if not td or not a2:
+                td = c.dims[d + k1 + k2]
+                if not td or not a2 or (squares_only and k2 not in squares):
                     continue
                 b2 = c.coaction(d + k1, k2).rows
-                big = c.coaction(d, k1 + k2).rows
-                a12 = alg.dim(k1 + k2)
                 # row x * a1 + y: the degree k1 + k2 monomials in x * y
                 mm_t = milnor.product_columns(k2, k1, alg)
-                # twice: row m'' * a2 + x of lhs[y] holds ((m'', x), y)
-                lhs = [mul_rows(b2, b1[y::a1]) for y in range(a1)]
+                nx = a2
+                if squares_only:
+                    # keep x = Sq(k2) only: its rows of b2 and of mm_t
+                    sq = squares[k2]
+                    b2 = b2[sq::a2]
+                    mm_t = mm_t[sq * a1:(sq + 1) * a1]
+                    nx = 1
+                big = c.coaction(d, k1 + k2).rows
+                a12 = alg.dim(k1 + k2)
+                # twice: row m'' * nx + x of lhs[y] holds ((m'', x), y)
+                lhs = [mul_rows(b2, rows) for rows in b1_by_y]
                 bad = 0
                 for m2 in range(td):
                     # once + split: row x * a1 + y holds (m'', (x, y))
                     rhs = mul_rows(mm_t, big[m2 * a12:(m2 + 1) * a12])
-                    for x in range(a2):
-                        row = m2 * a2 + x
+                    for x in range(nx):
+                        row = m2 * nx + x
                         for y in range(a1):
                             bad |= lhs[y][row] ^ rhs[x * a1 + y]
                 for col in mask_to_bits(bad):
-                    violations.append(
-                        f"coassociativity fails at degree {d}, jumps "
-                        f"({k1}, {k2}), column {col}")
-    return violations
+                    yield (f"coassociativity fails at degree {d}, jumps "
+                           f"({k1}, {k2}), column {col}")
 
 
 def iota(c: GradedComodule) -> GradedModule:
@@ -232,18 +272,57 @@ def iota(c: GradedComodule) -> GradedModule:
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
 
-def iota_of_extended_reference(v: ExtendedSpec, algebra: Algebra,
-                               window: Window) -> GradedModule:
-    """Coproduct of suspended dual-regular copies matching extended(v).
+def iota_matches_suspended_duals(module: GradedModule,
+                                 v: ExtendedSpec) -> bool:
+    """Whether module is bit-identical to the coproduct of dual regular
+    modules suspended to V's generators, generator-major as in
+    ``extended``, on module's algebra and window: the claim that
+    iota(extended(v)) must meet.
 
-    Block layout follows the same generator-major order, so the action
-    tables must be bit-identical to iota(extended(v)).
+    The coproduct is built on module's algebra and window for its header
+    only: its dims and exactness flags must equal module's, and none of
+    its matrices is read.  Each required matrix of module, a monomial of
+    degree k at d, is read once and compared part by part: the run of
+    rows of the part on generator g with a target at d + k must be that
+    part's own action at d - g, shifted left to the part's column offset,
+    and is zero when the part has no basis at d.  A dual regular part
+    reads the shared ``milnor._right_memo`` matrix, so no second table is
+    built.
     """
-    gens: list[int] = []
-    for g, n in v.v_dims:
-        gens.extend([g] * n)
-    if not gens:
-        return zero_module(algebra, window)
+    gens = _generators(v)
+    algebra, window = module.algebra, module.window
     parts = [(dual_regular(algebra, window.shift(-g)), g) for g in gens]
-    out = coproduct(parts)
-    return out
+    ref = coproduct(parts) if parts else zero_module(algebra, window)
+    if (ref.dims != module.dims or ref.bottom_exact != module.bottom_exact
+            or ref.top_exact != module.top_exact):
+        return False
+    dims = module.dims
+    for k in range(1, window.width + 1):
+        for d in range(window.lo, window.hi + 1 - k):
+            if not (dims[d] and dims[d + k]):
+                continue
+            # (part, its degree, first row, rows, column offset or None
+            # when the part has no basis at d)
+            runs = []
+            start = col = 0
+            for part, g in parts:
+                sd, td = part.dims[d - g], part.dims[d - g + k]
+                if td:
+                    runs.append((part, d - g, start, start + td,
+                                 col if sd else None))
+                    start += td
+                col += sd
+            for seq in algebra.basis(k):
+                rows = module.action(seq, d).rows
+                for part, e, lo, hi, off in runs:
+                    run = rows[lo:hi]
+                    if off is None:
+                        if any(run):
+                            return False
+                        continue
+                    own = part.action(seq, e).rows
+                    if off:
+                        own = tuple([r << off for r in own])
+                    if run != own:
+                        return False
+    return True

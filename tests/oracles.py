@@ -12,7 +12,9 @@ reduction, kept as the reference for the engine's pivot insertion, the
 per-bit extended comodule, kept as the reference for the engine's
 product-block slices, the eager coproduct, submodule, quotient and
 comodule embedding, kept as the references for the engine's lazily sourced
-ones, the dense graded hom solver, kept as an independent count of the
+ones, the full-table coproduct of suspended dual regular modules, kept as
+the reference for the part-by-part bit-identity check of the embedding,
+the dense graded hom solver, kept as an independent count of the
 extension test's map spaces, the entry-wise and per-row forms of the
 three verifiers (module composition, coassociativity, extension test),
 kept as the references for the engine's row-level ones, the term-by-term
@@ -35,7 +37,8 @@ from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
                            FailingMap, _generator_relations)
 from steenmod.comodule import GradedComodule
 from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits
-from steenmod.gmodule import GradedModule, Window
+from steenmod.gmodule import (GradedModule, Window, coproduct,
+                              dual_regular, zero_module)
 from steenmod.milnor import Element
 
 Word = tuple[int, ...]
@@ -513,6 +516,21 @@ def iota_eager(c) -> GradedModule:
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
 
+def iota_of_extended_reference(v, algebra: milnor.Algebra,
+                               window) -> GradedModule:
+    """The coproduct of suspended dual regular copies that iota(extended(v))
+    must equal, generator-major as in steenmod.comodule.extended: the
+    full-table reference for comodule.iota_matches_suspended_duals, which
+    compares part by part."""
+    gens: list[int] = []
+    for g, n in v.v_dims:
+        gens.extend([g] * n)
+    if not gens:
+        return zero_module(algebra, window)
+    return coproduct([(dual_regular(algebra, window.shift(-g)), g)
+                      for g in gens])
+
+
 def extended_by_bits(v, algebra: milnor.Algebra, window):
     """The extended comodule V (x) dual built one coaction bit at a time:
     for each source basis pair (generator, s) and jump k, every pair
@@ -711,7 +729,7 @@ def validate_coaction_entrywise(c) -> list[str]:
             continue
         for k1 in range(1, w.hi - d + 1):
             a1 = alg.dim(k1)
-            if not c.dims.get(d + k1) or not a1:
+            if not a1:
                 continue
             b1 = c.coaction(d, k1)
             for k2 in range(1, w.hi - d - k1 + 1):

@@ -12,7 +12,7 @@ from steenmod import milnor as M
 from steenmod.annihilator import chain_perp_profile, sq_power_chain
 from steenmod.baer import baer_test, build_witness
 from steenmod.comodule import (ExtendedSpec, extended, iota,
-                               iota_of_extended_reference, validate_coaction)
+                               iota_matches_suspended_duals, validate_coaction)
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import (SuspensionProfile, Window, dual_regular,
                               free_module, freeness_test, regular, validate)
@@ -174,7 +174,8 @@ def test_criterion_7_embedding_both_halves():
                          ({-7 * k: 1 for k in range(4)}, Window(-30, 0))]:
         v = ExtendedSpec(dims)
         m = iota(extended(v, FULL, window))
-        assert m == iota_of_extended_reference(v, FULL, window)
+        assert m == oracles.iota_of_extended_reference(v, FULL, window)
+        assert iota_matches_suspended_duals(m, v)
 
     # bounded-above spec: free over A(1)
     v = ExtendedSpec({0: 1, -2: 1})

@@ -181,6 +181,23 @@ def test_iota_over_a_subalgebra(tmp_path, capsys):
     assert "violations: 0" in out and "bit-exact" in out
 
 
+def test_validate_checks_a_zero_middle_degree(tmp_path, capsys):
+    """A comodule with dims 1 at -3 and 0 only and a nonzero Sq(3) row:
+    every jump pair passes through a zero degree, and the split side
+    still fails."""
+    from steenmod.comodule import GradedComodule
+    from steenmod.f2 import BitMatrix
+    c = GradedComodule(Algebra.full(), Window(-3, 0), {-3: 1, 0: 1},
+                       {(-3, 3): BitMatrix(2, 1, [1, 0])}, True, True)
+    path = tmp_path / "gap.stm"
+    path.write_text(textio.print_comodule(c))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert "violations: 1" in out and "bit-exact" in out
+    assert ("coassociativity fails at degree -3, jumps (1, 2), column 0"
+            in out)
+
+
 def test_scenario_unknown_name(capsys):
     code = main(["scenario", "does-not-exist"])
     assert code == 3
@@ -236,11 +253,17 @@ UNREAD = [(name, option) for name, reads in SCENARIO_OPTIONS.items()
       "--chain", "chain: [Sq(1)]"], "carries its own window and algebra"),
     (["freeness", "--module", "FILE", "--subalgebra", "1"],
      "carries its own window and algebra"),
+    (["iota", "--v", "0:1,0:2"], "--v repeats degree 0"),
+    (["iota", "--v", "0"], "bad --v part '0' (expected DEG:DIM)"),
+    (["iota", "--v", "0:1,"], "bad --v part '' (expected DEG:DIM)"),
+    (["iota", "--v", "0:1:2"], "bad --v part '0:1:2' (expected DEG:DIM)"),
 ] + [(["scenario", name, f"{option}={OPTION_VALUES[option]}"],
       f"scenario {name} does not read {option}") for name, option in UNREAD],
     ids=["freeness-full", "perp-inhomogeneous", "baer-empty-ideal",
          "perp-empty-ideal", "perp-element-outside-module",
-         "perp-elements-file", "file-window", "file-subalgebra"]
+         "perp-elements-file", "file-window", "file-subalgebra",
+         "iota-repeated-degree", "iota-no-dim", "iota-empty-part",
+         "iota-three-fields"]
     + [f"scenario-{name}{option[1:]}" for name, option in UNREAD])
 def test_invalid_request_exits_3(argv, message, tmp_path, capsys):
     """An invalid request is an error (3), not a counterexample (1): also

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import oracles
+from steenmod import comodule
 from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
-                               iota_of_extended_reference, validate_coaction)
+                               iota_matches_suspended_duals, validate_coaction)
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import Window, dual_regular, freeness_test, validate
 from steenmod.milnor import Algebra
@@ -79,7 +80,9 @@ def test_iota_extended_is_coproduct_of_suspended_duals():
     w = Window(-14, 0)
     for dims in [{0: 1}, {0: 1, -1: 1, -3: 1}, {0: 2, -2: 1}]:
         v = ExtendedSpec(dims)
-        assert iota(extended(v, FULL, w)) == iota_of_extended_reference(v, FULL, w)
+        m = iota(extended(v, FULL, w))
+        assert m == oracles.iota_of_extended_reference(v, FULL, w)
+        assert iota_matches_suspended_duals(m, v)
 
 
 A1 = Algebra.subalgebra(1)
@@ -103,7 +106,8 @@ def test_extended_matches_per_bit_oracle(algebra, v_dims, window):
     assert c.coactions == ref.coactions
     assert c == ref
     assert c.coactions  # the spec is not degenerate
-    assert iota(c) == iota_of_extended_reference(v, algebra, window)
+    assert iota(c) == oracles.iota_of_extended_reference(v, algebra, window)
+    assert iota_matches_suspended_duals(iota(c), v)
 
 
 def test_iota_exactness_of_sequences():
@@ -144,7 +148,8 @@ def _flip_bits(c, rng):
     (FULL, {0: 1}, Window(-20, 0), 8),
     (FULL, {0: 1}, Window(-16, 0), 32),
     (A2, {0: 1, -3: 1}, Window(-12, 0), 60),
-], ids=["full-20", "full-16", "A2-12"])
+    (A1, {0: 1, -10: 1}, Window(-16, 0), 40),
+], ids=["full-20", "full-16", "A2-12", "A1-gap"])
 def test_violations_match_entrywise_oracle(algebra, v_dims, window, count):
     """Seeded bit flips of extended comodules: the row-level check reports
     exactly the entry-wise oracle's violations, in the same order."""
@@ -158,3 +163,121 @@ def test_violations_match_entrywise_oracle(algebra, v_dims, window, count):
         assert bad == oracles.validate_coaction_entrywise(mutant)
         caught += bool(bad)
     assert caught > count // 2
+
+
+def _gap_comodule(bit):
+    """Dims 1 at -3 and 0 and zero between, one coaction block (-3, 3)
+    whose Sq(3) row is bit: the twice-applied side of every jump pair
+    passes through a zero degree."""
+    return GradedComodule(FULL, Window(-3, 0), {-3: 1, 0: 1},
+                          {(-3, 3): BitMatrix(2, 1, [bit, 0])}, True, True)
+
+
+def test_zero_middle_degree_is_checked():
+    """At a zero middle degree the twice-applied side is 0 but the split
+    side need not be; ι of the comodule shows the same failure."""
+    assert validate_coaction(_gap_comodule(0)) == []
+    bad = validate_coaction(_gap_comodule(1))
+    assert bad == ["coassociativity fails at degree -3, jumps (1, 2), "
+                   "column 0"]
+    assert bad == oracles.validate_coaction_entrywise(_gap_comodule(1))
+    assert validate(iota(_gap_comodule(1))) != []
+
+
+def _flip_crossing(c, rng, lo, hi):
+    """A copy of c with one bit flipped in a block from degree <= lo to a
+    degree >= hi."""
+    keys = sorted(key for key in c.coactions
+                  if key[0] <= lo and key[0] + key[1] >= hi)
+    coactions = dict(c.coactions)
+    key = rng.choice(keys)
+    mat = coactions[key]
+    rows = list(mat.rows)
+    rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
+    coactions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
+    return GradedComodule(c.algebra, c.window, dict(c.dims), coactions,
+                          c.bottom_exact, c.top_exact)
+
+
+@pytest.mark.parametrize("algebra,v_dims,window,count", [
+    (FULL, {0: 1}, Window(-20, 0), 6),
+    (FULL, {0: 1, -3: 1}, Window(-16, 0), 16),
+    (A1, {0: 1, -2: 1}, Window(-12, 0), 30),
+    (A2, {0: 1, -3: 1}, Window(-12, 0), 30),
+    (A1, {0: 1, -10: 1}, Window(-16, 0), 30),
+], ids=["full-20", "full-16", "A1-12", "A2-12", "A1-gap"])
+def test_square_pass_decides_coassociativity(algebra, v_dims, window, count):
+    """The first pass, on the outer jumps Sq(2^i) only, finds a failure
+    exactly when the full pass does, on seeded bit flips.  A(1)'s
+    comodule on generators 0 and -10 has zero dims at -9..-7, and half of
+    its flips land in blocks across that gap."""
+    rng = random.Random(window.lo * 11 + count)
+    c = extended(ExtendedSpec(v_dims), algebra, window)
+    filled = [d for d in window if c.dims[d]]
+    gap = [d for d in range(filled[0], filled[-1]) if not c.dims[d]]
+    mutants = []
+    for i in range(count):
+        if gap and i % 2:
+            mutants.append(_flip_crossing(c, rng, min(gap) - 1, max(gap) + 1))
+        else:
+            mutants.append(_flip_bits(c, rng))
+    caught = 0
+    for mutant in [c] + mutants:
+        first = next(comodule._coassociativity_failures(mutant, True), None)
+        full = list(comodule._coassociativity_failures(mutant, False))
+        assert (first is None) == (not full)
+        assert validate_coaction(mutant) == full
+        caught += bool(full)
+    assert caught > count // 2
+
+
+def test_part_wise_check_rejects_a_flipped_block_bit():
+    """A flipped coaction bit anywhere makes ι differ from the suspended
+    duals, and the part-wise check says so wherever the full-table oracle
+    does."""
+    v = ExtendedSpec({0: 1, -2: 1})
+    w = Window(-10, 0)
+    c = extended(v, FULL, w)
+    ref = oracles.iota_of_extended_reference(v, FULL, w)
+    rng = random.Random(5)
+    for _ in range(12):
+        m = iota(_flip_bits(c, rng))
+        assert iota_matches_suspended_duals(m, v) == (m == ref)
+        assert not iota_matches_suspended_duals(m, v)
+
+
+def test_part_wise_check_reads_rows_of_a_part_without_source():
+    """Over A(1) at degree -8 the generator 0 has no basis (A(1) stops at
+    6) but a target at -5: its rows of the (-8, 3) block must stay zero.
+    Generator -4 comes first, with A(1)^1 at -5, so generator 0's rows
+    start at dim A(1)^1 * dim A(1)^3."""
+    v = ExtendedSpec({0: 1, -4: 1})
+    w = Window(-12, 0)
+    c = extended(v, A1, w)
+    assert iota_matches_suspended_duals(iota(c), v)
+    mat = c.coactions[(-8, 3)]
+    row = A1.dim(1) * A1.dim(3)
+    assert mat.rows[row] == 0
+    rows = list(mat.rows)
+    rows[row] = 1
+    coactions = dict(c.coactions)
+    coactions[(-8, 3)] = BitMatrix(mat.nrows, mat.ncols, rows)
+    m = iota(GradedComodule(A1, w, dict(c.dims), coactions,
+                            c.bottom_exact, c.top_exact))
+    assert m != oracles.iota_of_extended_reference(v, A1, w)
+    assert not iota_matches_suspended_duals(m, v)
+
+
+def test_part_wise_check_compares_the_header():
+    """Other exactness flags or other generators fail before any matrix
+    is read; the empty V matches only the zero module."""
+    w = Window(-10, 0)
+    v = ExtendedSpec({0: 1, -2: 1})
+    c = extended(v, FULL, w)
+    flags = GradedComodule(FULL, w, dict(c.dims), dict(c.coactions),
+                           not c.bottom_exact, c.top_exact)
+    assert not iota_matches_suspended_duals(iota(flags), v)
+    assert not iota_matches_suspended_duals(iota(c), ExtendedSpec({0: 1}))
+    zero = iota(extended(ExtendedSpec({}), FULL, w))
+    assert iota_matches_suspended_duals(zero, ExtendedSpec({}))
+    assert not iota_matches_suspended_duals(zero, v)
