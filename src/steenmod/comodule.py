@@ -260,14 +260,21 @@ def _coassociativity_failures(c: GradedComodule, squares_only: bool):
 def iota(c: GradedComodule) -> GradedModule:
     """The adjoint-action module: a of degree k acts on M^d through the
     (d, k) coaction block paired against a in the dual basis, the rows
-    m * dim A^k + (index of a) of the block."""
+    m * dim A^k + (index of a) of the block.
+
+    The module calls its source only for keys with both dimensions
+    nonzero, and those are exactly the stored coaction blocks.  The rows
+    are a slice of that checked block, whose width is dims[d] too, so
+    they are wrapped without a second range check.
+    """
     alg = c.algebra
+    coactions, dims = c.coactions, c.dims
 
     def source(seq: milnor.Seq, d: int) -> BitMatrix:
         k = milnor.degree(seq)
         index = milnor._basis_index(k, alg.profile_index)
-        rows = c.coaction(d, k).rows[index[seq]::len(index)]
-        return BitMatrix(len(rows), c.dims[d], rows)
+        rows = coactions[(d, k)].rows[index[seq]::len(index)]
+        return BitMatrix._of_checked_rows(dims[d], rows)
     return GradedModule(alg, c.window, c.dims, source,
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
@@ -281,13 +288,15 @@ def iota_matches_suspended_duals(module: GradedModule,
 
     The coproduct is built on module's algebra and window for its header
     only: its dims and exactness flags must equal module's, and none of
-    its matrices is read.  Each required matrix of module, a monomial of
-    degree k at d, is read once and compared part by part: the run of
-    rows of the part on generator g with a target at d + k must be that
-    part's own action at d - g, shifted left to the part's column offset,
-    and is zero when the part has no basis at d.  A dual regular part
-    reads the shared ``milnor._right_memo`` matrix, so no second table is
-    built.
+    its matrices is read.  Each required matrix of module, the j-th
+    monomial of degree k at d, is read once and compared part by part.
+    The part on generator g is the dual regular module at d - g, whose
+    action there is the transposed right multiplication by that monomial
+    on A^(g - d - k).  So its run of rows, for a part with a target at
+    d + k, must equal ``milnor._right_action_rows(g - d - k, k, j)``
+    shifted left to the part's column offset, and must be zero when the
+    part has no basis at d.  No part matrix is built and no memo entry is
+    made: the parts' rows are read straight off the product block.
     """
     gens = _generators(v)
     algebra, window = module.algebra, module.window
@@ -297,30 +306,32 @@ def iota_matches_suspended_duals(module: GradedModule,
             or ref.top_exact != module.top_exact):
         return False
     dims = module.dims
+    right_rows = milnor._right_action_rows
     for k in range(1, window.width + 1):
+        basis = algebra.basis(k)
         for d in range(window.lo, window.hi + 1 - k):
             if not (dims[d] and dims[d + k]):
                 continue
-            # (part, its degree, first row, rows, column offset or None
-            # when the part has no basis at d)
+            # (degree of the part's algebra source, first row, rows,
+            # column offset or None when the part has no basis at d)
             runs = []
             start = col = 0
             for part, g in parts:
                 sd, td = part.dims[d - g], part.dims[d - g + k]
                 if td:
-                    runs.append((part, d - g, start, start + td,
+                    runs.append((g - d - k, start, start + td,
                                  col if sd else None))
                     start += td
                 col += sd
-            for seq in algebra.basis(k):
+            for j, seq in enumerate(basis):
                 rows = module.action(seq, d).rows
-                for part, e, lo, hi, off in runs:
+                for e, lo, hi, off in runs:
                     run = rows[lo:hi]
                     if off is None:
                         if any(run):
                             return False
                         continue
-                    own = part.action(seq, e).rows
+                    own = right_rows(e, k, j, algebra)
                     if off:
                         own = tuple([r << off for r in own])
                     if run != own:

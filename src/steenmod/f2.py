@@ -79,6 +79,17 @@ class BitMatrix:
         self._rows = tuple(rows)
 
     @classmethod
+    def _of_checked_rows(cls, ncols: int, rows: Sequence[int]) -> "BitMatrix":
+        """A matrix on rows taken from a checked BitMatrix of the same
+        ncols, such as a slice of its rows: they already lie in the column
+        range, so the per-row check of ``__init__`` is skipped."""
+        mat = object.__new__(cls)
+        mat.nrows = len(rows)
+        mat.ncols = ncols
+        mat._rows = tuple(rows)
+        return mat
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "BitMatrix":
         return _zero_cached(nrows, ncols)
 

@@ -194,20 +194,40 @@ class GradedModule:
     def action(self, seq: Seq, d: int) -> BitMatrix:
         """Matrix of the basis monomial on M^d, including the implicit unit.
 
-        Built from the source on the first read of a key and memoized.
+        A key with both dimensions nonzero is built from the source on its
+        first read, its shape checked, and memoized in ``actions``; so the
+        memo only ever holds keys of ``_required_action_keys``.  Every
+        other read is answered without the source and leaves the memo as
+        it is:
+
+        - a degree past an edge that is not exact raises "leaves the
+          window", even where the other end has dimension 0;
+        - the unit, the one monomial of degree 0, gives the identity;
+        - a zero dimension at either end gives ``BitMatrix.zero(td, sd)``;
+        - a monomial outside a finite A(n) raises.
+
+        Both dimensions come straight from ``dims`` when d and d + deg seq
+        lie in the window; ``dim``, where exactness decides, is consulted
+        only at the edges.
         """
         mat = self.actions.get((seq, d))
         if mat is not None:
             return mat
         k = milnor.degree(seq)
-        sd, td = self.dim(d), self.dim(d + k)
-        if sd is None or td is None:
-            raise ValueError(f"action of Sq{seq} at degree {d} leaves the window")
-        if seq == milnor.UNIT:
+        window = self.window
+        if window.lo <= d and d + k <= window.hi:
+            sd, td = self.dims[d], self.dims[d + k]
+        else:
+            sd, td = self.dim(d), self.dim(d + k)
+            if sd is None or td is None:
+                raise ValueError(
+                    f"action of Sq{seq} at degree {d} leaves the window")
+        if not k:
             return BitMatrix.identity(sd)
-        if sd == 0 or td == 0:
+        if not sd or not td:
             return BitMatrix.zero(td, sd)
-        if not self.algebra.contains(seq):
+        algebra = self.algebra
+        if algebra.profile_index is not None and not algebra.contains(seq):
             raise ValueError(f"Sq{seq} is not in {self.algebra}")
         mat = self._source(seq, d)
         if mat.shape != (td, sd):

@@ -36,9 +36,12 @@ The table readers are slices of one block:
 - ``_left_action(seq, d)``: left multiplication by one monomial on A^d,
   the contiguous run of block (deg seq, d) at the monomial's index; the
   regular module's source.
-- ``_right_action(seq, d)``: the transposed right multiplication by one
-  monomial on A^d, the run of block (d, deg seq) at stride dim A^(deg seq);
-  the dual regular module's source.
+- ``_right_action_rows(d, k, j)``: the rows of the transposed right
+  multiplication by the j-th monomial of degree k on A^d, the run of block
+  (d, k) at stride dim A^k; ``comodule.iota_matches_suspended_duals``
+  compares against it without building a matrix.
+- ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
+  regular module's source.
 - ``right_multiplication``: the transposed right multiplication by any
   homogeneous element, a monomial going through ``_right_action`` and a
   sum XORing the stride slices of its terms; ideal spans and relations
@@ -481,20 +484,32 @@ def _left_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     return mat
 
 
+def _right_action_rows(d: int, k: int, j: int,
+                       algebra: Algebra) -> tuple[int, ...]:
+    """Rows of the transpose of x -> x * b_j from A^d to A^(d + k), for
+    b_j the j-th monomial of degree k: row i holds the coordinates of
+    b_i b_j in A^(d + k), the column masks of the product block (d, k) at
+    index j with stride dim A^k.  The one definition of the dual regular
+    action's rows; nothing is memoized here."""
+    if not basis_in_degree(d, algebra):
+        return ()
+    block = _product_blocks(d + k, algebra)[d]
+    return block[j::len(basis_in_degree(k, algebra))]
+
+
 def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     """Memoized transpose of x -> x * Sq(seq) from A^d to A^(d + deg seq).
 
-    Its rows are the column masks of the product block (d, k) at the
-    monomial's index with stride dim A^k, read once into ``_right_memo``:
-    the dual regular action, shared by every module that reads it.
+    Its rows are ``_right_action_rows`` at the monomial's index, read once
+    into ``_right_memo``: the dual regular action, shared by every module
+    that reads it.
     """
     memo = _right_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
-        k, j, dk = _monomial_slot(seq, algebra)
+        k, j, _ = _monomial_slot(seq, algebra)
         nrows = len(basis_in_degree(d + k, algebra))
-        rows = (product_columns(d, k, algebra)[j::dk]
-                if basis_in_degree(d, algebra) else ())
+        rows = _right_action_rows(d, k, j, algebra)
         mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
     return mat
 
@@ -518,9 +533,8 @@ def right_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
     dd = len(basis_in_degree(d, algebra))
     if not dd:
         return BitMatrix(0, nrows, ())
-    dk = len(basis_in_degree(k, algebra))
-    block = _product_blocks(d + k, algebra)[d]
     rows = [0] * dd
     for j in mask_to_bits(coords_of(elem, k, algebra)):
-        rows = [a ^ b for a, b in zip(rows, block[j::dk])]
+        rows = [a ^ b for a, b in zip(
+            rows, _right_action_rows(d, k, j, algebra))]
     return BitMatrix(dd, nrows, rows)

@@ -246,6 +246,44 @@ def test_part_wise_check_rejects_a_flipped_block_bit():
         assert not iota_matches_suspended_duals(m, v)
 
 
+@pytest.mark.parametrize("seq", [(3,), (0, 1)], ids=["Sq3", "Sq01"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_part_wise_check_rejects_a_flip_in_a_non_square(seq, part):
+    """One bit flipped in the rows of a monomial that is not a square, in
+    one part only, leaves every square's matrix as the reference's; the
+    check must still fail, as the full-table oracle does.  A check of the
+    squares alone would pass here, and iota-failure never validates the
+    coaction that would make it sound."""
+    v = ExtendedSpec({-2: 1, 0: 1})
+    w = Window(-10, 0)
+    c = extended(v, FULL, w)
+    ref = oracles.iota_of_extended_reference(v, FULL, w)
+    d, k = -8, 3
+    gens = [-2, 0]
+    dk = FULL.dim(k)
+    j = FULL.basis(k).index(seq)
+    # the part's first target row at d + k and its first column at d
+    m = sum(FULL.dim(g - d - k) for g in gens[:part])
+    col = sum(FULL.dim(g - d) for g in gens[:part])
+    mat = c.coactions[(d, k)]
+    rows = list(mat.rows)
+    rows[m * dk + j] ^= 1 << col
+    coactions = dict(c.coactions)
+    coactions[(d, k)] = BitMatrix(mat.nrows, mat.ncols, rows)
+    module = iota(GradedComodule(FULL, w, dict(c.dims), coactions,
+                                 c.bottom_exact, c.top_exact))
+    assert not iota_matches_suspended_duals(module, v)
+    assert module != ref
+    for key, want in ref.action_table().items():
+        got = module.action(*key)
+        if key == (seq, d):
+            assert got != want
+            assert [row for i, row in enumerate(got.rows)
+                    if row != want.rows[i]] == [want.rows[m] ^ (1 << col)]
+        else:
+            assert got == want, key
+
+
 def test_part_wise_check_reads_rows_of_a_part_without_source():
     """Over A(1) at degree -8 the generator 0 has no basis (A(1) stops at
     6) but a target at -5: its rows of the (-8, 3) block must stay zero.

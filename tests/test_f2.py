@@ -185,6 +185,20 @@ def test_matmul_against_entrywise():
                 assert c.entry(i, j) == want
 
 
+def test_matrix_on_checked_rows_equals_checked_construction():
+    """A slice of a checked matrix's rows, wrapped without the per-row
+    check, equals the same rows passed through __init__."""
+    rng = random.Random(17)
+    for _ in range(40):
+        ncols = rng.randint(0, 6)
+        m = random_matrix(rng, rng.randint(0, 8), ncols)
+        step = rng.randint(1, 3)
+        rows = m.rows[rng.randint(0, 2)::step]
+        sliced = BitMatrix._of_checked_rows(ncols, rows)
+        assert sliced == BitMatrix(len(rows), ncols, rows)
+        assert sliced.shape == (len(rows), ncols)
+
+
 def test_transpose_involution_and_apply():
     rng = random.Random(13)
     for _ in range(40):

@@ -422,6 +422,82 @@ def test_monomial_outside_the_algebra_is_refused():
         r.action((4,), 1)
 
 
+def _no_source(seq, d):
+    raise AssertionError(f"source read for Sq{seq} at degree {d}")
+
+
+def test_a_read_past_an_inexact_edge_leaves_the_window():
+    """A key whose other degree lies past an edge that is not exact
+    raises, even where the end inside the window has dimension 0; past an
+    exact edge the same key is a zero-shape read."""
+    dims = {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+    loose = G.GradedModule(A1, Window(0, 4), dims, _no_source)
+    for seq, d in [((2,), -1), ((3,), 3), ((3, 1), -4), ((1,), 4)]:
+        with pytest.raises(ValueError, match=rf"at degree {d} leaves the "
+                                             r"window"):
+            loose.action(seq, d)
+    exact = G.GradedModule(A1, Window(0, 4), dims, _no_source, True, True)
+    assert exact.action((2,), -1) == BitMatrix.zero(0, 0)
+    assert exact.action((3,), 3) == BitMatrix.zero(0, 0)
+    assert exact.action((1,), 4) == BitMatrix.zero(0, 1)
+    # the dual of A(1) above -2: degree -7 has dimension 0, but -1 is
+    # past the top edge, which is not exact
+    dr = dual_regular(A1, Window(-12, -2))
+    assert dr.dims[-7] == 0 and not dr.top_exact
+    with pytest.raises(ValueError, match="leaves the window"):
+        dr.action((3, 1), -7)
+    assert dr.action((3, 1), -8) == BitMatrix.zero(1, 0)
+    assert exact.actions == loose.actions == dr.actions == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: regular(A1, Window(0, 10)),
+    lambda: dual_regular(A1, Window(-12, -2)),
+    lambda: free_module(SuspensionProfile([0, 9]), A1, Window(0, 12)),
+    lambda: iota(extended(ExtendedSpec({0: 1, -9: 1}), A1, Window(-14, 0))),
+], ids=["regular", "dual", "free-gap", "iota-gap"])
+def test_zero_shape_and_unit_reads_stay_out_of_the_memo(build):
+    """Every read with a zero dimension at either end returns
+    BitMatrix.zero(td, sd), the unit returns the identity, and neither
+    enters ``actions``: the memo keys stay exactly the required keys."""
+    m = build()
+    w = m.window
+    zero_reads = 0
+    for k in range(0, w.width + 1):
+        for seq in A1.basis(k):
+            for d in range(w.lo, w.hi + 1 - k):
+                sd, td = m.dims[d], m.dims[d + k]
+                if k and sd and td:
+                    continue
+                mat = m.action(seq, d)
+                if k:
+                    assert mat == BitMatrix.zero(td, sd)
+                    zero_reads += 1
+                else:
+                    assert mat == BitMatrix.identity(sd)
+    assert zero_reads and m.actions == {}
+    required = set(G._required_action_keys(A1, w, m.dims))
+    assert set(m.action_table()) == required
+    for seq, d in required:
+        assert m.action(seq, d).shape == (m.dims[d + M.degree(seq)], m.dims[d])
+    assert set(m.actions) == required
+
+
+def test_monomials_outside_a_finite_algebra_raise_on_every_module():
+    """Over A(1), a monomial outside it raises wherever both dimensions
+    are nonzero; over the full algebra no monomial is refused."""
+    r = regular(A1, Window(0, 10))
+    for seq, d in [((4,), 0), ((5,), 1), ((0, 2), 0), ((4,), 2)]:
+        assert r.dims[d] and r.dims[d + M.degree(seq)]
+        with pytest.raises(ValueError, match=rf"Sq\({seq[0]},.*is not in "
+                                             r"A\(1\)"):
+            r.action(seq, d)
+    assert r.actions == {}
+    f = regular(FULL, Window(0, 10))
+    assert f.action((4,), 0).shape == (2, 1)
+    assert f.action((0, 0, 1), 0).shape == (4, 1)
+
+
 def test_table_keys_the_header_does_not_call_for_are_refused():
     """An explicit table may not hold a key no header calls for: printed,
     it would be a block the parser rejects."""

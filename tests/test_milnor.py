@@ -238,8 +238,9 @@ def test_left_right_multiplication_consistency():
 
 def _check_right_memo(e, k, alg):
     """Each memoized transposed right multiplication by a monomial of
-    degree k on A^e against the per-pair block (e, k): the rows for
-    monomial j are the block's columns j, j + dim A^k, ..."""
+    degree k on A^e, and the stride helper it is built from, against the
+    per-pair block (e, k): the rows for monomial j are the block's
+    columns j, j + dim A^k, ..."""
     block = multiplication_block_by_pairs(e, k, alg)
     basis_k = M.basis_in_degree(k, alg)
     de = len(M.basis_in_degree(e, alg))
@@ -248,6 +249,7 @@ def _check_right_memo(e, k, alg):
         assert mat is M._right_memo(e, alg)[seq]
         rows = [block.column(j + i * len(basis_k)) for i in range(de)]
         assert mat == BitMatrix(de, block.nrows, rows), (seq, e, alg)
+        assert M._right_action_rows(e, k, j, alg) == mat.rows == tuple(rows)
 
 
 def test_right_memo_matches_per_pair_oracle_exhaustive():
