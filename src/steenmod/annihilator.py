@@ -18,20 +18,19 @@ certified data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import milnor
+from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, Subspace, kernel
 from .gmodule import GradedModule, Window
 from .milnor import Algebra, Element
 
 
-@dataclass(frozen=True)
 class HomIdeal:
     """A left ideal given by finitely many homogeneous generators."""
 
-    generators: tuple[Element, ...]
+    __slots__ = ("generators",)
 
     def __init__(self, generators: Iterable[Element]):
         gens = tuple(generators)
@@ -40,7 +39,10 @@ class HomIdeal:
         for g in gens:
             if g.is_zero() or not g.is_homogeneous():
                 raise ValueError("ideal generators must be nonzero homogeneous")
-        object.__setattr__(self, "generators", gens)
+        self.generators = gens
+
+    __eq__ = fields_equal
+    __hash__ = fields_hash
 
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(g.degree() for g in self.generators)
@@ -52,15 +54,17 @@ class HomIdeal:
         return "[" + ",".join(str(g) for g in self.generators) + "]"
 
 
-@dataclass(frozen=True)
 class IdealChain:
-    stages: tuple[HomIdeal, ...]
+    __slots__ = ("stages",)
 
     def __init__(self, stages: Iterable[HomIdeal]):
         st = tuple(stages)
         if not st:
             raise ValueError("empty chain")
-        object.__setattr__(self, "stages", st)
+        self.stages = st
+
+    __eq__ = fields_equal
+    __hash__ = fields_hash
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -141,7 +145,6 @@ def ideal_span(ideal: HomIdeal, algebra: Algebra, window: Window) -> WindowIdeal
     return WindowIdeal(algebra, window, spaces)
 
 
-@dataclass
 class PerpProfile:
     """Per-degree descending perp subspaces of a chain, with stabilization data.
 
@@ -151,11 +154,18 @@ class PerpProfile:
     generator action needed at d was representable.
     """
 
-    window: Window
-    num_stages: int
-    stages: dict[int, list[Subspace]]
-    ell: dict[int, int]
-    certified: dict[int, bool]
+    __slots__ = ("window", "num_stages", "stages", "ell", "certified")
+
+    def __init__(self, window: Window, num_stages: int,
+                 stages: dict[int, list[Subspace]], ell: dict[int, int],
+                 certified: dict[int, bool]):
+        self.window = window
+        self.num_stages = num_stages
+        self.stages = stages
+        self.ell = ell
+        self.certified = certified
+
+    __eq__ = fields_equal
 
     def certified_degrees(self) -> list[int]:
         return [d for d in self.window if self.certified[d]]
@@ -321,14 +331,18 @@ VERDICT_COUNTER = "counterexample"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class FlagReport:
-    verdict: str
-    reason: str
-    witness: Optional[dict] = None
+    __slots__ = ("verdict", "reason", "witness")
+
+    def __init__(self, verdict: str, reason: str,
+                 witness: Optional[dict] = None):
+        self.verdict = verdict
+        self.reason = reason
+        self.witness = witness
+
+    __eq__ = fields_equal
 
 
-@dataclass
 class SigmaClass:
     """Taxonomy flags for which suspension families keep injectivity.
 
@@ -337,12 +351,21 @@ class SigmaClass:
     a finite effective degree range plus degreewise finiteness.
     """
 
-    strictly: FlagReport
-    unboundedly: FlagReport
-    bounded_abovely: FlagReport
-    bounded_belowly: FlagReport
-    finite_sets: FlagReport
-    per_chain: list[PerpProfile] = field(default_factory=list)
+    __slots__ = ("strictly", "unboundedly", "bounded_abovely",
+                 "bounded_belowly", "finite_sets", "per_chain")
+
+    def __init__(self, strictly: FlagReport, unboundedly: FlagReport,
+                 bounded_abovely: FlagReport, bounded_belowly: FlagReport,
+                 finite_sets: FlagReport,
+                 per_chain: Optional[list[PerpProfile]] = None):
+        self.strictly = strictly
+        self.unboundedly = unboundedly
+        self.bounded_abovely = bounded_abovely
+        self.bounded_belowly = bounded_belowly
+        self.finite_sets = finite_sets
+        self.per_chain = [] if per_chain is None else per_chain
+
+    __eq__ = fields_equal
 
     def flags(self) -> dict[str, str]:
         return {

@@ -33,11 +33,11 @@ grows.  The verdict records exactly that, with re-checkable data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from . import milnor
+from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
 from .f2 import BitMatrix, Subspace, kernel, mul_rows
 from .gmodule import GradedModule, SuspensionProfile
@@ -51,26 +51,37 @@ INCONCLUSIVE = "inconclusive"
 # -- the extension test --------------------------------------------------------
 
 
-@dataclass
 class BaerVerdict:
-    status: str  # extends_all / fails / inconclusive
-    hom_dim: int
-    extendable_dim: int
-    constraints_complete: bool
-    note: str
-    witness: Optional["FailingMap"] = None
+    __slots__ = ("status", "hom_dim", "extendable_dim",
+                 "constraints_complete", "note", "witness")
+
+    def __init__(self, status: str, hom_dim: int, extendable_dim: int,
+                 constraints_complete: bool, note: str,
+                 witness: Optional[FailingMap] = None):
+        self.status = status  # extends_all / fails / inconclusive
+        self.hom_dim = hom_dim
+        self.extendable_dim = extendable_dim
+        self.constraints_complete = constraints_complete
+        self.note = note
+        self.witness = witness
+
+    __eq__ = fields_equal
 
     @property
     def passed(self) -> bool:
         return self.status == EXTENDS_ALL
 
 
-@dataclass
 class FailingMap:
     """A concrete non-extendable map: values on the ideal generators."""
 
-    shift: int
-    values: list[tuple[int, int, int]]  # (generator degree, value degree, coords)
+    __slots__ = ("shift", "values")
+
+    def __init__(self, shift: int, values: list[tuple[int, int, int]]):
+        self.shift = shift
+        self.values = values  # (generator degree, value degree, coords)
+
+    __eq__ = fields_equal
 
 
 @lru_cache(maxsize=None)
@@ -312,24 +323,37 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
 # -- witness construction ------------------------------------------------------
 
 
-@dataclass
 class WitnessMap:
     """The chain map r -> (r x_0, ..., r x_K) with its full choice data."""
 
-    chain: IdealChain
-    degree_function: SuspensionProfile
-    choices: list[tuple[int, int]]  # (degree of x_n, coordinate mask in M)
-    forced_stages: list[int]
-    stage_witnesses: dict[int, str]
+    __slots__ = ("chain", "degree_function", "choices", "forced_stages",
+                 "stage_witnesses")
+
+    def __init__(self, chain: IdealChain, degree_function: SuspensionProfile,
+                 choices: list[tuple[int, int]], forced_stages: list[int],
+                 stage_witnesses: dict[int, str]):
+        self.chain = chain
+        self.degree_function = degree_function
+        self.choices = choices  # (degree of x_n, coordinate mask in M)
+        self.forced_stages = forced_stages
+        self.stage_witnesses = stage_witnesses
+
+    __eq__ = fields_equal
 
 
-@dataclass
 class WitnessVerdict:
-    extension_fails: bool
-    plain_extension_exists: bool
-    forced_stages: list[int]
-    num_stages: int
-    note: str
+    __slots__ = ("extension_fails", "plain_extension_exists",
+                 "forced_stages", "num_stages", "note")
+
+    def __init__(self, extension_fails: bool, plain_extension_exists: bool,
+                 forced_stages: list[int], num_stages: int, note: str):
+        self.extension_fails = extension_fails
+        self.plain_extension_exists = plain_extension_exists
+        self.forced_stages = forced_stages
+        self.num_stages = num_stages
+        self.note = note
+
+    __eq__ = fields_equal
 
 
 def track_destabilizing_degrees(profile: PerpProfile) -> SuspensionProfile:

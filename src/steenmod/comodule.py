@@ -15,27 +15,28 @@ in nonpositive degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import milnor
+from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, mask_to_bits, mul_rows
 from .gmodule import (GradedModule, Window, _graded_header, coproduct,
                       dual_regular, zero_module)
 from .milnor import Algebra
 
 
-@dataclass(frozen=True)
 class ExtendedSpec:
     """A graded vector space V by degreewise dimensions (finitely many)."""
 
-    v_dims: tuple[tuple[int, int], ...]  # sorted (degree, dim), dims > 0
+    __slots__ = ("v_dims",)
 
     def __init__(self, v_dims: dict[int, int]):
         items = tuple(sorted((d, n) for d, n in v_dims.items() if n))
         for _, n in items:
             if n < 0:
                 raise ValueError("negative dimension")
-        object.__setattr__(self, "v_dims", items)
+        self.v_dims = items  # sorted (degree, dim), dims > 0
+
+    __eq__ = fields_equal
+    __hash__ = fields_hash
 
 
 def _generators(v: ExtendedSpec) -> list[int]:
@@ -293,10 +294,11 @@ def iota_matches_suspended_duals(module: GradedModule,
     The part on generator g is the dual regular module at d - g, whose
     action there is the transposed right multiplication by that monomial
     on A^(g - d - k).  So its run of rows, for a part with a target at
-    d + k, must equal ``milnor._right_action_rows(g - d - k, k, j)``
-    shifted left to the part's column offset, and must be zero when the
-    part has no basis at d.  No part matrix is built and no memo entry is
-    made: the parts' rows are read straight off the product block.
+    d + k, must equal the slice at j of ``milnor._right_action_block(g -
+    d - k, k)``, fetched once per part and (k, d), shifted left to the
+    part's column offset, and must be zero when the part has no basis at
+    d.  No part matrix is built and no memo entry is made: the parts'
+    rows are read straight off the product block.
     """
     gens = _generators(v)
     algebra, window = module.algebra, module.window
@@ -306,32 +308,33 @@ def iota_matches_suspended_duals(module: GradedModule,
             or ref.top_exact != module.top_exact):
         return False
     dims = module.dims
-    right_rows = milnor._right_action_rows
     for k in range(1, window.width + 1):
         basis = algebra.basis(k)
         for d in range(window.lo, window.hi + 1 - k):
             if not (dims[d] and dims[d + k]):
                 continue
-            # (degree of the part's algebra source, first row, rows,
-            # column offset or None when the part has no basis at d)
+            # (first row, end row, the product block of the part's algebra
+            # source or None when the part has no basis at d, its stride,
+            # column offset)
             runs = []
             start = col = 0
             for part, g in parts:
                 sd, td = part.dims[d - g], part.dims[d - g + k]
                 if td:
-                    runs.append((g - d - k, start, start + td,
-                                 col if sd else None))
+                    block, stride = (milnor._right_action_block(
+                        g - d - k, k, algebra) if sd else (None, 0))
+                    runs.append((start, start + td, block, stride, col))
                     start += td
                 col += sd
             for j, seq in enumerate(basis):
                 rows = module.action(seq, d).rows
-                for e, lo, hi, off in runs:
+                for lo, hi, block, stride, off in runs:
                     run = rows[lo:hi]
-                    if off is None:
+                    if block is None:
                         if any(run):
                             return False
                         continue
-                    own = right_rows(e, k, j, algebra)
+                    own = block[j::stride]
                     if off:
                         own = tuple([r << off for r in own])
                     if run != own:

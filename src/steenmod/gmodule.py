@@ -32,22 +32,27 @@ matrices the source determines, and nothing here mutates inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import milnor
+from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, Subspace, mask_to_bits, mul_rows
 from .milnor import Algebra, Element, Seq
 
 
-@dataclass(frozen=True, order=True)
 class Window:
-    lo: int
-    hi: int
+    """The degrees lo..hi, both included."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty window {self.lo}..{self.hi}")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty window {lo}..{hi}")
+        self.lo = lo
+        self.hi = hi
+
+    __eq__ = fields_equal
+    __hash__ = fields_hash
 
     def __contains__(self, d: int) -> bool:
         return self.lo <= d <= self.hi
@@ -69,14 +74,16 @@ class Window:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
 class SuspensionProfile:
     """A finite multiset of suspension degrees d(s)."""
 
-    shifts: tuple[int, ...]
+    __slots__ = ("shifts",)
 
     def __init__(self, shifts: Iterable[int]):
-        object.__setattr__(self, "shifts", tuple(sorted(shifts)))
+        self.shifts = tuple(sorted(shifts))
+
+    __eq__ = fields_equal
+    __hash__ = fields_hash
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -559,13 +566,17 @@ def _transpose_dual(m: GradedModule) -> GradedModule:
                         bottom_exact=m.top_exact, top_exact=m.bottom_exact)
 
 
-@dataclass
 class GeneratorReport:
     """Degreewise cokernel of the positive-degree action."""
 
-    counts: dict[int, int]
-    representatives: dict[int, list[int]]
-    certified: dict[int, bool]
+    __slots__ = ("counts", "representatives", "certified")
+
+    def __init__(self, counts: dict[int, int],
+                 representatives: dict[int, list[int]],
+                 certified: dict[int, bool]):
+        self.counts = counts
+        self.representatives = representatives
+        self.certified = certified
 
 
 def minimal_generators(m: GradedModule) -> GeneratorReport:
@@ -605,7 +616,6 @@ def minimal_generators(m: GradedModule) -> GeneratorReport:
     return GeneratorReport(counts, reps, certified)
 
 
-@dataclass
 class FreenessVerdict:
     """Outcome of the degreewise free-comparison test.
 
@@ -614,10 +624,17 @@ class FreenessVerdict:
     injective coincide there).
     """
 
-    status: str  # 'free' | 'not_free' | 'window_inconclusive'
-    generator_degrees: dict[int, int] = field(default_factory=dict)
-    witness: Optional[str] = None
-    certified_degrees: tuple[int, ...] = ()
+    __slots__ = ("status", "generator_degrees", "witness", "certified_degrees")
+
+    def __init__(self, status: str,
+                 generator_degrees: Optional[dict[int, int]] = None,
+                 witness: Optional[str] = None,
+                 certified_degrees: tuple[int, ...] = ()):
+        self.status = status  # 'free' | 'not_free' | 'window_inconclusive'
+        self.generator_degrees = ({} if generator_degrees is None
+                                  else generator_degrees)
+        self.witness = witness
+        self.certified_degrees = certified_degrees
 
     @property
     def is_free(self) -> bool:

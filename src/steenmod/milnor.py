@@ -36,10 +36,12 @@ The table readers are slices of one block:
 - ``_left_action(seq, d)``: left multiplication by one monomial on A^d,
   the contiguous run of block (deg seq, d) at the monomial's index; the
   regular module's source.
-- ``_right_action_rows(d, k, j)``: the rows of the transposed right
-  multiplication by the j-th monomial of degree k on A^d, the run of block
-  (d, k) at stride dim A^k; ``comodule.iota_matches_suspended_duals``
-  compares against it without building a matrix.
+- ``_right_action_block(d, k)``: block (d, k) with its stride dim A^k;
+  the run at index j with that stride holds the rows of the transposed
+  right multiplication by the j-th monomial of degree k on A^d
+  (``_right_action_rows``).  ``comodule.iota_matches_suspended_duals``
+  fetches it once per part and compares against its slices without
+  building a matrix.
 - ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
   regular module's source.
 - ``right_multiplication``: the transposed right multiplication by any
@@ -59,7 +61,6 @@ reads them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -106,11 +107,36 @@ def in_profile(seq: Seq, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """The full algebra (profile None) or the finite subalgebra A(n)."""
+_ALGEBRAS: dict[Optional[int], "Algebra"] = {}
 
-    profile_index: Optional[int] = None
+
+class Algebra:
+    """The full algebra (profile None) or the finite subalgebra A(n).
+
+    Interned: constructing an algebra returns the one instance of its
+    profile, so the memos keyed by an algebra hash and compare it by
+    identity.  Its top degree is computed once, at first construction.
+    """
+
+    __slots__ = ("profile_index", "is_full", "_top")
+
+    def __new__(cls, profile_index: Optional[int] = None) -> "Algebra":
+        alg = _ALGEBRAS.get(profile_index)
+        if alg is None:
+            n = profile_index
+            if n is not None and n < 0:
+                raise ValueError("subalgebra index must be >= 0")
+            alg = super().__new__(cls)
+            alg.profile_index = n
+            alg.is_full = n is None
+            alg._top = None if n is None else degree(
+                tuple((1 << (n + 1 - i)) - 1 for i in range(n + 1)))
+            _ALGEBRAS[n] = alg
+        return alg
+
+    def __reduce__(self):
+        # copies and unpickled instances go through the intern table too
+        return Algebra, (self.profile_index,)
 
     @classmethod
     def full(cls) -> "Algebra":
@@ -118,24 +144,14 @@ class Algebra:
 
     @classmethod
     def subalgebra(cls, n: int) -> "Algebra":
-        if n < 0:
-            raise ValueError("subalgebra index must be >= 0")
         return cls(n)
-
-    @property
-    def is_full(self) -> bool:
-        return self.profile_index is None
 
     def contains(self, seq: Seq) -> bool:
         return True if self.is_full else in_profile(seq, self.profile_index)
 
     def top_degree(self) -> Optional[int]:
         """Largest degree with a nonzero component; None for the full algebra."""
-        if self.is_full:
-            return None
-        n = self.profile_index
-        top = tuple((1 << (n + 1 - i)) - 1 for i in range(n + 1))
-        return degree(top)
+        return self._top
 
     def basis(self, d: int) -> tuple[Seq, ...]:
         return basis_in_degree(d, self)
@@ -484,17 +500,26 @@ def _left_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     return mat
 
 
+def _right_action_block(d: int, k: int, algebra: Algebra
+                        ) -> tuple[tuple[int, ...], int]:
+    """The product block (d, k) and its stride dim A^k: for b_j the j-th
+    monomial of degree k, ``block[j::stride]`` are the rows of the
+    transpose of x -> x * b_j from A^d to A^(d + k), row i holding the
+    coordinates of b_i b_j.  The one definition of the dual regular
+    action's rows; nothing is memoized here, and an empty A^d gives an
+    empty block without building the blocks of degree d + k."""
+    stride = len(basis_in_degree(k, algebra))
+    if not basis_in_degree(d, algebra):
+        return (), stride
+    return _product_blocks(d + k, algebra)[d], stride
+
+
 def _right_action_rows(d: int, k: int, j: int,
                        algebra: Algebra) -> tuple[int, ...]:
-    """Rows of the transpose of x -> x * b_j from A^d to A^(d + k), for
-    b_j the j-th monomial of degree k: row i holds the coordinates of
-    b_i b_j in A^(d + k), the column masks of the product block (d, k) at
-    index j with stride dim A^k.  The one definition of the dual regular
-    action's rows; nothing is memoized here."""
-    if not basis_in_degree(d, algebra):
-        return ()
-    block = _product_blocks(d + k, algebra)[d]
-    return block[j::len(basis_in_degree(k, algebra))]
+    """Rows of the transposed right multiplication by the j-th monomial of
+    degree k on A^d: the stride slice of ``_right_action_block`` at j."""
+    block, stride = _right_action_block(d, k, algebra)
+    return block[j::stride]
 
 
 def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
@@ -533,8 +558,8 @@ def right_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
     dd = len(basis_in_degree(d, algebra))
     if not dd:
         return BitMatrix(0, nrows, ())
+    block, stride = _right_action_block(d, k, algebra)
     rows = [0] * dd
     for j in mask_to_bits(coords_of(elem, k, algebra)):
-        rows = [a ^ b for a, b in zip(
-            rows, _right_action_rows(d, k, j, algebra))]
+        rows = [a ^ b for a, b in zip(rows, block[j::stride])]
     return BitMatrix(dd, nrows, rows)

@@ -11,7 +11,6 @@ degree range it was certified on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import catalogs
@@ -30,12 +29,15 @@ INCONCLUSIVE = "inconclusive"
 EXIT_CODES = {OK: 0, COUNTEREXAMPLE: 1, INCONCLUSIVE: 2}
 
 
-@dataclass
 class Report:
-    scenario: str
-    claim: str
-    status: str = OK
-    lines: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("scenario", "claim", "status", "lines")
+
+    def __init__(self, scenario: str, claim: str, status: str = OK,
+                 lines: Optional[list[tuple[str, str]]] = None):
+        self.scenario = scenario
+        self.claim = claim
+        self.status = status
+        self.lines = [] if lines is None else lines
 
     def add(self, key: str, value) -> None:
         self.lines.append((key, str(value)))
@@ -55,13 +57,17 @@ class Report:
             self.status = INCONCLUSIVE
 
 
-@dataclass
 class ScenarioConfig:
-    window: Optional[Window] = None
-    subalgebra: Optional[int] = None
-    stages: int = 4
-    seed: int = 0
-    max_degree: int = 24
+    __slots__ = ("window", "subalgebra", "stages", "seed", "max_degree")
+
+    def __init__(self, window: Optional[Window] = None,
+                 subalgebra: Optional[int] = None, stages: int = 4,
+                 seed: int = 0, max_degree: int = 24):
+        self.window = window
+        self.subalgebra = subalgebra
+        self.stages = stages
+        self.seed = seed
+        self.max_degree = max_degree
 
 
 def run_dims(cfg: ScenarioConfig) -> Report:

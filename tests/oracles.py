@@ -19,8 +19,10 @@ extension test's map spaces, the entry-wise and per-row forms of the
 three verifiers (module composition, coassociativity, extension test),
 kept as the references for the engine's row-level ones, the term-by-term
 Sq(2^k)-multiples of lower relations, kept as the reference for the
-extension test's minimal presentation, and the greedy finite-subideal
-search, which no engine path needs.
+extension test's minimal presentation, the greedy finite-subideal
+search, which no engine path needs, and the Margolis homology of a
+finite A(n)-module, kept as an independent freeness test: it reads only
+the module's action matrices and ranks them by column scans.
 """
 
 from __future__ import annotations
@@ -970,3 +972,48 @@ def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
     # nothing chosen: every element already has the target perp, and a
     # HomIdeal needs at least one generator
     return HomIdeal(chosen or full_gens[:1])
+
+
+# -- Margolis homology ------------------------------------------------------------
+
+
+def margolis_elements(n: int) -> list[tuple[int, ...]]:
+    """The P^s_t of A(n) with s < t: Sq(0,...,0,2^s), 2^s in slot t, which
+    lies in A(n) iff s + t <= n + 1; each squares to zero."""
+    return [(0,) * (t - 1) + (1 << s,)
+            for t in range(1, n + 2) for s in range(t) if s + t <= n + 1]
+
+
+def margolis_homology(m: GradedModule, seq: tuple[int, ...]) -> dict[int, int]:
+    """dim H(M; P) = dim ker(P: M^d -> M^(d+k)) - dim im(P: M^(d-k) -> M^d)
+    at each degree d where it is nonzero, for P = Sq(seq) of degree k with
+    P^2 = 0.  Ranks come from ``rref_by_columns``, not from the engine's
+    kernels.  M must be exact at both window edges, so every degree outside
+    the window is zero."""
+    if not (m.bottom_exact and m.top_exact):
+        raise ValueError("Margolis homology needs a module exact at both edges")
+    k = sum(r * ((2 << i) - 1) for i, r in enumerate(seq))
+
+    def rank(d: int) -> int:
+        # rank of P: M^d -> M^(d+k), zero when either end is zero
+        if d not in m.window or d + k not in m.window:
+            return 0
+        if not (m.dims[d] and m.dims[d + k]):
+            return 0
+        mat = m.action(seq, d)
+        return len(rref_by_columns(mat.rows, mat.ncols)[0])
+
+    out = {}
+    for d in m.window:
+        h = m.dims[d] - rank(d) - rank(d - k)
+        if h:
+            out[d] = h
+    return out
+
+
+def margolis_free(m: GradedModule) -> bool:
+    """Whether the finite A(n)-module m is free: every H(M; P^s_t) of A(n)
+    vanishes (Adams and Margolis, "Modules over the Steenrod algebra",
+    Topology 10, 1971)."""
+    return not any(margolis_homology(m, p)
+                   for p in margolis_elements(m.algebra.profile_index))

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from steenmod import catalogs
 from steenmod import gmodule as G
 from steenmod import milnor as M
+from steenmod.annihilator import HomIdeal, ideal_span
 from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, coproduct,
@@ -768,3 +770,47 @@ def test_submodule_quotient_coproduct_of_valid_modules_validate(base, picks,
     for out in (sub, quo, coproduct([(m, 0), (sub, shift)]),
                 coproduct([(quo, shift), (m, 0), (sub, 0)])):
         assert validate(out) == oracles.validate_composition_dense(out) == []
+
+
+def _a2_margolis_quotients():
+    """regular(A(2)) modulo the left ideal of each Margolis element P:
+    H(-; P) is the only Margolis homology that does not vanish."""
+    w = Window(0, 23)
+    r = regular(A2, w)
+    out = []
+    for p in oracles.margolis_elements(2):
+        span = ideal_span(HomIdeal([Element([p])]), A2, w)
+        out.append((f"A(2)/A(2){Element([p])}",
+                    quotient(r, {d: span.space(d) for d in w})))
+    return out
+
+
+def test_margolis_elements_of_a1_and_a2():
+    assert oracles.margolis_elements(1) == [(1,), (0, 1)]
+    assert sorted(oracles.margolis_elements(2)) == sorted(
+        [(1,), (0, 1), (0, 2), (0, 0, 1)])
+
+
+def test_margolis_oracle_agrees_with_freeness_test():
+    """The Margolis-homology oracle decides freeness as freeness_test does
+    on the A(1) corpus (6 free, 8 not), on regular(A(2)), and on the
+    quotients of regular(A(2)) by each Margolis element, each of which is
+    told apart from a free module by that element's homology alone."""
+    quotients = _a2_margolis_quotients()
+    modules = catalogs.a1_module_corpus() + [
+        ("regular(A(2))", regular(A2, Window(0, 23)))] + quotients
+    verdicts = {}
+    for name, m in modules:
+        free = oracles.margolis_free(m)
+        assert free == freeness_test(m).is_free, name
+        verdicts[name] = free
+    assert sum(verdicts.values()) == 7
+    # the trivial module F2 has F2 as its homology for every P
+    trivial = dict(modules)["trivial"]
+    for p in oracles.margolis_elements(1):
+        assert oracles.margolis_homology(trivial, p) == {0: 1}
+    # each A(2) quotient has homology for its own P only
+    for p, (name, q) in zip(oracles.margolis_elements(2), quotients):
+        nonzero = [pp for pp in oracles.margolis_elements(2)
+                   if oracles.margolis_homology(q, pp)]
+        assert nonzero == [p], name
