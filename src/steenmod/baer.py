@@ -41,7 +41,7 @@ from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
 from .f2 import BitMatrix, Subspace, kernel, mul_rows
 from .gmodule import GradedModule, SuspensionProfile
-from .milnor import Algebra
+from .milnor import Algebra, Element
 
 EXTENDS_ALL = "extends_all"
 FAILS = "fails"
@@ -94,6 +94,13 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     (b_i) -> sum b_i g_i, with columns laid out as
     [(generator index, basis index)].  Depends only on the ideal, so it is
     cached across extension-test runs.
+
+    Column c's mask in A^e is tagged with bit c above the dim A^e
+    coordinates and reduced by pivot insertion against the tagged columns
+    before it.  A column whose A^e part reduces to zero leaves its tag
+    part, a relation: it has bit c and only lower tag bits, so these
+    relations are independent, one per non-pivot column, and span the
+    kernel.  One reduction of them gives the canonical basis.
     """
     cols: list[int] = []
     layout: list[tuple[int, int]] = []
@@ -107,8 +114,25 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
         layout.extend((gi, j) for j in range(len(part)))
     if not cols:
         return (), ()
-    block = BitMatrix.from_columns(cols, algebra.dim(e))
-    return tuple(kernel(block).basis.rows), tuple(layout)
+    width = algebra.dim(e)
+    low_mask = (1 << width) - 1
+    table: dict[int, int] = {}
+    relations = []
+    tag = 1 << width
+    for v in cols:
+        v |= tag
+        tag <<= 1
+        while v & low_mask:
+            low = v & -v
+            p = table.get(low)
+            if p is None:
+                table[low] = v
+                break
+            v ^= p
+        else:
+            relations.append(v >> width)
+    return (tuple(Subspace.from_vectors(relations, len(cols)).basis.rows),
+            tuple(layout))
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +187,38 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     return tuple(v for v in rows if insert(v))
 
 
+_GEN_COORDS: dict[tuple[tuple[Element, ...], Algebra],
+                  tuple[tuple[int, int], ...]] = {}
+
+
+def _generator_coords(gens: tuple[Element, ...], algebra: Algebra
+                      ) -> tuple[tuple[int, int], ...]:
+    """Degree and coordinate mask of each generator in the algebra's
+    basis, memoized per generator tuple; a generator outside the algebra
+    raises ValueError and leaves no entry."""
+    key = (gens, algebra)
+    out = _GEN_COORDS.get(key)
+    if out is None:
+        out = tuple((g.degree(), milnor.coords_of(g, g.degree(), algebra))
+                    for g in gens)
+        _GEN_COORDS[key] = out
+    return out
+
+
+def _rank(rows: list[int]) -> int:
+    """Rank of the rows, by pivot insertion."""
+    table: dict[int, int] = {}
+    for v in rows:
+        while v:
+            low = v & -v
+            p = table.get(low)
+            if p is None:
+                table[low] = v
+                break
+            v ^= p
+    return len(table)
+
+
 def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     """Do all graded maps Sigma^shift(ideal) -> target extend over the algebra?
 
@@ -182,6 +238,15 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     the window or below an exact bottom edge, so no lower degree that
     the argument uses is unknown.
 
+    The restrictions y -> (g_i y)_i of the elements y of target degree
+    shift span the column space of the generators' action matrices on
+    that degree, stacked.  Only its dimension, the rank of the stacked
+    rows, enters the verdict, and it is found by the same pivot insertion
+    as the constraints below.  The space itself, the canonical span of
+    the stacked matrix's columns, is built only for a failing map's
+    witness.  Each generator's degree and coordinates are memoized per
+    generator tuple (``_generator_coords``).
+
     The constraints of relation degree e are assembled by one kernel
     product: the relation rows times one wide row per relation column, in
     which that column's action rows on the target sit side by side, each
@@ -196,34 +261,31 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     where the full relation space is nonempty and the target is nonzero.
     """
     algebra = target.algebra
-    gen_coords = []
-    for g in ideal.generators:
-        gd = g.degree()
-        gen_coords.append((gd, milnor.coords_of(g, gd, algebra)))
+    dim = target.dim
+    gen_coords = _generator_coords(ideal.generators, algebra)
 
     gen_info = []  # (degree, coords, value dim, offset)
     total = 0
     for gd, gv in gen_coords:
-        td = target.dim(shift + gd)
+        td = dim(shift + gd)
         if td is None:
             return BaerVerdict(INCONCLUSIVE, 0, 0, False,
                                f"value degree {shift + gd} leaves the window")
         gen_info.append((gd, gv, td, total))
         total += td
 
-    # restriction space: images of y in C^shift under y -> (g_i y)_i
-    if target.dim(shift) is None:
+    # restriction space: images of y in C^shift under y -> (g_i y)_i, the
+    # column space of the generators' action matrices stacked
+    sd = dim(shift)
+    if sd is None:
         return BaerVerdict(INCONCLUSIVE, 0, 0, False,
                            "restriction source degree leaves the window")
-    blocks = []
-    for gd, gv, td, _ in gen_info:
-        if td and target.dim(shift):
-            elem = milnor.element_from_coords(gv, gd, algebra)
-            blocks.append(target.action_of(elem, shift))
-        else:
-            blocks.append(BitMatrix.zero(td, target.dim(shift)))
-    restr = BitMatrix.vstack(blocks) if blocks else BitMatrix.zero(0, 0)
-    ext_space = Subspace.from_vectors(restr.transpose().rows, total)
+    restr: list[int] = []
+    if sd:
+        for g, (_, _, td, _) in zip(ideal.generators, gen_info):
+            if td:
+                restr.extend(target.action_of(g, shift).rows)
+    ext_dim = _rank(restr)
 
     min_gd = min(gd for gd, _ in gen_coords)
     max_gd = max(gd for gd, _ in gen_coords)
@@ -236,22 +298,20 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     # set bit; its rank determines the surviving map-space dimension
     # without materializing a basis
     pivots: dict[int, int] = {}
-    ext_dim = ext_space.dim
     goal = total - ext_dim  # the rank at which the map space is pinned
-    key = tuple(gen_coords)
     mask = (1 << total) - 1
     e = min_gd
     last = window_cap if rel_cap is None else min(window_cap, rel_cap)
     done_note = None
     while e <= last and done_note is None:
-        td_out = target.dim(shift + e)
+        td_out = dim(shift + e)
         if td_out is None:
             complete = False
             e += 1
             continue
-        rel_rows, layout = (_generator_relations(key, e, algebra) if td_out
-                            else ((), ()))
-        rows = (_minimal_relations(key, e, algebra)
+        rel_rows, layout = (_generator_relations(gen_coords, e, algebra)
+                            if td_out else ((), ()))
+        rows = (_minimal_relations(gen_coords, e, algebra)
                 if rel_rows and len(pivots) < goal else ())
         if rows:
             # constraint row (relation rho, output row r): the XOR over the
@@ -307,6 +367,8 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         # the kernel's basis is canonical, whatever form the rows are in
         rows = list(pivots.values())
         sol = kernel(BitMatrix(len(rows), total, rows))
+        ext_space = Subspace.from_vectors(
+            BitMatrix(len(restr), sd, restr).transpose().rows, total)
         for v in sol.basis.rows:
             if not ext_space.contains(v):
                 values = []

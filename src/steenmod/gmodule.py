@@ -23,8 +23,9 @@ on that side (dims are then zero beyond the edge); every verdict computed
 downstream carries the degree range on which it is exact, so truncation is
 never silently promoted to a global claim.
 
-Every module is a left module, except the transpose dual that the
-freeness test reads a bounded-above module through (``_transpose_dual``).
+Every module is a left module.  The freeness test reads a bounded-above
+module as its transpose dual, which is not one, through a view of the
+module's own matrices (``_FreenessView``), not as a module.
 
 All modules are immutable after construction: the memo only ever gains the
 matrices the source determines, and nothing here mutates inputs.
@@ -546,24 +547,58 @@ def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
 # -- generators and freeness -------------------------------------------------
 
 
-def _transpose_dual(m: GradedModule) -> GradedModule:
-    """Transpose dual, for the freeness test of a bounded-above m: degree d
-    holds the dual of M^(-d), b acts by the transpose of its action into
-    degree -d, and the exactness flags mirror.
+class _FreenessView:
+    """What the freeness test reads of a module: its degrees and, per
+    basis monomial b and degree d, the images under b of the basis of
+    degree d and of one vector there.
 
-    The result has the transposed action matrices and is *not* a left
-    A-module (acting by c and then by b is acting by c b), so ``validate``
-    would reject it.  ``minimal_generators`` and
-    ``_freeness_bottom_anchored`` read it only through spans of action
-    images and never compose two actions.
+    Unmirrored, the view reads the module itself.  Mirrored, it reads the
+    transpose dual of m, which is bounded below when m is bounded above:
+    degree d holds the dual of M^(-d), b acts by the transpose of its
+    action into degree -d, and the exactness flags mirror.  That dual is
+    not a left module (acting by c and then by b is acting by c b), but
+    the test reads only spans of action images and never composes two
+    actions.  The transpose's columns are the rows of m's own action
+    matrix, so the mirrored view reads image vectors as those rows and
+    applies the transpose to a vector as a row-vector product; no matrix
+    is transposed and none is built.
     """
-    w = Window(-m.window.hi, -m.window.lo)
-    dims = {d: m.dims[-d] for d in w}
 
-    def source(seq: Seq, d: int) -> BitMatrix:
-        return m.action(seq, -d - milnor.degree(seq)).transpose()
-    return GradedModule(m.algebra, w, dims, source,
-                        bottom_exact=m.top_exact, top_exact=m.bottom_exact)
+    __slots__ = ("module", "mirrored", "algebra", "window", "dims",
+                 "bottom_exact", "top_exact")
+
+    def __init__(self, m: GradedModule, mirrored: bool):
+        self.module = m
+        self.mirrored = mirrored
+        self.algebra = m.algebra
+        if mirrored:
+            self.window = Window(-m.window.hi, -m.window.lo)
+            self.dims = {d: m.dims[-d] for d in self.window}
+            self.bottom_exact, self.top_exact = m.top_exact, m.bottom_exact
+        else:
+            self.window, self.dims = m.window, m.dims
+            self.bottom_exact, self.top_exact = m.bottom_exact, m.top_exact
+
+    dim = GradedModule.dim
+
+    def images(self, seq: Seq, d: int) -> Sequence[int]:
+        """The images under seq of the basis vectors of degree d, as masks
+        in degree d + deg seq."""
+        if self.mirrored:
+            return self.module.action(seq, -d - milnor.degree(seq)).rows
+        return self.module.action(seq, d).transpose().rows
+
+    def apply(self, seq: Seq, d: int, v: int) -> int:
+        """The image under seq of the vector v of degree d."""
+        if self.mirrored:
+            rows = self.module.action(seq, -d - milnor.degree(seq)).rows
+            out = 0
+            while v:
+                low = v & -v
+                out ^= rows[low.bit_length() - 1]
+                v ^= low
+            return out
+        return self.module.action(seq, d).apply(v)
 
 
 class GeneratorReport:
@@ -579,12 +614,15 @@ class GeneratorReport:
         self.certified = certified
 
 
-def minimal_generators(m: GradedModule) -> GeneratorReport:
-    """Dims (and lifts) of coker(A^+ (x) M -> M) per window degree.
+def minimal_generators(m: GradedModule,
+                       mirrored: bool = False) -> GeneratorReport:
+    """Dims (and lifts) of coker(A^+ (x) M -> M) per window degree; with
+    mirrored, of m's transpose dual (see ``_FreenessView``).
 
     A degree is certified when every positive-degree source that could hit
     it is either inside the window or beyond an exact edge.
     """
+    m = _FreenessView(m, mirrored)
     counts: dict[int, int] = {}
     reps: dict[int, list[int]] = {}
     certified: dict[int, bool] = {}
@@ -603,7 +641,7 @@ def minimal_generators(m: GradedModule) -> GeneratorReport:
             if src == 0 or not m.algebra.dim(k):
                 continue
             for seq in m.algebra.basis(k):
-                image_rows.extend(m.action(seq, d - k).transpose().rows)
+                image_rows.extend(m.images(seq, d - k))
         if top is None and not m.bottom_exact:
             cert = False
         n = m.dims[d]
@@ -641,18 +679,24 @@ class FreenessVerdict:
         return self.status == "free"
 
 
-def _freeness_bottom_anchored(m: GradedModule) -> tuple[
+def _freeness_bottom_anchored(m: GradedModule, mirrored: bool) -> tuple[
         dict[int, int], list[int], list[tuple[int, str]]]:
-    """Compare m against the free module on its minimal generators.
+    """Compare m, or with mirrored its transpose dual, against the free
+    module on its minimal generators.
 
     Sound for bottom-exact modules: the cokernel lifts generate every
     window degree (downward induction from the exact bottom edge), so the
     canonical map is surjective wherever it is defined, and freeness at a
-    degree reduces to a dimension match plus full rank there.  Returns the
-    nonzero generator counts, the certified degrees (ascending) and a
-    (degree, reason) per certified degree where the comparison fails.
+    degree reduces to a dimension match plus full rank there.  Past an
+    exact top edge the module is zero, so the free module must be zero
+    there too: a generator closer to the edge than the algebra's top
+    degree fails the comparison at each degree its copy of the algebra
+    reaches beyond the window.  Returns the nonzero generator counts, the
+    certified degrees (ascending) and a (degree, reason) per degree where
+    the comparison fails, in ascending order.
     """
-    gens = minimal_generators(m)
+    gens = minimal_generators(m, mirrored)
+    m = _FreenessView(m, mirrored)
     counts = {d: c for d, c in gens.counts.items() if c}
 
     ordered_gens: list[tuple[int, int]] = []  # (degree, representative)
@@ -681,13 +725,21 @@ def _freeness_bottom_anchored(m: GradedModule) -> tuple[
                 if seq == milnor.UNIT:
                     cols.append(rep)
                 else:
-                    cols.append(m.action(seq, g).apply(rep))
+                    cols.append(m.apply(seq, g, rep))
         if fdim != m.dims[d]:
             failures.append((d, f"free rank {fdim} != module dim {m.dims[d]}"))
             continue
         phi = BitMatrix.from_columns(cols, m.dims[d])
         if phi.rank() != m.dims[d]:
             failures.append((d, "canonical map drops rank"))
+    if m.top_exact and counts:
+        # past an exact top edge the module is zero, and the free module
+        # is not while a generator's copy of the algebra reaches there
+        for d in range(m.window.hi + 1, max(counts) + top + 1):
+            fdim = sum(c * m.algebra.dim(d - g) for g, c in counts.items()
+                       if g <= d)
+            if fdim:
+                failures.append((d, f"free rank {fdim} != module dim 0"))
     return counts, certified, failures
 
 
@@ -705,11 +757,10 @@ def freeness_test(m: GradedModule, algebra: Optional[Algebra] = None) -> Freenes
     if m.algebra.is_full:
         raise ValueError("freeness test needs a finite subalgebra")
     if m.bottom_exact:
-        counts, certified, failures = _freeness_bottom_anchored(m)
+        counts, certified, failures = _freeness_bottom_anchored(m, False)
     elif m.top_exact:
         top = m.algebra.top_degree()
-        counts, certified, failures = _freeness_bottom_anchored(
-            _transpose_dual(m))
+        counts, certified, failures = _freeness_bottom_anchored(m, True)
         counts = {-h - top: c for h, c in counts.items()}
         certified = sorted(-d for d in certified)
         failures = [(-d, reason) for d, reason in failures]

@@ -19,10 +19,14 @@ extension test's map spaces, the entry-wise and per-row forms of the
 three verifiers (module composition, coassociativity, extension test),
 kept as the references for the engine's row-level ones, the term-by-term
 Sq(2^k)-multiples of lower relations, kept as the reference for the
-extension test's minimal presentation, the greedy finite-subideal
-search, which no engine path needs, and the Margolis homology of a
-finite A(n)-module, kept as an independent freeness test: it reads only
-the module's action matrices and ranks them by column scans.
+extension test's minimal presentation, the kernel of the packed
+relation block, kept as the reference for the relations read off tagged
+columns, the transpose dual built as a module with transposed matrices,
+kept as the reference for the freeness test's mirrored view, the greedy
+finite-subideal search, which no engine path needs, and the Margolis
+homology of a finite A(n)-module, kept as an independent freeness
+test: it reads only the module's action matrices and ranks them by
+column scans.
 """
 
 from __future__ import annotations
@@ -493,6 +497,42 @@ def quotient_eager(m: GradedModule, spaces) -> GradedModule:
                 actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
     return GradedModule(m.algebra, w, dims, actions,
                         m.bottom_exact, m.top_exact)
+
+
+def transpose_dual(m: GradedModule) -> GradedModule:
+    """The transpose dual of m as a module object with its own transposed
+    action matrices: degree d holds the dual of M^(-d), b acts by the
+    transpose of its action into degree -d, and the exactness flags
+    mirror.  It is *not* a left A-module (acting by c and then by b is
+    acting by c b), so ``validate`` would reject it."""
+    w = Window(-m.window.hi, -m.window.lo)
+    dims = {d: m.dims[-d] for d in w}
+
+    def source(seq, d: int) -> BitMatrix:
+        return m.action(seq, -d - milnor.degree(seq)).transpose()
+    return GradedModule(m.algebra, w, dims, source,
+                        bottom_exact=m.top_exact, top_exact=m.bottom_exact)
+
+
+def generator_relations_by_kernel(gen_coords, e: int,
+                                  algebra: milnor.Algebra):
+    """``steenmod.baer._generator_relations`` as the kernel of the block
+    whose columns are the right multiplications by the generators, packed
+    with ``BitMatrix.from_columns`` and reduced by ``kernel``."""
+    cols: list[int] = []
+    layout: list[tuple[int, int]] = []
+    for gi, (gd, gv) in enumerate(gen_coords):
+        k = e - gd
+        if k < 0:
+            continue
+        g = milnor.element_from_coords(gv, gd, algebra)
+        part = milnor.right_multiplication(g, k, algebra).rows
+        cols.extend(part)
+        layout.extend((gi, j) for j in range(len(part)))
+    if not cols:
+        return (), ()
+    block = BitMatrix.from_columns(cols, algebra.dim(e))
+    return tuple(kernel(block).basis.rows), tuple(layout)
 
 
 def iota_eager(c) -> GradedModule:

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -240,9 +242,10 @@ def _right(a, b):
 def _opposite_regular(algebra, window):
     """The algebra acting on itself by right multiplication on window, which
     is the regular module of the opposite algebra: the transpose dual of
-    the dual regular module on the mirrored window, as the freeness test
-    builds it.  Its tables are checked here; it is not a left module."""
-    return G._transpose_dual(
+    the dual regular module on the mirrored window, which the freeness
+    test reads through a mirrored view.  Its tables are checked here; it
+    is not a left module."""
+    return oracles.transpose_dual(
         dual_regular(algebra, Window(-window.hi, -window.lo)))
 
 
@@ -324,7 +327,7 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
     _assert_same(regular(algebra, w).restrict_to(sub), _explicit(
         ref, {key: m for key, m in ref_table.items() if sub.contains(key[0])},
         algebra=sub))
-    _assert_same(G._transpose_dual(regular(algebra, w)), G.GradedModule(
+    _assert_same(oracles.transpose_dual(regular(algebra, w)), G.GradedModule(
         algebra, dw, {d: ref.dims[-d] for d in dw},
         {(seq, -d - M.degree(seq)): m.transpose()
          for (seq, d), m in ref_table.items()},
@@ -405,7 +408,7 @@ def test_closure_errors_match_eager_references(name):
     lambda: dual_regular(FULL, Window(-24, 0)).suspend(24),
     lambda: free_module(SuspensionProfile([0, 2, 2]), FULL, Window(0, 24)),
     lambda: regular(A2, Window(0, 24)).restrict_to(A1).suspend(-1).suspend(1),
-    lambda: G._transpose_dual(dual_regular(FULL, Window(-24, 0))),
+    lambda: oracles.transpose_dual(dual_regular(FULL, Window(-24, 0))),
 ], ids=["regular", "dual-suspended", "free", "restricted", "dual-of"])
 def test_one_read_builds_one_matrix(build):
     """Constructors build nothing up front: reading one action of a fresh
@@ -661,6 +664,76 @@ def test_freeness_witness_names_degrees_of_a_bounded_above_module():
     assert (m.dims[-2], m.dims[-4], m.dims[-5]) == (1, 2, 2)
 
 
+@lru_cache(maxsize=None)
+def _bounded_above_cases():
+    """Modules exact at the top edge only, free and not, each with the
+    subalgebra the freeness test runs over."""
+    dr = dual_regular(FULL, Window(-20, 0))
+    return [
+        ("dual-regular-a1", dual_regular(A1, Window(-5, 0)), A1),
+        ("dual-regular-a2", dual_regular(A2, Window(-20, 0)), A2),
+        ("dual-regular-full-over-a1", dr, A1),
+        ("dual-regular-full-over-a2", dr, A2),
+        ("dual-regular-mod-top", quotient(dr, {0: Subspace.full(1)}), A1),
+        ("iota", iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
+                               Window(-20, 0))), A1),
+    ]
+
+
+@pytest.mark.parametrize("name", [c[0] for c in _bounded_above_cases()])
+def test_mirrored_freeness_view_matches_the_transpose_dual_module(name):
+    """Reading a bounded-above module through the mirrored view gives the
+    generators, lifts, certified degrees and failures that reading its
+    transpose dual, built as a module with transposed matrices, gives."""
+    m, sub = next((m, sub) for n, m, sub in _bounded_above_cases()
+                  if n == name)
+    m = m.restrict_to(sub)
+    ref = oracles.transpose_dual(m)
+    got = minimal_generators(m, mirrored=True)
+    want = minimal_generators(ref)
+    assert (got.counts, got.representatives, got.certified) == (
+        want.counts, want.representatives, want.certified)
+    assert (G._freeness_bottom_anchored(m, True)
+            == G._freeness_bottom_anchored(ref, False))
+
+
+def test_bounded_above_freeness_transposes_no_matrix(monkeypatch):
+    """The freeness test reads a bounded-above module's own action rows:
+    with every action matrix already built, it transposes none."""
+    for name, m, sub in _bounded_above_cases():
+        m = m.restrict_to(sub)
+        assert m.top_exact and not m.bottom_exact, name
+        m.action_table()
+        want = freeness_test(m)
+
+        def refuse(self):
+            raise AssertionError(f"{name}: transposed an action matrix")
+        with monkeypatch.context() as patch:
+            patch.setattr(BitMatrix, "transpose", refuse)
+            got = freeness_test(m)
+        assert (got.status, got.generator_degrees, got.witness,
+                got.certified_degrees) == (
+                    want.status, want.generator_degrees, want.witness,
+                    want.certified_degrees), name
+
+
+def test_freeness_compares_past_an_exact_top_edge():
+    """A module exact at its top edge is zero past it, so a generator
+    whose copy of the algebra reaches past the edge cannot be free: the
+    left ideal of A(1) spanned by its top class is one-dimensional."""
+    w = Window(0, 6)
+    span = ideal_span(HomIdeal([Element.sq(3, 1)]), A1, w)
+    m = submodule(regular(A1, w), {d: span.space(d) for d in w})
+    assert m.total_dim() == 1 and m.top_exact
+    v = freeness_test(m)
+    assert v.status == "not_free"
+    assert v.generator_degrees == {6: 1}
+    assert v.certified_degrees == tuple(range(0, 7))
+    assert v.witness == ("degree 7: free rank 1 != module dim 0; "
+                         "degree 8: free rank 1 != module dim 0; "
+                         "degree 9: free rank 2 != module dim 0")
+
+
 def test_freeness_inconclusive_without_anchor():
     from steenmod.milnor import degree as seq_degree
 
@@ -680,10 +753,10 @@ def test_dual_of_roundtrip():
     """The transpose dual mirrors the window and the exactness flags, and
     taking it twice gives the module back."""
     r = regular(A1, Window(0, 4))
-    d = G._transpose_dual(r)
+    d = oracles.transpose_dual(r)
     assert d.window == Window(-4, 0) and d.top_exact and not d.bottom_exact
     assert (d.bottom_exact, d.top_exact) == (r.top_exact, r.bottom_exact)
-    assert G._transpose_dual(d) == r
+    assert oracles.transpose_dual(d) == r
 
 
 def test_submodule_closure_checked():
@@ -783,6 +856,66 @@ def _a2_margolis_quotients():
         out.append((f"A(2)/A(2){Element([p])}",
                     quotient(r, {d: span.space(d) for d in w})))
     return out
+
+
+@st.composite
+def _ideal_quotients_and_submodules(draw):
+    """(algebra name, generators as (degree, mask), 'sub' or 'quotient'):
+    the left ideal of A(n) spanned by one or two random homogeneous
+    elements, as a submodule of regular(A(n)) or as the quotient by it."""
+    name = draw(st.sampled_from(["A(1)", "A(2)"]))
+    algebra = A1 if name == "A(1)" else A2
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(0, algebra.top_degree()))
+        gens.append((d, draw(st.integers(1, (1 << algebra.dim(d)) - 1))))
+    return name, tuple(gens), draw(st.sampled_from(["sub", "quotient"]))
+
+
+@lru_cache(maxsize=None)
+def _margolis_sample_module(name, gens, kind):
+    algebra = A1 if name == "A(1)" else A2
+    w = Window(0, algebra.top_degree())
+    span = ideal_span(HomIdeal(M.element_from_coords(mask, d, algebra)
+                               for d, mask in gens), algebra, w)
+    spaces = {d: span.space(d) for d in w}
+    r = regular(algebra, w)
+    if kind == "sub":
+        return oracles.submodule_eager(r, spaces)
+    return oracles.quotient_eager(r, spaces)
+
+
+def test_margolis_oracle_agrees_with_freeness_test_on_a_sample():
+    """On submodules and quotients of regular(A(1)) and regular(A(2)) by
+    left ideals with random generators, built eagerly: the Margolis
+    oracle and freeness_test agree.  So does freeness_test on the same
+    table with the window padded by zero degrees below and its bottom
+    edge marked inexact, which sends it through the transpose dual (a
+    finite module over A(n) is free iff its dual is); the padding, as
+    wide as the algebra's top degree, holds every degree where the dual's
+    free comparison can fail.  Both verdicts occur."""
+    seen = Counter()
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ideal_quotients_and_submodules())
+    @example(("A(2)", ((0, 1),), "sub"))
+    @example(("A(2)", ((0, 1),), "quotient"))
+    @example(("A(1)", ((3, 1),), "quotient"))
+    @example(("A(2)", ((22, 1),), "sub"))
+    def check(case):
+        m = _margolis_sample_module(*case)
+        free = oracles.margolis_free(m)
+        assert freeness_test(m).is_free == free
+        w = Window(-m.algebra.top_degree(), m.window.hi)
+        top_only = G.GradedModule(m.algebra, w,
+                                  {d: m.dims.get(d, 0) for d in w},
+                                  m.action_table(), bottom_exact=False,
+                                  top_exact=True)
+        assert freeness_test(top_only).is_free == free
+        seen[free] += 1
+
+    check()
+    assert set(seen) == {True, False}, seen
 
 
 def test_margolis_elements_of_a1_and_a2():
