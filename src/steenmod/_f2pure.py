@@ -2,11 +2,40 @@
 
 Rows are Python ints used as bit masks: bit j of a row is the entry in
 column j.  All functions are total and deterministic.
+
+- ``insert`` is pivot insertion, the one elimination step every routine
+  here and in ``baer`` is built on.
+- ``rref`` reduces rows to the canonical reduced echelon form.
+- ``column_kernel`` and ``nullspace`` give the canonical kernel basis, of
+  a matrix given by its columns or by its rows; ``transpose`` turns one
+  into the other.
+- ``mul``, ``solve`` and ``apply`` are the product, one solution of a
+  linear system, and a matrix times a column vector.
 """
 
 from __future__ import annotations
 
 BACKEND_NAME = "pure"
+
+
+def insert(table, v):
+    """Reduce v against a table of pivot rows keyed by their lowest set bit
+    and return the residue; a nonzero residue joins the table under its own
+    lowest bit.  The residue is 0 exactly when v lies in the span of the
+    table, so len(table) is the rank of the rows inserted so far.
+
+    While the lowest bit of v is a key, XORing that pivot row in clears it
+    and moves the lowest bit up, so a residue never has a lower bit than
+    the v it came from.
+    """
+    while v:
+        low = v & -v
+        p = table.get(low)
+        if p is None:
+            table[low] = v
+            return v
+        v ^= p
+    return 0
 
 
 def rref(rows, ncols):
@@ -17,32 +46,23 @@ def rref(rows, ncols):
     lie below ncols: a row that reduces to bits at or above ncols only
     counts as zero.
 
-    Elimination is by pivot insertion.  Each row in turn is reduced against
-    a table of pivot rows keyed by their lowest set bit: while its lowest
-    bit is a key, XOR that pivot row in, which moves the lowest bit up.  A
-    row left nonzero joins the table under its new lowest bit.  The table
-    is then in echelon form, and back-substitution in descending pivot
-    order makes it reduced: every higher pivot row is already free of the
-    other pivot columns, so XORing it in clears exactly its own bit.  Each
-    row is touched once per pivot it meets, instead of once per column.
+    The rows are inserted into one pivot table (``insert``).  Rows keyed
+    at or above bit ncols are then left out: they are no pivot rows, and
+    as a row reaches such a key only once its own lowest bit is that
+    high, they changed no row keyed below ncols.  Those rows are in
+    echelon form, and back-substitution in descending pivot order makes
+    them reduced: every higher pivot row is already free of the other
+    pivot columns, so XORing it in clears exactly its own bit.  Each row
+    is touched once per pivot it meets, instead of once per column.
     """
     if not rows:
         return [], []
-    limit = 1 << ncols
     table = {}
     for v in rows:
-        while v:
-            low = v & -v
-            p = table.get(low)
-            if p is None:
-                if low < limit:
-                    table[low] = v
-                break
-            v ^= p
-    pivmask = 0
-    for low in table:
-        pivmask |= low
-    order = sorted(table, reverse=True)
+        insert(table, v)
+    limit = 1 << ncols
+    order = sorted((low for low in table if low < limit), reverse=True)
+    pivmask = sum(order)
     for low in order:
         v = table[low]
         m = (v & pivmask) ^ low
@@ -53,6 +73,46 @@ def rref(rows, ncols):
         table[low] = v
     order.reverse()
     return [table[b] for b in order], [b.bit_length() - 1 for b in order]
+
+
+def column_kernel(cols, nrows):
+    """Canonical (rref) basis rows of the kernel of the nrows-row matrix
+    whose column j is cols[j]: the masks x over columns with
+    sum of cols[j] over the set bits j of x = 0.
+
+    Column j is tagged with bit nrows + j and inserted into one pivot
+    table.  A row keyed at a tag bit has no bit below nrows left, so its
+    tag part is a relation among the columns; its lowest tag bit is the
+    column it was keyed by, so these relations are independent, one per
+    column that is not a pivot, and span the kernel.  One ``rref`` of them
+    gives the canonical basis.
+    """
+    table = {}
+    tag = 1 << nrows
+    for v in cols:
+        insert(table, v | tag)
+        tag <<= 1
+    relations = [v >> nrows for low, v in table.items() if low >> nrows]
+    return rref(relations, len(cols))[0]
+
+
+def transpose(masks, n):
+    """Transpose of a bit matrix given by its masks: mask j of the n
+    returned has bit i set iff masks[i] has bit j set.  Turns columns into
+    rows, or rows into columns."""
+    out = [0] * n
+    for i, r in enumerate(masks):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return out
+
+
+def nullspace(rows, ncols):
+    """Canonical (rref) basis rows of {v : M @ v = 0}."""
+    return column_kernel(transpose(rows, ncols), len(rows))
 
 
 def mul(a_rows, b_rows):
@@ -66,23 +126,6 @@ def mul(a_rows, b_rows):
             v &= v - 1
         out.append(acc)
     return out
-
-
-def nullspace(rows, ncols):
-    """Canonical (rref) basis rows of {v : M @ v = 0}."""
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = 1 << f
-        fb = 1 << f
-        for k, rv in enumerate(red):
-            if rv & fb:
-                v |= 1 << pivots[k]
-        basis.append(v)
-    return rref(basis, ncols)[0]
 
 
 def solve(rows, ncols, target):

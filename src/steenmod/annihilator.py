@@ -195,9 +195,7 @@ def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int) -> tuple[Optional[Subs
         blocks.append(m.action_of(g, d))
     if not blocks:
         return Subspace.full(n), certified
-    stacked = BitMatrix.vstack(blocks)
-    basis = Subspace.from_vectors([], n) if n == 0 else kernel(stacked)
-    return basis, certified
+    return kernel(BitMatrix.vstack(blocks)), certified
 
 
 def verify_ascending(chain: IdealChain, algebra: Algebra, window: Window) -> Optional[str]:

@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import milnor
+from ._f2pure import column_kernel, insert
 from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
 from .f2 import BitMatrix, Subspace, kernel, mul_rows
@@ -95,12 +96,8 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     [(generator index, basis index)].  Depends only on the ideal, so it is
     cached across extension-test runs.
 
-    Column c's mask in A^e is tagged with bit c above the dim A^e
-    coordinates and reduced by pivot insertion against the tagged columns
-    before it.  A column whose A^e part reduces to zero leaves its tag
-    part, a relation: it has bit c and only lower tag bits, so these
-    relations are independent, one per non-pivot column, and span the
-    kernel.  One reduction of them gives the canonical basis.
+    The kernel's canonical basis is ``_f2pure.column_kernel`` of the
+    columns' masks in A^e, the right multiplications by the generators.
     """
     cols: list[int] = []
     layout: list[tuple[int, int]] = []
@@ -114,25 +111,7 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
         layout.extend((gi, j) for j in range(len(part)))
     if not cols:
         return (), ()
-    width = algebra.dim(e)
-    low_mask = (1 << width) - 1
-    table: dict[int, int] = {}
-    relations = []
-    tag = 1 << width
-    for v in cols:
-        v |= tag
-        tag <<= 1
-        while v & low_mask:
-            low = v & -v
-            p = table.get(low)
-            if p is None:
-                table[low] = v
-                break
-            v ^= p
-        else:
-            relations.append(v >> width)
-    return (tuple(Subspace.from_vectors(relations, len(cols)).basis.rows),
-            tuple(layout))
+    return tuple(column_kernel(cols, algebra.dim(e))), tuple(layout)
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +126,8 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     A^(m), m = e - 2^k - |g_i|, to A^(m + 2^k) through the columns of
     Sq(2^k) in ``milnor.product_columns(2^k, m)``, shifted to the block's
     offset at degree e; one kernel product maps every lower row at once.
-    Rows of R_e are reduced by pivot insertion against the images and the
-    rows kept so far, and a row with a nonzero residue is kept as it is.
+    The images go into one pivot table (``_f2pure.insert``), then the
+    rows of R_e; a row with a nonzero residue is kept as it is.
     """
     rows, layout = _generator_relations(gen_coords, e, algebra)
     if not rows:
@@ -156,17 +135,6 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     offsets = {gi: pos for pos, (gi, j) in enumerate(layout) if j == 0}
     min_gd = min(gd for gd, _ in gen_coords)
     table: dict[int, int] = {}
-
-    def insert(v: int) -> bool:
-        while v:
-            low = v & -v
-            p = table.get(low)
-            if p is None:
-                table[low] = v
-                return True
-            v ^= p
-        return False
-
     s = 1
     while s <= e - min_gd and algebra.contains((s,)):
         lower, lower_layout = _generator_relations(gen_coords, e - s, algebra)
@@ -182,9 +150,9 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
                     off = offsets.get(gi)
                 shifted.append(0 if off is None else cols[j] << off)
             for v in mul_rows(lower, shifted):
-                insert(v)
+                insert(table, v)
         s <<= 1
-    return tuple(v for v in rows if insert(v))
+    return tuple(v for v in rows if insert(table, v))
 
 
 _GEN_COORDS: dict[tuple[tuple[Element, ...], Algebra],
@@ -203,20 +171,6 @@ def _generator_coords(gens: tuple[Element, ...], algebra: Algebra
                     for g in gens)
         _GEN_COORDS[key] = out
     return out
-
-
-def _rank(rows: list[int]) -> int:
-    """Rank of the rows, by pivot insertion."""
-    table: dict[int, int] = {}
-    for v in rows:
-        while v:
-            low = v & -v
-            p = table.get(low)
-            if p is None:
-                table[low] = v
-                break
-            v ^= p
-    return len(table)
 
 
 def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
@@ -241,8 +195,8 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     The restrictions y -> (g_i y)_i of the elements y of target degree
     shift span the column space of the generators' action matrices on
     that degree, stacked.  Only its dimension, the rank of the stacked
-    rows, enters the verdict, and it is found by the same pivot insertion
-    as the constraints below.  The space itself, the canonical span of
+    rows, enters the verdict: the size of a pivot table they are inserted
+    into (``_f2pure.insert``).  The space itself, the canonical span of
     the stacked matrix's columns, is built only for a failing map's
     witness.  Each generator's degree and coordinates are memoized per
     generator tuple (``_generator_coords``).
@@ -252,10 +206,9 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     which that column's action rows on the target sit side by side, each
     shifted to its generator's block; a column no row uses is not read.
     Cutting the product rows into pieces of the map-space width gives one
-    constraint per (relation, target row).  Each joins the system by pivot
-    insertion: it is reduced against the pivot rows kept so far, keyed by
-    their lowest set bit, and a nonzero residue becomes a new pivot, so no
-    row is reduced twice and the rank is the number of pivots.  The rank
+    constraint per (relation, target row).  Each is inserted into one
+    pivot table (``_f2pure.insert``), so no row is reduced twice and the
+    rank of the constraints is the size of the table.  The rank
     never passes total - ext_dim, as every restriction satisfies every
     constraint, so the loop stops as soon as it gets there, at the degrees
     where the full relation space is nonempty and the target is nonzero.
@@ -285,7 +238,10 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         for g, (_, _, td, _) in zip(ideal.generators, gen_info):
             if td:
                 restr.extend(target.action_of(g, shift).rows)
-    ext_dim = _rank(restr)
+    ranked: dict[int, int] = {}
+    for v in restr:
+        insert(ranked, v)
+    ext_dim = len(ranked)
 
     min_gd = min(gd for gd, _ in gen_coords)
     max_gd = max(gd for gd, _ in gen_coords)
@@ -336,14 +292,7 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
                 packed[c] = acc << off
             for v in mul_rows(rows, packed):
                 while v:
-                    row = v & mask
-                    while row:
-                        low = row & -row
-                        p = pivots.get(low)
-                        if p is None:
-                            pivots[low] = row
-                            break
-                        row ^= p
+                    insert(pivots, v & mask)
                     v >>= total
                 if len(pivots) == goal:
                     break

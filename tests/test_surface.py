@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package, and every
+method of its classes, has a caller.
 
 The package is scanned with ``ast``.  A name defined at module level in
 ``steenmod.<mod>`` counts as used when other code in the package reaches
@@ -7,9 +8,15 @@ it: a bare name in its own module outside its own definition, an import
 imported as ``from . import <mod> [as alias]``.  Method calls of the same
 name do not count, and neither do names inside strings and docstrings.
 The unused names must be exactly the allowlist below, each with a reason.
+
+A non-dunder method or property of a module-level class counts as used
+when the package reads an attribute of that name outside the method's own
+body; whatever the attribute's object, the name alone decides.  The
+unused methods must be exactly their own allowlist.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steenmod"
@@ -21,6 +28,18 @@ ALLOWED_UNUSED = {
         "perfbench/tracer.py reports the kernel backend by it",
     ("textio", "print_chain"):
         "the printer of the format that parse_chain reads",
+}
+
+
+ALLOWED_UNUSED_METHODS = {
+    ("cli", "_Parser.error"): "argparse calls it on a usage error",
+    ("f2", "BitMatrix.row"): "tests/oracles.py reads matrices through it",
+    ("f2", "BitMatrix.column"): "tests/oracles.py reads matrices through it",
+    ("f2", "BitMatrix.entry"): "tests/oracles.py reads matrices through it",
+    ("f2", "BitMatrix.solve"):
+        "tests/oracles.py solves the dense hom systems with it",
+    ("annihilator", "WindowIdeal.basis_elements"):
+        "tests/oracles.py enumerates an ideal's elements with it",
 }
 
 
@@ -70,13 +89,44 @@ def unused_names() -> set[tuple[str, str]]:
     return defined - used
 
 
+def unused_methods(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, "Class.method") of each non-dunder method or property no
+    attribute read of its name reaches from outside its own body."""
+    def reads(node: ast.AST) -> Counter:
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute)
+                       and isinstance(n.ctx, ast.Load))
+    total: Counter = Counter()
+    for tree in trees.values():
+        total += reads(tree)
+    unused = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))
+                        and total[fn.name] == reads(fn)[fn.name]):
+                    unused.add((mod, f"{cls.name}.{fn.name}"))
+    return unused
+
+
 def test_every_package_name_has_a_caller():
     assert unused_names() == set(ALLOWED_UNUSED)
 
 
+def test_every_package_method_has_a_caller():
+    assert unused_methods(_module_trees()) == set(ALLOWED_UNUSED_METHODS)
+
+
 def test_scan_sees_each_kind_of_reference():
     """A bare name in its own module, a relative import and a module
-    attribute each count; a name reached only from its own body does not."""
+    attribute each count; a name reached only from its own body does not.
+    Of methods, a property read from a dunder counts; a method read only
+    from its own body, or only assigned to, does not; dunders are not
+    checked."""
     refs = _references("m", ast.parse(
         "from . import milnor as M\n"
         "from .f2 import kernel\n"
@@ -85,3 +135,11 @@ def test_scan_sees_each_kind_of_reference():
         "x.method()\n"))
     assert {("m", "helper"), ("f2", "kernel"), ("milnor", "degree")} <= refs
     assert ("m", "rec") not in refs and ("m", "method") not in refs
+    trees = {"m": ast.parse(
+        "class C:\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def rec(self):\n        return self.rec()\n"
+        "    def unread(self):\n        pass\n"
+        "    def __len__(self):\n        return self.size\n"
+        "C().unread = None\n")}
+    assert unused_methods(trees) == {("m", "C.rec"), ("m", "C.unread")}
