@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import milnor
+from ._f2pure import column_kernel
 from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, Subspace, kernel
 from .gmodule import GradedModule, Window
@@ -281,25 +282,21 @@ def perp_subset_in_algebra(elements: Sequence[tuple[int, int]],
     kmax = m.window.width
     spaces: dict[int, Subspace] = {}
     for k in range(0, kmax + 1):
-        dim_k = algebra.dim(k)
-        if dim_k == 0:
+        basis_k = algebra.basis(k)
+        if not basis_k or any(m.dim(dy) is None or m.dim(dy + k) is None
+                              for dy, _ in elements):
             continue
-        rows_all: list[int] = []
-        ok = True
-        for (dy, vy) in elements:
-            if m.dim(dy) is None or m.dim(dy + k) is None:
-                ok = False
-                break
-            # columns: basis element b of A^k -> coordinates of b.y
-            cols = [m.action(seq, dy).apply(vy) for seq in algebra.basis(k)]
-            mat = BitMatrix.from_columns(cols, m.dim(dy + k))
-            rows_all.extend(mat.rows)
-        if not ok:
-            continue
-        if rows_all:
-            spaces[k] = kernel(BitMatrix(len(rows_all), dim_k, rows_all))
-        else:
-            spaces[k] = Subspace.full(dim_k)
+        # column of b in A^k: the coordinates of b y for every element y,
+        # each element's part shifted to its own rows
+        cols = [0] * len(basis_k)
+        nrows = 0
+        for dy, vy in elements:
+            for i, seq in enumerate(basis_k):
+                cols[i] |= m.action(seq, dy).apply(vy) << nrows
+            nrows += m.dim(dy + k)
+        basis = column_kernel(cols, nrows)
+        spaces[k] = Subspace(len(basis_k),
+                             BitMatrix(len(basis), len(basis_k), basis))
     out = WindowIdeal(algebra, Window(0, kmax), spaces)
     _check_left_ideal(out, kmax)
     return out

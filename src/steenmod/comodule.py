@@ -4,9 +4,14 @@ graded left modules by the adjoint action.
 The dual algebra is handled implicitly: its degree -k piece carries the
 basis dual to the Milnor basis of degree k, and its comultiplication is the
 transpose of the multiplication matrices.  A comodule stores one matrix per
-(degree d, jump k >= 0): the coaction component M^d -> M^(d+k) (x) dual^(-k),
+(degree d, jump k >= 1): the coaction component M^d -> M^(d+k) (x) dual^(-k),
 with rows indexed by pairs (module basis index, algebra basis index) as
-row = m_idx * dim A^k + a_idx.
+row = m_idx * dim A^k + a_idx.  The counit block k = 0 is the identity and
+is kept implicit.
+
+The module ``iota`` makes of a comodule reads these blocks directly, and
+``validate_coaction`` decides coassociativity as that module's composition
+check, so the pairing between coaction blocks and actions is stated once.
 
 Cohomological conventions throughout: the algebra sits in nonnegative
 degrees, its dual in nonpositive ones, so unsuspended comodule windows live
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from . import milnor
 from ._records import fields_equal, fields_hash
-from .f2 import BitMatrix, mask_to_bits, mul_rows
+from .f2 import BitMatrix, mask_to_bits
 from .gmodule import (GradedModule, Window, _graded_header, coproduct,
                       dual_regular, zero_module)
 from .milnor import Algebra
@@ -87,17 +92,6 @@ class GradedComodule:
                     f"expected {expected}")
             table[(d, k)] = mat
         self.coactions = table
-
-    def coaction(self, d: int, k: int) -> BitMatrix:
-        """Block M^d -> M^(d+k) (x) dual^(-k); identity at k = 0."""
-        sd = self.dims.get(d, 0) if d in self.window else 0
-        if k == 0:
-            return BitMatrix.identity(sd)
-        td = self.dims.get(d + k, 0) if (d + k) in self.window else 0
-        ak = self.algebra.dim(k)
-        if not sd or not td or not ak:
-            return BitMatrix.zero(td * ak, sd)
-        return self.coactions[(d, k)]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -175,87 +169,28 @@ def validate_coaction(c: GradedComodule) -> list[str]:
     """Counit and coassociativity violations; [] means valid.
 
     The counit law is structural here (the k = 0 block is implicit).
-    Coassociativity compares, for every (d, k1, k2), applying the coaction
-    twice against applying it once and splitting the dual factor by the
-    transpose of multiplication.  Both sides are computed on whole rows,
-    each row a mask over the columns of M^d: the twice-applied side is one
-    product per jump index y of (d + k1, k2) against the y rows of
-    (d, k1), and the split side one product per target index m'' of the
-    multiplication block's column masks against the m'' rows of
-    (d, k1 + k2).  The XOR of matching rows marks the failing columns.
-    A zero middle degree d + k1 is checked too: the twice-applied side is
-    0 there, but the split side need not be.
+    Coassociativity is ``GradedModule.validate``'s composition check run
+    on iota(c).  Pairing block (d, k) with a monomial a of degree k is the
+    action of a on M^d in ``iota``, so block (d, k1, k2) paired with
+    x (x) y, for x of degree k2 and y of degree k1, says action(x)
+    action(y) = action(x y) at degree d: applying the coaction twice
+    against applying it once and splitting the dual factor by the
+    transpose of multiplication.  The check's square pass and its proof
+    carry over unchanged.  A zero middle degree d + k1 is checked too:
+    the twice-applied side is 0 there, but the split side need not be.
 
-    A first pass takes the outer jump k2 = 2^i only where Sq(2^i) is in
-    the algebra, and reads only the rows of x = Sq(2^i): its rows of
-    (d + k1, k2) and the entries x * dim A^k1 ... of the multiplication
-    block.  If no such row fails, the comodule is coassociative.  Proof:
-    pairing block (d, k) with a monomial a of degree k is the action of a
-    on M^d in ``iota``, and block (d, k1, k2) paired with x (x) y, for x
-    of degree k2 and y of degree k1, says action(x) action(y) =
-    action(x y) at degree d.  So the first pass is ``GradedModule.validate``'s
-    first pass on iota(c), the squares Sq(2^i) generate the algebra
-    (Milnor, Ann. of Math. 67, 1958), and that method's induction over
-    words in the squares carries over unchanged: every step is a pair
-    (square, monomial) at a degree d with d + k1 + k2 in the window, which
-    the first pass checked or skipped for a zero end.  If any square row
-    fails, the check reruns over every x, so a violation list has the same
-    content and order as a check of every (d, k1, k2) would give.
+    The failing columns of M^d of every pair (x, y) are ORed per
+    (d, k1, k2), and one message per column is reported, sorted by
+    (d, k1, k2) and then by column.
     """
-    if next(_coassociativity_failures(c, squares_only=True), None) is None:
-        return []
-    return list(_coassociativity_failures(c, squares_only=False))
-
-
-def _coassociativity_failures(c: GradedComodule, squares_only: bool):
-    """Yield a message per failing (d, k1, k2, column), in the order of
-    validate_coaction's full pass; with squares_only, only the rows of
-    x = Sq(k2) for k2 a power of two with Sq(k2) in the algebra."""
-    alg = c.algebra
-    w = c.window
-    # degree 2^i -> index of Sq(2^i) in its basis, for the squares in alg
-    squares = {k: milnor._basis_index(k, alg.profile_index)[(k,)]
-               for k in (1 << i for i in range(w.width.bit_length()))
-               if alg.contains((k,))}
-    for d in w:
-        if not c.dims[d]:
-            continue
-        for k1 in range(1, w.hi - d + 1):
-            a1 = alg.dim(k1)
-            if not a1:
-                continue
-            b1 = c.coaction(d, k1).rows
-            b1_by_y = [b1[y::a1] for y in range(a1)]
-            for k2 in range(1, w.hi - d - k1 + 1):
-                a2 = alg.dim(k2)
-                td = c.dims[d + k1 + k2]
-                if not td or not a2 or (squares_only and k2 not in squares):
-                    continue
-                b2 = c.coaction(d + k1, k2).rows
-                # row x * a1 + y: the degree k1 + k2 monomials in x * y
-                mm_t = milnor.product_columns(k2, k1, alg)
-                nx = a2
-                if squares_only:
-                    # keep x = Sq(k2) only: its rows of b2 and of mm_t
-                    sq = squares[k2]
-                    b2 = b2[sq::a2]
-                    mm_t = mm_t[sq * a1:(sq + 1) * a1]
-                    nx = 1
-                big = c.coaction(d, k1 + k2).rows
-                a12 = alg.dim(k1 + k2)
-                # twice: row m'' * nx + x of lhs[y] holds ((m'', x), y)
-                lhs = [mul_rows(b2, rows) for rows in b1_by_y]
-                bad = 0
-                for m2 in range(td):
-                    # once + split: row x * a1 + y holds (m'', (x, y))
-                    rhs = mul_rows(mm_t, big[m2 * a12:(m2 + 1) * a12])
-                    for x in range(nx):
-                        row = m2 * nx + x
-                        for y in range(a1):
-                            bad |= lhs[y][row] ^ rhs[x * a1 + y]
-                for col in mask_to_bits(bad):
-                    yield (f"coassociativity fails at degree {d}, jumps "
-                           f"({k1}, {k2}), column {col}")
+    failing: dict[tuple[int, int, int], int] = {}
+    for x, y, d, mask in iota(c)._failing_compositions():
+        key = (d, milnor.degree(y), milnor.degree(x))
+        failing[key] = failing.get(key, 0) | mask
+    return [f"coassociativity fails at degree {d}, jumps ({k1}, {k2}), "
+            f"column {col}"
+            for (d, k1, k2), mask in sorted(failing.items())
+            for col in mask_to_bits(mask)]
 
 
 def iota(c: GradedComodule) -> GradedModule:

@@ -4,9 +4,10 @@ Matrices are dense and bit-packed: each row is a Python int whose bit j is
 the entry in column j.  Vectors are single ints of the same shape.  The
 inner loops live in ``steenmod._f2pure``, bound here as ``_impl`` and
 looked up on it at call time, so a profiler can rebind them in one place.
-Every elimination, here and in ``baer``, is ``_impl``'s pivot insertion:
+Every elimination, here, in ``baer`` and in
+``annihilator.perp_subset_in_algebra``, is ``_impl``'s pivot insertion:
 ranks and canonical subspaces come from its ``rref``, and kernels from its
-``nullspace``, which is its ``column_kernel`` on the transposed rows.
+``column_kernel``, which its ``nullspace`` runs on the transposed rows.
 
 All values are immutable after construction and safe to share between
 threads.

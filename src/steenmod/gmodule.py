@@ -281,13 +281,21 @@ class GradedModule:
         order as a check of every pair would give.
         """
         self.action_table()
+        return [f"action(Sq{b}*Sq{c}) != action(Sq{b})action(Sq{c}) "
+                f"at degree {d}" for b, c, d, _ in self._failing_compositions()]
+
+    def _failing_compositions(self) -> list[tuple[Seq, Seq, int, int]]:
+        """validate's two passes: [] when no pair with b a square fails,
+        else every failing (b, c, d, mask) of the full pass."""
         if next(self._composition_failures(_is_square), None) is None:
             return []
         return list(self._composition_failures(lambda b: True))
 
     def _composition_failures(self, is_left: Callable[[Seq], bool]):
-        """Yield a message per failing (b, c, degree) with is_left(b), in
-        the order of validate's full pass."""
+        """Yield (b, c, d, mask) per pair of monomials with is_left(b) whose
+        composition fails at degree d, in the order of validate's full
+        pass; the mask marks the columns of M^d where action(b) action(c)
+        and action(b * c) differ."""
         w = self.window
         alg = self.algebra
         for kc in range(1, w.width + 1):
@@ -313,8 +321,10 @@ class GradedModule:
                                 for i, v in enumerate(self.action(t, d).rows):
                                     direct[i] ^= v
                             if direct != composite:
-                                yield (f"action(Sq{b}*Sq{c}) != "
-                                       f"action(Sq{b})action(Sq{c}) at degree {d}")
+                                bad = 0
+                                for u, v in zip(direct, composite):
+                                    bad |= u ^ v
+                                yield b, c, d, bad
 
     # -- constructors --------------------------------------------------------
 

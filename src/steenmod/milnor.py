@@ -11,24 +11,20 @@ checks rather than assumes.
 Products follow Milnor's formula: Sq(R) Sq(S) sums the monomials of
 diagonal sums of the matrices that split R by rows and S by columns, each
 counted with a product of multinomial coefficients.  A multinomial is odd
-iff its parts are carry-free, i.e. pairwise bitwise disjoint.  The same
-matrices are enumerated in two directions:
+iff its parts are carry-free, i.e. pairwise bitwise disjoint.  Every
+product comes from one memoized walk per degree, ``_product_blocks``, of
+the dual coproduct psi(xi_m) = sum_i xi_(m-i)^(2^i) (x) xi_i.  For each
+target monomial Sq(T) of degree n, each bit of t_m goes to one of the
+m + 1 cells of diagonal m, and each choice is one carry-free matrix, so
+one walk per T meets only live terms and fills every block
+A^d1 (x) A^(n-d1) -> A^n at once.  For a whole table this costs far less
+than one product per pair, since no matrix that dies mod 2 is visited.
 
-- ``multiply_seqs`` serves an isolated product (``Element.__mul__``).  It
-  fills the matrices of one pair (R, S), keeps a running OR per diagonal
-  and drops a partial matrix as soon as an entry overlaps its diagonal.
-- Multiplication *tables* come from one memoized walk per degree,
-  ``_product_blocks``, of the dual coproduct
-  psi(xi_m) = sum_i xi_(m-i)^(2^i) (x) xi_i.  For each target monomial
-  Sq(T) of degree n, each bit of t_m goes to one of the m + 1 cells of
-  diagonal m, and each choice is one carry-free matrix, so one walk per T
-  meets only live terms and fills every block A^d1 (x) A^(n-d1) -> A^n at
-  once.  For a whole table this costs far less than one product per pair,
-  since no matrix that dies mod 2 is visited; for one pair it would cost
-  the whole degree, which is why isolated products keep the first path.
+The readers of products are slices of one block:
 
-The table readers are slices of one block:
-
+- ``multiply_seqs(r, s)``: one entry of block (deg r, deg s) over the full
+  algebra, as a set of monomials; ``Element.__mul__`` sums them.  One
+  isolated product of degree n pays for the walk of degree n.
 - ``product_columns(d1, d2)``: block (d1, d2) itself, one column mask per
   pair; ``comodule.extended`` reads its coaction rows from it directly.
 - ``multiplication_matrix(d1, d2)``: the same block as a matrix, for
@@ -38,10 +34,9 @@ The table readers are slices of one block:
   regular module's source.
 - ``_right_action_block(d, k)``: block (d, k) with its stride dim A^k;
   the run at index j with that stride holds the rows of the transposed
-  right multiplication by the j-th monomial of degree k on A^d
-  (``_right_action_rows``).  ``comodule.iota_matches_suspended_duals``
-  fetches it once per part and compares against its slices without
-  building a matrix.
+  right multiplication by the j-th monomial of degree k on A^d.
+  ``comodule.iota_matches_suspended_duals`` fetches it once per part and
+  compares against its slices without building a matrix.
 - ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
   regular module's source.
 - ``right_multiplication``: the transposed right multiplication by any
@@ -206,61 +201,19 @@ def _basis_index(d: int, profile_index: Optional[int]) -> dict[Seq, int]:
 def multiply_seqs(r: Seq, s: Seq) -> frozenset[Seq]:
     """Product of two basis monomials as a mod-2 set of monomials.
 
-    Enumerates the Milnor matrices x[i][j] (row i >= 1 spends r_i as
-    sum_j 2^j x[i][j], column j >= 1 spends s_j as sum_i x[i][j]; row 0 and
-    column 0 take the leftovers) whose diagonals are carry-free, i.e.
-    pairwise bitwise disjoint, and toggles the monomial of diagonal sums
-    of each.  diag[n] is the running OR of the entries placed on diagonal
-    n, so an entry that overlaps it is skipped as soon as it is placed.
+    It is entry i * dim A^d2 + j of ``product_columns(d1, d2)`` over the
+    full algebra, for r the i-th monomial of degree d1 and s the j-th of
+    degree d2, read back through the basis of degree d1 + d2.  So an
+    isolated product of degree n pays for the memoized walk of all of
+    degree n the first time that degree is read; every later product of
+    degree n is one lookup in it.
     """
-    nr, ns = len(r), len(s)
-    cols = list(s)  # cols[j - 1]: what column j has left for rows below
-    diag = [0] * (nr + ns + 1)
-    acc: set[Seq] = set()
-
-    def close() -> None:
-        # the column leftovers x[0][j] are the last entries of diagonal j
-        out = diag[1:]
-        for j in range(ns):
-            left = cols[j]
-            if left & out[j]:
-                return
-            out[j] |= left
-        while out and not out[-1]:
-            out.pop()
-        acc.symmetric_difference_update((tuple(out),))
-
-    def fill(i: int, j: int, rem: int) -> None:
-        if j > ns:
-            # row i is closed: its leftover x[i][0] completes diagonal i
-            # up to the column leftover x[0][i]
-            d = diag[i]
-            if rem & d:
-                return
-            diag[i] = d | rem
-            if i == nr:
-                close()
-            else:
-                fill(i + 1, 1, r[i])
-            diag[i] = d
-            return
-        n = i + j
-        d = diag[n]
-        cap = min(rem >> j, cols[j - 1])
-        v = 0
-        while v <= cap:
-            diag[n] = d | v
-            cols[j - 1] -= v
-            fill(i, j + 1, rem - (v << j))
-            cols[j - 1] += v
-            v = ((v | d) + 1) & ~d  # the next integer disjoint from d
-        diag[n] = d
-
-    if nr:
-        fill(1, 1, r[0])
-    else:
-        close()
-    return frozenset(acc)
+    full = Algebra.full()
+    d1, i, _ = _monomial_slot(r, full)
+    d2, j, dim2 = _monomial_slot(s, full)
+    mask = product_columns(d1, d2, full)[i * dim2 + j]
+    basis = basis_in_degree(d1 + d2, full)
+    return frozenset(basis[b] for b in mask_to_bits(mask))
 
 
 _TERM_RE = re.compile(r"Sq\(([0-9,\s]*)\)")
@@ -510,27 +463,20 @@ def _right_action_block(d: int, k: int, algebra: Algebra
     return _product_blocks(d + k, algebra)[d], stride
 
 
-def _right_action_rows(d: int, k: int, j: int,
-                       algebra: Algebra) -> tuple[int, ...]:
-    """Rows of the transposed right multiplication by the j-th monomial of
-    degree k on A^d: the stride slice of ``_right_action_block`` at j."""
-    block, stride = _right_action_block(d, k, algebra)
-    return block[j::stride]
-
-
 def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     """Memoized transpose of x -> x * Sq(seq) from A^d to A^(d + deg seq).
 
-    Its rows are ``_right_action_rows`` at the monomial's index, read once
-    into ``_right_memo``: the dual regular action, shared by every module
-    that reads it.
+    Its rows are the stride slice of ``_right_action_block`` at the
+    monomial's index, read once into ``_right_memo``: the dual regular
+    action, shared by every module that reads it.
     """
     memo = _right_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
         k, j, _ = _monomial_slot(seq, algebra)
         nrows = len(basis_in_degree(d + k, algebra))
-        rows = _right_action_rows(d, k, j, algebra)
+        block, stride = _right_action_block(d, k, algebra)
+        rows = block[j::stride]
         mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
     return mat
 

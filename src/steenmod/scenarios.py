@@ -234,6 +234,8 @@ def run_iota_bounded_above(cfg: ScenarioConfig) -> Report:
     rep.add("v-dims", dict(v.v_dims))
     full = Algebra.full()
     com = extended(v, full, window)
+    # coaction-valid and module-valid run one routine, the composition
+    # check of iota(com); each feeds its own line of the report
     bad = validate_coaction(com)
     rep.expect("coaction-valid", not bad, "; ".join(bad[:2]))
     module = iota(com)

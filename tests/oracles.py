@@ -6,8 +6,9 @@ code path with the Milnor-basis engine: products come from the classical
 rewriting rule, dimensions from direct enumeration, and the change of
 basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
-for the engine's pruned one, the per-pair multiplication block, kept as
-the reference for the engine's coproduct walk, the column-scan row
+for the engine's products, the per-pair multiplication block assembled
+from it, kept as the reference for the engine's coproduct walk, the
+coaction block reader of a comodule, the column-scan row
 reduction and the free-column kernel built on it, kept as the references
 for the engine's pivot insertion and tagged-column kernels, the
 per-bit extended comodule, kept as the reference for the engine's
@@ -168,7 +169,7 @@ def milnor_product_unpruned(r: tuple[int, ...],
 def multiplication_block_by_pairs(d1: int, d2: int,
                                   algebra: milnor.Algebra) -> BitMatrix:
     """The multiplication block (d1, d2) assembled one pair at a time from
-    ``milnor.multiply_seqs``: column i * dim A^d2 + j holds b_i c_j."""
+    ``milnor_product_unpruned``: column i * dim A^d2 + j holds b_i c_j."""
     b1 = milnor.basis_in_degree(d1, algebra)
     b2 = milnor.basis_in_degree(d2, algebra)
     b3 = milnor.basis_in_degree(d1 + d2, algebra)
@@ -177,7 +178,7 @@ def multiplication_block_by_pairs(d1: int, d2: int,
     for r in b1:
         for s in b2:
             v = 0
-            for t in milnor.multiply_seqs(r, s):
+            for t in milnor_product_unpruned(r, s):
                 v ^= 1 << index[t]
             cols.append(v)
     return BitMatrix.from_columns(cols, len(b3))
@@ -559,6 +560,20 @@ def generator_relations_by_kernel(gen_coords, e: int,
             tuple(layout))
 
 
+def coaction_block(c: GradedComodule, d: int, k: int) -> BitMatrix:
+    """Coaction block M^d -> M^(d+k) (x) dual^(-k) of a comodule: the
+    identity at k = 0, zero where the comodule stores no block (a zero
+    dimension at either end, or outside the window), else the stored one."""
+    sd = c.dims.get(d, 0) if d in c.window else 0
+    if k == 0:
+        return BitMatrix.identity(sd)
+    td = c.dims.get(d + k, 0) if (d + k) in c.window else 0
+    ak = c.algebra.dim(k)
+    if not sd or not td or not ak:
+        return BitMatrix.zero(td * ak, sd)
+    return c.coactions[(d, k)]
+
+
 def iota_eager(c) -> GradedModule:
     """The adjoint-action module of a comodule, every block sliced up front
     from the coaction blocks, row by row."""
@@ -573,7 +588,7 @@ def iota_eager(c) -> GradedModule:
         for d in w:
             if d + k not in w or not c.dims[d] or not c.dims[d + k]:
                 continue
-            block = c.coaction(d, k)
+            block = coaction_block(c, d, k)
             td = c.dims[d + k]
             for ai, seq in enumerate(basis_k):
                 rows = [block.row(mi * ak + ai) for mi in range(td)]
@@ -797,15 +812,15 @@ def validate_coaction_entrywise(c) -> list[str]:
             a1 = alg.dim(k1)
             if not a1:
                 continue
-            b1 = c.coaction(d, k1)
+            b1 = coaction_block(c, d, k1)
             for k2 in range(1, w.hi - d - k1 + 1):
                 a2 = alg.dim(k2)
                 td = c.dims.get(d + k1 + k2, 0)
                 if not td or not a2:
                     continue
-                b2 = c.coaction(d + k1, k2)
+                b2 = coaction_block(c, d + k1, k2)
                 sd = c.dims[d]
-                big = c.coaction(d, k1 + k2)
+                big = coaction_block(c, d, k1 + k2)
                 mm = milnor.multiplication_matrix(k2, k1, alg)
                 a12 = alg.dim(k1 + k2)
                 for col in range(sd):

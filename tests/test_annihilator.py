@@ -6,6 +6,7 @@ from steenmod.annihilator import (HomIdeal, IdealChain, chain_perp_profile,
                                   classify_sigma, ideal_span,
                                   perp_ideal_in_module,
                                   perp_subset_in_algebra, sq_power_chain)
+from steenmod.f2 import Subspace
 from steenmod.gmodule import Window, dual_regular, regular
 from steenmod.milnor import Algebra, Element
 
@@ -13,6 +14,7 @@ import oracles
 from oracles import finite_subideal
 
 A1 = Algebra.subalgebra(1)
+A2 = Algebra.subalgebra(2)
 FULL = Algebra.full()
 
 
@@ -97,6 +99,52 @@ def test_galois_antitonicity_and_double_perp():
                                if (vec >> i) & 1)
                 if d + k in r.window and not elem.is_zero():
                     assert r.action_of(elem, d).apply(y) == 0
+
+
+@pytest.mark.parametrize("build,algebra,window", [
+    (regular, A1, Window(0, 6)),
+    (regular, A1, Window(0, 4)),
+    (dual_regular, A1, Window(-6, 0)),
+    (regular, A2, Window(0, 23)),
+    (regular, A2, Window(0, 12)),
+    (dual_regular, A2, Window(-23, 0)),
+    (dual_regular, A2, Window(-14, -2)),
+], ids=["reg-A1", "reg-A1-cut", "dual-A1", "reg-A2", "reg-A2-cut",
+        "dual-A2", "dual-A2-cut"])
+def test_perp_subset_matches_brute_force(build, algebra, window):
+    """For 1-3 random elements, each certified degree's annihilator is
+    exactly the span of the x in A^k, tried one by one, with x y = 0 for
+    every element y; and a degree is certified exactly where every target
+    is representable."""
+    m = build(algebra, window)
+    rng = random.Random(window.lo * 31 + window.hi)
+    filled = [d for d in window if m.dims[d]]
+    for _ in range(12):
+        elements = [(d, rng.randrange(1, 1 << m.dims[d]))
+                    for d in (rng.choice(filled)
+                              for _ in range(rng.randint(1, 3)))]
+        wi = perp_subset_in_algebra(elements, m)
+        certified = [k for k in range(window.width + 1) if algebra.dim(k)
+                     and all(m.dim(dy + k) is not None for dy, _ in elements)]
+        assert sorted(wi.spaces) == certified
+        for k in certified:
+            basis = algebra.basis(k)
+            killers = []
+            for x in range(1 << len(basis)):
+                if all(not _image(m, basis, x, dy, vy)
+                       for dy, vy in elements):
+                    killers.append(x)
+            assert len(killers) == 1 << wi.spaces[k].dim
+            assert wi.spaces[k] == Subspace.from_vectors(killers, len(basis))
+
+
+def _image(m, basis, x, dy, vy):
+    """Coordinates of x y for x the mask over basis, term by term."""
+    out = 0
+    for i, seq in enumerate(basis):
+        if x >> i & 1:
+            out ^= m.action(seq, dy).apply(vy)
+    return out
 
 
 def test_chain_must_be_ascending():

@@ -3,12 +3,12 @@ import random
 import pytest
 
 import oracles
-from steenmod import comodule
 from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
                                iota_matches_suspended_duals, validate_coaction)
-from steenmod.f2 import BitMatrix
-from steenmod.gmodule import Window, dual_regular, freeness_test, validate
-from steenmod.milnor import Algebra
+from steenmod.f2 import BitMatrix, mask_to_bits
+from steenmod.gmodule import (Window, _is_square, dual_regular,
+                              freeness_test, validate)
+from steenmod.milnor import Algebra, degree
 
 FULL = Algebra.full()
 A2 = Algebra.subalgebra(2)
@@ -39,7 +39,7 @@ def test_extended_dims_bookkeeping():
 def test_counit_block_is_identity():
     c = extended(ExtendedSpec({0: 1}), FULL, Window(-6, 0))
     for d in c.window:
-        assert c.coaction(d, 0) == BitMatrix.identity(c.dims[d])
+        assert oracles.coaction_block(c, d, 0) == BitMatrix.identity(c.dims[d])
 
 
 def test_coaction_mutation_detected():
@@ -207,10 +207,12 @@ def _flip_crossing(c, rng, lo, hi):
     (A1, {0: 1, -10: 1}, Window(-16, 0), 30),
 ], ids=["full-20", "full-16", "A1-12", "A2-12", "A1-gap"])
 def test_square_pass_decides_coassociativity(algebra, v_dims, window, count):
-    """The first pass, on the outer jumps Sq(2^i) only, finds a failure
-    exactly when the full pass does, on seeded bit flips.  A(1)'s
-    comodule on generators 0 and -10 has zero dims at -9..-7, and half of
-    its flips land in blocks across that gap."""
+    """On iota of seeded bit flips, the composition check's first pass,
+    on the outer jumps Sq(2^i) only, finds a failure exactly when the full
+    pass does, and validate_coaction reports the full pass's failing
+    columns per (degree, jumps).  A(1)'s comodule on generators 0 and -10
+    has zero dims at -9..-7, and half of its flips land in blocks across
+    that gap."""
     rng = random.Random(window.lo * 11 + count)
     c = extended(ExtendedSpec(v_dims), algebra, window)
     filled = [d for d in window if c.dims[d]]
@@ -223,10 +225,16 @@ def test_square_pass_decides_coassociativity(algebra, v_dims, window, count):
             mutants.append(_flip_bits(c, rng))
     caught = 0
     for mutant in [c] + mutants:
-        first = next(comodule._coassociativity_failures(mutant, True), None)
-        full = list(comodule._coassociativity_failures(mutant, False))
+        m = iota(mutant)
+        first = next(m._composition_failures(_is_square), None)
+        full = list(m._composition_failures(lambda b: True))
         assert (first is None) == (not full)
-        assert validate_coaction(mutant) == full
+        columns = sorted({(d, degree(y), degree(x), col)
+                          for x, y, d, mask in full
+                          for col in mask_to_bits(mask)})
+        assert validate_coaction(mutant) == [
+            f"coassociativity fails at degree {d}, jumps ({k1}, {k2}), "
+            f"column {col}" for d, k1, k2, col in columns]
         caught += bool(full)
     assert caught > count // 2
 

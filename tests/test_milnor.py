@@ -249,7 +249,8 @@ def _check_right_memo(e, k, alg):
         assert mat is M._right_memo(e, alg)[seq]
         rows = [block.column(j + i * len(basis_k)) for i in range(de)]
         assert mat == BitMatrix(de, block.nrows, rows), (seq, e, alg)
-        assert M._right_action_rows(e, k, j, alg) == mat.rows == tuple(rows)
+        walked, stride = M._right_action_block(e, k, alg)
+        assert walked[j::stride] == mat.rows == tuple(rows)
 
 
 def test_right_memo_matches_per_pair_oracle_exhaustive():

@@ -21,6 +21,7 @@ from steenmod.gmodule import Window, dual_regular
 full = milnor.Algebra.full()
 dual_regular(full, Window(-12, 0)).action_table()
 milnor.multiplication_matrix(3, 4, full)
+milnor.Element.sq(3, 1) * milnor.Element.sq(2)
 bits = tracer.counts["f2.kernel_bits"]
 f2.BitMatrix(2, 3, [0b011, 0b110]).rank()
 print(json.dumps({"caches": tracer.cache_stats(),
@@ -45,3 +46,6 @@ def test_tracer_reads_both_milnor_caches():
                           "milnor.multiplication_matrix"}
     lookups, built = stats["milnor.multiplication_matrix"]
     assert built > 0 and lookups >= built
+    # no table read goes through multiply_seqs: the one isolated product
+    # is its one lookup and its one miss
+    assert stats["milnor.multiply_seqs"] == [1, 1]
