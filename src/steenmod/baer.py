@@ -249,7 +249,6 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     alg_top = algebra.top_degree()
     rel_cap = None if alg_top is None else alg_top + max_gd
 
-    complete = True
     # the constraint system in echelon form, each row keyed by its lowest
     # set bit; its rank determines the surviving map-space dimension
     # without materializing a basis
@@ -261,10 +260,6 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     done_note = None
     while e <= last and done_note is None:
         td_out = dim(shift + e)
-        if td_out is None:
-            complete = False
-            e += 1
-            continue
         rel_rows, layout = (_generator_relations(gen_coords, e, algebra)
                             if td_out else ((), ()))
         rows = (_minimal_relations(gen_coords, e, algebra)
@@ -302,11 +297,11 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         e += 1
     hom_dim = total - len(pivots)
     if done_note is not None:
-        return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, complete, done_note)
-    if rel_cap is not None and rel_cap > window_cap and not target.top_exact:
-        complete = False
-    if rel_cap is None and not target.top_exact:
-        complete = False
+        return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, True, done_note)
+    # relations of degree past the window impose unseen constraints unless
+    # the target is zero there
+    complete = target.top_exact or (rel_cap is not None
+                                    and rel_cap <= window_cap)
     if hom_dim == ext_dim:
         return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, complete,
                            "all visible maps are restrictions")

@@ -13,6 +13,7 @@ import random
 from itertools import combinations, product as iproduct
 
 from . import milnor
+from ._f2pure import insert
 from .annihilator import HomIdeal
 from .f2 import Subspace
 from .gmodule import (GradedModule, SuspensionProfile, Window, _first_escape,
@@ -66,17 +67,15 @@ def _family_generators(m: GradedModule, family: dict[int, Subspace]
         sp = family[d]
         if not sp.dim:
             continue
-        image_rows = []
+        image: dict[int, int] = {}
         for k in range(1, d - m.window.lo + 1):
             for seq in alg.basis(k):
                 mat = m.action(seq, d - k)
                 for v in family[d - k].basis.rows:
-                    image_rows.append(mat.apply(v))
-        image = Subspace.from_vectors(image_rows, m.dims[d])
+                    insert(image, mat.apply(v))
         for v in sp.basis.rows:
-            if not image.contains(v):
+            if insert(image, v):
                 gens.append(milnor.element_from_coords(v, d, alg))
-                image = image.sum_with(Subspace.from_vectors([v], m.dims[d]))
     return gens
 
 

@@ -4,10 +4,10 @@ Matrices are dense and bit-packed: each row is a Python int whose bit j is
 the entry in column j.  Vectors are single ints of the same shape.  The
 inner loops live in ``steenmod._f2pure``, bound here as ``_impl`` and
 looked up on it at call time, so a profiler can rebind them in one place.
-Every elimination, here, in ``baer`` and in
-``annihilator.perp_subset_in_algebra``, is ``_impl``'s pivot insertion:
-ranks and canonical subspaces come from its ``rref``, and kernels from its
-``column_kernel``, which its ``nullspace`` runs on the transposed rows.
+Every elimination in the package is ``_impl``'s pivot insertion:
+canonical subspaces come from its ``rref``, kernels from its
+``column_kernel``, which its ``nullspace`` runs on the transposed rows,
+and ranks from the size of its pivot tables.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -150,9 +150,6 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def rank(self) -> int:
-        return len(_impl.rref(self._rows, self.ncols)[1])
-
     def solve(self, target: int) -> Optional[int]:
         """Some x with self @ x = target, verified by substitution, or
         None when the system is inconsistent."""
@@ -262,12 +259,6 @@ class Subspace:
                 v ^= r
                 coords |= 1 << i
         return coords if v == 0 else None
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.basis.rows + other.basis.rows,
-                                     self.ambient_dim)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace)

@@ -24,8 +24,8 @@ downstream carries the degree range on which it is exact, so truncation is
 never silently promoted to a global claim.
 
 Every module is a left module.  The freeness test reads a bounded-above
-module as its transpose dual, which is not one, through a view of the
-module's own matrices (``_FreenessView``), not as a module.
+module as its transpose dual, which is not one, through the rows of the
+module's own matrices, not as a module.
 
 All modules are immutable after construction: the memo only ever gains the
 matrices the source determines, and nothing here mutates inputs.
@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import milnor
+from ._f2pure import insert, transpose
 from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, Subspace, mask_to_bits, mul_rows
 from .milnor import Algebra, Element, Seq
@@ -551,109 +552,7 @@ def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
                         m.bottom_exact, m.top_exact)
 
 
-# -- generators and freeness -------------------------------------------------
-
-
-class _FreenessView:
-    """What the freeness test reads of a module: its degrees and, per
-    basis monomial b and degree d, the images under b of the basis of
-    degree d and of one vector there.
-
-    Unmirrored, the view reads the module itself.  Mirrored, it reads the
-    transpose dual of m, which is bounded below when m is bounded above:
-    degree d holds the dual of M^(-d), b acts by the transpose of its
-    action into degree -d, and the exactness flags mirror.  That dual is
-    not a left module (acting by c and then by b is acting by c b), but
-    the test reads only spans of action images and never composes two
-    actions.  The transpose's columns are the rows of m's own action
-    matrix, so the mirrored view reads image vectors as those rows and
-    applies the transpose to a vector as a row-vector product; no matrix
-    is transposed and none is built.
-    """
-
-    __slots__ = ("module", "mirrored", "algebra", "window", "dims",
-                 "bottom_exact", "top_exact")
-
-    def __init__(self, m: GradedModule, mirrored: bool):
-        self.module = m
-        self.mirrored = mirrored
-        self.algebra = m.algebra
-        if mirrored:
-            self.window = Window(-m.window.hi, -m.window.lo)
-            self.dims = {d: m.dims[-d] for d in self.window}
-            self.bottom_exact, self.top_exact = m.top_exact, m.bottom_exact
-        else:
-            self.window, self.dims = m.window, m.dims
-            self.bottom_exact, self.top_exact = m.bottom_exact, m.top_exact
-
-    dim = GradedModule.dim
-
-    def images(self, seq: Seq, d: int) -> Sequence[int]:
-        """The images under seq of the basis vectors of degree d, as masks
-        in degree d + deg seq."""
-        if self.mirrored:
-            return self.module.action(seq, -d - milnor.degree(seq)).rows
-        return self.module.action(seq, d).transpose().rows
-
-    def apply(self, seq: Seq, d: int, v: int) -> int:
-        """The image under seq of the vector v of degree d."""
-        if self.mirrored:
-            rows = self.module.action(seq, -d - milnor.degree(seq)).rows
-            return mul_rows((v,), rows)[0]
-        return self.module.action(seq, d).apply(v)
-
-
-class GeneratorReport:
-    """Degreewise cokernel of the positive-degree action."""
-
-    __slots__ = ("counts", "representatives", "certified")
-
-    def __init__(self, counts: dict[int, int],
-                 representatives: dict[int, list[int]],
-                 certified: dict[int, bool]):
-        self.counts = counts
-        self.representatives = representatives
-        self.certified = certified
-
-
-def minimal_generators(m: GradedModule,
-                       mirrored: bool = False) -> GeneratorReport:
-    """Dims (and lifts) of coker(A^+ (x) M -> M) per window degree; with
-    mirrored, of m's transpose dual (see ``_FreenessView``).
-
-    A degree is certified when every positive-degree source that could hit
-    it is either inside the window or beyond an exact edge.
-    """
-    m = _FreenessView(m, mirrored)
-    counts: dict[int, int] = {}
-    reps: dict[int, list[int]] = {}
-    certified: dict[int, bool] = {}
-    top = m.algebra.top_degree()
-    for d in m.window:
-        kmax = top if top is not None else d - m.window.lo + (0 if m.bottom_exact else 1)
-        cert = True
-        image_rows: list[int] = []
-        for k in range(1, kmax + 1):
-            src = m.dim(d - k)
-            if src is None:
-                cert = False
-                continue
-            if top is None and not m.bottom_exact and d - k < m.window.lo:
-                cert = False
-            if src == 0 or not m.algebra.dim(k):
-                continue
-            for seq in m.algebra.basis(k):
-                image_rows.extend(m.images(seq, d - k))
-        if top is None and not m.bottom_exact:
-            cert = False
-        n = m.dims[d]
-        image = Subspace.from_vectors(image_rows, n)
-        pivot_cols = {(r & -r).bit_length() - 1 for r in image.basis.rows}
-        free = [j for j in range(n) if j not in pivot_cols]
-        counts[d] = len(free)
-        reps[d] = [1 << j for j in free]
-        certified[d] = cert
-    return GeneratorReport(counts, reps, certified)
+# -- freeness ---------------------------------------------------------------
 
 
 class FreenessVerdict:
@@ -682,67 +581,82 @@ class FreenessVerdict:
 
 
 def _freeness_bottom_anchored(m: GradedModule, mirrored: bool) -> tuple[
-        dict[int, int], list[int], list[tuple[int, str]]]:
+        dict[int, int], list[tuple[int, str]]]:
     """Compare m, or with mirrored its transpose dual, against the free
-    module on its minimal generators.
+    module on its minimal generators, in one pass up the degrees.
 
-    Sound for bottom-exact modules: the cokernel lifts generate every
-    window degree (downward induction from the exact bottom edge), so the
-    canonical map is surjective wherever it is defined, and freeness at a
-    degree reduces to a dimension match plus full rank there.  Past an
-    exact top edge the module is zero, so the free module must be zero
-    there too: a generator closer to the edge than the algebra's top
-    degree fails the comparison at each degree its copy of the algebra
-    reaches beyond the window.  Returns the nonzero generator counts, the
-    certified degrees (ascending) and a (degree, reason) per degree where
-    the comparison fails, in ascending order.
+    The transpose dual of a bounded-above m is bounded below: degree d
+    holds the dual of M^(-d), b acts by the transpose of its action into
+    degree -d, and the exactness flags mirror.  It is not a left module,
+    but the test only spans action images and never composes two
+    actions; the images of its basis under b are the rows of m's own
+    action matrix, so no matrix is transposed.
+
+    At degree d the images of degrees d - 1 .. d - top go into one pivot
+    table (``_f2pure.insert``); the columns that key no pivot are the new
+    generators, as unit vectors.  Those and the lower generators' images,
+    rows of the same image lists, go into a second table: their count is
+    the free module's dimension at d, the table's size the rank of the
+    canonical map.  From the exact bottom edge the generators generate
+    every degree, so the map is onto and freeness at d is a dimension
+    match plus full rank.  Past an exact top edge the module is zero, so
+    a generator whose copy of the algebra reaches there fails too.
+    Returns the nonzero generator counts and the (degree, reason) of each
+    failure, ascending.
     """
-    gens = minimal_generators(m, mirrored)
-    m = _FreenessView(m, mirrored)
-    counts = {d: c for d, c in gens.counts.items() if c}
+    alg = m.algebra
+    top = alg.top_degree()
+    if mirrored:
+        window = Window(-m.window.hi, -m.window.lo)
+        dims = {d: m.dims[-d] for d in window}
+        top_exact = m.bottom_exact
 
-    ordered_gens: list[tuple[int, int]] = []  # (degree, representative)
-    for g in sorted(counts):
-        for rep in gens.representatives[g]:
-            ordered_gens.append((g, rep))
+        def images(seq: Seq, d: int) -> Sequence[int]:
+            return m.action(seq, -d - milnor.degree(seq)).rows
+    else:
+        window, dims, top_exact = m.window, m.dims, m.top_exact
 
-    top = m.algebra.top_degree()
-    certified: list[int] = []
-    for d in m.window:
-        needed = [e for e in m.window
-                  if e <= d and (top is None or d - e <= top)]
-        if all(gens.certified[e] for e in needed):
-            certified.append(d)
-
+        def images(seq: Seq, d: int) -> Sequence[int]:
+            mat = m.action(seq, d)
+            return transpose(mat.rows, mat.ncols)
+    gens: dict[int, list[int]] = {}  # degree -> columns of its generators
     failures: list[tuple[int, str]] = []
-    for d in certified:
-        cols: list[int] = []
+    for d in window:
+        image: dict[int, int] = {}
+        reached: dict[int, int] = {}
         fdim = 0
-        for g, rep in ordered_gens:
-            k = d - g
-            if k < 0:
+        for k in range(1, min(top, d - window.lo) + 1):
+            if not dims[d - k]:
                 continue
-            for seq in m.algebra.basis(k):
-                fdim += 1
-                if seq == milnor.UNIT:
-                    cols.append(rep)
-                else:
-                    cols.append(m.apply(seq, g, rep))
-        if fdim != m.dims[d]:
-            failures.append((d, f"free rank {fdim} != module dim {m.dims[d]}"))
-            continue
-        phi = BitMatrix.from_columns(cols, m.dims[d])
-        if phi.rank() != m.dims[d]:
+            lower = gens.get(d - k, ())
+            for seq in alg.basis(k):
+                rows = images(seq, d - k)
+                for v in rows:
+                    insert(image, v)
+                for j in lower:
+                    insert(reached, rows[j])
+                fdim += len(lower)
+        n = dims[d]
+        new = [j for j in range(n) if 1 << j not in image]
+        if new:
+            gens[d] = new
+            for j in new:
+                insert(reached, 1 << j)
+            fdim += len(new)
+        if fdim != n:
+            failures.append((d, f"free rank {fdim} != module dim {n}"))
+        elif len(reached) != n:
             failures.append((d, "canonical map drops rank"))
-    if m.top_exact and counts:
+    counts = {g: len(cols) for g, cols in gens.items()}
+    if top_exact and counts:
         # past an exact top edge the module is zero, and the free module
         # is not while a generator's copy of the algebra reaches there
-        for d in range(m.window.hi + 1, max(counts) + top + 1):
-            fdim = sum(c * m.algebra.dim(d - g) for g, c in counts.items()
+        for d in range(window.hi + 1, max(counts) + top + 1):
+            fdim = sum(c * alg.dim(d - g) for g, c in counts.items()
                        if g <= d)
             if fdim:
                 failures.append((d, f"free rank {fdim} != module dim 0"))
-    return counts, certified, failures
+    return counts, failures
 
 
 def freeness_test(m: GradedModule, algebra: Optional[Algebra] = None) -> FreenessVerdict:
@@ -752,28 +666,26 @@ def freeness_test(m: GradedModule, algebra: Optional[Algebra] = None) -> Freenes
     minimal generators.  A bounded-above module is compared through its
     transpose dual, which is bounded below, and every degree reported is
     mirrored back: a generator degree h of the dual to -h - topdeg, and a
-    certified or failing degree d to -d.
+    failing degree d to -d.  Either way every degree the test reads is
+    known, so the certified degrees are the module's window.
     """
     if algebra is not None and algebra != m.algebra:
         m = m.restrict_to(algebra)
     if m.algebra.is_full:
         raise ValueError("freeness test needs a finite subalgebra")
     if m.bottom_exact:
-        counts, certified, failures = _freeness_bottom_anchored(m, False)
+        counts, failures = _freeness_bottom_anchored(m, False)
     elif m.top_exact:
         top = m.algebra.top_degree()
-        counts, certified, failures = _freeness_bottom_anchored(m, True)
+        counts, failures = _freeness_bottom_anchored(m, True)
         counts = {-h - top: c for h, c in counts.items()}
-        certified = sorted(-d for d in certified)
         failures = [(-d, reason) for d, reason in failures]
     else:
         return FreenessVerdict("window_inconclusive", {},
                                "module is anchored on neither side", ())
+    certified = tuple(m.window)
     if failures:
         witness = "; ".join(f"degree {d}: {reason}"
                             for d, reason in failures[:3])
-        return FreenessVerdict("not_free", counts, witness, tuple(certified))
-    if not certified:
-        return FreenessVerdict("window_inconclusive", counts,
-                               "no certified degrees", ())
-    return FreenessVerdict("free", counts, None, tuple(certified))
+        return FreenessVerdict("not_free", counts, witness, certified)
+    return FreenessVerdict("free", counts, None, certified)

@@ -135,9 +135,16 @@ class _Lines:
 
 
 def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
-                 header_no: int) -> BitMatrix:
+                 header_no: int, expected: Optional[tuple[int, int]]
+                 ) -> BitMatrix:
+    """The rows of the block whose header is at line header_no.  expected
+    is the shape the dims line gives a block the header calls for, and
+    None for any other block, which ``_reject_unrequested`` refuses."""
     if nrows < 0 or ncols < 0:
         raise ParseError(header_no, f"negative shape {nrows}x{ncols} of {where}")
+    if expected is not None and (nrows, ncols) != expected:
+        raise ParseError(header_no, f"block {where} has shape {nrows}x{ncols},"
+                                    f" expected {expected[0]}x{expected[1]}")
     # a block as printed: the next nrows lines are its rows, bare (a row
     # of width 0 is a blank line, which only the loop below skips)
     pos = lines.pos
@@ -227,10 +234,14 @@ def parse_module(text: str) -> GradedModule:
     lines = _Lines(text)
     preamble = _parse_preamble(lines, MODULE_HEADER)
 
+    algebra, window, dims = (preamble["algebra"], preamble["window"],
+                             preamble["dims"])
     actions: dict[tuple[Seq, int], BitMatrix] = {}
     # line and name of each block's header
     blocks: dict[tuple[Seq, int], tuple[int, str]] = {}
     seq: Optional[Seq] = None
+    k = 0  # the degree of seq
+    in_algebra = False  # whether seq has positive degree in the algebra
     while True:
         no, line = lines.next("action block or end")
         if line == "end":
@@ -245,6 +256,8 @@ def parse_module(text: str) -> GradedModule:
                 raise ParseError(no, "action header needs one monomial "
                                      f"Sq(...), found {label!r}")
             (seq,) = elem.terms
+            k = milnor.degree(seq)
+            in_algebra = k > 0 and algebra.contains(seq)
             continue
         if line.startswith("@ "):
             if seq is None:
@@ -260,11 +273,13 @@ def parse_module(text: str) -> GradedModule:
             if (seq, d) in blocks:
                 raise ParseError(no, f"repeated block {where}")
             blocks[(seq, d)] = no, where
-            actions[(seq, d)] = _read_matrix(lines, nrows, ncols, where, no)
+            sd, td = dims.get(d), dims.get(d + k)
+            expected = (td, sd) if in_algebra and sd and td else None
+            actions[(seq, d)] = _read_matrix(lines, nrows, ncols, where, no,
+                                             expected)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
-    _reject_unrequested(blocks, _required_action_keys(
-        preamble["algebra"], preamble["window"], preamble["dims"]))
+    _reject_unrequested(blocks, _required_action_keys(algebra, window, dims))
     try:
         return GradedModule(actions=actions, **preamble)
     except ValueError as exc:
@@ -288,6 +303,8 @@ def parse_comodule(text: str) -> GradedComodule:
     lines = _Lines(text)
     preamble = _parse_preamble(lines, COMODULE_HEADER)
 
+    algebra, window, dims = (preamble["algebra"], preamble["window"],
+                             preamble["dims"])
     coactions: dict[tuple[int, int], BitMatrix] = {}
     # line and name of each block's header
     blocks: dict[tuple[int, int], tuple[int, str]] = {}
@@ -308,11 +325,15 @@ def parse_comodule(text: str) -> GradedComodule:
             if (d, k) in blocks:
                 raise ParseError(no, f"repeated block {where}")
             blocks[(d, k)] = no, where
-            coactions[(d, k)] = _read_matrix(lines, nrows, ncols, where, no)
+            sd, td = dims.get(d), dims.get(d + k)
+            expected = None
+            if k > 0 and sd and td and algebra.dim(k):
+                expected = (td * algebra.dim(k), sd)
+            coactions[(d, k)] = _read_matrix(lines, nrows, ncols, where, no,
+                                             expected)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
-    _reject_unrequested(blocks, _required_coaction_keys(
-        preamble["algebra"], preamble["window"], preamble["dims"]))
+    _reject_unrequested(blocks, _required_coaction_keys(algebra, window, dims))
     try:
         return GradedComodule(coactions=coactions, **preamble)
     except ValueError as exc:

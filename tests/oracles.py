@@ -24,7 +24,7 @@ Sq(2^k)-multiples of lower relations, kept as the reference for the
 extension test's minimal presentation, the free-column kernel of the
 packed relation block, kept as the reference for the relations read off
 tagged columns, the transpose dual built as a module with transposed matrices,
-kept as the reference for the freeness test's mirrored view, the greedy
+kept as the reference for the freeness test's mirrored reading, the greedy
 finite-subideal search, which no engine path needs, and the Margolis
 homology of a finite A(n)-module, kept as an independent freeness
 test: it reads only the module's action matrices and ranks them by
@@ -116,6 +116,7 @@ def multinomial_odd(parts: tuple[int, ...]) -> bool:
     return total == xor
 
 
+@lru_cache(maxsize=None)
 def milnor_product_unpruned(r: tuple[int, ...],
                             s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Milnor's product formula by brute force: fill every matrix x[i][j]
@@ -123,7 +124,8 @@ def milnor_product_unpruned(r: tuple[int, ...],
     spending s_j as sum_i x[i][j] (row 0 and column 0 hold the leftovers),
     then test each diagonal's multinomial coefficient once the matrix is
     full, and keep the monomials of diagonal sums met an odd number of
-    times."""
+    times.  Memoized, as the reference tables and the dense composition
+    check ask for the same pairs many times."""
     nr, ns = len(r), len(s)
     x = [[0] * (ns + 1) for _ in range(nr + 1)]
     x[0][1:] = list(s)
@@ -294,7 +296,7 @@ def generated_ideal_rank(n: int, d: int) -> int:
             rows.append(v)
     if not rows:
         return 0
-    return BitMatrix(len(rows), len(words), rows).rank()
+    return len(rref_rows(rows, len(words))[1])
 
 
 def quotient_by_subalgebra_dims(n: int, dmax: int) -> list[int]:
@@ -774,7 +776,8 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
 def validate_composition_dense(m: GradedModule) -> list[str]:
     """The composition check with a BitMatrix per product and per sum:
     action(b) @ action(c) against the sum of action(t) over the terms t of
-    b * c.  Same messages and order as GradedModule.validate."""
+    b * c, taken from ``milnor_product_unpruned``.  Same messages and
+    order as GradedModule.validate."""
     m.action_table()
     violations = []
     w = m.window
@@ -782,7 +785,7 @@ def validate_composition_dense(m: GradedModule) -> list[str]:
         for kb in range(1, w.width + 1 - kc):
             for b in m.algebra.basis(kb):
                 for c in m.algebra.basis(kc):
-                    prod = milnor.multiply_seqs(b, c)
+                    prod = milnor_product_unpruned(b, c)
                     for d in range(w.lo, w.hi + 1 - kb - kc):
                         if not (m.dims[d] and m.dims[d + kb + kc]):
                             continue

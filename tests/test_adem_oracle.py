@@ -115,8 +115,8 @@ def test_closure_reaches_profile_dimension():
                     bigger = spans[d + k]
                     for v in new_vecs:
                         if not bigger.contains(v):
-                            bigger = bigger.sum_with(
-                                Subspace.from_vectors([v], bigger.ambient_dim))
+                            bigger = Subspace.from_vectors(
+                                bigger.basis.rows + (v,), bigger.ambient_dim)
                             changed = True
                     spans[d + k] = bigger
         for d in range(top + 1):

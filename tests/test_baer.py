@@ -352,7 +352,7 @@ def _presentation_totals(ideals, algebra, top):
                 oracles.decomposable_relations(key, e, algebra), width)
             assert r.contains_subspace(d), (idl, e)
             assert set(minimal) <= set(rel), (idl, e)
-            both = d.sum_with(Subspace.from_vectors(minimal, width))
+            both = Subspace.from_vectors([*d.basis.rows, *minimal], width)
             # the minimal rows span R_e with D_e, and are independent of it
             assert both == r, (idl, e)
             assert len(minimal) == r.dim - d.dim, (idl, e)

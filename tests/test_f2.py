@@ -8,7 +8,7 @@ from steenmod import _f2pure
 from steenmod.f2 import BitMatrix, Subspace, kernel
 
 from oracles import (bitmatrix_from_entries, nullspace_by_columns,
-                     rref_2x2_hand, rref_by_columns)
+                     rref_2x2_hand, rref_by_columns, rref_rows)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -28,6 +28,10 @@ def reduced(m):
     return BitMatrix(len(red), m.ncols, red)
 
 
+def rank(m):
+    return len(rref_rows(m.rows, m.ncols)[1])
+
+
 def test_rref_identity_fixed_point():
     i3 = BitMatrix.identity(3)
     assert reduced(i3) == i3
@@ -36,7 +40,7 @@ def test_rref_identity_fixed_point():
 def test_rref_zero_matrix_drops_rows():
     z = BitMatrix.zero(4, 3)
     assert reduced(z).nrows == 0
-    assert reduced(z).rank() == 0
+    assert rank(reduced(z)) == 0
 
 
 def test_rref_2x2_hand_oracle():
@@ -58,7 +62,7 @@ def test_rref_spec_example():
 def test_rref_idempotent_and_rank_preserving(m):
     r = reduced(m)
     assert reduced(r) == r
-    assert r.rank() == m.rank()
+    assert rank(r) == rank(m)
     # row space preserved: every original row reduces to zero
     sp = Subspace(m.ncols, r)
     assert all(sp.contains(row) for row in m.rows)
@@ -67,7 +71,7 @@ def test_rref_idempotent_and_rank_preserving(m):
 @settings(max_examples=200)
 @given(matrices)
 def test_rank_nullity(m):
-    assert kernel(m).dim == m.ncols - m.rank()
+    assert kernel(m).dim == m.ncols - rank(m)
 
 
 def test_kernel_examples():
@@ -110,15 +114,12 @@ def test_canonical_form_bit_identical():
         a, b = (Subspace.from_vectors(
             [rng.getrandbits(n) for _ in range(rng.randint(0, 4))], n)
             for _ in range(2))
-        ab = a.sum_with(b)
-        assert ab == b.sum_with(a)
-        assert ab == Subspace.from_vectors(a.basis.rows + b.basis.rows, n)
+        ab = Subspace.from_vectors(a.basis.rows + b.basis.rows, n)
+        assert ab == Subspace.from_vectors(b.basis.rows + a.basis.rows, n)
         assert ab.contains_subspace(a) and ab.contains_subspace(b)
         assert a.contains_subspace(b) == (ab == a)
         assert a.contains_subspace(Subspace.zero(n))
         assert Subspace.full(n).contains_subspace(ab)
-    with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        Subspace.zero(2).sum_with(Subspace.zero(3))
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         Subspace.zero(2).contains_subspace(Subspace.zero(3))
 

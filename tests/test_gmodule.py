@@ -15,8 +15,8 @@ from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
 from steenmod.gmodule import (SuspensionProfile, Window, coproduct,
                               dual_regular, free_module, freeness_test,
-                              minimal_generators, quotient, regular,
-                              submodule, validate, zero_module)
+                              quotient, regular, submodule, validate,
+                              zero_module)
 from steenmod.milnor import Algebra, Element
 
 A0 = Algebra.subalgebra(0)
@@ -213,7 +213,8 @@ def test_dual_regular_defining_identity():
 
 
 def _table_from_products(algebra, window, product, dual=False):
-    """Action table assembled column by column from the Milnor product:
+    """Action table assembled column by column from a Milnor product
+    (``oracles.milnor_product_unpruned``, not the engine's walk):
     the column of basis monomial c holds product(seq, c), or, for the dual
     regular module, has bit b set when c is a term of product(seq, b)."""
     table = {}
@@ -236,16 +237,19 @@ def _table_from_products(algebra, window, product, dual=False):
     return table
 
 
+_product = oracles.milnor_product_unpruned
+
+
 def _right(a, b):
-    return M.multiply_seqs(b, a)
+    return _product(b, a)
 
 
 def _opposite_regular(algebra, window):
     """The algebra acting on itself by right multiplication on window, which
     is the regular module of the opposite algebra: the transpose dual of
     the dual regular module on the mirrored window, which the freeness
-    test reads through a mirrored view.  Its tables are checked here; it
-    is not a left module."""
+    test reads mirrored.  Its tables are checked here; it is not a left
+    module."""
     return oracles.transpose_dual(
         dual_regular(algebra, Window(-window.hi, -window.lo)))
 
@@ -253,7 +257,7 @@ def _opposite_regular(algebra, window):
 def test_memoized_tables_match_products():
     w = Window(0, 16)
     first = regular(FULL, w)
-    assert first.action_table() == _table_from_products(FULL, w, M.multiply_seqs)
+    assert first.action_table() == _table_from_products(FULL, w, _product)
     again = regular(FULL, w)
     assert again == first
     # the left-multiplication memo shares one matrix per key
@@ -281,7 +285,7 @@ def _eager_regular(algebra, window, right=False):
     """regular(), or _opposite_regular() when right, with its table built
     up front from the products."""
     table = _table_from_products(algebra, window,
-                                 _right if right else M.multiply_seqs)
+                                 _right if right else _product)
     lazy = (_opposite_regular if right else regular)(algebra, window)
     return _explicit(lazy, table)
 
@@ -301,8 +305,9 @@ def _assert_same(lazy, eager):
                          ids=["full", "A2", "A1"])
 def test_forced_tables_match_eager_references(algebra, hi, sub):
     """Every lazily sourced constructor forces the same table as a reference
-    built up front: from multiply_seqs, or by the eager coproduct,
-    submodule, quotient and comodule embedding of tests/oracles.py."""
+    built up front: from the oracle's Milnor products, or by the eager
+    coproduct, submodule, quotient and comodule embedding of
+    tests/oracles.py."""
     w = Window(0, hi)
     ref = _eager_regular(algebra, w)
     ref_table = ref.action_table()
@@ -584,13 +589,11 @@ def test_dual_regular_dims_mirror():
 
 def test_minimal_generators_examples():
     f = free_module(SuspensionProfile([0, 0, 3]), A1, Window(0, 9))
-    gens = minimal_generators(f)
-    assert {d: c for d, c in gens.counts.items() if c} == {0: 2, 3: 1}
+    assert freeness_test(f).generator_degrees == {0: 2, 3: 1}
     r = regular(A2, Window(0, 23))
-    mg = minimal_generators(r)
-    assert {d: c for d, c in mg.counts.items() if c} == {0: 1}
+    assert freeness_test(r).generator_degrees == {0: 1}
     z = zero_module(A1, Window(0, 4))
-    assert all(c == 0 for c in minimal_generators(z).counts.values())
+    assert freeness_test(z).generator_degrees == {}
 
 
 def test_freeness_regular_and_socle_quotient():
@@ -665,6 +668,30 @@ def test_freeness_witness_names_degrees_of_a_bounded_above_module():
     assert (m.dims[-2], m.dims[-4], m.dims[-5]) == (1, 2, 2)
 
 
+def _with_flipped_bit(m, seq, d, i, j):
+    """m's explicit action table with bit (i, j) of Sq(seq) at d flipped."""
+    table = dict(m.action_table())
+    mat = table[(seq, d)]
+    rows = list(mat.rows)
+    rows[i] ^= 1 << j
+    table[(seq, d)] = BitMatrix(mat.nrows, mat.ncols, rows)
+    return G.GradedModule(m.algebra, m.window, dict(m.dims), table,
+                          m.bottom_exact, m.top_exact)
+
+
+def test_freeness_witness_canonical_map_drops_rank():
+    """A flipped bit in Sq(3)'s action leaves every dimension matched but
+    the generator's images dependent three degrees up, on either side."""
+    r = _with_flipped_bit(regular(A1, Window(0, 6)), (3,), 0, 1, 0)
+    v = freeness_test(r)
+    assert (v.status, v.witness) == (
+        "not_free", "degree 3: canonical map drops rank")
+    dr = _with_flipped_bit(dual_regular(A1, Window(-6, 0)), (3,), -6, 0, 0)
+    v = freeness_test(dr)
+    assert (v.status, v.witness) == (
+        "not_free", "degree -3: canonical map drops rank")
+
+
 @lru_cache(maxsize=None)
 def _bounded_above_cases():
     """Modules exact at the top edge only, free and not, each with the
@@ -683,17 +710,13 @@ def _bounded_above_cases():
 
 @pytest.mark.parametrize("name", [c[0] for c in _bounded_above_cases()])
 def test_mirrored_freeness_view_matches_the_transpose_dual_module(name):
-    """Reading a bounded-above module through the mirrored view gives the
-    generators, lifts, certified degrees and failures that reading its
-    transpose dual, built as a module with transposed matrices, gives."""
+    """Reading a bounded-above module mirrored, through its own rows,
+    gives the generators and failures that reading its transpose dual,
+    built as a module with transposed matrices, gives."""
     m, sub = next((m, sub) for n, m, sub in _bounded_above_cases()
                   if n == name)
     m = m.restrict_to(sub)
     ref = oracles.transpose_dual(m)
-    got = minimal_generators(m, mirrored=True)
-    want = minimal_generators(ref)
-    assert (got.counts, got.representatives, got.certified) == (
-        want.counts, want.representatives, want.certified)
     assert (G._freeness_bottom_anchored(m, True)
             == G._freeness_bottom_anchored(ref, False))
 

@@ -335,3 +335,39 @@ def test_bad_exact_field_reports_its_line(flags):
     with pytest.raises(T.ParseError) as exc:
         T.parse_module(text)
     assert str(exc.value) == f"line 4: bad exactness flags {flags!r}"
+
+
+def test_module_block_of_wrong_shape_reports_its_header():
+    """A block whose header shape disagrees with the dims line is rejected
+    at its own header line, not at the end of the file; a missing block is
+    still reported at the end."""
+    lines = T.print_module(regular(A1, Window(0, 6))).split("\n")
+    assert lines[6:8] == ["@ 0: 1x1", "1"]
+    lines[6:8] = ["@ 0: 1x2", "10"]
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module("\n".join(lines))
+    assert str(exc.value) == ("line 7: block Sq(1) @ 0 has shape 1x2, "
+                              "expected 1x1")
+    del lines[6:8]
+    end = lines.index("end")
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_module("\n".join(lines))
+    assert exc.value.line_no == end + 1
+    assert "missing action of Sq(1,) at degree 0" in str(exc.value)
+
+
+def test_comodule_block_of_wrong_shape_reports_its_header():
+    lines = T.print_comodule(
+        extended(ExtendedSpec({0: 1}), A1, Window(-6, 0))).split("\n")
+    assert lines[5:7] == ["coaction -6 1: 1x1", "1"]
+    lines[5:7] = ["coaction -6 1: 1x2", "10"]
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_comodule("\n".join(lines))
+    assert str(exc.value) == ("line 6: block coaction (-6,1) has shape 1x2, "
+                              "expected 1x1")
+    del lines[5:7]
+    end = lines.index("end")
+    with pytest.raises(T.ParseError) as exc:
+        T.parse_comodule("\n".join(lines))
+    assert exc.value.line_no == end + 1
+    assert "missing coaction block (-6, 1)" in str(exc.value)

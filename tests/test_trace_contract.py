@@ -23,7 +23,7 @@ dual_regular(full, Window(-12, 0)).action_table()
 milnor.multiplication_matrix(3, 4, full)
 milnor.Element.sq(3, 1) * milnor.Element.sq(2)
 bits = tracer.counts["f2.kernel_bits"]
-f2.BitMatrix(2, 3, [0b011, 0b110]).rank()
+f2.Subspace.from_vectors([0b011, 0b110], 3)
 print(json.dumps({"caches": tracer.cache_stats(),
                   "backend": f2.backend_name(),
                   "kernel_bits": [bits, tracer.counts["f2.kernel_bits"]]}))
