@@ -12,8 +12,8 @@ Chains are finite lists, so "eventually constant" is evaluated as
 last stage at which the perp still moves, with the convention that a move
 at the final supplied stage reports l(d) = number of stages (no
 stabilization was witnessed at d).  Evidence verdicts are therefore open
-to revision by longer chains; counterexample verdicts quote concrete
-certified data.
+to revision by longer chains; a counterexample verdict rests only on
+certified degrees.
 """
 
 from __future__ import annotations
@@ -323,93 +323,42 @@ VERDICT_COUNTER = "counterexample"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-class FlagReport:
-    __slots__ = ("verdict", "reason", "witness")
-
-    def __init__(self, verdict: str, reason: str,
-                 witness: Optional[dict] = None):
-        self.verdict = verdict
-        self.reason = reason
-        self.witness = witness
-
-    __eq__ = fields_equal
-
-
-class SigmaClass:
-    """Taxonomy flags for which suspension families keep injectivity.
-
-    Only counterexamples are definitive; evidence verdicts hold for the
-    supplied chain catalog and window, and structural verdicts follow from
-    a finite effective degree range plus degreewise finiteness.
-    """
-
-    __slots__ = ("strictly", "unboundedly", "bounded_abovely",
-                 "bounded_belowly", "finite_sets", "per_chain")
-
-    def __init__(self, strictly: FlagReport, unboundedly: FlagReport,
-                 bounded_abovely: FlagReport, bounded_belowly: FlagReport,
-                 finite_sets: FlagReport,
-                 per_chain: Optional[list[PerpProfile]] = None):
-        self.strictly = strictly
-        self.unboundedly = unboundedly
-        self.bounded_abovely = bounded_abovely
-        self.bounded_belowly = bounded_belowly
-        self.finite_sets = finite_sets
-        self.per_chain = [] if per_chain is None else per_chain
-
-    __eq__ = fields_equal
-
-    def flags(self) -> dict[str, str]:
-        return {
-            "strictly": self.strictly.verdict,
-            "unboundedly": self.unboundedly.verdict,
-            "bounded_abovely": self.bounded_abovely.verdict,
-            "bounded_belowly": self.bounded_belowly.verdict,
-            "finite_sets": self.finite_sets.verdict,
-        }
-
-
-def _unbounded_moves(profiles: list[PerpProfile], side: str) -> Optional[dict]:
-    """A witness that stage-depth of observed movement is unbounded toward
-    one window edge: for every candidate bound, a certified degree moving
-    past it.  Returns None when some candidate bound survives."""
-    best: dict[int, tuple[int, int, int]] = {}  # bound -> (chain, degree, ell)
-    max_stages = max(p.num_stages for p in profiles)
-    for bound in range(0, max_stages):
-        found = None
-        for ci, p in enumerate(profiles):
-            degs = [d for d in p.window if p.certified[d] and p.ell[d] > bound]
-            if not degs:
-                continue
-            d = min(degs) if side == "below" else max(degs)
-            found = (ci, d, p.ell[d])
-            break
-        if found is None:
-            return None
-        best[bound] = found
-    return {
-        "refuted_bounds": {b: {"chain": c, "degree": d, "ell": e}
-                           for b, (c, d, e) in best.items()},
-    }
+def _moves_past_every_bound(profiles: Sequence[PerpProfile]) -> bool:
+    """Whether observed perp movement passes every candidate stage bound:
+    for each bound b below the longest chain's length, some certified
+    degree of some chain has l(d) > b.  As l(d) never exceeds its chain's
+    length, that holds exactly when a longest chain still moves at its
+    last supplied stage at some certified degree."""
+    longest = max((p.num_stages for p in profiles), default=0)
+    return any(p.certified[d] and p.ell[d] == longest
+               for p in profiles for d in p.window)
 
 
 def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
                    profiles: Optional[Sequence[PerpProfile]] = None
-                   ) -> SigmaClass:
+                   ) -> dict[str, str]:
     """Evaluate the taxonomy against a chain catalog on the module's window.
+
+    Returns the verdict of each suspension family (``strictly``,
+    ``unboundedly``, ``bounded_abovely``, ``bounded_belowly`` and
+    ``finite_sets``) on keeping injectivity.  Only counterexamples are
+    definitive; evidence verdicts hold for the supplied chain catalog and
+    window.
 
     profiles, when given, holds each chain's perp profile in m, in the
     order of chains, so that a caller who already has them does not pay
     for them twice.
 
-    Structural branch: when the relevant degree family is effectively
-    finite (the module is exact on that side), descending chains of
-    subspaces of finite-dimensional degree pieces must stabilize, uniformly
-    over the finitely many effective degrees, for every chain; this yields
-    evidence without consulting the catalog.  Otherwise the observed
-    profiles decide: unboundedly deep movement toward the open side is a
-    counterexample, observed uniform stability is (non-definitive)
-    evidence, and anything else is inconclusive.
+    Structural branch: every degree piece is finite-dimensional, so every
+    descending perp chain stabilizes degreewise, which is evidence for the
+    strict and finite-set families.  When the module vanishes past one
+    window edge, the families bounded away from that edge are effectively
+    finite, so stabilization is uniform over them.  Otherwise the observed
+    profiles decide: movement at stage depths past every candidate bound
+    is a counterexample, uniform stability of every supplied chain on the
+    window is (non-definitive) evidence, and anything else is
+    inconclusive.  The unbounded family inherits the verdict of an open
+    side, and is structural evidence when the module has finite support.
     """
     if profiles is None:
         profiles = [None] * len(chains)
@@ -417,64 +366,21 @@ def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
         raise ValueError(f"{len(profiles)} profiles for {len(chains)} chains")
     profiles = [_profile_for(c, m, p) for c, p in zip(chains, profiles)]
 
-    strictly = FlagReport(
-        VERDICT_EVIDENCE,
-        "each degree piece is finite-dimensional, so every descending perp "
-        "chain stabilizes degreewise")
-
-    finite_sets = FlagReport(
-        VERDICT_EVIDENCE,
-        "finite suspension set [0]: finitely many degrees, each "
-        "stabilizing by finite-dimensionality")
-
-    def side_report(side: str) -> FlagReport:
-        exact = m.top_exact if side == "above" else m.bottom_exact
-        if exact:
-            return FlagReport(
-                VERDICT_EVIDENCE,
-                f"module vanishes {side} the window edge, so every degree "
-                f"family bounded {'below' if side == 'above' else 'above'} "
-                "is effectively finite (structural)")
-        witness = _unbounded_moves(profiles, side)
-        if witness is not None:
-            return FlagReport(
-                VERDICT_COUNTER,
-                "observed perp movement at stage depths exceeding every "
-                "candidate bound toward the unbounded side", witness)
-        if profiles and all(p.ell[d] < p.num_stages
-                            for p in profiles for d in p.window if p.certified[d]):
-            return FlagReport(
-                VERDICT_EVIDENCE,
-                "all supplied chains stabilize uniformly on the window "
-                "(not definitive: longer chains could refute)")
-        return FlagReport(VERDICT_INCONCLUSIVE,
-                          "window evidence neither stabilizes nor grows")
-
+    if _moves_past_every_bound(profiles):
+        open_side = VERDICT_COUNTER
+    elif profiles and all(p.ell[d] < p.num_stages
+                          for p in profiles for d in p.window
+                          if p.certified[d]):
+        open_side = VERDICT_EVIDENCE
+    else:
+        open_side = VERDICT_INCONCLUSIVE
     # bounded-above families probe degrees >= m (paper indexing m - N):
     # effectively finite when the module is bounded above, and dually.
-    bounded_abovely = side_report("above")
-    bounded_belowly = side_report("below")
-
-    if VERDICT_COUNTER in (bounded_abovely.verdict, bounded_belowly.verdict):
-        which = bounded_abovely if bounded_abovely.verdict == VERDICT_COUNTER else bounded_belowly
-        unboundedly = FlagReport(VERDICT_COUNTER,
-                                 "inherited: a bounded family already fails",
-                                 which.witness)
-    elif m.top_exact and m.bottom_exact:
-        unboundedly = FlagReport(
-            VERDICT_EVIDENCE,
-            "module is supported on finitely many degrees (structural)")
-    elif (bounded_abovely.verdict == bounded_belowly.verdict == VERDICT_EVIDENCE
-          and profiles
-          and all(p.ell[d] < p.num_stages
-                  for p in profiles for d in p.window if p.certified[d])):
-        unboundedly = FlagReport(
-            VERDICT_EVIDENCE,
-            "all supplied chains stabilize uniformly on the window "
-            "(not definitive)")
-    else:
-        unboundedly = FlagReport(VERDICT_INCONCLUSIVE,
-                                 "no uniform bound witnessed either way")
-
-    return SigmaClass(strictly, unboundedly, bounded_abovely, bounded_belowly,
-                      finite_sets, profiles)
+    return {
+        "strictly": VERDICT_EVIDENCE,
+        "unboundedly": (VERDICT_EVIDENCE if m.top_exact and m.bottom_exact
+                        else open_side),
+        "bounded_abovely": VERDICT_EVIDENCE if m.top_exact else open_side,
+        "bounded_belowly": VERDICT_EVIDENCE if m.bottom_exact else open_side,
+        "finite_sets": VERDICT_EVIDENCE,
+    }

@@ -21,27 +21,29 @@ gives.  The argument needs the target to be a module; ``steenmod baer
 --module FILE`` does not check that, so run ``steenmod validate`` on the
 file first.
 
-Witness maps package the chain data r -> (r x_0, r x_1, ...): each x_n is
-annihilated by stage n, and the chosen suspension degrees track where the
-perp chain moves.  A finite coproduct of copies of a gr-injective module
-is again gr-injective, so the assembled map itself always extends at desk
-scale; what survives of the infinite phenomenon is support forcing: a
-destabilized stage n forces every extension to be nonzero in component n,
-so no extension supported on boundedly many stages exists as the chain
-grows.  The verdict records exactly that, with re-checkable data.
+A witness packages the chain data r -> (r x_0, r x_1, ...): each x_n is
+annihilated by stage n, and its degree -d(n) tracks, stage by stage, where
+the perp chain moves.  A finite coproduct of copies of a gr-injective
+module is again gr-injective, so the assembled map itself always extends
+at desk scale; what survives of the infinite phenomenon is support
+forcing: a destabilized stage n forces every extension to be nonzero in
+component n, so no extension supported on boundedly many stages exists as
+the chain grows.  The ``Witness`` record holds the degree function, the
+choices, the forced stages with a destabilizing generator for each, and
+that verdict, all re-checkable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import milnor
 from ._f2pure import column_kernel, insert
 from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
 from .f2 import BitMatrix, Subspace, kernel, mul_rows
-from .gmodule import GradedModule, SuspensionProfile
+from .gmodule import GradedModule
 from .milnor import Algebra, Element
 
 EXTENDS_ALL = "extends_all"
@@ -259,7 +261,10 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     last = window_cap if rel_cap is None else min(window_cap, rel_cap)
     done_note = None
     while e <= last and done_note is None:
-        td_out = dim(shift + e)
+        # exact: min_gd <= e <= window.hi - shift, and shift + min_gd passed
+        # the gen_info check, so shift + e lies in the window or below an
+        # exact bottom edge, where the dimension is 0
+        td_out = target.dims.get(shift + e, 0)
         rel_rows, layout = (_generator_relations(gen_coords, e, algebra)
                             if td_out else ((), ()))
         rows = (_minimal_relations(gen_coords, e, algebra)
@@ -329,46 +334,38 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
 # -- witness construction ------------------------------------------------------
 
 
-class WitnessMap:
-    """The chain map r -> (r x_0, ..., r x_K) with its full choice data."""
+class Witness:
+    """The chain map r -> (r x_0, ..., r x_K) and its extension verdict.
 
-    __slots__ = ("chain", "degree_function", "choices", "forced_stages",
-                 "stage_witnesses")
+    degree_function holds d(n) in stage order, x_n having degree -d(n);
+    choices holds each x_n as (degree, coordinate mask in M).
+    """
 
-    def __init__(self, chain: IdealChain, degree_function: SuspensionProfile,
+    __slots__ = ("degree_function", "choices", "forced_stages",
+                 "stage_witnesses", "extension_fails", "note")
+
+    def __init__(self, degree_function: tuple[int, ...],
                  choices: list[tuple[int, int]], forced_stages: list[int],
-                 stage_witnesses: dict[int, str]):
-        self.chain = chain
+                 stage_witnesses: dict[int, str], extension_fails: bool,
+                 note: str):
         self.degree_function = degree_function
-        self.choices = choices  # (degree of x_n, coordinate mask in M)
+        self.choices = choices
         self.forced_stages = forced_stages
         self.stage_witnesses = stage_witnesses
-
-    __eq__ = fields_equal
-
-
-class WitnessVerdict:
-    __slots__ = ("extension_fails", "plain_extension_exists",
-                 "forced_stages", "num_stages", "note")
-
-    def __init__(self, extension_fails: bool, plain_extension_exists: bool,
-                 forced_stages: list[int], num_stages: int, note: str):
         self.extension_fails = extension_fails
-        self.plain_extension_exists = plain_extension_exists
-        self.forced_stages = forced_stages
-        self.num_stages = num_stages
         self.note = note
 
     __eq__ = fields_equal
 
 
-def track_destabilizing_degrees(profile: PerpProfile) -> SuspensionProfile:
+def track_destabilizing_degrees(profile: PerpProfile) -> tuple[int, ...]:
     """Suspension degrees d(n) following where each stage's perp moves.
 
     Stage n below the last uses the certified degree closest to zero where
     the perp drops from stage n to n+1 (so x_n at that degree can be chosen
     outside the next perp); the last stage uses the first lower degree
-    where its perp is nonzero.  Returned as d(n) with x_n of degree -d(n).
+    where its perp is nonzero.  Returned as d(n) in stage order, with x_n
+    of degree -d(n).
     """
     K = profile.num_stages - 1
     degrees: list[int] = []
@@ -386,14 +383,13 @@ def track_destabilizing_degrees(profile: PerpProfile) -> SuspensionProfile:
     if not cands:
         raise ValueError("no admissible degree for the final stage")
     degrees.append(max(cands))
-    return SuspensionProfile([-d for d in degrees])
+    return tuple(-d for d in degrees)
 
 
 def build_witness(chain: IdealChain, m: GradedModule,
-                  degree_function: Optional[SuspensionProfile] = None,
+                  degree_function: Optional[Sequence[int]] = None,
                   prefer_stable: bool = False,
-                  profile: Optional[PerpProfile] = None
-                  ) -> tuple[WitnessMap, WitnessVerdict]:
+                  profile: Optional[PerpProfile] = None) -> Witness:
     """Choose x_n in the stage-n perp per stage and analyze the extension.
 
     x_n is homogeneous of degree -d(n); by default it is chosen outside the
@@ -401,11 +397,14 @@ def build_witness(chain: IdealChain, m: GradedModule,
     obstruction), while prefer_stable picks inside the union's perp when
     possible (the choice available to bounded families).  The assembled map
     on the union ideal into the coproduct of components Sigma^d(n) M
-    lands in the direct sum and extends componentwise via y_n = x_n; the
-    reported failure means every extension is forced to full support across
-    the destabilized stages, the finite-chain image of the unbounded-chain
+    lands in the direct sum and extends componentwise via y_n = x_n, so a
+    plain extension always exists for a finite chain; the reported failure
+    means every extension is forced to full support across the
+    destabilized stages, the finite-chain image of the unbounded-chain
     non-extension.  Whether that failure refutes a bounded-family flag is a
-    question for the profile trend, which the verdict records.  profile,
+    question for the profile trend, which the classifier reads.
+    degree_function gives d(n) for each stage, in stage order; by default
+    ``track_destabilizing_degrees`` derives it from the profile.  profile,
     when given, is the chain's perp profile in m, which is then not
     computed again.
     """
@@ -413,10 +412,9 @@ def build_witness(chain: IdealChain, m: GradedModule,
     K = len(chain.stages) - 1
     union = chain.stages[-1]
 
-    if degree_function is None:
-        degree_function = track_destabilizing_degrees(profile)
-    dvals = list(degree_function.shifts)  # ascending: stage picks march
-    if len(dvals) != K + 1:                # away from zero with the stage
+    dvals = (track_destabilizing_degrees(profile) if degree_function is None
+             else tuple(degree_function))
+    if len(dvals) != K + 1:
         raise ValueError("degree function must supply one value per stage")
 
     choices: list[tuple[int, int]] = []
@@ -448,8 +446,6 @@ def build_witness(chain: IdealChain, m: GradedModule,
             stage_witnesses[n] = _union_killer_witness(union, m, deg, pick)
         choices.append((deg, pick))
 
-    # y_n = x_n extends the map r -> (r x_n) on the window outright, so a
-    # plain extension always exists for a finite chain.
     fails = all(n in forced for n in range(K))
     note = (
         "every extension is nonzero in each destabilized stage component; no "
@@ -457,8 +453,7 @@ def build_witness(chain: IdealChain, m: GradedModule,
         if fails else
         "some stage admits a union-stable choice; the witness map extends "
         "with support below the last stage")
-    wm = WitnessMap(chain, degree_function, choices, forced, stage_witnesses)
-    return wm, WitnessVerdict(fails, True, forced, K + 1, note)
+    return Witness(dvals, choices, forced, stage_witnesses, fails, note)
 
 
 def _union_killer_witness(union: HomIdeal, m: GradedModule, deg: int,

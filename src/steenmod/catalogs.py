@@ -16,9 +16,9 @@ from . import milnor
 from ._f2pure import insert
 from .annihilator import HomIdeal
 from .f2 import Subspace
-from .gmodule import (GradedModule, SuspensionProfile, Window, _first_escape,
-                      coproduct, dual_regular, free_module, quotient, regular,
-                      submodule, zero_module)
+from .gmodule import (GradedModule, Window, _first_escape, coproduct,
+                      dual_regular, free_module, quotient, regular, submodule,
+                      zero_module)
 from .milnor import Algebra, Element
 
 
@@ -123,8 +123,8 @@ def a1_module_corpus() -> list[tuple[str, GradedModule]]:
     corpus: list[tuple[str, GradedModule]] = [
         ("regular", R),
         ("zero", zero_module(alg, W)),
-        ("free-0-0", free_module(SuspensionProfile([0, 0]), alg, W)),
-        ("free-0-3", free_module(SuspensionProfile([0, 3]), alg, W)),
+        ("free-0-0", free_module([0, 0], alg, W)),
+        ("free-0-3", free_module([0, 3], alg, W)),
         ("suspension-2", regular(alg, Window(-pad, 6 + pad)).suspend(2)),
         ("dual-regular", dual_regular(alg, Window(-6 - pad, pad))),
         ("trivial", quotient(R, ideal_family(Element.sq(1), Element.sq(2)))),

@@ -22,8 +22,8 @@ from .annihilator import (HomIdeal, chain_perp_profile, perp_ideal_in_module,
                           perp_subset_in_algebra)
 from .baer import baer_test, build_witness
 from .comodule import ExtendedSpec, extended, iota, validate_coaction
-from .gmodule import (GradedModule, SuspensionProfile, Window, coproduct,
-                      dual_regular, freeness_test, regular, validate)
+from .gmodule import (GradedModule, Window, coproduct, dual_regular,
+                      freeness_test, regular, validate)
 from .milnor import Algebra
 from .scenarios import (EXIT_CODES, READS, ScenarioConfig,
                         render_structured, render_text, run_scenario)
@@ -211,17 +211,17 @@ def cmd_witness(args) -> int:
     chain = _load_chain(args.chain)
     dfun = None
     if args.degree_function:
-        dfun = SuspensionProfile(int(t) for t in args.degree_function.split(","))
-    wm, wv = build_witness(chain, m, dfun)
-    lines = [f"chain: {chain}",
-             f"degree-function: {list(wm.degree_function.shifts)}",
-             f"forced-stages: {wv.forced_stages} of {wv.num_stages}",
-             f"extension-fails: {wv.extension_fails}",
-             f"note: {wv.note}"]
-    for n, (deg, mask) in enumerate(wm.choices):
+        dfun = [int(t) for t in args.degree_function.split(",")]
+    w = build_witness(chain, m, dfun)
+    lines = [str(chain),
+             f"degree-function: {list(w.degree_function)}",
+             f"forced-stages: {w.forced_stages} of {len(w.choices)}",
+             f"extension-fails: {w.extension_fails}",
+             f"note: {w.note}"]
+    for n, (deg, mask) in enumerate(w.choices):
         lines.append(f"choice {n}: degree {deg} coords {mask:x}")
-    for n in sorted(wm.stage_witnesses):
-        lines.append(f"destabilizer {n}: {wm.stage_witnesses[n]}")
+    for n in sorted(w.stage_witnesses):
+        lines.append(f"destabilizer {n}: {w.stage_witnesses[n]}")
     _emit(lines)
     return 0
 
@@ -356,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, module=True)
     p.add_argument("--chain", required=True)
     p.add_argument("--degree-function", default="",
-                   help="comma-separated d(n); derived from the profile "
-                        "when omitted")
+                   help="d(n) for each stage, in stage order; derived from "
+                        "the profile when omitted")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("freeness", help="freeness / gr-injectivity test")

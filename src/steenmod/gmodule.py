@@ -76,21 +76,6 @@ class Window:
         return f"{self.lo}..{self.hi}"
 
 
-class SuspensionProfile:
-    """A finite multiset of suspension degrees d(s)."""
-
-    __slots__ = ("shifts",)
-
-    def __init__(self, shifts: Iterable[int]):
-        self.shifts = tuple(sorted(shifts))
-
-    __eq__ = fields_equal
-    __hash__ = fields_hash
-
-    def __len__(self) -> int:
-        return len(self.shifts)
-
-
 Source = Callable[[Seq, int], BitMatrix]
 
 
@@ -455,14 +440,15 @@ def coproduct(parts: Sequence[tuple[GradedModule, int]]) -> GradedModule:
                         bottom_exact=edge_exact(True), top_exact=edge_exact(False))
 
 
-def free_module(gens: SuspensionProfile, algebra: Algebra,
+def free_module(shifts: Iterable[int], algebra: Algebra,
                 window: Window) -> GradedModule:
-    """Direct sum of suspended regular modules, one per generator degree."""
-    if not len(gens):
+    """Direct sum of suspended regular modules, one per generator degree.
+
+    The shifts are a multiset: they are summed in ascending order, so the
+    basis does not depend on the order they are given in."""
+    parts = [(regular(algebra, window.shift(-s)), s) for s in sorted(shifts)]
+    if not parts:
         return zero_module(algebra, window)
-    parts = []
-    for s in gens.shifts:
-        parts.append((regular(algebra, window.shift(-s)), s))
     return coproduct(parts)
 
 

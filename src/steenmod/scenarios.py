@@ -18,8 +18,7 @@ from .annihilator import chain_perp_profile, classify_sigma, sq_power_chain
 from .baer import baer_test, build_witness
 from .comodule import (ExtendedSpec, extended, iota,
                        iota_matches_suspended_duals, validate_coaction)
-from .gmodule import (SuspensionProfile, Window, dual_regular, free_module,
-                      freeness_test, regular)
+from .gmodule import Window, dual_regular, free_module, freeness_test, regular
 from .milnor import Algebra
 
 OK = "ok"
@@ -114,23 +113,23 @@ def run_prop_3_1(cfg: ScenarioConfig) -> Report:
         rep.add(f"deeper-than.{t}", max(deeper) if deeper else "none")
         rep.expect(f"movement-past-stage-{t}", bool(deeper))
 
-    wm, wv = build_witness(chain, module, profile=prof)
-    rep.add("witness.degree-function", list(wm.degree_function.shifts))
-    for n, (deg, mask) in enumerate(wm.choices):
+    w = build_witness(chain, module, profile=prof)
+    rep.add("witness.degree-function", list(w.degree_function))
+    for n, (deg, mask) in enumerate(w.choices):
         rep.add(f"witness.choice.{n}", f"degree {deg} coords {mask:x}")
-    for n in sorted(wm.stage_witnesses):
-        rep.add(f"witness.destabilizer.{n}", wm.stage_witnesses[n])
-    rep.add("witness.forced-stages", wv.forced_stages)
-    rep.add("witness.note", wv.note)
-    rep.expect("witness-extension-fails", wv.extension_fails)
+    for n in sorted(w.stage_witnesses):
+        rep.add(f"witness.destabilizer.{n}", w.stage_witnesses[n])
+    rep.add("witness.forced-stages", w.forced_stages)
+    rep.add("witness.note", w.note)
+    rep.expect("witness-extension-fails", w.extension_fails)
 
-    cls = classify_sigma(module, [chain], [prof])
-    for name, verdict in sorted(cls.flags().items()):
+    flags = classify_sigma(module, [chain], [prof])
+    for name, verdict in sorted(flags.items()):
         rep.add(f"classify.{name}", verdict)
     rep.expect("bounded-abovely-evidence",
-               cls.bounded_abovely.verdict == "evidence_holds")
+               flags["bounded_abovely"] == "evidence_holds")
     rep.expect("bounded-belowly-counterexample",
-               cls.bounded_belowly.verdict == "counterexample")
+               flags["bounded_belowly"] == "counterexample")
     return rep
 
 
@@ -169,7 +168,7 @@ def run_cor_2_6(cfg: ScenarioConfig) -> Report:
     checked = 0
     agree = True
     for fam in shift_families[:4]:
-        cop = free_module(SuspensionProfile(fam), full,
+        cop = free_module(fam, full,
                           Window(window.lo, window.hi + pad))
         for ii, idl in enumerate(ideals[:4]):
             for m_shift in (0, 3):
@@ -271,18 +270,18 @@ def run_iota_failure(cfg: ScenarioConfig) -> Report:
     chain = sq_power_chain(cfg.stages)
     rep.add("chain", chain)
     prof = chain_perp_profile(chain, module)
-    wm, wv = build_witness(chain, module, profile=prof)
-    rep.add("witness.degree-function", list(wm.degree_function.shifts))
-    rep.add("witness.forced-stages", wv.forced_stages)
-    for n in sorted(wm.stage_witnesses):
-        rep.add(f"witness.destabilizer.{n}", wm.stage_witnesses[n])
-    rep.expect("witness-extension-fails", wv.extension_fails)
+    w = build_witness(chain, module, profile=prof)
+    rep.add("witness.degree-function", list(w.degree_function))
+    rep.add("witness.forced-stages", w.forced_stages)
+    for n in sorted(w.stage_witnesses):
+        rep.add(f"witness.destabilizer.{n}", w.stage_witnesses[n])
+    rep.expect("witness-extension-fails", w.extension_fails)
 
-    cls = classify_sigma(module, [chain], [prof])
-    for name, verdict in sorted(cls.flags().items()):
+    flags = classify_sigma(module, [chain], [prof])
+    for name, verdict in sorted(flags.items()):
         rep.add(f"classify.{name}", verdict)
     rep.expect("bounded-belowly-counterexample",
-               cls.bounded_belowly.verdict == "counterexample")
+               flags["bounded_belowly"] == "counterexample")
     return rep
 
 

@@ -236,8 +236,7 @@ def test_finite_subideal_empty_degrees():
 
 def test_classifier_dual_regular():
     dA = dual_regular(FULL, Window(-30, 0))
-    cls = classify_sigma(dA, [sq_power_chain(4)])
-    flags = cls.flags()
+    flags = classify_sigma(dA, [sq_power_chain(4)])
     assert flags["strictly"] == "evidence_holds"
     assert flags["bounded_abovely"] == "evidence_holds"
     assert flags["bounded_belowly"] == "counterexample"
@@ -247,15 +246,26 @@ def test_classifier_dual_regular():
 
 def test_classifier_regular_full():
     r = regular(FULL, Window(0, 24))
-    cls = classify_sigma(r, [sq_power_chain(4)])
-    assert cls.flags()["bounded_belowly"] == "evidence_holds"
-    assert cls.flags()["strictly"] == "evidence_holds"
+    flags = classify_sigma(r, [sq_power_chain(4)])
+    assert flags["bounded_belowly"] == "evidence_holds"
+    assert flags["strictly"] == "evidence_holds"
 
 
 def test_classifier_finite_module_all_structural():
     r = regular(A1, Window(0, 6))
-    cls = classify_sigma(r, [sq_power_chain(2)])
-    assert all(v == "evidence_holds" for v in cls.flags().values())
+    flags = classify_sigma(r, [sq_power_chain(2)])
+    assert all(v == "evidence_holds" for v in flags.values())
+
+
+def test_classifier_empty_catalog_decides_only_structurally():
+    """With no chain, an exact edge still gives structural evidence and an
+    open one has nothing to decide on."""
+    flags = classify_sigma(dual_regular(FULL, Window(-20, 0)), [])
+    assert flags == {"strictly": "evidence_holds",
+                     "unboundedly": "inconclusive",
+                     "bounded_abovely": "evidence_holds",
+                     "bounded_belowly": "inconclusive",
+                     "finite_sets": "evidence_holds"}
 
 
 def test_classifier_monotone_in_catalog():
@@ -263,9 +273,9 @@ def test_classifier_monotone_in_catalog():
     small = classify_sigma(dA, [sq_power_chain(4)])
     extra = IdealChain([HomIdeal([Element.sq(1)])] * 2)
     big = classify_sigma(dA, [sq_power_chain(4), extra])
-    for key, verdict in small.flags().items():
+    for key, verdict in small.items():
         if verdict == "counterexample":
-            assert big.flags()[key] == "counterexample", key
+            assert big[key] == "counterexample", key
 
 
 def test_classifier_flag_implications():
@@ -277,8 +287,7 @@ def test_classifier_flag_implications():
         classify_sigma(regular(FULL, Window(0, 24)), [sq_power_chain(4)]),
         classify_sigma(regular(A1, Window(0, 6)), [sq_power_chain(2)]),
     ]
-    for cls in cases:
-        flags = cls.flags()
+    for flags in cases:
         if flags["unboundedly"] == "evidence_holds":
             for weaker in ("strictly", "bounded_abovely", "bounded_belowly",
                            "finite_sets"):

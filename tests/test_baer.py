@@ -16,9 +16,8 @@ from steenmod.annihilator import (HomIdeal, IdealChain, ideal_span,
 from steenmod.baer import (baer_test, build_witness,
                            track_destabilizing_degrees)
 from steenmod.f2 import BitMatrix, Subspace
-from steenmod.gmodule import (GradedModule, SuspensionProfile, Window,
-                              dual_regular, free_module, quotient, regular,
-                              submodule)
+from steenmod.gmodule import (GradedModule, Window, dual_regular,
+                              free_module, quotient, regular, submodule)
 from steenmod.milnor import Algebra, Element
 
 A1 = Algebra.subalgebra(1)
@@ -30,7 +29,7 @@ def test_hom_from_regular_is_target_degree_zero():
     w = Window(-14, 14)
     r = regular(A1, w)
     for target_name, target in [("regular", regular(A1, w)),
-                                ("free00", free_module(SuspensionProfile([0, 0]), A1, w))]:
+                                ("free00", free_module([0, 0], A1, w))]:
         for shift in range(0, 7):
             homs = graded_homs(r, target, shift)
             assert len(homs) == target.dims[shift], (target_name, shift)
@@ -95,7 +94,7 @@ def test_baer_exhaustive_catalog_on_free_targets():
     ideals = CAT.all_a1_ideals()
     w = Window(-14, 20)
     for shifts in [(0,), (0, 3), (-6, 6)]:
-        target = free_module(SuspensionProfile(shifts), A1, w)
+        target = free_module(shifts, A1, w)
         for idl in ideals:
             for shift in range(-8, 15):
                 v = baer_test(idl, shift, target)
@@ -164,20 +163,18 @@ def test_generator_coordinates_agree_with_dense_hom_solver():
 def test_witness_constant_chain_extends():
     dA = dual_regular(FULL, Window(-20, 0))
     const = IdealChain([HomIdeal([Element.sq(1)])] * 3)
-    wm, wv = build_witness(const, dA, SuspensionProfile([2, 2, 2]))
-    assert not wv.extension_fails
-    assert wv.plain_extension_exists
+    assert not build_witness(const, dA, [2, 2, 2]).extension_fails
 
 
 def test_witness_dual_regular_fails():
     dA = dual_regular(FULL, Window(-30, 0))
     chain = sq_power_chain(4)
-    wm, wv = build_witness(chain, dA)
-    assert wv.extension_fails
-    assert wv.forced_stages == [0, 1, 2]
-    assert list(wm.degree_function.shifts) == [2, 4, 8, 16]
+    w = build_witness(chain, dA)
+    assert w.extension_fails
+    assert w.forced_stages == [0, 1, 2]
+    assert w.degree_function == (2, 4, 8, 16)
     # the recorded destabilizers are re-checkable from the choice data
-    for n, (deg, mask) in enumerate(wm.choices):
+    for n, (deg, mask) in enumerate(w.choices):
         stage = chain.stages[n]
         for g in stage.generators:
             img = dA.action_of(g, deg).apply(mask)
@@ -198,11 +195,9 @@ def test_witness_regular_with_stable_choices_extends():
                       if prof.certified[d] and prof.stages[d][K].dim > 0]
     assert stable_degrees, "window too small to see the union perp"
     d0 = min(stable_degrees)
-    wm, wv = build_witness(chain, r,
-                           SuspensionProfile([-d0] * (K + 1)),
-                           prefer_stable=True)
-    assert not wv.extension_fails
-    assert wv.forced_stages == []
+    w = build_witness(chain, r, [-d0] * (K + 1), prefer_stable=True)
+    assert not w.extension_fails
+    assert w.forced_stages == []
 
 
 def test_witness_regular_destabilizing_tracking_marches_up():
@@ -217,10 +212,9 @@ def test_witness_regular_destabilizing_tracking_marches_up():
     chain = sq_power_chain(3)
     prof = chain_perp_profile(chain, r)
     dfun = track_destabilizing_degrees(prof)
-    assert list(dfun.shifts) == sorted(dfun.shifts)
-    assert dfun.shifts[0] < 0  # degrees are positive, shifts negative
-    cls = classify_sigma(r, [chain])
-    assert cls.flags()["bounded_belowly"] == "evidence_holds"
+    assert list(dfun) == sorted(dfun)
+    assert dfun[0] < 0  # degrees are positive, shifts negative
+    assert classify_sigma(r, [chain])["bounded_belowly"] == "evidence_holds"
 
 
 def test_track_destabilizing_degrees_matches_profile():
@@ -229,7 +223,7 @@ def test_track_destabilizing_degrees_matches_profile():
     dA = dual_regular(FULL, Window(-30, 0))
     prof = chain_perp_profile(sq_power_chain(4), dA)
     dfun = track_destabilizing_degrees(prof)
-    for n, dn in enumerate(dfun.shifts[:-1]):
+    for n, dn in enumerate(dfun[:-1]):
         d = -dn
         assert prof.stages[d][n] != prof.stages[d][n + 1]
 
@@ -246,7 +240,7 @@ def test_verdicts_match_per_row_oracle_on_structured_catalog():
             assert (baer_test(idl, -t, base)
                     == oracles.baer_test_per_row(idl, -t, base)), (idl, t)
     for fam in [(0, 0), (0, 8), (0, 2, 5)]:
-        cop = free_module(SuspensionProfile(fam), FULL, Window(0, 32))
+        cop = free_module(fam, FULL, Window(0, 32))
         for idl in list(ideals.values())[:4]:
             for shift in (0, 3):
                 assert (baer_test(idl, shift, cop)
@@ -405,7 +399,7 @@ def _hyp_target(kind, algebra):
     if kind == "dual-regular":
         return dual_regular(algebra, Window(-hi, 4))
     if kind == "free":
-        return free_module(SuspensionProfile([0, 3]), algebra, Window(-4, hi))
+        return free_module([0, 3], algebra, Window(-4, hi))
     assert kind == "socle-quotient"
     return quotient(regular(algebra, Window(-4, hi)), {top: Subspace.full(1)})
 
@@ -489,7 +483,7 @@ def test_passed_profile_gives_the_same_results(name):
     K = len(chain) - 1
     stable = max(d for d in prof.window
                  if prof.certified[d] and prof.stages[d][K].dim)
-    for kwargs in ({}, {"degree_function": SuspensionProfile([-stable] * (K + 1)),
+    for kwargs in ({}, {"degree_function": [-stable] * (K + 1),
                         "prefer_stable": True}):
         want = _outcome(build_witness, chain, m, **kwargs)
         got = _outcome(build_witness, chain, m, profile=prof, **kwargs)

@@ -141,6 +141,40 @@ def test_witness_subcommand(capsys):
     assert code == 0
     assert "extension-fails: True" in out
     assert "degree-function: [2, 4, 8, 16]" in out
+    assert out.splitlines()[0] == (
+        "chain: [Sq(1)] ; [Sq(1),Sq(2)] ; [Sq(1),Sq(2),Sq(4)] ; "
+        "[Sq(1),Sq(2),Sq(4),Sq(8)]")
+
+
+WITNESS_TWO_STAGES = ["witness", "--module", "dual-regular",
+                      "--window=-30..0",
+                      "--chain", "chain: [Sq(1)] ; [Sq(1),Sq(2)]"]
+
+
+def test_witness_degree_function_in_stage_order(capsys):
+    """--degree-function gives d(n) stage by stage: 2,4 puts x_0 at -2 and
+    x_1 at -4; 4,2 asks stage 1 for a nonzero perp element at degree -2,
+    where the perp of (Sq(1), Sq(2)) is zero."""
+    code, out = run_cli(WITNESS_TWO_STAGES + ["--degree-function", "2,4"],
+                        capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "chain: [Sq(1)] ; [Sq(1),Sq(2)]",
+        "degree-function: [2, 4]",
+        "forced-stages: [0] of 2",
+        "extension-fails: True",
+        "note: every extension is nonzero in each destabilized stage "
+        "component; no extension of bounded support exists as stages grow "
+        "with the window",
+        "choice 0: degree -2 coords 1",
+        "choice 1: degree -4 coords 2",
+        "destabilizer 0: Sq(2) moves the choice at degree -2 (nonzero image "
+        "in degree 0)"]
+    assert main(WITNESS_TWO_STAGES + ["--degree-function", "4,2"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert ("stage 1: no nonzero perp element at degree -2"
+            in captured.err)
 
 
 def test_freeness_subcommand(capsys):

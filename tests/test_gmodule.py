@@ -13,10 +13,9 @@ from steenmod import milnor as M
 from steenmod.annihilator import HomIdeal, ideal_span
 from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
-from steenmod.gmodule import (SuspensionProfile, Window, coproduct,
-                              dual_regular, free_module, freeness_test,
-                              quotient, regular, submodule, validate,
-                              zero_module)
+from steenmod.gmodule import (Window, coproduct, dual_regular, free_module,
+                              freeness_test, quotient, regular, submodule,
+                              validate, zero_module)
 from steenmod.milnor import Algebra, Element
 
 A0 = Algebra.subalgebra(0)
@@ -154,11 +153,11 @@ def test_valid_module_runs_only_the_square_pass(monkeypatch):
 
 
 def test_free_module_dims():
-    f = free_module(SuspensionProfile([0]), A1, Window(0, 6))
+    f = free_module([0], A1, Window(0, 6))
     assert [f.dims[d] for d in range(7)] == [1, 1, 1, 2, 1, 1, 1]
-    assert free_module(SuspensionProfile([]), A1,
+    assert free_module([], A1,
                        Window(0, 6)).total_dim() == 0
-    f2 = free_module(SuspensionProfile([0, 0]), A1, Window(0, 6))
+    f2 = free_module([0, 0], A1, Window(0, 6))
     assert [f2.dims[d] for d in range(7)] == [2, 2, 2, 4, 2, 2, 2]
 
 
@@ -319,7 +318,7 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
     _assert_same(dual_regular(algebra, dw), ref_dual)
 
     shifts = [0, 3, 3, -2]
-    _assert_same(free_module(SuspensionProfile(shifts), algebra, w),
+    _assert_same(free_module(shifts, algebra, w),
                  oracles.coproduct_eager(
                      [(_eager_regular(algebra, w.shift(-s)), s)
                       for s in sorted(shifts)]))
@@ -412,7 +411,7 @@ def test_closure_errors_match_eager_references(name):
 @pytest.mark.parametrize("build", [
     lambda: regular(FULL, Window(0, 24)),
     lambda: dual_regular(FULL, Window(-24, 0)).suspend(24),
-    lambda: free_module(SuspensionProfile([0, 2, 2]), FULL, Window(0, 24)),
+    lambda: free_module([0, 2, 2], FULL, Window(0, 24)),
     lambda: regular(A2, Window(0, 24)).restrict_to(A1).suspend(-1).suspend(1),
     lambda: oracles.transpose_dual(dual_regular(FULL, Window(-24, 0))),
 ], ids=["regular", "dual-suspended", "free", "restricted", "dual-of"])
@@ -464,7 +463,7 @@ def test_a_read_past_an_inexact_edge_leaves_the_window():
 @pytest.mark.parametrize("build", [
     lambda: regular(A1, Window(0, 10)),
     lambda: dual_regular(A1, Window(-12, -2)),
-    lambda: free_module(SuspensionProfile([0, 9]), A1, Window(0, 12)),
+    lambda: free_module([0, 9], A1, Window(0, 12)),
     lambda: iota(extended(ExtendedSpec({0: 1, -9: 1}), A1, Window(-14, 0))),
 ], ids=["regular", "dual", "free-gap", "iota-gap"])
 def test_zero_shape_and_unit_reads_stay_out_of_the_memo(build):
@@ -588,7 +587,7 @@ def test_dual_regular_dims_mirror():
 
 
 def test_minimal_generators_examples():
-    f = free_module(SuspensionProfile([0, 0, 3]), A1, Window(0, 9))
+    f = free_module([0, 0, 3], A1, Window(0, 9))
     assert freeness_test(f).generator_degrees == {0: 2, 3: 1}
     r = regular(A2, Window(0, 23))
     assert freeness_test(r).generator_degrees == {0: 1}
@@ -615,7 +614,7 @@ def test_freeness_recovers_generators():
             shifts = sorted(rng.randint(-3, 3)
                             for _ in range(rng.randint(1, 4)))
             w = Window(min(shifts) - 1, max(shifts) + top + 1)
-            f = free_module(SuspensionProfile(shifts), alg, w)
+            f = free_module(shifts, alg, w)
             v = freeness_test(f)
             counts = {}
             for s in shifts:
@@ -810,7 +809,7 @@ def test_every_constructor_output_validates():
         regular(FULL, Window(0, 10)),
         dual_regular(A1, w),
         dual_regular(FULL, Window(-10, 0)),
-        free_module(SuspensionProfile([0, 2, -3]), A1, w),
+        free_module([0, 2, -3], A1, w),
         zero_module(A1, w),
         coproduct([(regular(A1, w), 0), (regular(A1, w.shift(-2)), 2)]),
         regular(A1, w).suspend(3),
@@ -826,7 +825,7 @@ PROPERTY_BASES = [
     regular(A1, Window(0, 6)),
     dual_regular(A1, Window(-6, 0)),
     regular(FULL, Window(0, 8)),
-    free_module(SuspensionProfile([0, 2]), A1, Window(-1, 7)),
+    free_module([0, 2], A1, Window(-1, 7)),
 ]
 
 

@@ -17,7 +17,7 @@ import pytest
 from steenmod.annihilator import HomIdeal, IdealChain
 from steenmod.baer import BaerVerdict, FailingMap
 from steenmod.comodule import ExtendedSpec
-from steenmod.gmodule import SuspensionProfile, Window
+from steenmod.gmodule import Window
 from steenmod.milnor import Algebra, Element
 from steenmod.scenarios import Report
 
@@ -47,8 +47,6 @@ def test_equal_keys_compare_and_hash_equal():
     sq = Element.sq
     cases = [
         (Window(-3, 4), Window(-3, 4), Window(-3, 5)),
-        (SuspensionProfile([3, 0, 3]), SuspensionProfile((0, 3, 3)),
-         SuspensionProfile([0, 3])),
         (HomIdeal([sq(1), sq(2)]), HomIdeal([sq(1), sq(2)]),
          HomIdeal([sq(2), sq(1)])),
         (IdealChain([HomIdeal([sq(1)])]), IdealChain([HomIdeal([sq(1)])]),

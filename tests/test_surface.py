@@ -13,6 +13,14 @@ A non-dunder method or property of a module-level class counts as used
 when the package reads an attribute of that name outside the method's own
 body; whatever the attribute's object, the name alone decides.  The
 unused methods must be exactly their own allowlist.
+
+A ``__slots__`` field of a module-level class counts as read when the
+package reads an attribute of that name anywhere, its own class's methods
+included; again the name alone decides, so a field sharing its name with
+an attribute read elsewhere passes.  ``fields_equal`` and ``fields_hash``
+reach fields through ``getattr``, which is not a read by name, so a field
+that only they compare has no reader.  The unread fields must be exactly
+their own allowlist.
 """
 
 import ast
@@ -41,6 +49,9 @@ ALLOWED_UNUSED_METHODS = {
     ("annihilator", "WindowIdeal.basis_elements"):
         "tests/oracles.py enumerates an ideal's elements with it",
 }
+
+
+ALLOWED_UNREAD_FIELDS: dict[tuple[str, str], str] = {}
 
 
 def _module_trees() -> dict[str, ast.Module]:
@@ -113,6 +124,30 @@ def unused_methods(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
     return unused
 
 
+def unread_fields(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, "Class.field") of each ``__slots__`` field of a
+    module-level class whose name no attribute read in the package has."""
+    read = set()
+    for tree in trees.values():
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
+    unread = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    unread |= {(mod, f"{cls.name}.{field}")
+                               for field in ast.literal_eval(stmt.value)
+                               if field not in read}
+    return unread
+
+
 def test_every_package_name_has_a_caller():
     assert unused_names() == set(ALLOWED_UNUSED)
 
@@ -121,12 +156,17 @@ def test_every_package_method_has_a_caller():
     assert unused_methods(_module_trees()) == set(ALLOWED_UNUSED_METHODS)
 
 
+def test_every_record_field_has_a_reader():
+    assert unread_fields(_module_trees()) == set(ALLOWED_UNREAD_FIELDS)
+
+
 def test_scan_sees_each_kind_of_reference():
     """A bare name in its own module, a relative import and a module
     attribute each count; a name reached only from its own body does not.
     Of methods, a property read from a dunder counts; a method read only
     from its own body, or only assigned to, does not; dunders are not
-    checked."""
+    checked.  Of fields, a read in the class's own method counts; a field
+    only assigned to does not."""
     refs = _references("m", ast.parse(
         "from . import milnor as M\n"
         "from .f2 import kernel\n"
@@ -143,3 +183,9 @@ def test_scan_sees_each_kind_of_reference():
         "    def __len__(self):\n        return self.size\n"
         "C().unread = None\n")}
     assert unused_methods(trees) == {("m", "C.rec"), ("m", "C.unread")}
+    trees = {"m": ast.parse(
+        "class R:\n"
+        "    __slots__ = ('kept', 'shown', 'stored')\n"
+        "    def show(self):\n        return self.shown\n"
+        "r = R()\nr.stored = r.kept\n")}
+    assert unread_fields(trees) == {("m", "R.stored")}

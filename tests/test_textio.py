@@ -8,8 +8,8 @@ from steenmod import textio as T
 from steenmod.annihilator import sq_power_chain
 from steenmod.comodule import ExtendedSpec, extended
 from steenmod.f2 import Subspace
-from steenmod.gmodule import (SuspensionProfile, Window, dual_regular,
-                              free_module, quotient, regular)
+from steenmod.gmodule import (Window, dual_regular, free_module, quotient,
+                              regular)
 from steenmod.milnor import Algebra
 
 A1 = Algebra.subalgebra(1)
@@ -19,7 +19,7 @@ FULL = Algebra.full()
 def modules_for_roundtrip():
     yield regular(A1, Window(0, 6))
     yield dual_regular(FULL, Window(-8, 0))
-    yield free_module(SuspensionProfile([0, 3]), A1, Window(-2, 10))
+    yield free_module([0, 3], A1, Window(-2, 10))
     yield quotient(regular(A1, Window(0, 6)), {6: Subspace.full(1)})
 
 
@@ -272,7 +272,7 @@ def test_header_line_of_a_file_without_content_is_empty(text):
 
 
 A1_REGULAR = T.print_module(regular(A1, Window(0, 3)))
-A1_FREE = T.print_module(free_module(SuspensionProfile([0]), A1, Window(0, 8)))
+A1_FREE = T.print_module(free_module([0], A1, Window(0, 8)))
 EXTENDED = T.print_comodule(
     extended(ExtendedSpec({0: 1, -2: 1}), FULL, Window(-4, 0)))
 A1_EXTENDED = T.print_comodule(
