@@ -124,10 +124,6 @@ class WindowIdeal:
             raise ValueError("need a homogeneous element")
         return self.space(d).contains(milnor.coords_of(e, d, self.algebra))
 
-    def basis_elements(self, d: int) -> list[Element]:
-        return [milnor.element_from_coords(v, d, self.algebra)
-                for v in self.space(d).basis.rows]
-
 
 def ideal_span(ideal: HomIdeal, algebra: Algebra, window: Window) -> WindowIdeal:
     """Degreewise span of {b * g : g generator, b basis monomial}."""

@@ -78,10 +78,9 @@ class BaerVerdict:
 class FailingMap:
     """A concrete non-extendable map: values on the ideal generators."""
 
-    __slots__ = ("shift", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, shift: int, values: list[tuple[int, int, int]]):
-        self.shift = shift
+    def __init__(self, values: list[tuple[int, int, int]]):
         self.values = values  # (generator degree, value degree, coords)
 
     __eq__ = fields_equal
@@ -324,7 +323,7 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
                 for gd, gv, td, off in gen_info:
                     mask = (v >> off) & ((1 << td) - 1)
                     values.append((gd, shift + gd, mask))
-                witness = FailingMap(shift, values)
+                witness = FailingMap(values)
                 break
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")

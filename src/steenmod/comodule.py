@@ -183,8 +183,14 @@ def validate_coaction(c: GradedComodule) -> list[str]:
     (d, k1, k2), and one message per column is reported, sorted by
     (d, k1, k2) and then by column.
     """
+    return _coassociativity_messages(iota(c)._failing_compositions())
+
+
+def _coassociativity_messages(failures) -> list[str]:
+    """``validate_coaction``'s messages, from the failing (x, y, d, mask)
+    of the composition check of the comodule's iota."""
     failing: dict[tuple[int, int, int], int] = {}
-    for x, y, d, mask in iota(c)._failing_compositions():
+    for x, y, d, mask in failures:
         key = (d, milnor.degree(y), milnor.degree(x))
         failing[key] = failing.get(key, 0) | mask
     return [f"coassociativity fails at degree {d}, jumps ({k1}, {k2}), "

@@ -108,22 +108,6 @@ class BitMatrix:
     def rows(self) -> tuple[int, ...]:
         return self._rows
 
-    def row(self, i: int) -> int:
-        return self._rows[i]
-
-    def column(self, j: int) -> int:
-        bit = 1 << j
-        out = 0
-        for i, r in enumerate(self._rows):
-            if r & bit:
-                out |= 1 << i
-        return out
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError("entry out of range")
-        return (self._rows[i] >> j) & 1
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows,
                          _impl.transpose(self._rows, self.ncols))
@@ -149,16 +133,6 @@ class BitMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def solve(self, target: int) -> Optional[int]:
-        """Some x with self @ x = target, verified by substitution, or
-        None when the system is inconsistent."""
-        if target < 0 or target >> self.nrows:
-            raise ValueError("target outside row range")
-        x = _impl.solve(self._rows, self.ncols, target)
-        if x is not None and self.apply(x) != target:
-            raise AssertionError("backend returned an unverified solution")
-        return x
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BitMatrix)

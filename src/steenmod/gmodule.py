@@ -6,12 +6,11 @@ A module acts through the matrix of each algebra basis monomial b with
 b: M^d -> M^(d+deg b).  The matrices are not built up front.  A module holds
 a *source*, a function (b, d) -> matrix, and derives each matrix from it the
 first time it is read, checks its shape there and memoizes it per module in
-``actions``.  Regular, dual regular, free and coproduct modules, their
-suspensions and restrictions, submodules, quotients and the comodule
-embedding ``comodule.iota`` are sources of this kind.  Only parsed text
-and ``zero_module`` hand over an explicit table, which is checked for
-shape and completeness at construction and serves as its own source.
-Only equality, validation and printing force the full table
+``actions``.  Every module is built this way: regular, dual regular, free,
+zero and coproduct modules, their suspensions and restrictions,
+submodules, quotients, the comodule embedding ``comodule.iota``, and
+parsed text, whose source reads the blocks ``textio.parse_module`` has
+checked.  Only equality, validation and printing force the full table
 (``action_table``).  The sources of regular and of dual regular modules
 read ``milnor``'s per-degree memos of left and transposed right
 multiplication by a monomial (``_left_action``, ``_right_action``), so all
@@ -33,7 +32,7 @@ matrices the source determines, and nothing here mutates inputs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import milnor
 from ._f2pure import insert, transpose
@@ -113,52 +112,20 @@ class GradedModule:
     """A graded left module on a window, acting through matrices derived
     from a source on first read.
 
-    ``actions`` is either a source function or an explicit table keyed by
-    (monomial, degree).  An explicit table is checked at once for shape and
-    completeness, and a key with both dimensions nonzero that the header
-    does not call for is refused; a source is called only for keys with
-    both dimensions nonzero, and its matrices are checked as they are
-    built.
+    The source is called only for keys with both dimensions nonzero, and
+    its matrices are checked as they are built.
     """
 
     __slots__ = ("algebra", "window", "dims", "actions", "_source",
                  "bottom_exact", "top_exact")
 
     def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
-                 actions: Union[Source, Mapping[tuple[Seq, int], BitMatrix]],
-                 bottom_exact: bool = False, top_exact: bool = False):
+                 source: Source, bottom_exact: bool = False,
+                 top_exact: bool = False):
         _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
         # the matrices built so far, keyed by (monomial, degree)
         self.actions: dict[tuple[Seq, int], BitMatrix] = {}
-        if callable(actions):
-            self._source = actions
-            return
-        table = self.actions
-        for (seq, d), mat in actions.items():
-            k = milnor.degree(seq)
-            sd, td = self.dim(d), self.dim(d + k)
-            if not sd or not td:
-                continue
-            if mat.shape != (td, sd):
-                raise ValueError(
-                    f"action of Sq{seq} at degree {d} has shape {mat.shape}, "
-                    f"expected {(td, sd)}")
-            table[(seq, d)] = mat
-        found = 0
-        for seq, d in _required_action_keys(algebra, window, self.dims):
-            if (seq, d) not in table:
-                raise ValueError(f"missing action of Sq{seq} at degree {d}")
-            found += 1
-        if found != len(table):
-            # a key the header never calls for, such as the unit or a
-            # monomial outside the algebra, would print as a block that
-            # the parser rejects
-            required = set(_required_action_keys(algebra, window, self.dims))
-            seq, d = next(key for key in table if key not in required)
-            raise ValueError(f"action of Sq{seq} at degree {d} is not one "
-                             f"the header calls for")
-        # complete, so the source is never reached for a required key
-        self._source = table.__getitem__
+        self._source = source
 
     def action_table(self) -> dict[tuple[Seq, int], BitMatrix]:
         """The full action table: every required matrix, built if not yet
@@ -353,12 +320,10 @@ def _is_square(seq: Seq) -> bool:
     return len(seq) == 1 and not seq[0] & (seq[0] - 1)
 
 
-def validate(m: GradedModule) -> list[str]:
-    return m.validate()
-
-
 def zero_module(algebra: Algebra, window: Window) -> GradedModule:
-    return GradedModule(algebra, window, {}, {}, True, True)
+    # every dimension is zero, so ``action`` never calls the source
+    return GradedModule(algebra, window, {},
+                        lambda seq, d: BitMatrix.zero(0, 0), True, True)
 
 
 def regular(algebra: Algebra, window: Window) -> GradedModule:

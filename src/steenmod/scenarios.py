@@ -16,8 +16,8 @@ from typing import Optional
 from . import catalogs
 from .annihilator import chain_perp_profile, classify_sigma, sq_power_chain
 from .baer import baer_test, build_witness
-from .comodule import (ExtendedSpec, extended, iota,
-                       iota_matches_suspended_duals, validate_coaction)
+from .comodule import (ExtendedSpec, _coassociativity_messages, extended,
+                       iota, iota_matches_suspended_duals)
 from .gmodule import Window, dual_regular, free_module, freeness_test, regular
 from .milnor import Algebra
 
@@ -232,13 +232,13 @@ def run_iota_bounded_above(cfg: ScenarioConfig) -> Report:
     rep.add("window", window)
     rep.add("v-dims", dict(v.v_dims))
     full = Algebra.full()
-    com = extended(v, full, window)
-    # validate_coaction(com) is the composition check of iota(com), its
-    # failures regrouped, so it is empty exactly when validate(module) is
-    bad = validate_coaction(com)
+    module = iota(extended(v, full, window))
+    # coassociativity is the composition check of the module, its failures
+    # regrouped, so one run of the check decides both
+    failures = module._failing_compositions()
+    bad = _coassociativity_messages(failures)
     rep.expect("coaction-valid", not bad, "; ".join(bad[:2]))
-    module = iota(com)
-    rep.expect("module-valid", not bad)
+    rep.expect("module-valid", not failures)
     rep.expect("bit-identical-to-suspended-duals",
                iota_matches_suspended_duals(module, v))
     verdict = freeness_test(module, Algebra.subalgebra(n))

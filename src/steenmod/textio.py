@@ -2,7 +2,9 @@
 
 Printing is canonical (sorted blocks, fixed field order), so
 parse(print(x)) == x bit-exactly and byte-identical re-printing is a
-regression check.  Parsers are strict and report the offending line.
+regression check.  A chain prints as ``str(chain)``.  Parsers are strict
+and report the offending line; ``parse_module`` is the only check of a
+module file's blocks.
 """
 
 from __future__ import annotations
@@ -166,16 +168,17 @@ def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
 
 
 def _reject_unrequested(blocks: dict[Hashable, tuple[int, str]],
-                        required: Iterable[Hashable]) -> None:
-    """Raise at the header line of the first block, in file order, that
+                        required: Iterable[Hashable]) -> Optional[Hashable]:
+    """The first key of ``required`` with no block, or else None after
+    raising at the header line of the first block, in file order, that
     ``required`` does not yield.  ``blocks`` maps each block's key to the
     line and name of its header.  The scan of ``required`` stops at its
-    first key with no block, which the constructor reports, so it holds no
-    more keys than the file has blocks."""
+    first key with no block, so it holds no more keys than the file has
+    blocks."""
     seen = set()
     for key in required:
         if key not in blocks:
-            return
+            return key
         seen.add(key)
     for key, (no, where) in blocks.items():
         if key not in seen:
@@ -279,11 +282,18 @@ def parse_module(text: str) -> GradedModule:
                                              expected)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
-    _reject_unrequested(blocks, _required_action_keys(algebra, window, dims))
+    missing = _reject_unrequested(
+        blocks, _required_action_keys(algebra, window, dims))
     try:
-        return GradedModule(actions=actions, **preamble)
+        module = GradedModule(source=lambda seq, d: actions[seq, d],
+                              **preamble)
     except ValueError as exc:
         raise ParseError(lines.pos, f"inconsistent module data: {exc}") from None
+    if missing is not None:
+        seq, d = missing
+        raise ParseError(lines.pos, "inconsistent module data: missing "
+                                    f"action of Sq{seq} at degree {d}")
+    return module
 
 
 # -- comodules -----------------------------------------------------------------
@@ -341,13 +351,6 @@ def parse_comodule(text: str) -> GradedComodule:
 
 
 # -- chains --------------------------------------------------------------------
-
-
-def print_chain(chain: IdealChain) -> str:
-    stages = []
-    for st in chain.stages:
-        stages.append("[" + ",".join(str(g) for g in st.generators) + "]")
-    return "chain: " + " ; ".join(stages)
 
 
 def parse_chain(text: str) -> IdealChain:

@@ -262,7 +262,7 @@ def milnor_to_admissible_table(d: int) -> dict[tuple[int, ...], frozenset[Word]]
     table = {}
     for seq in M.basis_in_degree(d, M.Algebra.full()):
         target = vec(milnor_action(seq, d))
-        x = mat.solve(target)
+        x = solve(mat, target)
         assert x is not None, f"action of Sq{seq} not spanned by admissibles"
         table[seq] = frozenset(words[i] for i in range(len(words))
                                if (x >> i) & 1)
@@ -303,6 +303,53 @@ def quotient_by_subalgebra_dims(n: int, dmax: int) -> list[int]:
     """Dims of the quotient of the algebra by that left ideal, degree 0..dmax."""
     return [len(admissible_words(d)) - generated_ideal_rank(n, d)
             for d in range(dmax + 1)]
+
+
+# -- matrix and ideal readers ---------------------------------------------------
+
+
+def row(m: BitMatrix, i: int) -> int:
+    """Row i of m as a mask over its columns."""
+    return m.rows[i]
+
+
+def column(m: BitMatrix, j: int) -> int:
+    """Column j of m as a mask over its rows."""
+    bit = 1 << j
+    out = 0
+    for i, r in enumerate(m.rows):
+        if r & bit:
+            out |= 1 << i
+    return out
+
+
+def entry(m: BitMatrix, i: int, j: int) -> int:
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise IndexError("entry out of range")
+    return (m.rows[i] >> j) & 1
+
+
+def solve(m: BitMatrix, target: int):
+    """Some x with m @ x = target, verified by substitution, or None when
+    the system is inconsistent."""
+    if target < 0 or target >> m.nrows:
+        raise ValueError("target outside row range")
+    x = _f2pure.solve(m.rows, m.ncols, target)
+    if x is not None and m.apply(x) != target:
+        raise AssertionError("backend returned an unverified solution")
+    return x
+
+
+def basis_elements(ideal: WindowIdeal, d: int) -> list[Element]:
+    """The basis of an ideal's degree-d space, as algebra elements."""
+    return [milnor.element_from_coords(v, d, ideal.algebra)
+            for v in ideal.space(d).basis.rows]
+
+
+def table_source(table):
+    """A module source reading an action table keyed by (monomial,
+    degree), for handing a table built up front to ``GradedModule``."""
+    return lambda seq, d: table[seq, d]
 
 
 # -- tiny hand oracles ----------------------------------------------------------
@@ -402,7 +449,7 @@ def nullspace_by_columns(rows, ncols):
 def coproduct_eager(parts) -> GradedModule:
     """Degreewise direct sum of suspended copies (module, shift), with every
     block of the action table assembled up front from the parts' actions
-    and handed over as an explicit table."""
+    and read through ``table_source``."""
     algebra = parts[0][0].algebra
     window = None
     for m, s in parts:
@@ -439,7 +486,7 @@ def coproduct_eager(parts) -> GradedModule:
                         rows.append(r << col_off)
                     col_off += m.dims[d - s]
                 actions[(seq, d)] = BitMatrix(dims[d + k], dims[d], rows)
-    return GradedModule(algebra, window, dims, actions,
+    return GradedModule(algebra, window, dims, table_source(actions),
                         bottom_exact=edge_exact(True),
                         top_exact=edge_exact(False))
 
@@ -483,7 +530,7 @@ def submodule_eager(m: GradedModule, spaces) -> GradedModule:
                         raise ValueError(f"family not closed: Sq{seq} at degree {d}")
                     cols.append(coords)
                 actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
-    return GradedModule(m.algebra, w, dims, actions,
+    return GradedModule(m.algebra, w, dims, table_source(actions),
                         m.bottom_exact, m.top_exact)
 
 
@@ -521,7 +568,7 @@ def quotient_eager(m: GradedModule, spaces) -> GradedModule:
                     continue
                 cols = [project(d + k, mat.apply(1 << j)) for j in free_cols[d]]
                 actions[(seq, d)] = BitMatrix.from_columns(cols, dims[d + k])
-    return GradedModule(m.algebra, w, dims, actions,
+    return GradedModule(m.algebra, w, dims, table_source(actions),
                         m.bottom_exact, m.top_exact)
 
 
@@ -593,9 +640,9 @@ def iota_eager(c) -> GradedModule:
             block = coaction_block(c, d, k)
             td = c.dims[d + k]
             for ai, seq in enumerate(basis_k):
-                rows = [block.row(mi * ak + ai) for mi in range(td)]
+                rows = [row(block, mi * ak + ai) for mi in range(td)]
                 actions[(seq, d)] = BitMatrix(td, c.dims[d], rows)
-    return GradedModule(alg, w, dict(c.dims), actions,
+    return GradedModule(alg, w, dict(c.dims), table_source(actions),
                         bottom_exact=c.bottom_exact, top_exact=c.top_exact)
 
 
@@ -653,7 +700,7 @@ def extended_by_bits(v, algebra: milnor.Algebra, window):
                 if n_deg < k:
                     continue
                 mm = milnor.multiplication_matrix(n_deg - k, k, algebra)
-                for bit in mask_to_bits(mm.row(si)):
+                for bit in mask_to_bits(row(mm, si)):
                     sp, bi = divmod(bit, ak)
                     ti = tgt_index[(gi, sp)]
                     rows[ti * ak + bi] ^= 1 << col
@@ -743,11 +790,11 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
                         row = 0
                         if d in offsets:
                             for t in range(td):
-                                if a_dst.entry(i, t):
+                                if entry(a_dst, i, t):
                                     row ^= 1 << var(d, t, j)
                         if (d + k) in offsets:
                             for t in range(sdk):
-                                if a_src.entry(t, j):
+                                if entry(a_src, t, j):
                                     row ^= 1 << var(d + k, i, t)
                         if row:
                             rows.append(row)
@@ -829,12 +876,12 @@ def validate_coaction_entrywise(c) -> list[str]:
                 for col in range(sd):
                     # twice: m -> (m', b1) -> ((m'', b2), b1)
                     lhs: dict[tuple[int, int, int], int] = {}
-                    mid = b1.column(col)
+                    mid = column(b1, col)
                     for r1 in range(c.dims[d + k1] * a1):
                         if not (mid >> r1) & 1:
                             continue
                         mprime, bi1 = divmod(r1, a1)
-                        out = b2.column(mprime)
+                        out = column(b2, mprime)
                         for r2 in range(td * a2):
                             if (out >> r2) & 1:
                                 m2, bi2 = divmod(r2, a2)
@@ -842,7 +889,7 @@ def validate_coaction_entrywise(c) -> list[str]:
                                 lhs[key] = lhs.get(key, 0) ^ 1
                     # once + split: m -> (m'', cbig) -> (m'', (b2, b1))
                     rhs: dict[tuple[int, int, int], int] = {}
-                    out = big.column(col)
+                    out = column(big, col)
                     for r in range(td * a12):
                         if not (out >> r) & 1:
                             continue
@@ -851,7 +898,7 @@ def validate_coaction_entrywise(c) -> list[str]:
                         # with c appearing in x * y
                         for xi in range(a2):
                             for yi in range(a1):
-                                if mm.entry(ci, xi * a1 + yi):
+                                if entry(mm, ci, xi * a1 + yi):
                                     key = (m2, xi, yi)
                                     rhs[key] = rhs.get(key, 0) ^ 1
                     lhs = {k: v for k, v in lhs.items() if v}
@@ -930,7 +977,7 @@ def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
             blocks.append(BitMatrix.zero(td, target.dim(shift)))
     restr = BitMatrix.vstack(blocks) if blocks else BitMatrix.zero(0, 0)
     ext_space = Subspace.from_vectors(
-        [restr.column(j) for j in range(restr.ncols)], total)
+        [column(restr, j) for j in range(restr.ncols)], total)
 
     min_gd = min(gd for gd, _ in gen_coords)
     max_gd = max(gd for gd, _ in gen_coords)
@@ -999,7 +1046,7 @@ def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
                 for gd, gv, td, off in gen_info:
                     mask = (v >> off) & ((1 << td) - 1)
                     values.append((gd, shift + gd, mask))
-                witness = FailingMap(shift, values)
+                witness = FailingMap(values)
                 break
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")
@@ -1034,7 +1081,7 @@ def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
 
     full_gens: list[Element] = []
     for k in sorted(span.spaces):
-        full_gens.extend(span.basis_elements(k))
+        full_gens.extend(basis_elements(span, k))
     target = perp_dims(full_gens)
 
     chosen: list[Element] = []
@@ -1042,7 +1089,7 @@ def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
     for k in sorted(span.spaces):
         if current == target:
             break
-        for cand in span.basis_elements(k):
+        for cand in basis_elements(span, k):
             trial = perp_dims(chosen + [cand])
             if trial != current:
                 chosen.append(cand)

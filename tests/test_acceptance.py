@@ -15,7 +15,7 @@ from steenmod.comodule import (ExtendedSpec, extended, iota,
                                iota_matches_suspended_duals, validate_coaction)
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import (Window, dual_regular, free_module,
-                              freeness_test, regular, validate)
+                              freeness_test, regular)
 from steenmod.milnor import Algebra, Element
 from steenmod import textio
 
@@ -226,9 +226,9 @@ def test_criterion_8_invariant_suites():
         sampled += 1
 
     # action-table composition on representative modules
-    assert validate(regular(A1, Window(0, 6))) == []
-    assert validate(dual_regular(FULL, Window(-14, 0))) == []
-    assert validate(regular(FULL, Window(0, 14))) == []
+    assert regular(A1, Window(0, 6)).validate() == []
+    assert dual_regular(FULL, Window(-14, 0)).validate() == []
+    assert regular(FULL, Window(0, 14)).validate() == []
 
     # Galois antitonicity across the power chain in the dual module
     dA = dual_regular(FULL, Window(-16, 0))

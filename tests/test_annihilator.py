@@ -212,7 +212,7 @@ def test_finite_subideal_contract():
     assert len(sub.generators) <= 2
     target = perp_ideal_in_module(
         HomIdeal([g for k in sorted(positive.spaces) if k
-                  for g in positive.basis_elements(k)]), r)
+                  for g in oracles.basis_elements(positive, k)]), r)
     got = perp_ideal_in_module(sub, r)
     for d in degrees:
         assert got.stages[d][0] == target.stages[d][0], d

@@ -70,7 +70,7 @@ def test_no_splitting_of_socle_quotient():
             if d == 6:
                 continue
             for j in range(q.dims[d]):
-                col = acc.column(j)
+                col = oracles.column(acc, j)
                 if col != (1 << j):
                     ok = False
                     break

@@ -7,7 +7,7 @@ from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
                                iota_matches_suspended_duals, validate_coaction)
 from steenmod.f2 import BitMatrix, mask_to_bits
 from steenmod.gmodule import (Window, _is_square, dual_regular,
-                              freeness_test, validate)
+                              freeness_test)
 from steenmod.milnor import Algebra, degree
 
 FULL = Algebra.full()
@@ -71,7 +71,7 @@ def test_iota_preserves_dimensions_and_validates():
     v = ExtendedSpec({0: 2, -3: 1})
     c = extended(v, FULL, w)
     m = iota(c)
-    assert validate(m) == []
+    assert m.validate() == []
     for d in w:
         assert m.dims[d] == c.dims[d]
 
@@ -181,7 +181,7 @@ def test_zero_middle_degree_is_checked():
     assert bad == ["coassociativity fails at degree -3, jumps (1, 2), "
                    "column 0"]
     assert bad == oracles.validate_coaction_entrywise(_gap_comodule(1))
-    assert validate(iota(_gap_comodule(1))) != []
+    assert iota(_gap_comodule(1)).validate() != []
 
 
 def _flip_crossing(c, rng, lo, hi):

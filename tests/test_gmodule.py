@@ -15,7 +15,7 @@ from steenmod.comodule import ExtendedSpec, extended, iota
 from steenmod.f2 import BitMatrix, Subspace
 from steenmod.gmodule import (Window, coproduct, dual_regular, free_module,
                               freeness_test, quotient, regular, submodule,
-                              validate, zero_module)
+                              zero_module)
 from steenmod.milnor import Algebra, Element
 
 A0 = Algebra.subalgebra(0)
@@ -35,13 +35,13 @@ def test_window_basics():
 def test_regular_a1_dims_and_validity():
     r = regular(A1, Window(0, 6))
     assert [r.dims[d] for d in range(7)] == [1, 1, 1, 2, 1, 1, 1]
-    assert validate(r) == []
+    assert r.validate() == []
     assert r.bottom_exact and r.top_exact
 
 
 def test_zero_module_valid():
     z = zero_module(A1, Window(0, 6))
-    assert validate(z) == [] and z.total_dim() == 0
+    assert z.validate() == [] and z.total_dim() == 0
 
 
 def test_validate_detects_flipped_bit():
@@ -51,24 +51,26 @@ def test_validate_detects_flipped_bit():
     flipped = BitMatrix(mat.nrows, mat.ncols, [mat.rows[0] ^ 1] + list(mat.rows[1:]))
     actions = dict(r.action_table())
     actions[(seq, d)] = flipped
-    bad = G.GradedModule(A1, r.window, dict(r.dims), actions, True, True)
-    assert validate(bad) != []
+    bad = G.GradedModule(A1, r.window, dict(r.dims),
+                         oracles.table_source(actions), True, True)
+    assert bad.validate() != []
 
 
 def _flip_one_bit(m, key, rng):
-    """A copy of m, as an explicit table, with one bit of the action at
-    key flipped."""
+    """A copy of m, read from a table, with one bit of the action at key
+    flipped."""
     actions = dict(m.action_table())
     mat = actions[key]
     rows = list(mat.rows)
     rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
     actions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
-    return G.GradedModule(m.algebra, m.window, dict(m.dims), actions,
+    return G.GradedModule(m.algebra, m.window, dict(m.dims),
+                          oracles.table_source(actions),
                           m.bottom_exact, m.top_exact)
 
 
 def _flip_action_bits(m, rng):
-    """A copy of m, as an explicit table, with one to three action bits
+    """A copy of m, read from a table, with one to three action bits
     flipped."""
     keys = sorted(m.action_table())
     for _ in range(rng.randint(1, 3)):
@@ -86,12 +88,12 @@ def test_validate_matches_dense_oracle_on_flipped_tables(name):
          "iota": lambda: iota(extended(ExtendedSpec({0: 1, -2: 1}), FULL,
                                        Window(-14, 0))),
          "a2": lambda: regular(A2, Window(0, 14))}[name]()
-    assert validate(m) == oracles.validate_composition_dense(m) == []
+    assert m.validate() == oracles.validate_composition_dense(m) == []
     rng = random.Random(len(name))
     caught = 0
     for _ in range(40):
         mutant = _flip_action_bits(m, rng)
-        bad = validate(mutant)
+        bad = mutant.validate()
         assert bad == oracles.validate_composition_dense(mutant)
         caught += bool(bad)
     assert caught > 20
@@ -148,7 +150,7 @@ def test_valid_module_runs_only_the_square_pass(monkeypatch):
         calls.append(None)
         return kernel(a, b)
     monkeypatch.setattr(G, "mul_rows", counting)
-    assert validate(m) == []
+    assert m.validate() == []
     assert len(calls) == expected
 
 
@@ -181,7 +183,7 @@ def test_coproduct_dims_additive_and_block_sum():
         want = sum(A1.dim(-(d + 7 * n)) for n in range(4)
                    if -6 <= d + 7 * n <= 0)
         assert cop.dims[d] == want, d
-    assert validate(cop) == []
+    assert cop.validate() == []
 
 
 def test_coproduct_single_part_identity():
@@ -204,7 +206,7 @@ def test_dual_regular_defining_identity():
                     src_basis = alg.basis(-d)
                     dst_basis = alg.basis(-d - k)
                     for ci, c_seq in enumerate(src_basis):
-                        out = mat.column(ci)  # a . (dual of c)
+                        out = oracles.column(mat, ci)  # a . (dual of c)
                         for bi, b_seq in enumerate(dst_basis):
                             prod = Element([b_seq]) * a
                             want = int(c_seq in prod.terms)
@@ -273,10 +275,11 @@ def test_memoized_tables_match_products():
 
 def _explicit(like, table, window=None, algebra=None):
     """A module with like's dims and flags (moved to window when given)
-    whose action table is handed over explicitly."""
+    whose action table is built up front and read through its source."""
     window = like.window if window is None else window
     dims = dict(zip(window, like.dims.values()))
-    return G.GradedModule(algebra or like.algebra, window, dims, table,
+    return G.GradedModule(algebra or like.algebra, window, dims,
+                          oracles.table_source(table),
                           like.bottom_exact, like.top_exact)
 
 
@@ -334,8 +337,8 @@ def test_forced_tables_match_eager_references(algebra, hi, sub):
         algebra=sub))
     _assert_same(oracles.transpose_dual(regular(algebra, w)), G.GradedModule(
         algebra, dw, {d: ref.dims[-d] for d in dw},
-        {(seq, -d - M.degree(seq)): m.transpose()
-         for (seq, d), m in ref_table.items()},
+        oracles.table_source({(seq, -d - M.degree(seq)): m.transpose()
+                              for (seq, d), m in ref_table.items()}),
         ref.top_exact, ref.bottom_exact))
 
     rng = random.Random(hi)
@@ -508,32 +511,43 @@ def test_monomials_outside_a_finite_algebra_raise_on_every_module():
     assert f.action((0, 0, 1), 0).shape == (4, 1)
 
 
-def test_table_keys_the_header_does_not_call_for_are_refused():
-    """An explicit table may not hold a key no header calls for: printed,
-    it would be a block the parser rejects."""
+def test_table_keys_the_header_does_not_call_for_are_not_printed():
+    """A module reads its source only at the keys the header calls for,
+    so a table source that also holds the unit, a monomial outside the
+    algebra or a key with a zero dimension prints exactly the required
+    blocks, and the print parses back to an equal module."""
+    from steenmod import textio
     r = regular(A1, Window(0, 3))
     table = dict(r.action_table())
     table[((), 0)] = BitMatrix.identity(1)
-    with pytest.raises(ValueError, match=r"Sq\(\) at degree 0 is not one "
-                                         r"the header calls for"):
-        G.GradedModule(A1, r.window, dict(r.dims), table, True, True)
-    # a monomial outside the algebra: the full table handed to A(0)
-    f = regular(FULL, Window(0, 4))
-    with pytest.raises(ValueError, match=r"Sq\(2,\) at degree 0 is not one"):
-        G.GradedModule(A0, f.window, dict(f.dims), f.action_table(), True)
-    # keys with a zero dimension at either end are not stored, so harmless
-    table = dict(r.action_table())
+    # keys with a zero dimension at either end
     table[((4,), 0)] = BitMatrix.zero(0, 1)
     table[((1,), 5)] = BitMatrix.zero(0, 0)
-    m = G.GradedModule(A1, r.window, dict(r.dims), table, True, False)
-    assert m.actions == r.action_table()
+    m = G.GradedModule(A1, r.window, dict(r.dims),
+                       oracles.table_source(table), r.bottom_exact,
+                       r.top_exact)
+    assert m.action_table() == r.action_table()
+    assert textio.print_module(m) == textio.print_module(r)
+    assert textio.parse_module(textio.print_module(m)) == m
+    # a monomial outside the algebra: the full table handed to A(0)
+    f = regular(FULL, Window(0, 4))
+    m = G.GradedModule(A0, f.window, dict(f.dims),
+                       oracles.table_source(f.action_table()), True)
+    text = textio.print_module(m)
+    assert set(m.actions) == set(G._required_action_keys(A0, f.window,
+                                                         m.dims))
+    assert [line for line in text.split("\n")
+            if line.startswith("action ")] == ["action Sq(1)"]
+    assert text.count("\n@ ") == len(m.actions) == 4
+    assert textio.parse_module(text) == m
 
 
 def test_every_explicit_table_module_reprints_to_a_parse():
     from steenmod import textio
     r = regular(A1, Window(0, 6))
     explicit = [
-        G.GradedModule(A1, r.window, dict(r.dims), dict(r.action_table()),
+        G.GradedModule(A1, r.window, dict(r.dims),
+                       oracles.table_source(dict(r.action_table())),
                        r.bottom_exact, r.top_exact),
         zero_module(A1, Window(0, 3)),
         oracles.coproduct_eager([(r, 0), (r, 2)]),
@@ -568,7 +582,7 @@ def test_source_of_wrong_shape_is_refused():
     with pytest.raises(ValueError, match=where):
         r == bad()
     with pytest.raises(ValueError, match=where):
-        validate(bad())
+        bad().validate()
     m = bad()
     assert m.action((1,), 1) == r.action((1,), 1)
     assert m.actions == {((1,), 1): r.action((1,), 1)}
@@ -576,7 +590,7 @@ def test_source_of_wrong_shape_is_refused():
     short = G.GradedModule(A1, Window(0, 1), {0: 1, 1: 1},
                            lambda seq, d: BitMatrix.zero(2, 1))
     with pytest.raises(ValueError, match=r"Sq\(1,\) at degree 0"):
-        validate(short)
+        short.validate()
 
 
 def test_dual_regular_dims_mirror():
@@ -668,13 +682,15 @@ def test_freeness_witness_names_degrees_of_a_bounded_above_module():
 
 
 def _with_flipped_bit(m, seq, d, i, j):
-    """m's explicit action table with bit (i, j) of Sq(seq) at d flipped."""
+    """m read from a copy of its action table with bit (i, j) of Sq(seq)
+    at d flipped."""
     table = dict(m.action_table())
     mat = table[(seq, d)]
     rows = list(mat.rows)
     rows[i] ^= 1 << j
     table[(seq, d)] = BitMatrix(mat.nrows, mat.ncols, rows)
-    return G.GradedModule(m.algebra, m.window, dict(m.dims), table,
+    return G.GradedModule(m.algebra, m.window, dict(m.dims),
+                          oracles.table_source(table),
                           m.bottom_exact, m.top_exact)
 
 
@@ -765,8 +781,9 @@ def test_freeness_inconclusive_without_anchor():
     mid = G.GradedModule(
         A1, mid_window,
         {d: r.dims[d] for d in mid_window},
-        {(seq, d): mat for (seq, d), mat in r.action_table().items()
-         if d in mid_window and d + seq_degree(seq) in mid_window},
+        oracles.table_source(
+            {(seq, d): mat for (seq, d), mat in r.action_table().items()
+             if d in mid_window and d + seq_degree(seq) in mid_window}),
         bottom_exact=False, top_exact=False)
     v = freeness_test(mid)
     assert v.status == "window_inconclusive"
@@ -797,7 +814,7 @@ def test_quotient_invariance_checked():
 def test_restrict_to_smaller_profile():
     r2 = regular(A2, Window(0, 10))
     r2a1 = r2.restrict_to(A1)
-    assert validate(r2a1) == []
+    assert r2a1.validate() == []
     v = freeness_test(r2a1)
     assert v.is_free  # the bigger subalgebra is free over the smaller one
 
@@ -818,7 +835,7 @@ def test_every_constructor_output_validates():
                   {6: Subspace.full(1)}),
     ]
     for m in outputs:
-        assert validate(m) == [], m
+        assert m.validate() == [], m
 
 
 PROPERTY_BASES = [
@@ -865,7 +882,7 @@ def test_submodule_quotient_coproduct_of_valid_modules_validate(base, picks,
     quo = quotient(m, spaces)
     for out in (sub, quo, coproduct([(m, 0), (sub, shift)]),
                 coproduct([(quo, shift), (m, 0), (sub, 0)])):
-        assert validate(out) == oracles.validate_composition_dense(out) == []
+        assert out.validate() == oracles.validate_composition_dense(out) == []
 
 
 def _a2_margolis_quotients():
@@ -932,8 +949,8 @@ def test_margolis_oracle_agrees_with_freeness_test_on_a_sample():
         w = Window(-m.algebra.top_degree(), m.window.hi)
         top_only = G.GradedModule(m.algebra, w,
                                   {d: m.dims.get(d, 0) for d in w},
-                                  m.action_table(), bottom_exact=False,
-                                  top_exact=True)
+                                  oracles.table_source(m.action_table()),
+                                  bottom_exact=False, top_exact=True)
         assert freeness_test(top_only).is_free == free
         seen[free] += 1
 

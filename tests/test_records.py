@@ -85,7 +85,7 @@ def test_reports_do_not_share_lines():
 def test_baer_verdicts_compare_by_fields():
     def verdict(values):
         return BaerVerdict("fails", 3, 2, True, "note",
-                           FailingMap(-2, values))
+                           FailingMap(values))
     assert verdict([(1, -1, 1)]) == verdict([(1, -1, 1)])
     assert verdict([(1, -1, 1)]) != verdict([(1, -1, 3)])
     assert verdict([(1, -1, 1)]) != BaerVerdict("fails", 3, 2, True, "note")

@@ -83,7 +83,7 @@ def test_wrong_header_rejected():
 def test_chain_roundtrip_and_errors():
     ch = T.parse_chain("chain: [Sq(1)] ; [Sq(1),Sq(2)] ; [Sq(1),Sq(2),Sq(4)]")
     assert len(ch.stages) == 3
-    assert T.parse_chain(T.print_chain(ch)) == ch
+    assert T.parse_chain(str(ch)) == ch
     sums = T.parse_chain("chain: [Sq(3)+Sq(0,1)]")
     assert len(sums.stages[0].generators) == 1
     with pytest.raises(T.ParseError):
@@ -97,7 +97,7 @@ MUTATION_BASES = [
     (T.parse_module, T.print_module(dual_regular(FULL, Window(-5, 0)))),
     (T.parse_comodule, T.print_comodule(
         extended(ExtendedSpec({0: 1, -1: 1}), FULL, Window(-5, 0)))),
-    (T.parse_chain, T.print_chain(sq_power_chain(4))),
+    (T.parse_chain, str(sq_power_chain(4))),
 ]
 HEX = "0123456789abcdef"
 
