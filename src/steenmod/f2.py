@@ -70,9 +70,10 @@ class BitMatrix:
 
     @classmethod
     def _of_checked_rows(cls, ncols: int, rows: Sequence[int]) -> "BitMatrix":
-        """A matrix on rows taken from a checked BitMatrix of the same
-        ncols, such as a slice of its rows: they already lie in the column
-        range, so the per-row check of ``__init__`` is skipped."""
+        """A matrix on rows known to lie in the column range, such as a
+        slice of the rows of a BitMatrix of the same ncols or the rows of
+        a block text whose width the parser has checked, so the per-row
+        check of ``__init__`` is skipped."""
         mat = object.__new__(cls)
         mat.nrows = len(rows)
         mat.ncols = ncols
@@ -142,15 +143,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"
-
-    def to_text_rows(self) -> list[str]:
-        """Rows as '01...' strings, column 0 first."""
-        if not self.ncols:
-            return [""] * self.nrows  # format(0, "00b") would give "0"
-        spec = f"0{self.ncols}b"
-        # join, not [::-1]: a one-column row then stays the shared
-        # one-character string instead of a new object per row
-        return ["".join(reversed(format(r, spec))) for r in self._rows]
 
 
 @lru_cache(maxsize=4096)

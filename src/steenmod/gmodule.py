@@ -9,13 +9,14 @@ first time it is read, checks its shape there and memoizes it per module in
 ``actions``.  Every module is built this way: regular, dual regular, free,
 zero and coproduct modules, their suspensions and restrictions,
 submodules, quotients, the comodule embedding ``comodule.iota``, and
-parsed text, whose source reads the blocks ``textio.parse_module`` has
-checked.  Only equality, validation and printing force the full table
-(``action_table``).  The sources of regular and of dual regular modules
-read ``milnor``'s per-degree memos of left and transposed right
-multiplication by a monomial (``_left_action``, ``_right_action``), so all
-such modules, and the suspended copies built from them, hold one shared
-immutable matrix per monomial and degree.
+parsed text, whose source decodes each block that
+``textio.parse_module`` checked at parse on the block's first read.  Only
+equality, validation and printing force the full table (``action_table``).
+The sources of regular and of dual regular modules read ``milnor``'s
+per-degree memos of left and transposed right multiplication by a monomial
+(``_left_action``, ``_right_action``), so all such modules, and the
+suspended copies built from them, hold one shared immutable matrix per
+monomial and degree.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed

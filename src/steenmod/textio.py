@@ -4,12 +4,14 @@ Printing is canonical (sorted blocks, fixed field order), so
 parse(print(x)) == x bit-exactly and byte-identical re-printing is a
 regression check.  A chain prints as ``str(chain)``.  Parsers are strict
 and report the offending line; ``parse_module`` is the only check of a
-module file's blocks.
+module file's blocks.  It checks every block at parse and keeps its text,
+and the parsed module decodes a block into a matrix on its first read.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Optional
 
 from . import milnor
 from .annihilator import HomIdeal, IdealChain
@@ -87,6 +89,8 @@ def _parse_dims(text: str, window: Window, line_no: int) -> dict[int, int]:
             raise ParseError(line_no, f"dims repeat degree {d}")
         if d not in window:
             raise ParseError(line_no, f"dims degree {d} outside window {window}")
+        if n < 0:
+            raise ParseError(line_no, f"negative dimension {n} at degree {d}")
         dims[d] = n
     # stops at the first gap, so a huge window costs no more than the dims
     # actually listed
@@ -136,54 +140,87 @@ class _Lines:
         return no, line[len(prefix):].strip()
 
 
-def _read_matrix(lines: _Lines, nrows: int, ncols: int, where: str,
-                 header_no: int, expected: Optional[tuple[int, int]]
-                 ) -> BitMatrix:
-    """The rows of the block whose header is at line header_no.  expected
-    is the shape the dims line gives a block the header calls for, and
-    None for any other block, which ``_reject_unrequested`` refuses."""
+def _read_block(lines: _Lines, nrows: int, ncols: int, header_no: int,
+                expected: Optional[tuple[int, int]], key: Hashable,
+                name: Callable[[Hashable], str]) -> str:
+    """The checked text of the block at key whose header is at line
+    header_no: its rows, column 0 first, joined by newlines.  expected is
+    the shape the dims line gives a block the header calls for, and None
+    for any other block, which ``_reject_unrequested`` refuses.  name(key)
+    names the block, and is called only on an error."""
     if nrows < 0 or ncols < 0:
-        raise ParseError(header_no, f"negative shape {nrows}x{ncols} of {where}")
+        raise ParseError(header_no,
+                         f"negative shape {nrows}x{ncols} of {name(key)}")
     if expected is not None and (nrows, ncols) != expected:
-        raise ParseError(header_no, f"block {where} has shape {nrows}x{ncols},"
-                                    f" expected {expected[0]}x{expected[1]}")
-    # a block as printed: the next nrows lines are its rows, bare (a row
-    # of width 0 is a blank line, which only the loop below skips)
+        raise ParseError(header_no, f"block {name(key)} has shape "
+                                    f"{nrows}x{ncols}, expected "
+                                    f"{expected[0]}x{expected[1]}")
+    if not nrows:
+        return ""
+    # a block as printed: the next nrows lines are its rows, bare, so their
+    # joined text has a newline after every ncols bits and nothing but bits
+    # and newlines (a row of width 0 is a blank line)
     pos = lines.pos
-    block = lines.lines[pos:pos + nrows]
-    if (ncols and len(block) == nrows
-            and all(len(line) == ncols for line in block)
-            and not "".join(block).strip("01")):
+    chunk = "\n".join(lines.lines[pos:pos + nrows])
+    if (len(chunk) == nrows * (ncols + 1) - 1
+            and chunk[ncols::ncols + 1] == "\n" * (nrows - 1)
+            and not chunk.strip("01\n")):
         lines.pos = pos + nrows
-        return BitMatrix(nrows, ncols, [int(line[::-1], 2) for line in block])
+        return chunk
     # otherwise row by row, past comments, blank lines and padding
+    what = f"matrix row of {name(key)}"
     rows = []
     for _ in range(nrows):
-        no, line = lines.next(f"matrix row of {where}")
+        no, line = lines.next(what)
         # int(s, 2) would also take '_', signs and whitespace
         if len(line) != ncols or set(line) - {"0", "1"}:
             raise ParseError(no, f"bad matrix row {line!r} ({ncols} bits expected)")
-        rows.append(int(line[::-1], 2))
-    return BitMatrix(nrows, ncols, rows)
+        rows.append(line)
+    return "\n".join(rows)
 
 
-def _reject_unrequested(blocks: dict[Hashable, tuple[int, str]],
-                        required: Iterable[Hashable]) -> Optional[Hashable]:
+def _decode(ncols: int, chunk: str) -> BitMatrix:
+    """The matrix of the checked text of a block the header calls for,
+    which has at least one row and one column."""
+    # one reversal turns the last row's last bit into the first character,
+    # so each row, read backwards, is its int in base 2
+    rows = list(map(int, chunk[::-1].split("\n"), repeat(2)))
+    rows.reverse()
+    return BitMatrix._of_checked_rows(ncols, rows)
+
+
+def _reject_unrequested(blocks: dict[Hashable, int],
+                        required: Iterable[Hashable],
+                        name: Callable[[Hashable], str]) -> Optional[Hashable]:
     """The first key of ``required`` with no block, or else None after
     raising at the header line of the first block, in file order, that
     ``required`` does not yield.  ``blocks`` maps each block's key to the
-    line and name of its header.  The scan of ``required`` stops at its
-    first key with no block, so it holds no more keys than the file has
-    blocks."""
+    line of its header, and name(key) names a block.  The scan of
+    ``required`` stops at its first key with no block, so it holds no more
+    keys than the file has blocks."""
     seen = set()
     for key in required:
         if key not in blocks:
             return key
         seen.add(key)
-    for key, (no, where) in blocks.items():
+    for key, no in blocks.items():
         if key not in seen:
-            raise ParseError(no, f"block {where} is not one the header "
+            raise ParseError(no, f"block {name(key)} is not one the header "
                                  "calls for")
+
+
+def _print_block(header: str, mat: BitMatrix) -> str:
+    """A block's header line and its rows, column 0 first, as one string
+    with no final newline."""
+    if not mat.nrows:
+        return header
+    if not mat.ncols:
+        return header + "\n" * mat.nrows  # format(0, "00b") would give "0"
+    # formatting the rows last to first and reversing the joined text once
+    # reverses each row's bits and restores the row order
+    text = "\n".join(map(format, reversed(mat.rows),
+                         repeat(f"0{mat.ncols}b")))
+    return f"{header}\n{text[::-1]}"
 
 
 def _print_preamble(header: str, x: GradedModule | GradedComodule) -> list[str]:
@@ -217,6 +254,11 @@ def _parse_preamble(lines: _Lines, header: str) -> dict:
 # -- modules -------------------------------------------------------------------
 
 
+def _action_name(key: tuple[Seq, int]) -> str:
+    seq, d = key
+    return f"{_seq_str(seq)} @ {d}"
+
+
 def print_module(m: GradedModule) -> str:
     out = _print_preamble(MODULE_HEADER, m)
     table = m.action_table()
@@ -227,8 +269,7 @@ def print_module(m: GradedModule) -> str:
             out.append(f"action {_seq_str(seq)}")
             current = seq
         mat = table[(seq, d)]
-        out.append(f"@ {d}: {mat.nrows}x{mat.ncols}")
-        out.extend(mat.to_text_rows())
+        out.append(_print_block(f"@ {d}: {mat.nrows}x{mat.ncols}", mat))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -239,9 +280,10 @@ def parse_module(text: str) -> GradedModule:
 
     algebra, window, dims = (preamble["algebra"], preamble["window"],
                              preamble["dims"])
-    actions: dict[tuple[Seq, int], BitMatrix] = {}
-    # line and name of each block's header
-    blocks: dict[tuple[Seq, int], tuple[int, str]] = {}
+    # the checked text of each block, until the module first reads it
+    texts: dict[tuple[Seq, int], str] = {}
+    # the line of each block's header
+    blocks: dict[tuple[Seq, int], int] = {}
     seq: Optional[Seq] = None
     k = 0  # the degree of seq
     in_algebra = False  # whether seq has positive degree in the algebra
@@ -272,39 +314,47 @@ def parse_module(text: str) -> GradedModule:
                 nrows, ncols = int(nrows_s), int(ncols_s)
             except ValueError:
                 raise ParseError(no, f"bad block header {line!r}") from None
-            where = f"{_seq_str(seq)} @ {d}"
-            if (seq, d) in blocks:
-                raise ParseError(no, f"repeated block {where}")
-            blocks[(seq, d)] = no, where
+            key = (seq, d)
+            if key in blocks:
+                raise ParseError(no, f"repeated block {_action_name(key)}")
+            blocks[key] = no
             sd, td = dims.get(d), dims.get(d + k)
             expected = (td, sd) if in_algebra and sd and td else None
-            actions[(seq, d)] = _read_matrix(lines, nrows, ncols, where, no,
-                                             expected)
+            texts[key] = _read_block(lines, nrows, ncols, no, expected, key,
+                                     _action_name)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
     missing = _reject_unrequested(
-        blocks, _required_action_keys(algebra, window, dims))
-    try:
-        module = GradedModule(source=lambda seq, d: actions[seq, d],
-                              **preamble)
-    except ValueError as exc:
-        raise ParseError(lines.pos, f"inconsistent module data: {exc}") from None
+        blocks, _required_action_keys(algebra, window, dims), _action_name)
     if missing is not None:
         seq, d = missing
         raise ParseError(lines.pos, "inconsistent module data: missing "
                                     f"action of Sq{seq} at degree {d}")
-    return module
+
+    def source(seq: Seq, d: int) -> BitMatrix:
+        # the module reads each block once, and memoizes its matrix
+        chunk = texts.pop((seq, d))
+        if not texts:
+            texts.clear()  # an emptied dict keeps its table until cleared
+        return _decode(dims[d], chunk)
+
+    return GradedModule(source=source, **preamble)
 
 
 # -- comodules -----------------------------------------------------------------
+
+
+def _coaction_name(key: tuple[int, int]) -> str:
+    d, k = key
+    return f"coaction ({d},{k})"
 
 
 def print_comodule(c: GradedComodule) -> str:
     out = _print_preamble(COMODULE_HEADER, c)
     for (d, k) in sorted(c.coactions):
         mat = c.coactions[(d, k)]
-        out.append(f"coaction {d} {k}: {mat.nrows}x{mat.ncols}")
-        out.extend(mat.to_text_rows())
+        out.append(_print_block(f"coaction {d} {k}: {mat.nrows}x{mat.ncols}",
+                                mat))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -315,9 +365,9 @@ def parse_comodule(text: str) -> GradedComodule:
 
     algebra, window, dims = (preamble["algebra"], preamble["window"],
                              preamble["dims"])
-    coactions: dict[tuple[int, int], BitMatrix] = {}
-    # line and name of each block's header
-    blocks: dict[tuple[int, int], tuple[int, str]] = {}
+    texts: dict[tuple[int, int], str] = {}
+    # the line of each block's header
+    blocks: dict[tuple[int, int], int] = {}
     while True:
         no, line = lines.next("coaction block or end")
         if line == "end":
@@ -331,23 +381,27 @@ def parse_comodule(text: str) -> GradedComodule:
                 nrows, ncols = int(nrows_s), int(ncols_s)
             except ValueError:
                 raise ParseError(no, f"bad coaction header {line!r}") from None
-            where = f"coaction ({d},{k})"
-            if (d, k) in blocks:
-                raise ParseError(no, f"repeated block {where}")
-            blocks[(d, k)] = no, where
+            key = (d, k)
+            if key in blocks:
+                raise ParseError(no, f"repeated block {_coaction_name(key)}")
+            blocks[key] = no
             sd, td = dims.get(d), dims.get(d + k)
             expected = None
             if k > 0 and sd and td and algebra.dim(k):
                 expected = (td * algebra.dim(k), sd)
-            coactions[(d, k)] = _read_matrix(lines, nrows, ncols, where, no,
-                                             expected)
+            texts[key] = _read_block(lines, nrows, ncols, no, expected, key,
+                                     _coaction_name)
             continue
         raise ParseError(no, f"unexpected line {line!r}")
-    _reject_unrequested(blocks, _required_coaction_keys(algebra, window, dims))
-    try:
-        return GradedComodule(coactions=coactions, **preamble)
-    except ValueError as exc:
-        raise ParseError(lines.pos, f"inconsistent comodule data: {exc}") from None
+    missing = _reject_unrequested(
+        blocks, _required_coaction_keys(algebra, window, dims), _coaction_name)
+    if missing is not None:
+        d, k = missing
+        raise ParseError(lines.pos, "inconsistent comodule data: missing "
+                                    f"coaction block ({d}, {k})")
+    coactions = {key: _decode(dims[key[0]], chunk)
+                 for key, chunk in texts.items()}
+    return GradedComodule(coactions=coactions, **preamble)
 
 
 # -- chains --------------------------------------------------------------------

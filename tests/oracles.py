@@ -16,9 +16,12 @@ product-block slices, the eager coproduct, submodule, quotient and
 comodule embedding, kept as the references for the engine's lazily sourced
 ones, the full-table coproduct of suspended dual regular modules, kept as
 the reference for the part-by-part bit-identity check of the embedding,
-the dense graded hom solver, kept as an independent count of the
-extension test's map spaces, the entry-wise and per-row forms of the
-three verifiers (module composition, coassociativity, extension test),
+the per-row block reader and formatter of module files, kept as the
+references for the parser's block-at-a-time decode and the printers'
+block-at-a-time format, the dense graded hom solver, kept as an
+independent count of the extension test's map spaces, the entry-wise
+and per-row forms of the three verifiers (module composition,
+coassociativity, extension test),
 kept as the references for the engine's row-level ones, the term-by-term
 Sq(2^k)-multiples of lower relations, kept as the reference for the
 extension test's minimal presentation, the free-column kernel of the
@@ -350,6 +353,50 @@ def table_source(table):
     """A module source reading an action table keyed by (monomial,
     degree), for handing a table built up front to ``GradedModule``."""
     return lambda seq, d: table[seq, d]
+
+
+# -- module file blocks --------------------------------------------------------
+
+
+def text_rows(m: BitMatrix) -> list[str]:
+    """The rows of m as '01...' strings, column 0 first, formatted one row
+    at a time."""
+    if not m.ncols:
+        return [""] * m.nrows  # format(0, "00b") would give "0"
+    return ["".join(reversed(format(r, f"0{m.ncols}b"))) for r in m.rows]
+
+
+def blocks_by_rows(text: str) -> dict:
+    """Every matrix block of a module or comodule file, decoded one row at
+    a time: keyed (monomial, degree) for an action block and (degree, jump)
+    for a coaction block.  Blank and comment lines are skipped, so a block
+    of width 0 is not read."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    blocks = {}
+    seq = None
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        if line.startswith("action Sq("):
+            seq = tuple(int(r) for r in line[len("action Sq("):-1].split(",")
+                        if r)
+            continue
+        head, _, shape = line.partition(":")
+        if head.startswith("@ "):
+            key = (seq, int(head[2:]))
+        elif head.startswith("coaction "):
+            d, k = head[len("coaction "):].split()
+            key = (int(d), int(k))
+        else:
+            continue
+        nrows, ncols = (int(n) for n in shape.split("x"))
+        rows = lines[i:i + nrows]
+        i += nrows
+        blocks[key] = bitmatrix_from_entries(
+            [[int(ch) for ch in row] for row in rows], ncols)
+    return blocks
 
 
 # -- tiny hand oracles ----------------------------------------------------------

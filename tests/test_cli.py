@@ -71,8 +71,8 @@ def test_validate_detects_kind_past_comments_and_blanks(kind, prefix,
 
 
 @pytest.mark.parametrize("header, dims, message", [
-    ("module", "0=-3", "inconsistent module data: negative dimension"),
-    ("comodule", "0=-3", "inconsistent comodule data: negative dimension"),
+    ("module", "0=-3", "line 5: negative dimension -3 at degree 0"),
+    ("comodule", "0=-3", "line 5: negative dimension -3 at degree 0"),
     ("comodule", "0=1 0=0 9=4", "line 5: dims repeat degree 0"),
     ("module", "0=1 9=4", "line 5: dims degree 9 outside window 0..0"),
 ], ids=["module-negative", "comodule-negative", "repeated-degree",

@@ -1,15 +1,19 @@
 import random
+import sys
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenmod import milnor
 from steenmod import textio as T
 from steenmod.annihilator import sq_power_chain
+from steenmod.cli import main
 from steenmod.comodule import ExtendedSpec, extended
-from steenmod.f2 import Subspace
-from steenmod.gmodule import (Window, dual_regular, free_module, quotient,
-                              regular)
+from steenmod.f2 import BitMatrix, Subspace
+from steenmod.gmodule import (GradedModule, Window, _required_action_keys,
+                              dual_regular, free_module, quotient, regular)
 from steenmod.milnor import Algebra
 
 A1 = Algebra.subalgebra(1)
@@ -307,12 +311,16 @@ UNREQUESTED = "is not one the header calls for"
      f"block coaction (-1,0) {UNREQUESTED}"),
     (T.parse_comodule, A1_EXTENDED, "end", ["coaction -8 2: 0x0"],
      f"block coaction (-8,2) {UNREQUESTED}"),
+    (T.parse_module, A1_REGULAR, "end", ["action Sq()", "@ 0: 2x0", "", ""],
+     f"block Sq() @ 0 {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "end", ["coaction 0 1: 2x0", "", ""],
+     f"block coaction (0,1) {UNREQUESTED}"),
 ], ids=["module-repeat-same-action", "module-repeat-reopened-action",
         "module-target-outside-window", "module-degree-outside-window",
         "module-unit", "module-not-in-algebra", "module-zero-target",
         "module-zero-source", "comodule-repeat", "comodule-target-outside-window",
         "comodule-degree-outside-window", "comodule-counit",
-        "comodule-zero-source"])
+        "comodule-zero-source", "module-zero-width", "comodule-zero-width"])
 def test_repeated_and_unrequested_blocks_report_their_header(
         parse, text, before, inserted, message):
     """A block the header does not call for, or a second block at the same
@@ -371,3 +379,105 @@ def test_comodule_block_of_wrong_shape_reports_its_header():
         T.parse_comodule("\n".join(lines))
     assert exc.value.line_no == end + 1
     assert "missing coaction block (-6, 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("parse, text, dims, negative, message", [
+    (T.parse_module, A1_REGULAR, "dims: 0=1 1=1 2=1 3=2",
+     "dims: 0=1 1=1 2=1 3=-2", "negative dimension -2 at degree 3"),
+    (T.parse_comodule, EXTENDED, "dims: -4=3 -3=3 -2=2 -1=1 0=1",
+     "dims: -4=3 -3=-3 -2=2 -1=1 0=1", "negative dimension -3 at degree -3"),
+], ids=["module", "comodule"])
+def test_negative_dimension_reports_the_dims_line(parse, text, dims,
+                                                  negative, message):
+    """A negative dimension is refused at the dims line, naming its degree,
+    not at the first block whose shape it contradicts."""
+    lines = text.split("\n")
+    at = lines.index(dims)
+    lines[at] = negative
+    with pytest.raises(T.ParseError) as exc:
+        parse("\n".join(lines))
+    assert str(exc.value) == f"line {at + 1}: {message}"
+
+
+def test_bad_row_in_a_block_no_command_reads_fails_the_parse(
+        tmp_path, monkeypatch, capsys):
+    """Every block is checked at parse, so a bad row in a block that
+    ``freeness --over 1`` never decodes still fails, with its line."""
+    text = T.print_module(regular(FULL, Window(0, 8)))
+    path = tmp_path / "regular.stm"
+    path.write_text(text)
+    parse = T.parse_module
+    parsed = []
+
+    def kept(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(T, "parse_module", kept)
+    assert main(["freeness", "--module", str(path), "--over", "1"]) == 0
+    assert ((4,), 0) not in parsed[0].actions
+    capsys.readouterr()
+
+    lines = text.split("\n")
+    at = lines.index("action Sq(4)") + 2  # the first row of Sq(4) @ 0
+    lines[at] = lines[at][:-1] + "2"
+    path.write_text("\n".join(lines))
+    message = f"line {at + 1}: bad matrix row {lines[at]!r}"
+    with pytest.raises(T.ParseError) as exc:
+        parse("\n".join(lines))
+    assert str(exc.value).startswith(message)
+    assert main(["freeness", "--module", str(path), "--over", "1"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 1, 2, 3, 9]), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_decoded_blocks_equal_a_per_row_decode(dims, rnd):
+    """A parsed module's matrices, decoded block by block on first read,
+    are the blocks of its file read row by row, with or without comments,
+    blank lines and padding inside the blocks."""
+    dims = dict(enumerate(dims))
+    window = Window(0, len(dims) - 1)
+    table = {}
+    for seq, d in _required_action_keys(A1, window, dims):
+        nrows, ncols = dims[d + milnor.degree(seq)], dims[d]
+        table[seq, d] = BitMatrix(
+            nrows, ncols, [rnd.getrandbits(ncols) for _ in range(nrows)])
+    text = T.print_module(
+        GradedModule(A1, window, dims, oracles.table_source(table)))
+    for variant in (text, _noisy_blocks(text)):
+        assert oracles.blocks_by_rows(variant) == table
+        assert T.parse_module(variant).action_table() == table
+
+
+@pytest.mark.parametrize("base", range(len(NOISE_BASES)))
+def test_printed_blocks_parse_as_a_per_row_decode(base):
+    parse, text = NOISE_BASES[base]
+    for variant in (text, _noisy_blocks(text)):
+        parsed = parse(variant)
+        table = (parsed.action_table() if parse is T.parse_module
+                 else parsed.coactions)
+        assert table == oracles.blocks_by_rows(variant)
+
+
+def test_parsed_module_drops_each_block_text_on_its_first_read():
+    """The parser holds each block's text only until the module first
+    reads the block, so after the full table it holds no text at all."""
+    m = T.parse_module(T.print_module(regular(FULL, Window(0, 8))))
+    (texts,) = [cell.cell_contents for cell in m._source.__closure__
+                if isinstance(cell.cell_contents, dict)
+                and all(isinstance(v, str)
+                        for v in cell.cell_contents.values())]
+    assert set(texts) == set(m.action_table())
+    assert not texts and sys.getsizeof(texts) == sys.getsizeof({})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([0, 1, 2, 7, 64, 130]),
+       st.randoms(use_true_random=False))
+def test_block_format_matches_the_per_row_format(nrows, ncols, rnd):
+    m = BitMatrix(nrows, ncols, [rnd.getrandbits(ncols) for _ in range(nrows)])
+    header = f"@ 0: {nrows}x{ncols}"
+    assert T._print_block(header, m) == "\n".join(
+        [header] + oracles.text_rows(m))
