@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import milnor
-from ._f2pure import column_kernel
+from ._f2pure import column_kernel, transpose
 from ._records import fields_equal, fields_hash
-from .f2 import BitMatrix, Subspace, kernel
+from .f2 import BitMatrix, Subspace, kernel, mul_rows
 from .gmodule import GradedModule, Window
 from .milnor import Algebra, Element
 
@@ -177,21 +177,47 @@ def perp_ideal_in_module(ideal: HomIdeal, m: GradedModule) -> PerpProfile:
     return chain_perp_profile(IdealChain([ideal]), m)
 
 
-def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int) -> tuple[Subspace, bool]:
+def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int,
+                prev: Optional[tuple[HomIdeal, Subspace, bool]] = None
+                ) -> tuple[Subspace, bool]:
     """Perp subspace of one ideal at a window degree d of m, with certified
-    flag."""
+    flag: the kernel of every generator whose target degree is known.
+
+    prev, when given, is the previous stage's (ideal, perp, certified) at
+    d.  When its generators are among this ideal's, only the new ones are
+    imposed, on its perp: one product of their stacked action rows with
+    the transposed perp basis gives, per target coordinate, which basis
+    vectors reach it; the kernel of that product picks the combinations of
+    basis vectors that every new generator kills, and XORing those basis
+    vectors back together gives the perp.  A generator is skipped,
+    and the degree uncertified, exactly when its target is unknown, so
+    this equals the kernel of all the stacked blocks, and so does the flag.
+    Otherwise every generator's block is stacked against the full basis.
+    """
     n = m.dims[d]
-    blocks = []
-    certified = True
-    for g in ideal.generators:
-        k = g.degree()
-        if m.dim(d + k) is None:
+    gens = ideal.generators
+    base, certified = None, True
+    if prev is not None:
+        old = set(prev[0].generators)
+        if old <= set(gens):
+            gens = [g for g in gens if g not in old]
+            _, base, certified = prev
+    rows: list[int] = []
+    for g in gens:
+        if m.dim(d + g.degree()) is None:
             certified = False
             continue
-        blocks.append(m.action_of(g, d))
-    if not blocks:
-        return Subspace.full(n), certified
-    return kernel(BitMatrix.vstack(blocks)), certified
+        rows.extend(m.action_of(g, d).rows)
+    if base is None:
+        if not rows:
+            return Subspace.full(n), certified
+        return kernel(BitMatrix(len(rows), n, rows)), certified
+    basis = base.basis.rows
+    if not rows or not basis:
+        return base, certified
+    reach = mul_rows(rows, transpose(basis, n))
+    keep = kernel(BitMatrix(len(reach), len(basis), reach)).basis.rows
+    return Subspace.from_vectors(mul_rows(keep, basis), n), certified
 
 
 def verify_ascending(chain: IdealChain, algebra: Algebra, window: Window) -> Optional[str]:
@@ -208,7 +234,15 @@ def verify_ascending(chain: IdealChain, algebra: Algebra, window: Window) -> Opt
 
 
 def chain_perp_profile(chain: IdealChain, m: GradedModule) -> PerpProfile:
-    """Descending perp chains per degree, stabilization indices, certification."""
+    """Descending perp chains per degree, stabilization indices, certification.
+
+    ``_stage_perp`` computes each (stage, degree) once.  A stage whose
+    generators include the previous stage's imposes only its new
+    generators on the previous stage's perp; otherwise, and at the first
+    stage, it stacks every generator's block.  Both give the same
+    canonical subspace and flag, and the descent of every pair of stages
+    is asserted (Galois antitonicity).
+    """
     span_hi = max(st.max_generator_degree() for st in chain.stages)
     msg = verify_ascending(chain, m.algebra, Window(0, span_hi))
     if msg:
@@ -220,8 +254,10 @@ def chain_perp_profile(chain: IdealChain, m: GradedModule) -> PerpProfile:
     for d in m.window:
         per_stage: list[Subspace] = []
         cert = True
+        prev = None
         for ideal in chain.stages:
-            sp, c = _stage_perp(ideal, m, d)
+            sp, c = _stage_perp(ideal, m, d, prev)
+            prev = ideal, sp, c
             cert = cert and c
             per_stage.append(sp)
         for i in range(1, num):
@@ -318,6 +354,9 @@ VERDICT_EVIDENCE = "evidence_holds"
 VERDICT_COUNTER = "counterexample"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+FAMILIES = ("strictly", "unboundedly", "bounded_abovely", "bounded_belowly",
+            "finite_sets")
+
 
 def _moves_past_every_bound(profiles: Sequence[PerpProfile]) -> bool:
     """Whether observed perp movement passes every candidate stage bound:
@@ -355,11 +394,19 @@ def classify_sigma(m: GradedModule, chains: Sequence[IdealChain],
     window is (non-definitive) evidence, and anything else is
     inconclusive.  The unbounded family inherits the verdict of an open
     side, and is structural evidence when the module has finite support.
+
+    Over a finite A(n) every family is structural evidence, and the chains
+    and profiles are not read: A(n) is finite dimensional, hence
+    Noetherian, so coproducts of its injectives are injective (the graded
+    Bass-Papp theorem).  Movement at the last supplied stage of a chain
+    there says only that the chain was cut short.
     """
     if profiles is None:
         profiles = [None] * len(chains)
     elif len(profiles) != len(chains):
         raise ValueError(f"{len(profiles)} profiles for {len(chains)} chains")
+    if not m.algebra.is_full:
+        return dict.fromkeys(FAMILIES, VERDICT_EVIDENCE)
     profiles = [_profile_for(c, m, p) for c, p in zip(chains, profiles)]
 
     if _moves_past_every_bound(profiles):

@@ -92,19 +92,6 @@ class BitMatrix:
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "BitMatrix":
         return cls(nrows, len(cols), _impl.transpose(cols, nrows))
 
-    @classmethod
-    def vstack(cls, mats: Iterable["BitMatrix"]) -> "BitMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        ncols = mats[0].ncols
-        rows: list[int] = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column count mismatch in vstack")
-            rows.extend(m._rows)
-        return cls(len(rows), ncols, rows)
-
     @property
     def rows(self) -> tuple[int, ...]:
         return self._rows

@@ -16,7 +16,8 @@ The sources of regular and of dual regular modules read ``milnor``'s
 per-degree memos of left and transposed right multiplication by a monomial
 (``_left_action``, ``_right_action``), so all such modules, and the
 suspended copies built from them, hold one shared immutable matrix per
-monomial and degree.
+monomial and degree.  The dual regular source is the one reader of the
+squares' walk: a square of a degree not yet walked whole is read off it.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed
@@ -343,12 +344,16 @@ def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
     """The linear dual of the algebra with (a . f)(b) = f(b a).
 
     Concentrated in nonpositive degrees; the action matrix of a at degree d
-    is the transpose of right multiplication by a into degree -d.
+    is the transpose of right multiplication by a into degree -d.  A square
+    of a degree -d whose whole walk has not run is read off the squares'
+    walk (``milnor._square_rows``), so a chain of squares walks only their
+    part of the coproduct.
     """
     dims = {d: algebra.dim(-d) if d <= 0 else 0 for d in window}
 
     def source(seq: Seq, d: int) -> BitMatrix:
-        return milnor._right_action(seq, -d - milnor.degree(seq), algebra)
+        return milnor._right_action(seq, -d - milnor.degree(seq), algebra,
+                                    squares=True)
     top = algebra.top_degree()
     bottom_exact = top is not None and window.lo <= -top
     return GradedModule(algebra, window, dims, source,

@@ -38,7 +38,12 @@ The readers of products are slices of one block:
   ``comodule.iota_matches_suspended_duals`` fetches it once per part and
   compares against its slices without building a matrix.
 - ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
-  regular module's source.
+  regular module's source.  When that source reads a square Sq(k) at a
+  degree d + k whose whole walk has not run, the rows come instead from
+  ``_square_rows``, a walk of only the squares' part of the coproduct,
+  which costs 2^popcount(T) per target T instead of the product of
+  (m + 1)^popcount(t_m), and keeps no block of the degree.  That source
+  is the walk's one reader.
 - ``right_multiplication``: the transposed right multiplication by any
   homogeneous element, a monomial going through ``_right_action`` and a
   sum XORing the stride slices of its terms; ideal spans and relations
@@ -48,7 +53,8 @@ Basis lists and each monomial's position in its basis, monomial degrees,
 isolated products, the blocks of each degree, multiplication matrices, and
 the left and the transposed right multiplication matrix of each monomial
 on each degree are memoized; construction is idempotent and the memoized
-values are immutable, so sharing them is safe.  Nothing is kept across
+values are immutable, so sharing them is safe.  The squares' rows are
+kept for the latest degree walked for them only.  Nothing is kept across
 runs: a degree's blocks are rebuilt by one walk the first time a process
 reads them.
 """
@@ -331,11 +337,24 @@ def element_from_coords(mask: int, d: int, algebra: Algebra) -> Element:
     return Element(basis[i] for i in range(len(basis)) if (mask >> i) & 1)
 
 
-@lru_cache(maxsize=None)
+# the blocks of each degree walked whole so far, keyed by (degree, algebra)
+_BLOCKS: dict[tuple[int, Algebra], dict[int, tuple[int, ...]]] = {}
+
+
 def _product_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     """Every multiplication block into A^n, keyed by the degree d1 of the
     left factor: entry i * dim A^(n-d1) + j of block d1 is the coordinate
-    mask in A^n of b_i c_j (b_i in A^d1, c_j in A^(n-d1)).
+    mask in A^n of b_i c_j (b_i in A^d1, c_j in A^(n-d1)).  Walked by
+    ``_walk_blocks`` and memoized in ``_BLOCKS``.
+    """
+    blocks = _BLOCKS.get((n, algebra))
+    if blocks is None:
+        blocks = _BLOCKS[n, algebra] = _walk_blocks(n, algebra)
+    return blocks
+
+
+def _walk_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
+    """``_product_blocks`` of degree n.
 
     Walks the dual coproduct: a carry-free Milnor matrix with diagonal sums
     t sends each bit of t_m to one cell x[i][m-i] of diagonal m, so the
@@ -382,6 +401,88 @@ def _product_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
             d1, i = left
             cols[d1][i * dims[n - d1] + right[1]] ^= bit
     return {d1: tuple(c) for d1, c in cols.items()}
+
+
+# the squares' rows of each degree walked for them, keyed by (degree,
+# algebra); only the latest degree keeps its rows, the others map to None
+_SQUARES: dict[tuple[int, Algebra], Optional[dict[int, tuple[int, ...]]]] = {}
+
+
+def _square_rows(n: int, algebra: Algebra
+                 ) -> Optional[dict[int, tuple[int, ...]]]:
+    """The rows of x -> x * Sq(k) from A^(n-k) into A^n, keyed by k, for
+    every square Sq(k) of the algebra with 1 <= k <= n: row i holds the
+    coordinates of b_i Sq(k) for b_i the i-th monomial of degree n - k.
+    They equal the stride slice of ``_right_action_block(n - k, k)`` at
+    Sq(k), but come from a walk of only the squares' part of the coproduct.
+
+    Memoized in ``_SQUARES`` for the latest degree only, and None for a
+    degree walked before it: its reader keeps every matrix it reads in
+    ``_right_memo``, and a chain reads the squares of one degree together,
+    so the rows of the squares nobody reads are not kept.  A reader that
+    comes back to an earlier degree gets None and walks that degree whole,
+    so no degree is walked for its squares twice.
+    """
+    key = n, algebra
+    if key in _SQUARES:
+        return _SQUARES[key]
+    if _SQUARES:
+        _SQUARES[next(reversed(_SQUARES))] = None
+    rows = _SQUARES[key] = _walk_squares(n, algebra)
+    return rows
+
+
+def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
+    """``_square_rows`` of degree n, by the two-choice walk.
+
+    The coefficient of Sq(T) in Sq(R) Sq(k) is that of xi^R (x) xi_1^k in
+    psi(xi^T), and psi(xi_m)^(2^b) = sum_i xi_(m-i)^(2^(b+i)) (x) xi_i^(2^b).
+    With only xi_1 allowed on the right, each set bit low of t_m has two
+    cells: it stays (r_m += low), or it moves (r_(m-1) += 2 low and
+    k += low; at m = 1 a move only adds to k).  So each T costs
+    2^popcount(T) steps where the whole walk costs the product of
+    (m + 1)^popcount(t_m).  A pair outside the algebra is dropped.
+    """
+    width = max(n, 1).bit_length()
+    # R as in ``_walk_blocks``, with k in one more field above its exponents
+    kshift = width * (n + 1).bit_length()
+    # the packed (R, k) of row i of square k, mapped to its place in flat
+    where: dict[int, int] = {}
+    spans: dict[int, tuple[int, int]] = {}
+    for k in range(1, n + 1):
+        if not algebra.contains((k,)):
+            continue
+        start = len(where)
+        for seq in basis_in_degree(n - k, algebra):
+            packed = k << kshift
+            for slot, r in enumerate(seq):
+                packed |= r << (width * slot)
+            where[packed] = len(where)
+        spans[k] = start, len(where)
+    flat = [0] * len(where)
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
+    for ti, t in enumerate(basis_in_degree(n, algebra)):
+        terms = [0]
+        for m, tm in enumerate(t, 1):
+            while tm:
+                low = tm & -tm
+                tm ^= low
+                choices = cells.get((m, low))
+                if choices is None:
+                    # stays in r_m; or moves to r_(m-1) as 2 low, adding low to k
+                    choices = cells[(m, low)] = (
+                        low << (width * (m - 1)),
+                        (low << kshift)
+                        + ((low << 1) << (width * (m - 2)) if m > 1 else 0))
+                stay, move = choices
+                terms = [p + stay for p in terms] + [p + move for p in terms]
+        bit = 1 << ti
+        for p in terms:
+            # misses: the unit (k = 0), and a square or an R outside A(n)
+            pos = where.get(p)
+            if pos is not None:
+                flat[pos] ^= bit
+    return {k: tuple(flat[a:b]) for k, (a, b) in spans.items()}
 
 
 def product_columns(d1: int, d2: int, algebra: Algebra) -> tuple[int, ...]:
@@ -454,29 +555,40 @@ def _right_action_block(d: int, k: int, algebra: Algebra
     """The product block (d, k) and its stride dim A^k: for b_j the j-th
     monomial of degree k, ``block[j::stride]`` are the rows of the
     transpose of x -> x * b_j from A^d to A^(d + k), row i holding the
-    coordinates of b_i b_j.  The one definition of the dual regular
-    action's rows; nothing is memoized here, and an empty A^d gives an
-    empty block without building the blocks of degree d + k."""
+    coordinates of b_i b_j.  The dual regular action's rows, except for
+    the squares ``_right_action`` reads off ``_square_rows``; nothing is
+    memoized here, and an empty A^d gives an empty block without building
+    the blocks of degree d + k."""
     stride = len(basis_in_degree(k, algebra))
     if not basis_in_degree(d, algebra):
         return (), stride
     return _product_blocks(d + k, algebra)[d], stride
 
 
-def _right_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
+def _right_action(seq: Seq, d: int, algebra: Algebra,
+                  squares: bool = False) -> BitMatrix:
     """Memoized transpose of x -> x * Sq(seq) from A^d to A^(d + deg seq).
 
     Its rows are the stride slice of ``_right_action_block`` at the
     monomial's index, read once into ``_right_memo``: the dual regular
-    action, shared by every module that reads it.
+    action, shared by every module that reads it.  With squares, as the
+    dual regular module's source asks, a square of a degree d + k whose
+    whole walk has not run reads ``_square_rows`` instead, when that still
+    holds the degree; a degree already walked keeps the slice.
     """
     memo = _right_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
         k, j, _ = _monomial_slot(seq, algebra)
         nrows = len(basis_in_degree(d + k, algebra))
-        block, stride = _right_action_block(d, k, algebra)
-        rows = block[j::stride]
+        table = None
+        if squares and len(seq) == 1 and (d + k, algebra) not in _BLOCKS:
+            table = _square_rows(d + k, algebra)
+        if table is not None:
+            rows = table[k]
+        else:
+            block, stride = _right_action_block(d, k, algebra)
+            rows = block[j::stride]
         mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
     return mat
 

@@ -123,12 +123,14 @@ class _Lines:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, what: str) -> tuple[int, str]:
+    def next(self, what: str, blank: bool = False) -> tuple[int, str]:
+        """The number and stripped text of the next line that is not a
+        comment and, unless blank, not blank."""
         while self.pos < len(self.lines):
             raw = self.lines[self.pos]
             self.pos += 1
             stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
+            if (stripped or blank) and not stripped.startswith("#"):
                 return self.pos, stripped
         raise ParseError(len(self.lines) + 1, f"unexpected end of file ({what} expected)")
 
@@ -167,11 +169,12 @@ def _read_block(lines: _Lines, nrows: int, ncols: int, header_no: int,
             and not chunk.strip("01\n")):
         lines.pos = pos + nrows
         return chunk
-    # otherwise row by row, past comments, blank lines and padding
+    # otherwise row by row, past comments, blank lines and padding; a row
+    # of width 0 is itself blank, so there only comments are passed
     what = f"matrix row of {name(key)}"
     rows = []
     for _ in range(nrows):
-        no, line = lines.next(what)
+        no, line = lines.next(what, blank=not ncols)
         # int(s, 2) would also take '_', signs and whitespace
         if len(line) != ncols or set(line) - {"0", "1"}:
             raise ParseError(no, f"bad matrix row {line!r} ({ncols} bits expected)")

@@ -189,6 +189,22 @@ def multiplication_block_by_pairs(d1: int, d2: int,
     return BitMatrix.from_columns(cols, len(b3))
 
 
+def square_rows_by_pairs(n: int, k: int, algebra: milnor.Algebra
+                        ) -> tuple[int, ...]:
+    """The rows of x -> x * Sq(k) from A^(n-k) into A^n, one pair at a
+    time from ``milnor_product_unpruned``: row i holds the coordinates of
+    b_i Sq(k) in A^n."""
+    index = {seq: i for i, seq in
+             enumerate(milnor.basis_in_degree(n, algebra))}
+    rows = []
+    for r in milnor.basis_in_degree(n - k, algebra):
+        v = 0
+        for t in milnor_product_unpruned(r, (k,)):
+            v ^= 1 << index[t]
+        rows.append(v)
+    return tuple(rows)
+
+
 # -- action on polynomials -----------------------------------------------------
 
 Monomial = tuple[int, ...]
@@ -414,6 +430,15 @@ def bitmatrix_from_entries(entries, ncols=None) -> BitMatrix:
             raise ValueError("ragged entry rows")
         rows.append(sum((1 << j) for j, e in enumerate(er) if e & 1))
     return BitMatrix(len(rows), width or 0, rows)
+
+
+def vstack(mats: Sequence[BitMatrix]) -> BitMatrix:
+    """The rows of nonempty mats, of equal widths, stacked in order."""
+    ncols = mats[0].ncols
+    if any(m.ncols != ncols for m in mats):
+        raise ValueError("column count mismatch in vstack")
+    return BitMatrix(sum(m.nrows for m in mats), ncols,
+                     [r for m in mats for r in m.rows])
 
 
 def rref_2x2_hand(m: list[list[int]]) -> list[list[int]]:
@@ -1022,7 +1047,7 @@ def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
             blocks.append(target.action_of(elem, shift))
         else:
             blocks.append(BitMatrix.zero(td, target.dim(shift)))
-    restr = BitMatrix.vstack(blocks) if blocks else BitMatrix.zero(0, 0)
+    restr = vstack(blocks) if blocks else BitMatrix.zero(0, 0)
     ext_space = Subspace.from_vectors(
         [column(restr, j) for j in range(restr.ncols)], total)
 

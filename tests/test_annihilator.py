@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steenmod.annihilator import (HomIdeal, IdealChain, chain_perp_profile,
-                                  classify_sigma, ideal_span,
-                                  perp_ideal_in_module,
+from steenmod.annihilator import (HomIdeal, IdealChain, _stage_perp,
+                                  chain_perp_profile, classify_sigma,
+                                  ideal_span, perp_ideal_in_module,
                                   perp_subset_in_algebra, sq_power_chain)
 from steenmod.f2 import Subspace
 from steenmod.gmodule import Window, dual_regular, regular
-from steenmod.milnor import Algebra, Element
+from steenmod.milnor import Algebra, Element, parse_element
 
 import oracles
 from oracles import finite_subideal
@@ -202,6 +204,116 @@ def test_dual_regular_no_uniform_bound_on_window():
     prof = chain_perp_profile(sq_power_chain(4), dA)
     for t in range(4):
         assert any(prof.ell[d] > t for d in prof.window if prof.certified[d]), t
+
+
+def _stacked_perp(ideal, m, d):
+    """The perp of every generator with a known target at degree d, by
+    the reference kernel of their stacked blocks, and whether every
+    target is known."""
+    known = [g for g in ideal.generators if m.dim(d + g.degree()) is not None]
+    rows = [r for g in known for r in m.action_of(g, d).rows]
+    n = m.dims[d]
+    perp = Subspace.from_vectors(oracles.nullspace_by_columns(rows, n), n)
+    return perp, len(known) == len(ideal.generators)
+
+
+def _assert_profile_is_stacked(chain, m):
+    """Check each stage's perp and flag, from ``_stage_perp`` fed the
+    previous stage's as the profile feeds it, and the profile itself;
+    return the number of uncertified degrees."""
+    prof = chain_perp_profile(chain, m)
+    uncertified = 0
+    for d in m.window:
+        flags = []
+        prev = None
+        for t, ideal in enumerate(chain.stages):
+            want = _stacked_perp(ideal, m, d)
+            got = _stage_perp(ideal, m, d, prev)
+            assert got == want, (d, t)
+            assert prof.stages[d][t] == want[0], (d, t)
+            prev = (ideal, *got)
+            flags.append(want[1])
+        assert prof.certified[d] == all(flags), d
+        uncertified += not prof.certified[d]
+    return uncertified
+
+
+POOL = [parse_element(e) for e in
+        ("Sq(1)", "Sq(2)", "Sq(3)", "Sq(4)", "Sq(0,1)", "Sq(2,1)",
+         "Sq(3)+Sq(0,1)", "Sq(5)+Sq(2,1)")]
+
+
+@st.composite
+def modules_and_chains(draw):
+    """An ascending chain, and a module over its algebra on a window that
+    may be open at either edge.  Each stage draws generators and
+    carries the previous stage's others along, except, when the draw says
+    so, those the new ones already generate: then the generator sets are
+    not nested."""
+    kind = draw(st.sampled_from(["dual", "regular", "dual-a2"]))
+    lo = draw(st.integers(-16, -2))
+    hi = draw(st.integers(lo + 2, 0))
+    if kind == "dual":
+        m = dual_regular(FULL, Window(lo, hi))
+    elif kind == "dual-a2":
+        m = dual_regular(A2, Window(lo, hi))
+    else:
+        m = regular(FULL, Window(-hi, -lo))
+    stages = []
+    prev = ()
+    for _ in range(draw(st.integers(1, 4))):
+        drawn = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3,
+                              unique=True))
+        keep = draw(st.booleans())
+        span = ideal_span(HomIdeal(drawn), m.algebra, Window(0, 6))
+        prev = tuple(drawn) + tuple(
+            g for g in prev if g not in drawn
+            and (keep or not span.contains_element(g)))
+        stages.append(HomIdeal(prev))
+    return IdealChain(stages), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules_and_chains())
+def test_chain_perps_equal_stacked_kernels(case):
+    """Each stage's perp, cut from the last stage's where the generator
+    sets are nested, equals the kernel of all its generators' stacked
+    blocks, and a degree is certified exactly when every target is
+    known."""
+    _assert_profile_is_stacked(*case)
+
+
+def test_chain_perps_equal_stacked_kernels_at_the_edges():
+    """Nested and non-nested chains on windows open at the top edge, where
+    some stages are uncertified."""
+    sq = Element.sq
+    not_nested = IdealChain([HomIdeal([sq(3)]), HomIdeal([sq(1), sq(2)]),
+                             HomIdeal([sq(1), sq(2), sq(4)])])
+    for chain in (sq_power_chain(4), not_nested):
+        for window in (Window(-30, -2), Window(-20, -5)):
+            m = dual_regular(FULL, window)
+            assert _assert_profile_is_stacked(chain, m)
+        assert _assert_profile_is_stacked(chain, regular(FULL, Window(3, 20)))
+
+
+def test_finite_algebra_modules_get_no_counterexample():
+    """No sub-window of the regular or the dual regular A(1) or A(2)
+    module gets a counterexample under square chains of one stage up to
+    the algebra's top square: A(n) is Noetherian, so every family is
+    structural evidence."""
+    for alg in (A1, A2):
+        top = alg.top_degree()
+        chains = [sq_power_chain(s)
+                  for s in range(1, alg.profile_index + 2)]
+        for build, edge in ((regular, Window(0, top)),
+                            (dual_regular, Window(-top, 0))):
+            for lo in edge:
+                for hi in range(lo, edge.hi + 1):
+                    m = build(alg, Window(lo, hi))
+                    for chain in chains:
+                        flags = classify_sigma(m, [chain])
+                        assert set(flags.values()) == {"evidence_holds"}, (
+                            alg, build.__name__, lo, hi, len(chain))
 
 
 def test_finite_subideal_contract():

@@ -1,11 +1,12 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (column, milnor_product_unpruned,
-                     multiplication_block_by_pairs, row)
+                     multiplication_block_by_pairs, row, square_rows_by_pairs)
 from steenmod import milnor as M
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import Window, dual_regular, regular
@@ -295,6 +296,90 @@ def test_dual_regular_modules_share_memoized_matrices(alg):
                     Element([seq]), -d - k, alg)
                 shared += 1
     assert shared
+
+
+def _check_square_rows(n, alg):
+    table = M._walk_squares(n, alg)
+    assert sorted(table) == [k for k in range(1, n + 1)
+                             if alg.contains((k,))], (n, alg)
+    for k, rows in table.items():
+        assert rows == square_rows_by_pairs(n, k, alg), (n, k, alg)
+
+
+def test_square_rows_match_per_pair_oracle_exhaustive():
+    """Every square of every degree n <= 40 over the full algebra, and of
+    every degree of A(1) and A(2), one past the top included."""
+    cases = [(n, FULL) for n in range(41)]
+    for alg in (Algebra.subalgebra(1), A2):
+        cases += [(n, alg) for n in range(alg.top_degree() + 2)]
+    for n, alg in cases:
+        _check_square_rows(n, alg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_square_rows_match_per_pair_oracle_random(data):
+    n = data.draw(st.integers(41, 70))
+    k = data.draw(st.integers(1, n))
+    assert M._walk_squares(n, FULL)[k] == square_rows_by_pairs(n, k, FULL)
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty product, square and right multiplication memos for one test,
+    the process's own restored after it."""
+    def reset():
+        monkeypatch.setattr(M, "_BLOCKS", {})
+        monkeypatch.setattr(M, "_SQUARES", {})
+        monkeypatch.setattr(M, "_right_memo",
+                            lru_cache(maxsize=None)(lambda d, alg: {}))
+    reset()
+    return reset
+
+
+@pytest.mark.parametrize("alg", [FULL, Algebra.subalgebra(1), A2],
+                         ids=["full", "a1", "a2"])
+def test_dual_regular_squares_agree_walked_or_not(alg, fresh_memos):
+    """A dual regular module reads a square of a degree not yet walked off
+    the squares' walk, leaving the degree unwalked, and one of a walked
+    degree off the whole walk; both give the same matrices, and the
+    stride slices of the whole blocks."""
+    window = Window(-24, 0)
+    keys = [((k,), d) for d in window for k in range(1, 17)
+            if alg.contains((k,)) and d + k <= 0]
+
+    def read():
+        m = dual_regular(alg, window)
+        return {key: m.action(*key) for key in keys
+                if m.dims[key[1]] and m.dims[key[1] + key[0][0]]}
+    by_squares = read()
+    degrees = {-d for _, d in by_squares}
+    assert {n for n, _ in M._SQUARES} == degrees
+    assert not any((n, alg) in M._BLOCKS for n in degrees)
+    fresh_memos()
+    for n in degrees:
+        M._product_blocks(n, alg)
+    assert read() == by_squares
+    assert not M._SQUARES
+    for ((k,), d), mat in by_squares.items():
+        block, stride = M._right_action_block(-d - k, k, alg)
+        j = M._basis_index(k, alg.profile_index)[(k,)]
+        assert mat.rows == block[j::stride]
+
+
+def test_square_walk_runs_once_per_degree(fresh_memos):
+    """Only the latest degree keeps its squares' rows; a square read at an
+    earlier degree after that walks the earlier degree whole."""
+    m = dual_regular(FULL, Window(-30, 0))
+    first = m.action((1,), -20)
+    m.action((1,), -21)
+    assert M._SQUARES[20, FULL] is None
+    assert M._SQUARES[21, FULL] is not None
+    second = m.action((2,), -20)
+    assert (20, FULL) in M._BLOCKS and (21, FULL) not in M._BLOCKS
+    assert set(M._SQUARES) == {(20, FULL), (21, FULL)}
+    assert first.rows == square_rows_by_pairs(20, 1, FULL)
+    assert second.rows == square_rows_by_pairs(20, 2, FULL)
 
 
 def test_multi_term_right_multiplication_is_not_memoized():

@@ -36,17 +36,37 @@ def test_module_roundtrip_bit_exact(idx):
     assert T.print_module(back) == text
 
 
+def _generated_family(m, gens):
+    """The degreewise span of the submodule of m that the (degree, mask)
+    pairs gens generate: every monomial's image of every generator."""
+    vectors = {}
+    for d, v in gens:
+        vectors.setdefault(d, []).append(v)
+        for k in range(1, m.window.hi - d + 1):
+            for seq in m.algebra.basis(k):
+                vectors.setdefault(d + k, []).append(m.action(seq, d).apply(v))
+    return {d: Subspace.from_vectors(vs, m.dims[d]) for d, vs in vectors.items()}
+
+
 def test_randomized_module_roundtrip_fixed_seed():
+    """Quotients of regular and dual regular A(1) modules by submodules on
+    random generators, drawn from a seeded rng, print and parse back to
+    the same module."""
     rng = random.Random(42)
-    r = regular(A1, Window(0, 6))
-    # randomize by passing through a random invariant quotient
-    families = []
-    sub = {6: Subspace.full(1)}
-    families.append(sub)
-    for fam in families:
-        q = quotient(r, fam)
+    bases = [regular(A1, Window(0, 6)), dual_regular(A1, Window(-6, 0)),
+             free_module([0, 2], A1, Window(0, 8))]
+    sizes = set()
+    for _ in range(12):
+        m = rng.choice(bases)
+        degrees = [d for d in m.window if m.dims[d]]
+        gens = [(d, rng.randrange(1, 1 << m.dims[d]))
+                for d in rng.sample(degrees, rng.randint(1, 2))]
+        q = quotient(m, _generated_family(m, gens))
+        sizes.add(q.total_dim())
         text = T.print_module(q)
         assert T.parse_module(text) == q
+        assert T.print_module(T.parse_module(text)) == text
+    assert len(sizes) > 2  # the draws gave different quotients
 
 
 def test_comodule_roundtrip_bit_exact():
@@ -315,12 +335,24 @@ UNREQUESTED = "is not one the header calls for"
      f"block Sq() @ 0 {UNREQUESTED}"),
     (T.parse_comodule, EXTENDED, "end", ["coaction 0 1: 2x0", "", ""],
      f"block coaction (0,1) {UNREQUESTED}"),
+    (T.parse_module, A1_REGULAR, "end",
+     ["action Sq()", "@ 0: 2x0", "# c", "", ""], f"block Sq() @ 0 {UNREQUESTED}"),
+    (T.parse_module, A1_REGULAR, "end",
+     ["action Sq()", "@ 0: 2x0", "  ", "# c", "\t"],
+     f"block Sq() @ 0 {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "end",
+     ["coaction 0 1: 2x0", "", "# c", ""], f"block coaction (0,1) {UNREQUESTED}"),
+    (T.parse_comodule, EXTENDED, "end",
+     ["coaction 0 1: 2x0", "# c", " ", "  "],
+     f"block coaction (0,1) {UNREQUESTED}"),
 ], ids=["module-repeat-same-action", "module-repeat-reopened-action",
         "module-target-outside-window", "module-degree-outside-window",
         "module-unit", "module-not-in-algebra", "module-zero-target",
         "module-zero-source", "comodule-repeat", "comodule-target-outside-window",
         "comodule-degree-outside-window", "comodule-counit",
-        "comodule-zero-source", "module-zero-width", "comodule-zero-width"])
+        "comodule-zero-source", "module-zero-width", "comodule-zero-width",
+        "module-zero-width-commented", "module-zero-width-whitespace",
+        "comodule-zero-width-commented", "comodule-zero-width-whitespace"])
 def test_repeated_and_unrequested_blocks_report_their_header(
         parse, text, before, inserted, message):
     """A block the header does not call for, or a second block at the same
