@@ -71,6 +71,11 @@ class GradedComodule:
 
     Exactness flags mean the same as for modules: dims are genuinely zero
     beyond the flagged edge, not merely unknown.
+
+    The constructor stores coactions as given, unchecked: it must hold
+    exactly the blocks ``_required_coaction_keys`` yields for these dims,
+    each of shape (dims[d + k] * dim A^k, dims[d]).  ``extended`` builds
+    them so and ``textio.parse_comodule`` checks them before it calls this.
     """
 
     __slots__ = ("algebra", "window", "dims", "coactions",
@@ -80,18 +85,7 @@ class GradedComodule:
                  coactions: dict[tuple[int, int], BitMatrix],
                  bottom_exact: bool = False, top_exact: bool = False):
         _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
-        table: dict[tuple[int, int], BitMatrix] = {}
-        for d, k in _required_coaction_keys(algebra, window, self.dims):
-            mat = coactions.get((d, k))
-            if mat is None:
-                raise ValueError(f"missing coaction block ({d}, {k})")
-            expected = (self.dims[d + k] * algebra.dim(k), self.dims[d])
-            if mat.shape != expected:
-                raise ValueError(
-                    f"coaction block ({d}, {k}) has shape {mat.shape}, "
-                    f"expected {expected}")
-            table[(d, k)] = mat
-        self.coactions = table
+        self.coactions = coactions
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

@@ -17,7 +17,8 @@ per-degree memos of left and transposed right multiplication by a monomial
 (``_left_action``, ``_right_action``), so all such modules, and the
 suspended copies built from them, hold one shared immutable matrix per
 monomial and degree.  The dual regular source is the one reader of the
-squares' walk: a square of a degree not yet walked whole is read off it.
+squares' walk: a square Sq(2^i) of a degree not yet walked whole is read
+off it.
 
 Degrees outside the window are *unknown* unless the module is flagged exact
 on that side (dims are then zero beyond the edge); every verdict computed
@@ -40,7 +41,7 @@ from . import milnor
 from ._f2pure import insert, transpose
 from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, Subspace, mask_to_bits, mul_rows
-from .milnor import Algebra, Element, Seq
+from .milnor import Algebra, Element, Seq, _is_square
 
 
 class Window:
@@ -317,11 +318,6 @@ class GradedModule:
                 f"total dim {self.total_dim()})")
 
 
-def _is_square(seq: Seq) -> bool:
-    """Whether seq is Sq(2^i) for some i >= 0."""
-    return len(seq) == 1 and not seq[0] & (seq[0] - 1)
-
-
 def zero_module(algebra: Algebra, window: Window) -> GradedModule:
     # every dimension is zero, so ``action`` never calls the source
     return GradedModule(algebra, window, {},
@@ -345,9 +341,9 @@ def dual_regular(algebra: Algebra, window: Window) -> GradedModule:
 
     Concentrated in nonpositive degrees; the action matrix of a at degree d
     is the transpose of right multiplication by a into degree -d.  A square
-    of a degree -d whose whole walk has not run is read off the squares'
-    walk (``milnor._square_rows``), so a chain of squares walks only their
-    part of the coproduct.
+    Sq(2^i) of a degree -d whose whole walk has not run is read off the
+    squares' walk (``milnor._walk_squares``), so a chain of squares walks
+    only their part of the coproduct.
     """
     dims = {d: algebra.dim(-d) if d <= 0 else 0 for d in window}
 

@@ -38,12 +38,13 @@ The readers of products are slices of one block:
   ``comodule.iota_matches_suspended_duals`` fetches it once per part and
   compares against its slices without building a matrix.
 - ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
-  regular module's source.  When that source reads a square Sq(k) at a
-  degree d + k whose whole walk has not run, the rows come instead from
-  ``_square_rows``, a walk of only the squares' part of the coproduct,
-  which costs 2^popcount(T) per target T instead of the product of
-  (m + 1)^popcount(t_m), and keeps no block of the degree.  That source
-  is the walk's one reader.
+  regular module's source.  When that source reads a square Sq(2^i) at a
+  degree n = d + 2^i whose whole walk has not run, the rows come instead
+  from ``_walk_squares(n)``, a walk of only the squares' part of the
+  coproduct, which costs 2^popcount(T) per target T instead of the
+  product of (m + 1)^popcount(t_m), and keeps no block of the degree; the
+  rows of every Sq(2^j) of degree n go into the memo at once.  That
+  source is the walk's one reader.
 - ``right_multiplication``: the transposed right multiplication by any
   homogeneous element, a monomial going through ``_right_action`` and a
   sum XORing the stride slices of its terms; ideal spans and relations
@@ -54,9 +55,8 @@ isolated products, the blocks of each degree, multiplication matrices, and
 the left and the transposed right multiplication matrix of each monomial
 on each degree are memoized; construction is idempotent and the memoized
 values are immutable, so sharing them is safe.  The squares' rows are
-kept for the latest degree walked for them only.  Nothing is kept across
-runs: a degree's blocks are rebuilt by one walk the first time a process
-reads them.
+kept only as those matrices.  Nothing is kept across runs: a degree's
+blocks are rebuilt by one walk the first time a process reads them.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ from .f2 import BitMatrix, mask_to_bits
 Seq = tuple[int, ...]
 
 UNIT: Seq = ()
+
+
+def _is_square(seq: Seq) -> bool:
+    """Whether seq is Sq(2^i) for some i >= 0."""
+    return len(seq) == 1 and not seq[0] & (seq[0] - 1)
 
 
 def _canonical(seq: Iterable[int]) -> Seq:
@@ -166,29 +171,38 @@ class Algebra:
 
 @lru_cache(maxsize=None)
 def _basis_cached(d: int, profile_index: Optional[int]) -> tuple[Seq, ...]:
+    """basis_in_degree(d), enumerated from the highest slot down: slot 0,
+    of weight 1, takes whatever degree is left, so over the full algebra
+    every leaf is a basis element, and over A(n) a leaf is dropped only
+    when that rest exceeds slot 0's profile bound."""
     if d < 0:
         return ()
+    # the slots i of weight 2^(i+1) - 1 <= d, and each one's largest
+    # exponent: the profile bound, or over the full algebra just d
+    slots = (d + 1).bit_length() - 1
+    if profile_index is None:
+        caps = [d] * slots
+    else:
+        slots = min(slots, profile_index + 1)
+        caps = [(1 << (profile_index + 1 - i)) - 1 for i in range(slots)]
     out: list[Seq] = []
 
-    def extend(prefix: list[int], slot: int, remaining: int) -> None:
-        weight = (1 << (slot + 1)) - 1
-        if weight > remaining:
-            if remaining == 0:
-                out.append(_canonical(prefix))
+    def extend(tail: Seq, slot: int, remaining: int) -> None:
+        # tail holds the exponents of the slots above slot, trailing zeros
+        # already stripped
+        if slot == 0:
+            if remaining <= caps[0]:
+                out.append((remaining,) + tail if remaining or tail else ())
             return
-        if profile_index is not None:
-            bound_exp = profile_index + 1 - slot
-            rmax = 0 if bound_exp <= 0 else (1 << bound_exp) - 1
-        else:
-            rmax = remaining // weight
-        rmax = min(rmax, remaining // weight)
-        for r in range(rmax + 1):
-            prefix.append(r)
-            extend(prefix, slot + 1, remaining - r * weight)
-            prefix.pop()
-        # exhausted this slot
+        weight = (1 << (slot + 1)) - 1
+        for r in range(min(caps[slot], remaining // weight) + 1):
+            extend((r,) + tail if r or tail else (), slot - 1,
+                   remaining - r * weight)
 
-    extend([], 0, d)
+    if caps:
+        extend((), len(caps) - 1, d)
+    else:
+        out.append(())  # d == 0
     return tuple(sorted(out))
 
 
@@ -403,37 +417,14 @@ def _walk_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     return {d1: tuple(c) for d1, c in cols.items()}
 
 
-# the squares' rows of each degree walked for them, keyed by (degree,
-# algebra); only the latest degree keeps its rows, the others map to None
-_SQUARES: dict[tuple[int, Algebra], Optional[dict[int, tuple[int, ...]]]] = {}
-
-
-def _square_rows(n: int, algebra: Algebra
-                 ) -> Optional[dict[int, tuple[int, ...]]]:
-    """The rows of x -> x * Sq(k) from A^(n-k) into A^n, keyed by k, for
-    every square Sq(k) of the algebra with 1 <= k <= n: row i holds the
-    coordinates of b_i Sq(k) for b_i the i-th monomial of degree n - k.
-    They equal the stride slice of ``_right_action_block(n - k, k)`` at
-    Sq(k), but come from a walk of only the squares' part of the coproduct.
-
-    Memoized in ``_SQUARES`` for the latest degree only, and None for a
-    degree walked before it: its reader keeps every matrix it reads in
-    ``_right_memo``, and a chain reads the squares of one degree together,
-    so the rows of the squares nobody reads are not kept.  A reader that
-    comes back to an earlier degree gets None and walks that degree whole,
-    so no degree is walked for its squares twice.
-    """
-    key = n, algebra
-    if key in _SQUARES:
-        return _SQUARES[key]
-    if _SQUARES:
-        _SQUARES[next(reversed(_SQUARES))] = None
-    rows = _SQUARES[key] = _walk_squares(n, algebra)
-    return rows
-
-
 def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
-    """``_square_rows`` of degree n, by the two-choice walk.
+    """The rows of x -> x * Sq(2^j) from A^(n-2^j) into A^n, keyed by 2^j,
+    for every square Sq(2^j) of the algebra with 2^j <= n: row i holds the
+    coordinates of b_i Sq(2^j) for b_i the i-th monomial of degree n - 2^j.
+    They equal the stride slice of ``_right_action_block(n - 2^j, 2^j)`` at
+    Sq(2^j), but come from a walk of only the squares' part of the
+    coproduct.  Not memoized: ``_right_action`` files the rows in
+    ``_right_memo`` and calls this once per degree.
 
     The coefficient of Sq(T) in Sq(R) Sq(k) is that of xi^R (x) xi_1^k in
     psi(xi^T), and psi(xi_m)^(2^b) = sum_i xi_(m-i)^(2^(b+i)) (x) xi_i^(2^b).
@@ -441,7 +432,8 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     cells: it stays (r_m += low), or it moves (r_(m-1) += 2 low and
     k += low; at m = 1 a move only adds to k).  So each T costs
     2^popcount(T) steps where the whole walk costs the product of
-    (m + 1)^popcount(t_m).  A pair outside the algebra is dropped.
+    (m + 1)^popcount(t_m).  A pair outside the algebra, or with k not a
+    power of two, is dropped.
     """
     width = max(n, 1).bit_length()
     # R as in ``_walk_blocks``, with k in one more field above its exponents
@@ -449,9 +441,9 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     # the packed (R, k) of row i of square k, mapped to its place in flat
     where: dict[int, int] = {}
     spans: dict[int, tuple[int, int]] = {}
-    for k in range(1, n + 1):
+    for k in (1 << j for j in range(n.bit_length())):
         if not algebra.contains((k,)):
-            continue
+            break
         start = len(where)
         for seq in basis_in_degree(n - k, algebra):
             packed = k << kshift
@@ -478,7 +470,8 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
                 terms = [p + stay for p in terms] + [p + move for p in terms]
         bit = 1 << ti
         for p in terms:
-            # misses: the unit (k = 0), and a square or an R outside A(n)
+            # misses: the unit (k = 0), k not a power of two, and a
+            # square or an R outside A(n)
             pos = where.get(p)
             if pos is not None:
                 flat[pos] ^= bit
@@ -556,7 +549,7 @@ def _right_action_block(d: int, k: int, algebra: Algebra
     monomial of degree k, ``block[j::stride]`` are the rows of the
     transpose of x -> x * b_j from A^d to A^(d + k), row i holding the
     coordinates of b_i b_j.  The dual regular action's rows, except for
-    the squares ``_right_action`` reads off ``_square_rows``; nothing is
+    the squares ``_right_action`` reads off ``_walk_squares``; nothing is
     memoized here, and an empty A^d gives an empty block without building
     the blocks of degree d + k."""
     stride = len(basis_in_degree(k, algebra))
@@ -572,23 +565,26 @@ def _right_action(seq: Seq, d: int, algebra: Algebra,
     Its rows are the stride slice of ``_right_action_block`` at the
     monomial's index, read once into ``_right_memo``: the dual regular
     action, shared by every module that reads it.  With squares, as the
-    dual regular module's source asks, a square of a degree d + k whose
-    whole walk has not run reads ``_square_rows`` instead, when that still
-    holds the degree; a degree already walked keeps the slice.
+    dual regular module's source asks, a miss on Sq(2^i) at a degree
+    n = d + 2^i whose whole walk has not run calls ``_walk_squares(n)``
+    instead and files the matrix of every Sq(2^j) it returns in
+    ``_right_memo(n - 2^j)``, keeping any matrix already there.  A later
+    read of a square of degree n then hits the memo, so no degree is walked
+    for its squares twice; other monomials read the slice.
     """
     memo = _right_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
         k, j, _ = _monomial_slot(seq, algebra)
-        nrows = len(basis_in_degree(d + k, algebra))
-        table = None
-        if squares and len(seq) == 1 and (d + k, algebra) not in _BLOCKS:
-            table = _square_rows(d + k, algebra)
-        if table is not None:
-            rows = table[k]
-        else:
-            block, stride = _right_action_block(d, k, algebra)
-            rows = block[j::stride]
+        n = d + k
+        nrows = len(basis_in_degree(n, algebra))
+        if squares and _is_square(seq) and (n, algebra) not in _BLOCKS:
+            for s, rows in _walk_squares(n, algebra).items():
+                _right_memo(n - s, algebra).setdefault(
+                    (s,), BitMatrix(len(rows), nrows, rows))
+            return memo[seq]
+        block, stride = _right_action_block(d, k, algebra)
+        rows = block[j::stride]
         mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
     return mat
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (column, milnor_product_unpruned,
                      multiplication_block_by_pairs, row, square_rows_by_pairs)
 from steenmod import milnor as M
+from steenmod.annihilator import chain_perp_profile, sq_power_chain
 from steenmod.f2 import BitMatrix
 from steenmod.gmodule import Window, dual_regular, regular
 from steenmod.milnor import Algebra, Element
@@ -37,10 +38,32 @@ def test_basis_examples():
 
 
 def test_basis_is_sorted_and_graded():
-    for d in range(12):
+    for d in range(127):
         basis = M.basis_in_degree(d, FULL)
-        assert list(basis) == sorted(basis)
+        assert list(basis) == sorted(set(basis))
         assert all(M.degree(s) == d for s in basis)
+
+
+def test_basis_dims_match_the_generating_function():
+    """Over the full algebra dim A^d, d <= 126, is the coefficient of x^d
+    in the product of 1 / (1 - x^(2^i - 1)) over i >= 1."""
+    top = 126
+    want = [1] + [0] * top
+    for i in range(1, top.bit_length() + 1):
+        w = (1 << i) - 1
+        for d in range(w, top + 1):
+            want[d] += want[d - w]
+    assert [FULL.dim(d) for d in range(top + 1)] == want
+
+
+def test_subalgebra_bases_filter_the_full_basis():
+    """Every basis of A(n), n <= 3, up to one past its top, is the full
+    algebra's basis of that degree filtered by the profile."""
+    for n in range(4):
+        alg = Algebra.subalgebra(n)
+        for d in range(alg.top_degree() + 2):
+            assert alg.basis(d) == tuple(
+                s for s in FULL.basis(d) if M.in_profile(s, n)), (n, d)
 
 
 def test_unit_law():
@@ -298,17 +321,21 @@ def test_dual_regular_modules_share_memoized_matrices(alg):
     assert shared
 
 
+def _powers(n, alg):
+    """The degrees 2^j <= n of the algebra's squares Sq(2^j)."""
+    return [1 << j for j in range(n.bit_length()) if alg.contains((1 << j,))]
+
+
 def _check_square_rows(n, alg):
     table = M._walk_squares(n, alg)
-    assert sorted(table) == [k for k in range(1, n + 1)
-                             if alg.contains((k,))], (n, alg)
+    assert sorted(table) == _powers(n, alg), (n, alg)
     for k, rows in table.items():
         assert rows == square_rows_by_pairs(n, k, alg), (n, k, alg)
 
 
 def test_square_rows_match_per_pair_oracle_exhaustive():
-    """Every square of every degree n <= 40 over the full algebra, and of
-    every degree of A(1) and A(2), one past the top included."""
+    """Every square Sq(2^j) of every degree n <= 40 over the full algebra,
+    and of every degree of A(1) and A(2), one past the top included."""
     cases = [(n, FULL) for n in range(41)]
     for alg in (Algebra.subalgebra(1), A2):
         cases += [(n, alg) for n in range(alg.top_degree() + 2)]
@@ -320,33 +347,50 @@ def test_square_rows_match_per_pair_oracle_exhaustive():
 @given(st.data())
 def test_square_rows_match_per_pair_oracle_random(data):
     n = data.draw(st.integers(41, 70))
-    k = data.draw(st.integers(1, n))
-    assert M._walk_squares(n, FULL)[k] == square_rows_by_pairs(n, k, FULL)
+    k = 1 << data.draw(st.integers(0, n.bit_length() - 1))
+    table = M._walk_squares(n, FULL)
+    assert sorted(table) == _powers(n, FULL)
+    assert table[k] == square_rows_by_pairs(n, k, FULL)
 
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty product, square and right multiplication memos for one test,
-    the process's own restored after it."""
+    """Empty product and right multiplication memos for one test, the
+    process's own restored after it."""
     def reset():
         monkeypatch.setattr(M, "_BLOCKS", {})
-        monkeypatch.setattr(M, "_SQUARES", {})
         monkeypatch.setattr(M, "_right_memo",
                             lru_cache(maxsize=None)(lambda d, alg: {}))
     reset()
     return reset
 
 
+@pytest.fixture
+def square_walks(monkeypatch):
+    """The (degree, algebra) of each call of ``_walk_squares`` in one test,
+    in call order."""
+    calls = []
+    walk = M._walk_squares
+
+    def counted(n, alg):
+        calls.append((n, alg))
+        return walk(n, alg)
+    monkeypatch.setattr(M, "_walk_squares", counted)
+    return calls
+
+
 @pytest.mark.parametrize("alg", [FULL, Algebra.subalgebra(1), A2],
                          ids=["full", "a1", "a2"])
-def test_dual_regular_squares_agree_walked_or_not(alg, fresh_memos):
-    """A dual regular module reads a square of a degree not yet walked off
-    the squares' walk, leaving the degree unwalked, and one of a walked
-    degree off the whole walk; both give the same matrices, and the
-    stride slices of the whole blocks."""
+def test_dual_regular_squares_agree_walked_or_not(alg, fresh_memos,
+                                                  square_walks):
+    """A dual regular module reads Sq(2^i) of a degree not yet walked whole
+    off the squares' walk, leaving the degree unwalked whole, and of a
+    walked degree off the whole walk; both give the same matrices, the
+    stride slices of the whole blocks.  A read of Sq(3) walks its degree
+    whole."""
     window = Window(-24, 0)
-    keys = [((k,), d) for d in window for k in range(1, 17)
-            if alg.contains((k,)) and d + k <= 0]
+    keys = [((k,), d) for d in window for k in _powers(24, alg)
+            if d + k <= 0]
 
     def read():
         m = dual_regular(alg, window)
@@ -354,32 +398,51 @@ def test_dual_regular_squares_agree_walked_or_not(alg, fresh_memos):
                 if m.dims[key[1]] and m.dims[key[1] + key[0][0]]}
     by_squares = read()
     degrees = {-d for _, d in by_squares}
-    assert {n for n, _ in M._SQUARES} == degrees
+    assert sorted(square_walks) == sorted((n, alg) for n in degrees)
     assert not any((n, alg) in M._BLOCKS for n in degrees)
     fresh_memos()
     for n in degrees:
         M._product_blocks(n, alg)
+    walks = len(square_walks)
     assert read() == by_squares
-    assert not M._SQUARES
+    assert len(square_walks) == walks
     for ((k,), d), mat in by_squares.items():
         block, stride = M._right_action_block(-d - k, k, alg)
         j = M._basis_index(k, alg.profile_index)[(k,)]
         assert mat.rows == block[j::stride]
+    fresh_memos()
+    m = dual_regular(alg, window)
+    mat = m.action((3,), -6)
+    assert (6, alg) in M._BLOCKS and len(square_walks) == walks
+    assert mat.rows == square_rows_by_pairs(6, 3, alg)
 
 
-def test_square_walk_runs_once_per_degree(fresh_memos):
-    """Only the latest degree keeps its squares' rows; a square read at an
-    earlier degree after that walks the earlier degree whole."""
+def test_square_walk_runs_once_per_degree(fresh_memos, square_walks):
+    """A 4-stage square chain on the dual regular module walks each degree
+    for its squares at most once, and every matrix that walk files is the
+    one ``right_multiplication`` returns."""
     m = dual_regular(FULL, Window(-30, 0))
-    first = m.action((1,), -20)
-    m.action((1,), -21)
-    assert M._SQUARES[20, FULL] is None
-    assert M._SQUARES[21, FULL] is not None
-    second = m.action((2,), -20)
-    assert (20, FULL) in M._BLOCKS and (21, FULL) not in M._BLOCKS
-    assert set(M._SQUARES) == {(20, FULL), (21, FULL)}
-    assert first.rows == square_rows_by_pairs(20, 1, FULL)
-    assert second.rows == square_rows_by_pairs(20, 2, FULL)
+    chain_perp_profile(sq_power_chain(4), m)
+    assert square_walks
+    assert len(square_walks) == len(set(square_walks))
+    for n, _ in square_walks:
+        for k in _powers(n, FULL):
+            mat = M._right_memo(n - k, FULL)[(k,)]
+            assert mat is M.right_multiplication(Element.sq(k), n - k, FULL)
+            assert mat.rows == square_rows_by_pairs(n, k, FULL)
+
+
+def test_square_walk_keeps_matrices_already_filed(fresh_memos, monkeypatch):
+    """A square's matrix already in the memo when its degree is walked for
+    its squares keeps its identity."""
+    kept = M.right_multiplication(Element.sq(2), 18, FULL)
+    # forget the whole walk of degree 20, keep its memoized matrix
+    monkeypatch.setattr(M, "_BLOCKS", {})
+    m = dual_regular(FULL, Window(-30, 0))
+    assert m.action((1,), -20).rows == square_rows_by_pairs(20, 1, FULL)
+    assert (20, FULL) not in M._BLOCKS
+    assert M._right_memo(18, FULL)[(2,)] is kept
+    assert m.action((2,), -20) is kept
 
 
 def test_multi_term_right_multiplication_is_not_memoized():

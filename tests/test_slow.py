@@ -21,7 +21,7 @@ IOTA_FAILURE_FIVE_STAGES = \
     "97465f97e01c16a4a8544c3a230bb70e0c336d61bdf57eda5c074eb3c5090b8f"
 
 SIX_STAGE_CAP_BYTES = 1 << 30   # address space of the six-stage run
-SIX_STAGE_PEAK_MB = 500         # its resident peak
+SIX_STAGE_PEAK_MB = 200         # its resident peak
 
 
 def _scenario(*args):
@@ -63,7 +63,7 @@ def _cap_address_space():
 @pytest.mark.slow
 def test_prop_3_1_at_six_stages_fits_in_memory(tmp_path):
     """Six stages on −126..0 run under a 1 GiB address-space cap, peak
-    under 500 MB resident and meet every expectation."""
+    under 200 MB resident and meet every expectation."""
     out = tmp_path / "report.txt"
     with open(out, "w") as sink:
         proc = subprocess.Popen(
