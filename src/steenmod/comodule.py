@@ -75,7 +75,9 @@ class GradedComodule:
     The constructor stores coactions as given, unchecked: it must hold
     exactly the blocks ``_required_coaction_keys`` yields for these dims,
     each of shape (dims[d + k] * dim A^k, dims[d]).  ``extended`` builds
-    them so and ``textio.parse_comodule`` checks them before it calls this.
+    them so, wrapping each block unchecked because its rows lie in the
+    column range by construction, and ``textio.parse_comodule`` checks
+    them before it calls this.
     """
 
     __slots__ = ("algebra", "window", "dims", "coactions",
@@ -118,7 +120,9 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
     to g's block, so the whole tuple, each entry shifted left by g's column
     offset at d, is the run of rows that starts at g's row offset at d + k
     times dim A^k.  A generator with n < k has no basis at d + k and adds
-    no rows.
+    no rows.  Each row so built is a mask over A^n shifted into g's columns
+    at d, inside the block's width dims[d] by construction, so the block is
+    wrapped without ``BitMatrix``'s per-row range check.
     """
     gens = _generators(v)
 
@@ -148,7 +152,7 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
                     continue
                 block = milnor.product_columns(n - k, k, algebra)
                 rows.extend([c << off for c in block] if off else block)
-            coactions[(d, k)] = BitMatrix(len(rows), dims[d], rows)
+            coactions[(d, k)] = BitMatrix._of_checked_rows(dims[d], rows)
     top = algebra.top_degree()
     if gens:
         top_exact = window.hi >= max(gens)
@@ -200,8 +204,10 @@ def iota(c: GradedComodule) -> GradedModule:
 
     The module calls its source only for keys with both dimensions
     nonzero, and those are exactly the stored coaction blocks.  The rows
-    are a slice of that checked block, whose width is dims[d] too, so
-    they are wrapped without a second range check.
+    are a slice of that block, whose width is dims[d] too and whose rows
+    lie in its column range (by construction in ``extended``, checked by
+    the parser for a comodule file), so they are wrapped without a range
+    check.
     """
     alg = c.algebra
     coactions, dims = c.coactions, c.dims
@@ -224,16 +230,19 @@ def iota_matches_suspended_duals(module: GradedModule,
 
     The coproduct is built on module's algebra and window for its header
     only: its dims and exactness flags must equal module's, and none of
-    its matrices is read.  Each required matrix of module, the j-th
-    monomial of degree k at d, is read once and compared part by part.
-    The part on generator g is the dual regular module at d - g, whose
-    action there is the transposed right multiplication by that monomial
-    on A^(g - d - k).  So its run of rows, for a part with a target at
-    d + k, must equal the slice at j of ``milnor._right_action_block(g -
-    d - k, k)``, fetched once per part and (k, d), shifted left to the
-    part's column offset, and must be zero when the part has no basis at
-    d.  No part matrix is built and no memo entry is made: the parts'
-    rows are read straight off the product block.
+    its matrices is read.  The matrices are compared one (d, k) block at
+    a time.  Each required matrix of module, the j-th monomial of degree
+    k at d, is read once through ``module.action``, and its rows are laid
+    into a list of dims[d + k] * dim A^k rows at j, j + dim A^k, ...: the
+    layout of a coaction block.  The part on generator g is the dual
+    regular module at d - g, whose action there is the transposed right
+    multiplication on A^(g - d - k), so its run of that list must equal
+    the whole of ``milnor._right_action_block(g - d - k, k)``, fetched
+    once per part and (d, k) and shifted left once to the part's column
+    offset, and must be zero when the part has no basis at d.  The runs
+    are joined into one reference list, and the two lists are compared
+    once per block.  No part matrix is built and no memo entry is made:
+    the parts' rows are read straight off the product block.
     """
     gens = _generators(v)
     algebra, window = module.algebra, module.window
@@ -245,33 +254,28 @@ def iota_matches_suspended_duals(module: GradedModule,
     dims = module.dims
     for k in range(1, window.width + 1):
         basis = algebra.basis(k)
+        stride = len(basis)
+        if not stride:
+            continue
         for d in range(window.lo, window.hi + 1 - k):
             if not (dims[d] and dims[d + k]):
                 continue
-            # (first row, end row, the product block of the part's algebra
-            # source or None when the part has no basis at d, its stride,
-            # column offset)
-            runs = []
-            start = col = 0
+            got = [0] * (dims[d + k] * stride)
+            for j, seq in enumerate(basis):
+                got[j::stride] = module.action(seq, d).rows
+            own: list[int] = []
+            col = 0
             for part, g in parts:
                 sd, td = part.dims[d - g], part.dims[d - g + k]
                 if td:
-                    block, stride = (milnor._right_action_block(
-                        g - d - k, k, algebra) if sd else (None, 0))
-                    runs.append((start, start + td, block, stride, col))
-                    start += td
+                    if sd:
+                        block, _ = milnor._right_action_block(
+                            g - d - k, k, algebra)
+                        own.extend([r << col for r in block]
+                                   if col else block)
+                    else:
+                        own.extend([0] * (td * stride))
                 col += sd
-            for j, seq in enumerate(basis):
-                rows = module.action(seq, d).rows
-                for lo, hi, block, stride, off in runs:
-                    run = rows[lo:hi]
-                    if block is None:
-                        if any(run):
-                            return False
-                        continue
-                    own = block[j::stride]
-                    if off:
-                        own = tuple([r << off for r in own])
-                    if run != own:
-                        return False
+            if got != own:
+                return False
     return True

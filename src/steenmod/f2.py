@@ -10,7 +10,9 @@ canonical subspaces come from its ``rref``, kernels from its
 and ranks from the size of its pivot tables.
 
 All values are immutable after construction and safe to share between
-threads.
+threads.  A ``BitMatrix``'s ``rows`` tuple is a plain field, as ``nrows``
+and ``ncols`` are: set once when the matrix is made and never rebound, so
+reading it is one attribute load.
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ class BitMatrix:
     The matrix of a linear map f: V -> W (in chosen bases) has shape
     (dim W, dim V); column j holds f(e_j), and vectors are multiplied on
     the right: ``m.apply(v)``.
+
+    ``nrows``, ``ncols`` and ``rows``, the tuple of the packed rows, are
+    plain fields, set when the matrix is made and never rebound.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
         if nrows < 0 or ncols < 0:
@@ -66,18 +71,19 @@ class BitMatrix:
                 raise ValueError("row has bits outside the column range")
         self.nrows = nrows
         self.ncols = ncols
-        self._rows = tuple(rows)
+        self.rows = tuple(rows)
 
     @classmethod
     def _of_checked_rows(cls, ncols: int, rows: Sequence[int]) -> "BitMatrix":
         """A matrix on rows known to lie in the column range, such as a
-        slice of the rows of a BitMatrix of the same ncols or the rows of
-        a block text whose width the parser has checked, so the per-row
-        check of ``__init__`` is skipped."""
+        slice of the rows of a BitMatrix of the same ncols, the rows of a
+        block text whose width the parser has checked, or the product
+        masks ``comodule.extended`` shifts into a block's columns, so the
+        per-row check of ``__init__`` is skipped."""
         mat = object.__new__(cls)
         mat.nrows = len(rows)
         mat.ncols = ncols
-        mat._rows = tuple(rows)
+        mat.rows = tuple(rows)
         return mat
 
     @classmethod
@@ -92,31 +98,27 @@ class BitMatrix:
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "BitMatrix":
         return cls(nrows, len(cols), _impl.transpose(cols, nrows))
 
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return self._rows
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows,
-                         _impl.transpose(self._rows, self.ncols))
+                         _impl.transpose(self.rows, self.ncols))
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in +")
         return BitMatrix(self.nrows, self.ncols,
-                         [a ^ b for a, b in zip(self._rows, other._rows)])
+                         [a ^ b for a, b in zip(self.rows, other.rows)])
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in @: {self.shape} x {other.shape}")
         return BitMatrix(self.nrows, other.ncols,
-                         mul_rows(self._rows, other._rows))
+                         mul_rows(self.rows, other.rows))
 
     def apply(self, v: int) -> int:
         """Matrix times column vector (v is a mask over columns)."""
         if v < 0 or v >> self.ncols:
             raise ValueError("vector outside column range")
-        return _impl.apply(self._rows, v)
+        return _impl.apply(self.rows, v)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,7 +128,7 @@ class BitMatrix:
         return (isinstance(other, BitMatrix)
                 and self.nrows == other.nrows
                 and self.ncols == other.ncols
-                and self._rows == other._rows)
+                and self.rows == other.rows)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"
@@ -199,9 +201,25 @@ class Subspace:
         return self.reduce(v) == 0
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Whether other lies in this subspace.
+
+        Each row of other is reduced only against the basis rows whose
+        pivots it holds, found in a table keyed by pivot bit and built per
+        call.  A reduced echelon row has no bit at another row's pivot, so
+        a nonzero vector of the span has a pivot as its lowest bit, and so
+        does what is left of it after that pivot's row is added; a lowest
+        bit that is no pivot puts the vector outside.
+        """
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(r) for r in other.basis.rows)
+        pivots = {r & -r: r for r in self.basis.rows}
+        for v in other.basis.rows:
+            while v:
+                r = pivots.get(v & -v)
+                if r is None:
+                    return False
+                v ^= r
+        return True
 
     def coordinates(self, v: int) -> Optional[int]:
         """Coefficients of v over the basis rows, or None if v is outside."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,8 +7,8 @@ import oracles
 from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
                                iota_matches_suspended_duals, validate_coaction)
 from steenmod.f2 import BitMatrix, mask_to_bits
-from steenmod.gmodule import (Window, _is_square, dual_regular,
-                              freeness_test)
+from steenmod.gmodule import (Window, _is_square, _required_action_keys,
+                              dual_regular, freeness_test)
 from steenmod.milnor import Algebra, degree
 
 FULL = Algebra.full()
@@ -327,3 +328,63 @@ def test_part_wise_check_compares_the_header():
     zero = iota(extended(ExtendedSpec({}), FULL, w))
     assert iota_matches_suspended_duals(zero, ExtendedSpec({}))
     assert not iota_matches_suspended_duals(zero, v)
+
+
+BLOCK_CASES = pytest.mark.parametrize("algebra,v_dims,window", [
+    (FULL, {0: 1, -2: 1}, Window(-10, 0)),
+    (A1, {0: 1, -4: 1}, Window(-12, 0)),
+    (A2, {0: 2, -3: 1}, Window(-14, 0)),
+], ids=["full", "a1", "a2"])
+
+
+@BLOCK_CASES
+def test_block_check_reads_every_required_matrix_once_through_iota(
+        algebra, v_dims, window):
+    """The block check reads ι's matrices through its source, exactly the
+    keys the module requires and each once, not the coaction blocks
+    behind them."""
+    v = ExtendedSpec(v_dims)
+    m = iota(extended(v, algebra, window))
+    reads = Counter()
+    source = m._source
+
+    def counting(seq, d):
+        reads[(seq, d)] += 1
+        return source(seq, d)
+    m._source = counting
+    assert iota_matches_suspended_duals(m, v)
+    required = list(_required_action_keys(algebra, window, m.dims))
+    assert required and len(set(required)) == len(required)
+    assert set(reads) == set(required)
+    assert set(reads.values()) == {1}
+
+
+@BLOCK_CASES
+def test_block_check_rejects_swapped_monomials(algebra, v_dims, window):
+    """Swapping the rows of Sq(3) and Sq(0,1) inside one coaction block
+    keeps every row of the block and only moves it between the two
+    monomials; the check rejects each such block, as the full-table
+    oracle does."""
+    v = ExtendedSpec(v_dims)
+    c = extended(v, algebra, window)
+    ref = oracles.iota_of_extended_reference(v, algebra, window)
+    k = 3
+    stride = algebra.dim(k)
+    i, j = algebra.basis(k).index((3,)), algebra.basis(k).index((0, 1))
+    swapped = 0
+    for d in window:
+        mat = c.coactions.get((d, k))
+        if mat is None:
+            continue
+        rows = list(mat.rows)
+        rows[i::stride], rows[j::stride] = rows[j::stride], rows[i::stride]
+        if rows == list(mat.rows):
+            continue
+        coactions = dict(c.coactions)
+        coactions[(d, k)] = BitMatrix(mat.nrows, mat.ncols, rows)
+        m = iota(GradedComodule(algebra, window, dict(c.dims), coactions,
+                                c.bottom_exact, c.top_exact))
+        assert not iota_matches_suspended_duals(m, v)
+        assert m != ref
+        swapped += 1
+    assert swapped

@@ -125,6 +125,38 @@ def test_canonical_form_bit_identical():
         Subspace.zero(2).contains_subspace(Subspace.zero(3))
 
 
+subspace_draws = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=8),
+    st.lists(st.integers(0, 255), max_size=4),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_draws)
+def test_contains_subspace_matches_the_row_walk(draw):
+    """The pivot-table containment agrees with ``contains`` run row by
+    row, on canonical subspaces drawn inside the first one and across
+    it."""
+    n, spanning, combos, extra = draw
+    a = Subspace.from_vectors(spanning, n)
+    inside = []
+    for mask in combos:
+        v = 0
+        for i, r in enumerate(a.basis.rows):
+            if mask >> i & 1:
+                v ^= r
+        inside.append(v)
+    b_in = Subspace.from_vectors(inside, n)
+    b_across = Subspace.from_vectors(inside + extra, n)
+    assert a.contains_subspace(b_in)
+    for b in (b_in, b_across):
+        assert a.contains_subspace(b) == all(a.contains(r)
+                                             for r in b.basis.rows)
+        assert b.contains_subspace(a) == all(b.contains(r)
+                                             for r in a.basis.rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices, st.integers(0, 63))
 def test_subspace_accepts_exactly_the_reduced_form(m, flip):
