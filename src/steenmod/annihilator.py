@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from . import milnor
 from ._f2pure import column_kernel, transpose
 from ._records import fields_equal, fields_hash
-from .f2 import BitMatrix, Subspace, kernel, mul_rows
+from .f2 import Subspace, kernel, mul_rows
 from .gmodule import GradedModule, Window
 from .milnor import Algebra, Element
 
@@ -168,15 +168,6 @@ class PerpProfile:
         return [d for d in self.window if self.certified[d]]
 
 
-def perp_ideal_in_module(ideal: HomIdeal, m: GradedModule) -> PerpProfile:
-    """Single-stage profile: the degreewise kernel of the generator actions.
-
-    An element is killed by the whole ideal iff every generator kills it,
-    so stacking the generator action matrices and taking kernels is exact.
-    """
-    return chain_perp_profile(IdealChain([ideal]), m)
-
-
 def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int,
                 prev: Optional[tuple[HomIdeal, Subspace, bool]] = None
                 ) -> tuple[Subspace, bool]:
@@ -211,12 +202,12 @@ def _stage_perp(ideal: HomIdeal, m: GradedModule, d: int,
     if base is None:
         if not rows:
             return Subspace.full(n), certified
-        return kernel(BitMatrix(len(rows), n, rows)), certified
-    basis = base.basis.rows
+        return kernel(rows, n), certified
+    basis = base.basis
     if not rows or not basis:
         return base, certified
     reach = mul_rows(rows, transpose(basis, n))
-    keep = kernel(BitMatrix(len(reach), len(basis), reach)).basis.rows
+    keep = kernel(reach, len(basis)).basis
     return Subspace.from_vectors(mul_rows(keep, basis), n), certified
 
 
@@ -323,9 +314,7 @@ def perp_subset_in_algebra(elements: Sequence[tuple[int, int]],
             for i, seq in enumerate(basis_k):
                 cols[i] |= m.action(seq, dy).apply(vy) << nrows
             nrows += m.dim(dy + k)
-        basis = column_kernel(cols, nrows)
-        spaces[k] = Subspace(len(basis_k),
-                             BitMatrix(len(basis), len(basis_k), basis))
+        spaces[k] = Subspace(len(basis_k), column_kernel(cols, nrows))
     out = WindowIdeal(algebra, Window(0, kmax), spaces)
     _check_left_ideal(out, kmax)
     return out
@@ -335,7 +324,7 @@ def _check_left_ideal(wi: WindowIdeal, kmax: int) -> None:
     """Closure of the degreewise family under left multiplication: every
     b * r with r in the family must land back in it."""
     for k, sp in wi.spaces.items():
-        for v in sp.basis.rows:
+        for v in sp.basis:
             for j in range(1, kmax - k + 1):
                 if k + j not in wi.spaces:
                     continue

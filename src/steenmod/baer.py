@@ -39,10 +39,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import milnor
-from ._f2pure import column_kernel, insert
+from ._f2pure import column_kernel, insert, transpose
 from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
-from .f2 import BitMatrix, Subspace, kernel, mul_rows
+from .f2 import Subspace, kernel, mul_rows
 from .gmodule import GradedModule
 from .milnor import Algebra, Element
 
@@ -60,12 +60,14 @@ class BaerVerdict:
 
     def __init__(self, status: str, hom_dim: int, extendable_dim: int,
                  constraints_complete: bool, note: str,
-                 witness: Optional[FailingMap] = None):
+                 witness: Optional[tuple[tuple[int, int, int], ...]] = None):
         self.status = status  # extends_all / fails / inconclusive
         self.hom_dim = hom_dim
         self.extendable_dim = extendable_dim
         self.constraints_complete = constraints_complete
         self.note = note
+        # a map admitting no extension: its values on the ideal's
+        # generators, one (generator degree, value degree, coords) each
         self.witness = witness
 
     __eq__ = fields_equal
@@ -73,17 +75,6 @@ class BaerVerdict:
     @property
     def passed(self) -> bool:
         return self.status == EXTENDS_ALL
-
-
-class FailingMap:
-    """A concrete non-extendable map: values on the ideal generators."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list[tuple[int, int, int]]):
-        self.values = values  # (generator degree, value degree, coords)
-
-    __eq__ = fields_equal
 
 
 @lru_cache(maxsize=None)
@@ -313,17 +304,12 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     witness = None
     if status == FAILS:
         # the kernel's basis is canonical, whatever form the rows are in
-        rows = list(pivots.values())
-        sol = kernel(BitMatrix(len(rows), total, rows))
-        ext_space = Subspace.from_vectors(
-            BitMatrix(len(restr), sd, restr).transpose().rows, total)
-        for v in sol.basis.rows:
+        sol = kernel(list(pivots.values()), total)
+        ext_space = Subspace.from_vectors(transpose(restr, sd), total)
+        for v in sol.basis:
             if not ext_space.contains(v):
-                values = []
-                for gd, gv, td, off in gen_info:
-                    mask = (v >> off) & ((1 << td) - 1)
-                    values.append((gd, shift + gd, mask))
-                witness = FailingMap(values)
+                witness = tuple((gd, shift + gd, (v >> off) & ((1 << td) - 1))
+                                for gd, _, td, off in gen_info)
                 break
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")
@@ -431,15 +417,15 @@ def build_witness(chain: IdealChain, m: GradedModule,
             raise ValueError(
                 f"stage {n}: no nonzero perp element at degree {deg}")
         if prefer_stable and union_perp.dim > 0:
-            pick = union_perp.basis.rows[0]
+            pick = union_perp.basis[0]
         else:
             pick = None
-            for v in stage_perp.basis.rows:
+            for v in stage_perp.basis:
                 if not union_perp.contains(v):
                     pick = v
                     break
             if pick is None:
-                pick = stage_perp.basis.rows[0]
+                pick = stage_perp.basis[0]
         if n < K and not union_perp.contains(pick):
             forced.append(n)
             stage_witnesses[n] = _union_killer_witness(union, m, deg, pick)

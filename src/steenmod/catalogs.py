@@ -29,7 +29,7 @@ def _all_subspaces(n: int) -> list[Subspace]:
     for r in range(0, n + 1):
         for combo in combinations(vectors, r):
             sp = Subspace.from_vectors(list(combo), n)
-            seen[(sp.basis.rows, n)] = sp
+            seen[(sp.basis, n)] = sp
     return list(seen.values())
 
 
@@ -71,9 +71,9 @@ def _family_generators(m: GradedModule, family: dict[int, Subspace]
         for k in range(1, d - m.window.lo + 1):
             for seq in alg.basis(k):
                 mat = m.action(seq, d - k)
-                for v in family[d - k].basis.rows:
+                for v in family[d - k].basis:
                     insert(image, mat.apply(v))
-        for v in sp.basis.rows:
+        for v in sp.basis:
             if insert(image, v):
                 gens.append(milnor.element_from_coords(v, d, alg))
     return gens

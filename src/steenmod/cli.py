@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import milnor, textio
-from .annihilator import (HomIdeal, chain_perp_profile, perp_ideal_in_module,
+from .annihilator import (HomIdeal, IdealChain, chain_perp_profile,
                           perp_subset_in_algebra)
 from .baer import baer_test, build_witness
 from .comodule import (ExtendedSpec, _coassociativity_messages, extended,
@@ -45,6 +45,15 @@ class _Parser(argparse.ArgumentParser):
 def _parse_window(text: str) -> Window:
     lo, hi = text.split("..")
     return Window(int(lo), int(hi))
+
+
+def _parse_max(text: str) -> int:
+    """--max: a degree bound, refused when negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a degree >= 0, got {value}")
+    return value
 
 
 def _parse_subalgebra(text: str) -> Algebra:
@@ -154,7 +163,7 @@ def cmd_perp(args) -> int:
                 lines.append(f"{k} ? no")
     else:
         ideal = _parse_ideal(args.ideal)
-        prof = perp_ideal_in_module(ideal, m)
+        prof = chain_perp_profile(IdealChain([ideal]), m)
         lines.append("degree dim certified")
         for d in prof.window:
             cert = "yes" if prof.certified[d] else "no"
@@ -201,7 +210,7 @@ def cmd_baer(args) -> int:
              f"relations-complete: {v.constraints_complete}",
              f"note: {v.note}"]
     if v.witness is not None:
-        for gd, vd, mask in v.witness.values:
+        for gd, vd, mask in v.witness:
             lines.append(f"witness-value: generator-degree {gd} "
                          f"value-degree {vd} coords {mask:x}")
     _emit(lines)
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="basis dimensions per degree")
     p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.add_argument("--max", type=int, default=24)
+    p.add_argument("--max", type=_parse_max, default=24)
     p.add_argument("--subalgebra", type=_parse_subalgebra,
                    default=Algebra.full())
     p.set_defaults(func=cmd_dims)
@@ -385,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_window, default=None)
     p.add_argument("--n", type=int, default=None, help="subalgebra index")
     p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_parse_max, default=None)
     p.set_defaults(func=cmd_scenario)
     return parser
 

@@ -237,12 +237,13 @@ def iota_matches_suspended_duals(module: GradedModule,
     layout of a coaction block.  The part on generator g is the dual
     regular module at d - g, whose action there is the transposed right
     multiplication on A^(g - d - k), so its run of that list must equal
-    the whole of ``milnor._right_action_block(g - d - k, k)``, fetched
-    once per part and (d, k) and shifted left once to the part's column
-    offset, and must be zero when the part has no basis at d.  The runs
-    are joined into one reference list, and the two lists are compared
-    once per block.  No part matrix is built and no memo entry is made:
-    the parts' rows are read straight off the product block.
+    the whole of ``milnor.product_columns(g - d - k, k)``, the product
+    block that ``milnor.right_multiplication`` reads with stride dim A^k,
+    fetched once per part and (d, k) and shifted left once to the part's
+    column offset, and must be zero when the part has no basis at d.  The
+    runs are joined into one reference list, and the two lists are
+    compared once per block.  No part matrix is built and no memo entry is
+    made: the parts' rows are read straight off the product block.
     """
     gens = _generators(v)
     algebra, window = module.algebra, module.window
@@ -269,8 +270,8 @@ def iota_matches_suspended_duals(module: GradedModule,
                 sd, td = part.dims[d - g], part.dims[d - g + k]
                 if td:
                     if sd:
-                        block, _ = milnor._right_action_block(
-                            g - d - k, k, algebra)
+                        block = milnor.product_columns(g - d - k, k,
+                                                       algebra)
                         own.extend([r << col for r in block]
                                    if col else block)
                     else:

@@ -1,7 +1,9 @@
 """Exact linear algebra over the two-element field.
 
 Matrices are dense and bit-packed: each row is a Python int whose bit j is
-the entry in column j.  Vectors are single ints of the same shape.  The
+the entry in column j.  Vectors are single ints of the same shape, and a
+``Subspace``'s canonical basis is a plain tuple of such rows; ``kernel``
+takes the rows of its matrix and their width, not a ``BitMatrix``.  The
 inner loops live in ``steenmod._f2pure``, bound here as ``_impl`` and
 looked up on it at call time, so a profiler can rebind them in one place.
 Every elimination in the package is ``_impl``'s pivot insertion:
@@ -147,26 +149,28 @@ def _identity_cached(n: int) -> "BitMatrix":
 class Subspace:
     """A subspace of GF(2)^n in canonical form.
 
-    The basis is the reduced row-echelon form of any spanning set, with
-    zero rows dropped, so equal subspaces compare bit-identical.
+    The basis is a tuple of rows, packed as ``BitMatrix`` rows are: the
+    reduced row-echelon form of any spanning set, with zero rows dropped,
+    so equal subspaces compare bit-identical.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: BitMatrix):
-        if basis.ncols != ambient_dim:
-            raise ValueError("basis width disagrees with ambient dimension")
+    def __init__(self, ambient_dim: int, rows: Sequence[int]):
+        basis = tuple(rows)
         # the reduced echelon form is the unique basis whose rows are
         # nonzero, whose lowest set bits (the pivots) strictly increase,
         # and which has no bit at another row's pivot
         pivmask = prev = 0
-        for r in basis.rows:
+        for r in basis:
+            if r < 0 or r >> ambient_dim:
+                raise ValueError("row has bits outside the ambient dimension")
             low = r & -r
             if low <= prev:
                 raise ValueError("basis is not in canonical reduced form")
             pivmask |= low
             prev = low
-        for r in basis.rows:
+        for r in basis:
             if r & pivmask != r & -r:
                 raise ValueError("basis is not in canonical reduced form")
         self.ambient_dim = ambient_dim
@@ -174,24 +178,23 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[int], ambient_dim: int) -> "Subspace":
-        red, _ = _impl.rref(list(vectors), ambient_dim)
-        return cls(ambient_dim, BitMatrix(len(red), ambient_dim, red))
+        return cls(ambient_dim, _impl.rref(list(vectors), ambient_dim)[0])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix(0, ambient_dim, []))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix.identity(ambient_dim))
+        return cls(ambient_dim, BitMatrix.identity(ambient_dim).rows)
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.basis)
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the basis; 0 iff v in span."""
-        for r in self.basis.rows:
+        for r in self.basis:
             low = r & -r
             if v & low:
                 v ^= r
@@ -212,8 +215,8 @@ class Subspace:
         """
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        pivots = {r & -r: r for r in self.basis.rows}
-        for v in other.basis.rows:
+        pivots = {r & -r: r for r in self.basis}
+        for v in other.basis:
             while v:
                 r = pivots.get(v & -v)
                 if r is None:
@@ -224,7 +227,7 @@ class Subspace:
     def coordinates(self, v: int) -> Optional[int]:
         """Coefficients of v over the basis rows, or None if v is outside."""
         coords = 0
-        for i, r in enumerate(self.basis.rows):
+        for i, r in enumerate(self.basis):
             low = r & -r
             if v & low:
                 v ^= r
@@ -240,7 +243,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def kernel(m: BitMatrix) -> Subspace:
-    """{v : m @ v = 0} in canonical form; dim = ncols - rank."""
-    basis = _impl.nullspace(m.rows, m.ncols)
-    return Subspace(m.ncols, BitMatrix(len(basis), m.ncols, basis))
+def kernel(rows: Sequence[int], ncols: int) -> Subspace:
+    """{v : M @ v = 0} in canonical form, for the matrix M of ncols
+    columns with these packed rows; dim = ncols - rank."""
+    return Subspace(ncols, _impl.nullspace(rows, ncols))

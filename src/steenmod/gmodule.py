@@ -442,7 +442,7 @@ def _first_escape(m: GradedModule, family: Mapping[int, Subspace]
     for k in range(1, w.width + 1):
         for seq in m.algebra.basis(k):
             for d in range(w.lo, w.hi + 1 - k):
-                vectors = family[d].basis.rows
+                vectors = family[d].basis
                 if not vectors:
                     continue
                 mat = m.action(seq, d)
@@ -466,7 +466,7 @@ def submodule(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
         mat = m.action(seq, d)
         target = family[d + milnor.degree(seq)]
         return BitMatrix.from_columns(
-            [target.coordinates(mat.apply(v)) for v in family[d].basis.rows],
+            [target.coordinates(mat.apply(v)) for v in family[d].basis],
             target.dim)
     return GradedModule(m.algebra, m.window,
                         {d: sp.dim for d, sp in family.items()}, source,
@@ -483,7 +483,7 @@ def quotient(m: GradedModule, spaces: dict[int, Subspace]) -> GradedModule:
     # coset coordinates: entries at non-pivot columns after reduction
     free_cols = {}
     for d, sp in family.items():
-        pivots = {(r & -r).bit_length() - 1 for r in sp.basis.rows}
+        pivots = {(r & -r).bit_length() - 1 for r in sp.basis}
         free_cols[d] = [j for j in range(m.dims[d]) if j not in pivots]
 
     def project(d: int, v: int) -> int:

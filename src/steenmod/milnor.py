@@ -27,19 +27,19 @@ The readers of products are slices of one block:
   isolated product of degree n pays for the walk of degree n.
 - ``product_columns(d1, d2)``: block (d1, d2) itself, one column mask per
   pair; ``comodule.extended`` reads its coaction rows from it directly.
+  Read with stride dim A^d2, the run at index j holds the rows of the
+  transposed right multiplication by the j-th monomial of degree d2 on
+  A^d1; ``comodule.iota_matches_suspended_duals`` compares those runs
+  without building a matrix.
 - ``multiplication_matrix(d1, d2)``: the same block as a matrix, for
   callers outside the engine.
 - ``_left_action(seq, d)``: left multiplication by one monomial on A^d,
   the contiguous run of block (deg seq, d) at the monomial's index; the
   regular module's source.
-- ``_right_action_block(d, k)``: block (d, k) with its stride dim A^k;
-  the run at index j with that stride holds the rows of the transposed
-  right multiplication by the j-th monomial of degree k on A^d.
-  ``comodule.iota_matches_suspended_duals`` fetches it once per part and
-  compares against its slices without building a matrix.
-- ``_right_action(seq, d)``: those rows as a memoized matrix; the dual
-  regular module's source.  When that source reads a square Sq(2^i) at a
-  degree n = d + 2^i whose whole walk has not run, the rows come instead
+- ``_right_action(seq, d)``: the stride run of block (d, deg seq) at the
+  monomial's index as a memoized matrix; the dual regular module's
+  source.  When that source reads a square Sq(2^i) at a degree
+  n = d + 2^i whose whole walk has not run, the rows come instead
   from ``_walk_squares(n)``, a walk of only the squares' part of the
   coproduct, which costs 2^popcount(T) per target T instead of the
   product of (m + 1)^popcount(t_m), and keeps no block of the degree; the
@@ -50,13 +50,15 @@ The readers of products are slices of one block:
   sum XORing the stride slices of its terms; ideal spans and relations
   read it.
 
-Basis lists and each monomial's position in its basis, monomial degrees,
-isolated products, the blocks of each degree, multiplication matrices, and
-the left and the transposed right multiplication matrix of each monomial
-on each degree are memoized; construction is idempotent and the memoized
-values are immutable, so sharing them is safe.  The squares' rows are
-kept only as those matrices.  Nothing is kept across runs: a degree's
-blocks are rebuilt by one walk the first time a process reads them.
+Every basis goes through ``Algebra.basis`` and every dimension through
+``Algebra.dim``, inside this module too.  Basis lists and each monomial's
+position in its basis, monomial degrees, isolated products, the blocks of
+each degree, multiplication matrices, and the left and the transposed
+right multiplication matrix of each monomial on each degree are memoized;
+construction is idempotent and the memoized values are immutable, so
+sharing them is safe.  The squares' rows are kept only as those matrices.
+Nothing is kept across runs: a degree's blocks are rebuilt by one walk the
+first time a process reads them.
 """
 
 from __future__ import annotations
@@ -160,10 +162,11 @@ class Algebra:
         return self._top
 
     def basis(self, d: int) -> tuple[Seq, ...]:
-        return basis_in_degree(d, self)
+        """All basis monomials of degree d, ordered lexicographically."""
+        return _basis_cached(d, self.profile_index)
 
     def dim(self, d: int) -> int:
-        return len(self.basis(d))
+        return len(_basis_cached(d, self.profile_index))
 
     def __str__(self) -> str:
         return "A" if self.is_full else f"A({self.profile_index})"
@@ -171,7 +174,7 @@ class Algebra:
 
 @lru_cache(maxsize=None)
 def _basis_cached(d: int, profile_index: Optional[int]) -> tuple[Seq, ...]:
-    """basis_in_degree(d), enumerated from the highest slot down: slot 0,
+    """``Algebra.basis(d)``, enumerated from the highest slot down: slot 0,
     of weight 1, takes whatever degree is left, so over the full algebra
     every leaf is a basis element, and over A(n) a leaf is dropped only
     when that rest exceeds slot 0's profile bound."""
@@ -206,14 +209,9 @@ def _basis_cached(d: int, profile_index: Optional[int]) -> tuple[Seq, ...]:
     return tuple(sorted(out))
 
 
-def basis_in_degree(d: int, algebra: Algebra) -> tuple[Seq, ...]:
-    """All basis monomials of degree d in the algebra, ordered lexicographically."""
-    return _basis_cached(d, algebra.profile_index)
-
-
 @lru_cache(maxsize=None)
 def _basis_index(d: int, profile_index: Optional[int]) -> dict[Seq, int]:
-    """Position of each monomial in basis_in_degree(d); do not mutate."""
+    """Position of each monomial in ``Algebra.basis(d)``; do not mutate."""
     return {seq: i for i, seq in enumerate(_basis_cached(d, profile_index))}
 
 
@@ -232,7 +230,7 @@ def multiply_seqs(r: Seq, s: Seq) -> frozenset[Seq]:
     d1, i, _ = _monomial_slot(r, full)
     d2, j, dim2 = _monomial_slot(s, full)
     mask = product_columns(d1, d2, full)[i * dim2 + j]
-    basis = basis_in_degree(d1 + d2, full)
+    basis = full.basis(d1 + d2)
     return frozenset(basis[b] for b in mask_to_bits(mask))
 
 
@@ -331,7 +329,7 @@ def parse_element(text: str) -> Element:
 
 
 def coords_of(elem: Element, d: int, algebra: Algebra) -> int:
-    """Coordinate mask of a homogeneous element in basis_in_degree(d)."""
+    """Coordinate mask of a homogeneous element in ``algebra.basis(d)``."""
     index = _basis_index(d, algebra.profile_index)
     v = 0
     for t in elem.terms:
@@ -345,7 +343,7 @@ def coords_of(elem: Element, d: int, algebra: Algebra) -> int:
 
 
 def element_from_coords(mask: int, d: int, algebra: Algebra) -> Element:
-    basis = basis_in_degree(d, algebra)
+    basis = algebra.basis(d)
     if mask < 0 or mask >> len(basis):
         raise ValueError("coordinate mask outside basis range")
     return Element(basis[i] for i in range(len(basis)) if (mask >> i) & 1)
@@ -381,17 +379,17 @@ def _walk_blocks(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     in A(n), so the surviving terms are exactly the subalgebra's products.
     """
     width = max(n, 1).bit_length()
-    dims = [len(basis_in_degree(d, algebra)) for d in range(n + 1)]
+    dims = [algebra.dim(d) for d in range(n + 1)]
     index: dict[int, tuple[int, int]] = {}
     for d in range(n + 1):
-        for i, seq in enumerate(basis_in_degree(d, algebra)):
+        for i, seq in enumerate(algebra.basis(d)):
             packed = 0
             for slot, r in enumerate(seq):
                 packed |= r << (width * slot)
             index[packed] = (d, i)
     cols = {d1: [0] * (dims[d1] * dims[n - d1]) for d1 in range(n + 1)}
     cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ti, t in enumerate(basis_in_degree(n, algebra)):
+    for ti, t in enumerate(algebra.basis(n)):
         terms = [(0, 0)]
         for m, tm in enumerate(t, 1):
             while tm:
@@ -421,7 +419,7 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
     """The rows of x -> x * Sq(2^j) from A^(n-2^j) into A^n, keyed by 2^j,
     for every square Sq(2^j) of the algebra with 2^j <= n: row i holds the
     coordinates of b_i Sq(2^j) for b_i the i-th monomial of degree n - 2^j.
-    They equal the stride slice of ``_right_action_block(n - 2^j, 2^j)`` at
+    They equal the stride slice of ``product_columns(n - 2^j, 2^j)`` at
     Sq(2^j), but come from a walk of only the squares' part of the
     coproduct.  Not memoized: ``_right_action`` files the rows in
     ``_right_memo`` and calls this once per degree.
@@ -445,7 +443,7 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
         if not algebra.contains((k,)):
             break
         start = len(where)
-        for seq in basis_in_degree(n - k, algebra):
+        for seq in algebra.basis(n - k):
             packed = k << kshift
             for slot, r in enumerate(seq):
                 packed |= r << (width * slot)
@@ -453,7 +451,7 @@ def _walk_squares(n: int, algebra: Algebra) -> dict[int, tuple[int, ...]]:
         spans[k] = start, len(where)
     flat = [0] * len(where)
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    for ti, t in enumerate(basis_in_degree(n, algebra)):
+    for ti, t in enumerate(algebra.basis(n)):
         terms = [0]
         for m, tm in enumerate(t, 1):
             while tm:
@@ -494,7 +492,7 @@ def multiplication_matrix(d1: int, d2: int, algebra: Algebra) -> BitMatrix:
     the pair (i, j) is i * dim A^d2 + j and holds the coordinates of b_i c_j.
     """
     return BitMatrix.from_columns(product_columns(d1, d2, algebra),
-                                  len(basis_in_degree(d1 + d2, algebra)))
+                                  algebra.dim(d1 + d2))
 
 
 @lru_cache(maxsize=None)
@@ -536,55 +534,42 @@ def _left_action(seq: Seq, d: int, algebra: Algebra) -> BitMatrix:
     mat = memo.get(seq)
     if mat is None:
         k, j, _ = _monomial_slot(seq, algebra)
-        dd = len(basis_in_degree(d, algebra))
-        nrows = len(basis_in_degree(d + k, algebra))
+        dd = algebra.dim(d)
+        nrows = algebra.dim(d + k)
         cols = product_columns(k, d, algebra)[j * dd:(j + 1) * dd] if dd else ()
         mat = memo[seq] = BitMatrix.from_columns(cols, nrows)
     return mat
-
-
-def _right_action_block(d: int, k: int, algebra: Algebra
-                        ) -> tuple[tuple[int, ...], int]:
-    """The product block (d, k) and its stride dim A^k: for b_j the j-th
-    monomial of degree k, ``block[j::stride]`` are the rows of the
-    transpose of x -> x * b_j from A^d to A^(d + k), row i holding the
-    coordinates of b_i b_j.  The dual regular action's rows, except for
-    the squares ``_right_action`` reads off ``_walk_squares``; nothing is
-    memoized here, and an empty A^d gives an empty block without building
-    the blocks of degree d + k."""
-    stride = len(basis_in_degree(k, algebra))
-    if not basis_in_degree(d, algebra):
-        return (), stride
-    return _product_blocks(d + k, algebra)[d], stride
 
 
 def _right_action(seq: Seq, d: int, algebra: Algebra,
                   squares: bool = False) -> BitMatrix:
     """Memoized transpose of x -> x * Sq(seq) from A^d to A^(d + deg seq).
 
-    Its rows are the stride slice of ``_right_action_block`` at the
-    monomial's index, read once into ``_right_memo``: the dual regular
-    action, shared by every module that reads it.  With squares, as the
-    dual regular module's source asks, a miss on Sq(2^i) at a degree
-    n = d + 2^i whose whole walk has not run calls ``_walk_squares(n)``
-    instead and files the matrix of every Sq(2^j) it returns in
-    ``_right_memo(n - 2^j)``, keeping any matrix already there.  A later
-    read of a square of degree n then hits the memo, so no degree is walked
-    for its squares twice; other monomials read the slice.
+    Its rows are the slice of ``product_columns(d, deg seq)`` at the
+    monomial's index with stride dim A^(deg seq), read once into
+    ``_right_memo``: the dual regular action, shared by every module that
+    reads it.  An empty A^d gives an empty matrix without walking degree
+    d + deg seq.  With squares, as the dual regular module's source asks,
+    a miss on Sq(2^i) at a degree n = d + 2^i whose whole walk has not
+    run calls ``_walk_squares(n)`` instead and files the matrix of every
+    Sq(2^j) it returns in ``_right_memo(n - 2^j)``, keeping any matrix
+    already there.  A later read of a square of degree n then hits the
+    memo, so no degree is walked for its squares twice; other monomials
+    read the slice.
     """
     memo = _right_memo(d, algebra)
     mat = memo.get(seq)
     if mat is None:
-        k, j, _ = _monomial_slot(seq, algebra)
+        k, j, stride = _monomial_slot(seq, algebra)
         n = d + k
-        nrows = len(basis_in_degree(n, algebra))
+        nrows = algebra.dim(n)
         if squares and _is_square(seq) and (n, algebra) not in _BLOCKS:
             for s, rows in _walk_squares(n, algebra).items():
                 _right_memo(n - s, algebra).setdefault(
                     (s,), BitMatrix(len(rows), nrows, rows))
             return memo[seq]
-        block, stride = _right_action_block(d, k, algebra)
-        rows = block[j::stride]
+        rows = (product_columns(d, k, algebra)[j::stride]
+                if algebra.dim(d) else ())
         mat = memo[seq] = BitMatrix(len(rows), nrows, rows)
     return mat
 
@@ -604,11 +589,11 @@ def right_multiplication(elem: Element, d: int, algebra: Algebra) -> BitMatrix:
     k = elem.degree()
     if k is None:
         raise ValueError("need a nonzero homogeneous element")
-    nrows = len(basis_in_degree(d + k, algebra))
-    dd = len(basis_in_degree(d, algebra))
+    nrows = algebra.dim(d + k)
+    dd = algebra.dim(d)
     if not dd:
         return BitMatrix(0, nrows, ())
-    block, stride = _right_action_block(d, k, algebra)
+    block, stride = product_columns(d, k, algebra), algebra.dim(k)
     rows = [0] * dd
     for j in mask_to_bits(coords_of(elem, k, algebra)):
         rows = [a ^ b for a, b in zip(rows, block[j::stride])]

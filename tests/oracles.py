@@ -42,10 +42,10 @@ from itertools import permutations
 from typing import Sequence
 
 from steenmod import _f2pure, milnor
-from steenmod.annihilator import (HomIdeal, WindowIdeal, ideal_span,
-                                  perp_ideal_in_module)
+from steenmod.annihilator import (HomIdeal, IdealChain, WindowIdeal,
+                                  chain_perp_profile, ideal_span)
 from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
-                           FailingMap, _generator_relations)
+                           _generator_relations)
 from steenmod.comodule import GradedComodule
 from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits
 from steenmod.gmodule import (GradedModule, Window, coproduct,
@@ -175,9 +175,9 @@ def multiplication_block_by_pairs(d1: int, d2: int,
                                   algebra: milnor.Algebra) -> BitMatrix:
     """The multiplication block (d1, d2) assembled one pair at a time from
     ``milnor_product_unpruned``: column i * dim A^d2 + j holds b_i c_j."""
-    b1 = milnor.basis_in_degree(d1, algebra)
-    b2 = milnor.basis_in_degree(d2, algebra)
-    b3 = milnor.basis_in_degree(d1 + d2, algebra)
+    b1 = algebra.basis(d1)
+    b2 = algebra.basis(d2)
+    b3 = algebra.basis(d1 + d2)
     index = {seq: i for i, seq in enumerate(b3)}
     cols = []
     for r in b1:
@@ -195,9 +195,9 @@ def square_rows_by_pairs(n: int, k: int, algebra: milnor.Algebra
     time from ``milnor_product_unpruned``: row i holds the coordinates of
     b_i Sq(k) in A^n."""
     index = {seq: i for i, seq in
-             enumerate(milnor.basis_in_degree(n, algebra))}
+             enumerate(algebra.basis(n))}
     rows = []
-    for r in milnor.basis_in_degree(n - k, algebra):
+    for r in algebra.basis(n - k):
         v = 0
         for t in milnor_product_unpruned(r, (k,)):
             v ^= 1 << index[t]
@@ -279,7 +279,7 @@ def milnor_to_admissible_table(d: int) -> dict[tuple[int, ...], frozenset[Word]]
     cols = [vec(p) for p in polys]
     mat = BitMatrix.from_columns(cols, len(monomials))
     table = {}
-    for seq in M.basis_in_degree(d, M.Algebra.full()):
+    for seq in M.Algebra.full().basis(d):
         target = vec(milnor_action(seq, d))
         x = solve(mat, target)
         assert x is not None, f"action of Sq{seq} not spanned by admissibles"
@@ -362,7 +362,7 @@ def solve(m: BitMatrix, target: int):
 def basis_elements(ideal: WindowIdeal, d: int) -> list[Element]:
     """The basis of an ideal's degree-d space, as algebra elements."""
     return [milnor.element_from_coords(v, d, ideal.algebra)
-            for v in ideal.space(d).basis.rows]
+            for v in ideal.space(d).basis]
 
 
 def table_source(table):
@@ -589,14 +589,14 @@ def submodule_eager(m: GradedModule, spaces) -> GradedModule:
                     # closure still needs checking when the target space is 0
                     if d + k in w and dims[d]:
                         mat = m.action(seq, d)
-                        for v in basis[d].basis.rows:
+                        for v in basis[d].basis:
                             if not basis[d + k].contains(mat.apply(v)):
                                 raise ValueError(
                                     f"family not closed: Sq{seq} at degree {d}")
                     continue
                 mat = m.action(seq, d)
                 cols = []
-                for v in basis[d].basis.rows:
+                for v in basis[d].basis:
                     coords = basis[d + k].coordinates(mat.apply(v))
                     if coords is None:
                         raise ValueError(f"family not closed: Sq{seq} at degree {d}")
@@ -614,7 +614,7 @@ def quotient_eager(m: GradedModule, spaces) -> GradedModule:
     # coset coordinates: entries at non-pivot columns after reduction
     free_cols = {}
     for d in w:
-        pivots = {(r & -r).bit_length() - 1 for r in sub[d].basis.rows}
+        pivots = {(r & -r).bit_length() - 1 for r in sub[d].basis}
         free_cols[d] = [j for j in range(m.dims[d]) if j not in pivots]
     dims = {d: len(free_cols[d]) for d in w}
 
@@ -633,7 +633,7 @@ def quotient_eager(m: GradedModule, spaces) -> GradedModule:
                 if d + k not in w:
                     continue
                 mat = m.action(seq, d)
-                for v in sub[d].basis.rows:
+                for v in sub[d].basis:
                     if not sub[d + k].contains(mat.apply(v)):
                         raise ValueError(f"family not invariant: Sq{seq} at degree {d}")
                 if not dims[d] or not dims[d + k]:
@@ -870,10 +870,9 @@ def graded_homs(src: GradedModule, dst: GradedModule, shift: int) -> list[Graded
                                     row ^= 1 << var(d + k, i, t)
                         if row:
                             rows.append(row)
-    sysmat = BitMatrix(len(rows), total, rows) if rows else BitMatrix.zero(0, total)
-    sol = kernel(sysmat)
+    sol = kernel(rows, total)
     homs = []
-    for v in sol.basis.rows:
+    for v in sol.basis:
         mats = {}
         for d in degrees:
             sd, td = src.dims[d], dst.dims[d + shift]
@@ -1111,14 +1110,14 @@ def baer_test_per_row(ideal, shift: int, target: GradedModule) -> BaerVerdict:
     status = FAILS if complete else INCONCLUSIVE
     witness = None
     if status == FAILS:
-        sol = kernel(BitMatrix(len(pivot_rows), total, pivot_rows))
-        for v in sol.basis.rows:
+        sol = kernel(pivot_rows, total)
+        for v in sol.basis:
             if not ext_space.contains(v):
                 values = []
                 for gd, gv, td, off in gen_info:
                     mask = (v >> off) & ((1 << td) - 1)
                     values.append((gd, shift + gd, mask))
-                witness = FailingMap(values)
+                witness = tuple(values)
                 break
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")
@@ -1145,7 +1144,7 @@ def finite_subideal(ideal: WindowIdeal | HomIdeal, m: GradedModule,
     def perp_dims(gens: Sequence[Element]) -> list[int]:
         if not gens:
             return [m.dim(d) for d in degrees]
-        prof = perp_ideal_in_module(HomIdeal(gens), m)
+        prof = chain_perp_profile(IdealChain([HomIdeal(gens)]), m)
         for d in degrees:
             if not prof.certified[d]:
                 raise ValueError(f"perp at degree {d} leaves the window")

@@ -32,7 +32,7 @@ def report(n, text):
 def test_criterion_1_dimension_oracle():
     t0 = time.time()
     for d in range(25):
-        engine = len(M.basis_in_degree(d, FULL))
+        engine = len(FULL.basis(d))
         oracle = len(oracles.admissible_words(d))
         assert engine == oracle, f"degree {d}: {engine} != {oracle}"
     elapsed = time.time() - t0
@@ -201,9 +201,9 @@ def test_criterion_8_invariant_suites():
     for d1 in range(17):
         for d2 in range(17 - d1):
             for d3 in range(17 - d1 - d2):
-                for a in M.basis_in_degree(d1, FULL):
-                    for b in M.basis_in_degree(d2, FULL):
-                        for c in M.basis_in_degree(d3, FULL):
+                for a in FULL.basis(d1):
+                    for b in FULL.basis(d2):
+                        for c in FULL.basis(d3):
                             ab = M.multiply_seqs(a, b)
                             left = set()
                             for t in ab:
@@ -220,7 +220,7 @@ def test_criterion_8_invariant_suites():
         dd = [rng.randint(0, 15) for _ in range(3)]
         if sum(dd) > 30:
             continue
-        a, b, c = (rng.choice(M.basis_in_degree(d, FULL)) for d in dd)
+        a, b, c = (rng.choice(FULL.basis(d)) for d in dd)
         ea, eb, ec = Element([a]), Element([b]), Element([c])
         assert (ea * eb) * ec == ea * (eb * ec)
         sampled += 1

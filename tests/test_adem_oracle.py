@@ -14,7 +14,7 @@ FULL = Algebra.full()
 
 def test_dimension_oracle_to_24():
     for d in range(25):
-        assert len(M.basis_in_degree(d, FULL)) == len(oracles.admissible_words(d)), d
+        assert len(FULL.basis(d)) == len(oracles.admissible_words(d)), d
 
 
 def test_adem_oracle_basics():
@@ -36,8 +36,8 @@ def test_products_match_adem_through_change_of_basis():
     for d1 in range(0, 6):
         for d2 in range(0, 6):
             if 0 < d1 + d2 <= 8:
-                for a in M.basis_in_degree(d1, FULL):
-                    for b in M.basis_in_degree(d2, FULL):
+                for a in FULL.basis(d1):
+                    for b in FULL.basis(d2):
                         pairs.append((d1, d2, a, b))
     rng.shuffle(pairs)
     for d1, d2, a, b in pairs[:120]:
@@ -104,7 +104,7 @@ def test_closure_reaches_profile_dimension():
                     if d + k > top:
                         continue
                     new_vecs = []
-                    for v in spans[d].basis.rows:
+                    for v in spans[d].basis:
                         elem = M.element_from_coords(v, d, FULL)
                         prod = g * elem
                         if prod.is_zero():
@@ -116,7 +116,7 @@ def test_closure_reaches_profile_dimension():
                     for v in new_vecs:
                         if not bigger.contains(v):
                             bigger = Subspace.from_vectors(
-                                bigger.basis.rows + (v,), bigger.ambient_dim)
+                                bigger.basis + (v,), bigger.ambient_dim)
                             changed = True
                     spans[d + k] = bigger
         for d in range(top + 1):

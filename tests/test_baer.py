@@ -126,7 +126,7 @@ def test_baer_witness_map_is_genuinely_non_extendable():
             break
     idl, shift, v = found
     # no y in target^shift restricts to the witness values on the generators
-    values = {gd: mask for gd, _, mask in v.witness.values}
+    values = {gd: mask for gd, _, mask in v.witness}
     sd = q.dims[shift]
     for y in range(1 << sd):
         if all(q.action_of(g, shift).apply(y) == values[g.degree()]
@@ -346,7 +346,7 @@ def _presentation_totals(ideals, algebra, top):
                 oracles.decomposable_relations(key, e, algebra), width)
             assert r.contains_subspace(d), (idl, e)
             assert set(minimal) <= set(rel), (idl, e)
-            both = Subspace.from_vectors([*d.basis.rows, *minimal], width)
+            both = Subspace.from_vectors([*d.basis, *minimal], width)
             # the minimal rows span R_e with D_e, and are independent of it
             assert both == r, (idl, e)
             assert len(minimal) == r.dim - d.dim, (idl, e)

@@ -243,8 +243,10 @@ def test_scenario_unknown_name(capsys):
     ["baer", "--seed", "1"],
     ["validate", "F", "--format", "structured"],
     ["witness", "--chain", "chain: [Sq(1)]", "--shift", "1"],
+    ["dims", "--max", "-1"],
+    ["scenario", "dims", "--max", "-1"],
 ], ids=["empty-window", "bad-int", "seed-not-accepted", "format-not-accepted",
-        "shift-not-accepted"])
+        "shift-not-accepted", "negative-max", "negative-scenario-max"])
 def test_usage_error_exits_3(argv, capsys):
     """A malformed option value is an error (3), not inconclusive (2)."""
     with pytest.raises(SystemExit) as exc:

@@ -856,7 +856,7 @@ def _generated_family(m, gens):
         for d in range(m.window.lo, e):
             for seq in m.algebra.basis(e - d):
                 mat = m.action(seq, d)
-                rows.extend(mat.apply(v) for v in spaces[d].basis.rows)
+                rows.extend(mat.apply(v) for v in spaces[d].basis)
         spaces[e] = Subspace.from_vectors(rows, m.dims[e])
     return spaces
 

@@ -31,15 +31,15 @@ def test_canonical_strips_trailing_zeros():
 
 
 def test_basis_examples():
-    assert M.basis_in_degree(0, FULL) == ((),)
-    assert set(M.basis_in_degree(7, FULL)) == {(7,), (4, 1), (1, 2), (0, 0, 1)}
+    assert FULL.basis(0) == ((),)
+    assert set(FULL.basis(7)) == {(7,), (4, 1), (1, 2), (0, 0, 1)}
     a1 = Algebra.subalgebra(1)
-    assert set(M.basis_in_degree(3, a1)) == {(3,), (0, 1)}
+    assert set(a1.basis(3)) == {(3,), (0, 1)}
 
 
 def test_basis_is_sorted_and_graded():
     for d in range(127):
-        basis = M.basis_in_degree(d, FULL)
+        basis = FULL.basis(d)
         assert list(basis) == sorted(set(basis))
         assert all(M.degree(s) == d for s in basis)
 
@@ -71,7 +71,7 @@ def test_unit_law():
     one = Element([()])
     for _ in range(25):
         d = rng.randint(0, 12)
-        basis = M.basis_in_degree(d, FULL)
+        basis = FULL.basis(d)
         x = Element(s for s in basis if rng.random() < 0.5)
         assert one * x == x
         assert x * one == x
@@ -90,8 +90,8 @@ def test_product_degree_additive():
     rng = random.Random(9)
     for _ in range(40):
         d1, d2 = rng.randint(0, 9), rng.randint(0, 9)
-        s1 = rng.choice(M.basis_in_degree(d1, FULL))
-        s2 = rng.choice(M.basis_in_degree(d2, FULL))
+        s1 = rng.choice(FULL.basis(d1))
+        s2 = rng.choice(FULL.basis(d2))
         p = Element([s1]) * Element([s2])
         if not p.is_zero():
             assert p.degree() == d1 + d2
@@ -102,9 +102,9 @@ def _assoc_triples(dmax, sample=None, seed=0):
     for d1 in range(dmax + 1):
         for d2 in range(dmax + 1 - d1):
             for d3 in range(dmax + 1 - d1 - d2):
-                for a in M.basis_in_degree(d1, FULL):
-                    for b in M.basis_in_degree(d2, FULL):
-                        for c in M.basis_in_degree(d3, FULL):
+                for a in FULL.basis(d1):
+                    for b in FULL.basis(d2):
+                        for c in FULL.basis(d3):
                             triples.append((a, b, c))
     if sample is not None:
         triples = random.Random(seed).sample(triples, sample)
@@ -147,8 +147,8 @@ def test_profile_closure_under_product():
 def test_products_match_unpruned_oracle_exhaustive():
     """Every pair of total degree <= 24, and every pair in A(2)."""
     pairs = [(a, b) for d1 in range(25) for d2 in range(25 - d1)
-             for a in M.basis_in_degree(d1, FULL)
-             for b in M.basis_in_degree(d2, FULL)]
+             for a in FULL.basis(d1)
+             for b in FULL.basis(d2)]
     a2 = [t for d in range(A2.top_degree() + 1) for t in A2.basis(d)]
     pairs += [(a, b) for a in a2 for b in a2]
     for a, b in pairs:
@@ -160,8 +160,8 @@ def test_products_match_unpruned_oracle_exhaustive():
 def test_products_match_unpruned_oracle_random(data):
     d1 = data.draw(st.integers(0, 48))
     d2 = data.draw(st.integers(0, 48 - d1))
-    a = data.draw(st.sampled_from(M.basis_in_degree(d1, FULL)))
-    b = data.draw(st.sampled_from(M.basis_in_degree(d2, FULL)))
+    a = data.draw(st.sampled_from(FULL.basis(d1)))
+    b = data.draw(st.sampled_from(FULL.basis(d2)))
     assert M.multiply_seqs(a, b) == milnor_product_unpruned(a, b)
 
 
@@ -193,7 +193,7 @@ def test_multiplication_matrix_unit_blocks():
     for d in range(7):
         m = M.multiplication_matrix(0, d, FULL)
         assert m == M.multiplication_matrix(0, d, FULL)
-        assert m.shape == (len(M.basis_in_degree(d, FULL)),) * 2
+        assert m.shape == (len(FULL.basis(d)),) * 2
         assert m == m.__class__.identity(m.nrows)
         m2 = M.multiplication_matrix(d, 0, FULL)
         assert m2 == m2.__class__.identity(m2.nrows)
@@ -209,8 +209,8 @@ def test_multiplication_matrix_matches_products():
     for _ in range(20):
         d1, d2 = rng.randint(0, 7), rng.randint(0, 7)
         mat = M.multiplication_matrix(d1, d2, FULL)
-        b1 = M.basis_in_degree(d1, FULL)
-        b2 = M.basis_in_degree(d2, FULL)
+        b1 = FULL.basis(d1)
+        b2 = FULL.basis(d2)
         i = rng.randrange(len(b1))
         j = rng.randrange(len(b2))
         col = column(mat, i * len(b2) + j)
@@ -245,12 +245,12 @@ def test_left_right_multiplication_consistency():
         for trial in range(80):
             k = rng.randint(1, 12)
             d = rng.randint(0, 16 - k)
-            basis = M.basis_in_degree(k, algebra)
+            basis = algebra.basis(k)
             if trial % 2 and len(basis) > 1:
                 elem = Element(rng.sample(basis, rng.randint(2, len(basis))))
             else:
                 elem = Element([rng.choice(basis)])
-            src = M.basis_in_degree(d, algebra)
+            src = algebra.basis(d)
             lm = regular(algebra, Window(0, 16)).action_of(elem, d)
             rm = M.right_multiplication(elem, d, algebra)
             assert rm.shape == (len(src), algebra.dim(d + k))
@@ -263,19 +263,19 @@ def test_left_right_multiplication_consistency():
 
 def _check_right_memo(e, k, alg):
     """Each memoized transposed right multiplication by a monomial of
-    degree k on A^e, and the stride helper it is built from, against the
-    per-pair block (e, k): the rows for monomial j are the block's
-    columns j, j + dim A^k, ..."""
+    degree k on A^e, and the stride slice of the product block it is
+    built from, against the per-pair block (e, k): the rows for monomial
+    j are the block's columns j, j + dim A^k, ..."""
     block = multiplication_block_by_pairs(e, k, alg)
-    basis_k = M.basis_in_degree(k, alg)
-    de = len(M.basis_in_degree(e, alg))
+    basis_k = alg.basis(k)
+    de = len(alg.basis(e))
     for j, seq in enumerate(basis_k):
         mat = M.right_multiplication(Element([seq]), e, alg)
         assert mat is M._right_memo(e, alg)[seq]
         rows = [column(block, j + i * len(basis_k)) for i in range(de)]
         assert mat == BitMatrix(de, block.nrows, rows), (seq, e, alg)
-        walked, stride = M._right_action_block(e, k, alg)
-        assert walked[j::stride] == mat.rows == tuple(rows)
+        walked = M.product_columns(e, k, alg)
+        assert walked[j::len(basis_k)] == mat.rows == tuple(rows)
 
 
 def test_right_memo_matches_per_pair_oracle_exhaustive():
@@ -308,7 +308,7 @@ def test_dual_regular_modules_share_memoized_matrices(alg):
     moved = dual_regular(alg, Window(-27, 3)).suspend(-3)
     shared = 0
     for k in range(1, 17):
-        for seq in M.basis_in_degree(k, alg):
+        for seq in alg.basis(k):
             for d in range(-20, -4 - k + 1):
                 if not (wide.dims[d] and wide.dims[d + k]):
                     continue
@@ -407,9 +407,9 @@ def test_dual_regular_squares_agree_walked_or_not(alg, fresh_memos,
     assert read() == by_squares
     assert len(square_walks) == walks
     for ((k,), d), mat in by_squares.items():
-        block, stride = M._right_action_block(-d - k, k, alg)
+        block = M.product_columns(-d - k, k, alg)
         j = M._basis_index(k, alg.profile_index)[(k,)]
-        assert mat.rows == block[j::stride]
+        assert mat.rows == block[j::alg.dim(k)]
     fresh_memos()
     m = dual_regular(alg, window)
     mat = m.action((3,), -6)
@@ -449,7 +449,7 @@ def test_multi_term_right_multiplication_is_not_memoized():
     """A sum of monomials is rebuilt on every call and equals the XOR of
     the terms' memoized matrices."""
     for e, k in [(3, 4), (7, 6), (10, 8)]:
-        terms = M.basis_in_degree(k, FULL)
+        terms = FULL.basis(k)
         elem = Element(terms[:2])
         memo = M._right_memo(e, FULL)
         before = dict(memo)
@@ -467,7 +467,7 @@ def test_multi_term_right_multiplication_is_not_memoized():
 def test_degree_memo_and_basis_index_match_closed_forms(data):
     alg = data.draw(st.sampled_from([FULL, Algebra.subalgebra(1), A2]))
     d = data.draw(st.integers(0, 40 if alg.is_full else alg.top_degree()))
-    basis = M.basis_in_degree(d, alg)
+    basis = alg.basis(d)
     index = M._basis_index(d, alg.profile_index)
     assert len(index) == len(basis)
     for seq in basis:

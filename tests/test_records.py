@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from steenmod.annihilator import HomIdeal, IdealChain
-from steenmod.baer import BaerVerdict, FailingMap
+from steenmod.baer import BaerVerdict
 from steenmod.comodule import ExtendedSpec
 from steenmod.gmodule import Window
 from steenmod.milnor import Algebra, Element
@@ -84,8 +84,7 @@ def test_reports_do_not_share_lines():
 
 def test_baer_verdicts_compare_by_fields():
     def verdict(values):
-        return BaerVerdict("fails", 3, 2, True, "note",
-                           FailingMap(values))
+        return BaerVerdict("fails", 3, 2, True, "note", tuple(values))
     assert verdict([(1, -1, 1)]) == verdict([(1, -1, 1)])
     assert verdict([(1, -1, 1)]) != verdict([(1, -1, 3)])
     assert verdict([(1, -1, 1)]) != BaerVerdict("fails", 3, 2, True, "note")

@@ -17,11 +17,12 @@ unused methods must be exactly their own allowlist.
 A ``__slots__`` field of a module-level class counts as read when the
 package reads an attribute of that name anywhere, its own class's methods
 included; again the name alone decides, so a field sharing its name with
-an attribute read elsewhere passes.  ``FailingMap.shift`` once passed
-this way, unread, on the reads of ``Window.shift`` and ``args.shift``; it
-is gone.  ``fields_equal`` and ``fields_hash``
-reach fields through ``getattr``, which is not a read by name, so a field
-that only they compare has no reader.  The unread fields must be exactly
+an attribute read elsewhere passes.  A ``shift`` field of the
+failing-map record ``baer`` once kept passed this way, unread, on the
+reads of ``Window.shift`` and ``args.shift``; it is gone, and so is the
+record.  ``fields_equal`` and ``fields_hash`` reach fields through
+``getattr``, which is not a read by name, so a field that only they
+compare has no reader.  The unread fields must be exactly
 their own allowlist.
 """
 
