@@ -10,6 +10,15 @@ certifies extends_all even when higher relations are not representable in
 the window; a failure verdict instead requires every relation degree to
 have been visible, otherwise the run reports inconclusive.
 
+What depends only on the ideal and the algebra is its presentation: the
+generators' degrees and coordinates, and per degree the relation rows
+and the minimal ones among them (next paragraph), each computed on its
+first read.  There is
+one per (generators, algebra), memoized in ``_PRESENTATIONS`` and
+fetched once per test, so a catalog run at many shifts and targets
+computes each degree's relations once.  A test then walks only the
+degrees where the target is nonzero.
+
 Only a minimal presentation of the relations is imposed.  The relations
 form a left submodule, and the squares Sq(2^k) generate the algebra
 (Milnor, Ann. of Math. 67, 1958), so the relations of degree e are spanned
@@ -35,14 +44,13 @@ that verdict, all re-checkable.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import milnor
 from ._f2pure import column_kernel, insert, transpose
 from ._records import fields_equal
 from .annihilator import HomIdeal, IdealChain, PerpProfile, _profile_for
-from .f2 import Subspace, kernel, mul_rows
+from .f2 import Subspace, kernel, mask_to_bits, mul_rows
 from .gmodule import GradedModule
 from .milnor import Algebra, Element
 
@@ -77,7 +85,6 @@ class BaerVerdict:
         return self.status == EXTENDS_ALL
 
 
-@lru_cache(maxsize=None)
 def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
                          algebra: Algebra
                          ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -85,11 +92,15 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
 
     The relation space is the kernel of (+)_i A^(e-|g_i|) -> A^e,
     (b_i) -> sum b_i g_i, with columns laid out as
-    [(generator index, basis index)].  Depends only on the ideal, so it is
-    cached across extension-test runs.
+    [(generator index, basis index)].  Not memoized itself: each degree
+    is computed once per presentation (``_presentation``).
 
     The kernel's canonical basis is ``_f2pure.column_kernel`` of the
-    columns' masks in A^e, the right multiplications by the generators.
+    columns' masks in A^e, the right multiplications by the generators,
+    read from the generators' coordinates as ``milnor.right_multiplication``
+    reads them: a monomial's from ``milnor._right_action``'s memo, a sum's
+    as the XOR of the stride slices of ``product_columns(e - |g_i|, |g_i|)``
+    at its terms.
     """
     cols: list[int] = []
     layout: list[tuple[int, int]] = []
@@ -97,8 +108,17 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
         k = e - gd
         if k < 0:
             continue
-        g = milnor.element_from_coords(gv, gd, algebra)
-        part = milnor.right_multiplication(g, k, algebra).rows
+        basis = algebra.basis(gd)
+        if gv & (gv - 1) == 0:  # a monomial
+            part = milnor._right_action(basis[gv.bit_length() - 1], k,
+                                        algebra).rows
+        else:
+            part = [0] * algebra.dim(k)
+            if part:
+                block = milnor.product_columns(k, gd, algebra)
+                for j in mask_to_bits(gv):
+                    part = [a ^ b for a, b in
+                            zip(part, block[j::len(basis)])]
         cols.extend(part)
         layout.extend((gi, j) for j in range(len(part)))
     if not cols:
@@ -106,12 +126,12 @@ def _generator_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     return tuple(column_kernel(cols, algebra.dim(e))), tuple(layout)
 
 
-@lru_cache(maxsize=None)
-def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
-                       algebra: Algebra) -> tuple[int, ...]:
-    """The degree-e rows of ``_generator_relations`` that are independent
-    modulo D_e, the sum over the squares Sq(2^k) of the algebra of
-    Sq(2^k) * R_(e - 2^k), in the same column layout.
+def _minimal_relations(pres: "_Presentation", e: int) -> tuple[int, ...]:
+    """The degree-e relation rows of the presentation that are
+    independent modulo D_e, the sum over the squares Sq(2^k) of the
+    algebra of Sq(2^k) * R_(e - 2^k), in the same column layout.  Not
+    memoized itself: ``_Presentation._minimal_at`` computes each degree
+    once, and the lower relations are read through the same record.
 
     They span R_e together with D_e, and there are dim R_e - dim D_e of
     them.  Sq(2^k) sends a lower relation's block of generator i, in
@@ -121,21 +141,21 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     The images go into one pivot table (``_f2pure.insert``), then the
     rows of R_e; a row with a nonzero residue is kept as it is.
     """
-    rows, layout = _generator_relations(gen_coords, e, algebra)
+    rows, layout = pres._relations_at(e)
     if not rows:
         return ()
+    algebra = pres.algebra
     offsets = {gi: pos for pos, (gi, j) in enumerate(layout) if j == 0}
-    min_gd = min(gd for gd, _ in gen_coords)
     table: dict[int, int] = {}
     s = 1
-    while s <= e - min_gd and algebra.contains((s,)):
-        lower, lower_layout = _generator_relations(gen_coords, e - s, algebra)
+    while s <= e - pres.min_gd and algebra.contains((s,)):
+        lower, lower_layout = pres._relations_at(e - s)
         if lower:
             sq = algebra.basis(s).index((s,))
             shifted = []
             for gi, j in lower_layout:
                 if j == 0:  # a generator's block starts: look up its slice
-                    m = e - s - gen_coords[gi][0]
+                    m = e - s - pres.gens[gi][0]
                     dm = algebra.dim(m)
                     cols = milnor.product_columns(s, m, algebra)[
                         sq * dm:(sq + 1) * dm]
@@ -147,22 +167,63 @@ def _minimal_relations(gen_coords: tuple[tuple[int, int], ...], e: int,
     return tuple(v for v in rows if insert(table, v))
 
 
-_GEN_COORDS: dict[tuple[tuple[Element, ...], Algebra],
-                  tuple[tuple[int, int], ...]] = {}
+class _Presentation:
+    """An ideal's generators over one algebra and the relations among
+    them, read one degree at a time.
+
+    gens holds each generator's (degree, coordinate mask) in the
+    algebra's basis, terms its monomials, min_gd and max_gd the least
+    and largest generator degree.  relations maps a degree e to
+    ``_generator_relations`` of e (rows and layout), minimal to
+    ``_minimal_relations`` of e; both are filled on first read, by
+    ``_relations_at`` and ``_minimal_at``.  The per-test reads are plain
+    attribute and dict reads and underscore-named methods, which the
+    benchmark's tracer (``perfbench/tracer.py``) leaves unwrapped.
+    """
+
+    __slots__ = ("algebra", "gens", "terms", "min_gd", "max_gd",
+                 "relations", "minimal")
+
+    def __init__(self, generators: tuple[Element, ...], algebra: Algebra):
+        self.algebra = algebra
+        self.gens = tuple((g.degree(), milnor.coords_of(g, g.degree(), algebra))
+                          for g in generators)
+        self.terms = tuple(tuple(g.terms) for g in generators)
+        self.min_gd = min(gd for gd, _ in self.gens)
+        self.max_gd = max(gd for gd, _ in self.gens)
+        self.relations: dict[int, tuple[tuple[int, ...],
+                                        tuple[tuple[int, int], ...]]] = {}
+        self.minimal: dict[int, tuple[int, ...]] = {}
+
+    def _relations_at(self, e: int
+                      ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        out = self.relations.get(e)
+        if out is None:
+            out = self.relations[e] = _generator_relations(self.gens, e,
+                                                           self.algebra)
+        return out
+
+    def _minimal_at(self, e: int) -> tuple[int, ...]:
+        out = self.minimal.get(e)
+        if out is None:
+            out = self.minimal[e] = _minimal_relations(self, e)
+        return out
 
 
-def _generator_coords(gens: tuple[Element, ...], algebra: Algebra
-                      ) -> tuple[tuple[int, int], ...]:
-    """Degree and coordinate mask of each generator in the algebra's
-    basis, memoized per generator tuple; a generator outside the algebra
-    raises ValueError and leaves no entry."""
-    key = (gens, algebra)
-    out = _GEN_COORDS.get(key)
-    if out is None:
-        out = tuple((g.degree(), milnor.coords_of(g, g.degree(), algebra))
-                    for g in gens)
-        _GEN_COORDS[key] = out
-    return out
+# the one presentation per (ideal generators, algebra)
+_PRESENTATIONS: dict[tuple[tuple[Element, ...], Algebra], _Presentation] = {}
+
+
+def _presentation(generators: tuple[Element, ...], algebra: Algebra
+                  ) -> _Presentation:
+    """The memoized presentation of the ideal with these generators over
+    the algebra; a generator outside the algebra raises ValueError and
+    leaves no entry."""
+    key = (generators, algebra)
+    pres = _PRESENTATIONS.get(key)
+    if pres is None:
+        pres = _PRESENTATIONS[key] = _Presentation(generators, algebra)
+    return pres
 
 
 def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
@@ -179,19 +240,31 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     library builds satisfies it.  Under it, the constraints of a relation
     Sq(2^k) * rho are combinations of rho's, so at each degree only the
     rows of ``_minimal_relations`` are imposed and the constraint row
-    space is the one the full relation space gives.  Every degree the
-    loop reaches lies at or above a generator's value degree, which is in
-    the window or below an exact bottom edge, so no lower degree that
-    the argument uses is unknown.
+    space is the one the full relation space gives.
+
+    Everything that depends on the ideal and the algebra alone is read
+    from their one presentation in ``_PRESENTATIONS`` (``_presentation``),
+    fetched once per call: the generators' degrees and coordinates, and
+    the relation and minimal rows of each degree, computed on their first
+    read and kept for every later test.  Dimensions inside the target's
+    window are read from ``target.dims``; ``dim`` is consulted only past
+    an edge.
 
     The restrictions y -> (g_i y)_i of the elements y of target degree
     shift span the column space of the generators' action matrices on
-    that degree, stacked.  Only its dimension, the rank of the stacked
-    rows, enters the verdict: the size of a pivot table they are inserted
-    into (``_f2pure.insert``).  The space itself, the canonical span of
-    the stacked matrix's columns, is built only for a failing map's
-    witness.  Each generator's degree and coordinates are memoized per
-    generator tuple (``_generator_coords``).
+    that degree, stacked; a generator's matrix is the XOR of its terms'
+    action rows.  Only its dimension, the rank of the stacked rows,
+    enters the verdict: the size of a pivot table they are inserted into
+    (``_f2pure.insert``).  The space itself, the canonical span of the
+    stacked matrix's columns, is built only for a failing map's witness.
+
+    The degree loop visits the relation degrees e from
+    max(min |g_i|, window.lo - shift) up, and only those where the
+    target is nonzero at shift + e.  Starting at the window's bottom
+    skips nothing: shift + min |g_i| passed the value-degree check, so a
+    lower shift + e lies below an exact bottom edge, where the target is
+    0.  For the same reason every degree the minimal-presentation
+    argument uses is known.  A degree with no relations imposes nothing.
 
     The constraints of relation degree e are assembled by one kernel
     product: the relation rows times one wide row per relation column, in
@@ -202,44 +275,49 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     pivot table (``_f2pure.insert``), so no row is reduced twice and the
     rank of the constraints is the size of the table.  The rank
     never passes total - ext_dim, as every restriction satisfies every
-    constraint, so the loop stops as soon as it gets there, at the degrees
-    where the full relation space is nonempty and the target is nonzero.
+    constraint, so the loop stops as soon as it gets there, at the first
+    visited degree that has relations; the minimal rows of a degree are
+    computed only while the rank is short of it.
     """
     algebra = target.algebra
-    dim = target.dim
-    gen_coords = _generator_coords(ideal.generators, algebra)
+    pres = _presentation(ideal.generators, algebra)
+    lo, hi = target.window.lo, target.window.hi
+    dims = target.dims
 
-    gen_info = []  # (degree, coords, value dim, offset)
+    gen_info = []  # (degree, value dim, offset)
     total = 0
-    for gd, gv in gen_coords:
-        td = dim(shift + gd)
+    for gd, _ in pres.gens:
+        d = shift + gd
+        td = dims[d] if lo <= d <= hi else target.dim(d)
         if td is None:
             return BaerVerdict(INCONCLUSIVE, 0, 0, False,
-                               f"value degree {shift + gd} leaves the window")
-        gen_info.append((gd, gv, td, total))
+                               f"value degree {d} leaves the window")
+        gen_info.append((gd, td, total))
         total += td
 
     # restriction space: images of y in C^shift under y -> (g_i y)_i, the
     # column space of the generators' action matrices stacked
-    sd = dim(shift)
+    sd = dims[shift] if lo <= shift <= hi else target.dim(shift)
     if sd is None:
         return BaerVerdict(INCONCLUSIVE, 0, 0, False,
                            "restriction source degree leaves the window")
     restr: list[int] = []
     if sd:
-        for g, (_, _, td, _) in zip(ideal.generators, gen_info):
+        for terms, (_, td, _) in zip(pres.terms, gen_info):
             if td:
-                restr.extend(target.action_of(g, shift).rows)
+                rows = target.action(terms[0], shift).rows
+                for t in terms[1:]:
+                    rows = [a ^ b for a, b in
+                            zip(rows, target.action(t, shift).rows)]
+                restr.extend(rows)
     ranked: dict[int, int] = {}
     for v in restr:
         insert(ranked, v)
     ext_dim = len(ranked)
 
-    min_gd = min(gd for gd, _ in gen_coords)
-    max_gd = max(gd for gd, _ in gen_coords)
-    window_cap = target.window.hi - shift
+    window_cap = hi - shift
     alg_top = algebra.top_degree()
-    rel_cap = None if alg_top is None else alg_top + max_gd
+    rel_cap = None if alg_top is None else alg_top + pres.max_gd
 
     # the constraint system in echelon form, each row keyed by its lowest
     # set bit; its rank determines the surviving map-space dimension
@@ -247,18 +325,15 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
     pivots: dict[int, int] = {}
     goal = total - ext_dim  # the rank at which the map space is pinned
     mask = (1 << total) - 1
-    e = min_gd
     last = window_cap if rel_cap is None else min(window_cap, rel_cap)
     done_note = None
-    while e <= last and done_note is None:
-        # exact: min_gd <= e <= window.hi - shift, and shift + min_gd passed
-        # the gen_info check, so shift + e lies in the window or below an
-        # exact bottom edge, where the dimension is 0
-        td_out = target.dims.get(shift + e, 0)
-        rel_rows, layout = (_generator_relations(gen_coords, e, algebra)
-                            if td_out else ((), ()))
-        rows = (_minimal_relations(gen_coords, e, algebra)
-                if rel_rows and len(pivots) < goal else ())
+    for e in range(max(pres.min_gd, lo - shift), last + 1):
+        if not dims[shift + e]:
+            continue
+        rel_rows, layout = pres._relations_at(e)
+        if not rel_rows:
+            continue
+        rows = pres._minimal_at(e) if len(pivots) < goal else ()
         if rows:
             # constraint row (relation rho, output row r): the XOR over the
             # set bits c of rho of row r of c's action, shifted to c's
@@ -274,7 +349,7 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
                 used ^= low
                 c = low.bit_length() - 1
                 gi, j = layout[c]
-                gd, _, _, off = gen_info[gi]
+                gd, _, off = gen_info[gi]
                 acc = 0
                 for v in reversed(target.action(algebra.basis(e - gd)[j],
                                                 shift + gd).rows):
@@ -286,10 +361,10 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
                     v >>= total
                 if len(pivots) == goal:
                     break
-        if rel_rows and len(pivots) == goal:
+        if len(pivots) == goal:
             done_note = (f"map space pinned to restrictions by "
                          f"relations of degree <= {e}")
-        e += 1
+            break
     hom_dim = total - len(pivots)
     if done_note is not None:
         return BaerVerdict(EXTENDS_ALL, hom_dim, ext_dim, True, done_note)
@@ -309,7 +384,7 @@ def baer_test(ideal: HomIdeal, shift: int, target: GradedModule) -> BaerVerdict:
         for v in sol.basis:
             if not ext_space.contains(v):
                 witness = tuple((gd, shift + gd, (v >> off) & ((1 << td) - 1))
-                                for gd, _, td, off in gen_info)
+                                for gd, td, off in gen_info)
                 break
     note = ("a visible map admits no extension" if status == FAILS else
             "map space exceeds restrictions but some relations leave the window")

@@ -312,15 +312,57 @@ def test_verdicts_match_per_row_oracle_on_a2_targets():
 
 
 def test_generator_outside_the_algebra_raises_every_time():
-    """The generator-coordinate memo keeps no entry for a failed lookup:
-    Sq(8) is not in A(1), and the second call raises as the first did."""
+    """The presentation memo keeps no entry for a failed lookup: Sq(8) is
+    not in A(1), and the second call raises as the first did."""
     target = regular(A1, Window(0, 12))
     ideal = HomIdeal([Element.sq(1), Element.sq(8)])
     for _ in range(2):
         with pytest.raises(ValueError, match="outside"):
             baer_test(ideal, 0, target)
-    assert (ideal.generators, A1) not in B._GEN_COORDS
+    assert (ideal.generators, A1) not in B._PRESENTATIONS
     assert baer_test(HomIdeal([Element.sq(1)]), 0, target).passed
+
+
+def test_presentation_memo_never_changes_a_verdict():
+    """One set of ideals against regular, open-bottom regular and dual
+    regular targets over A(1), A(2) and A, and the regular module modulo
+    its socle over A(1) and A(2), at every shift from past the bottom
+    edge to past the top edge, in a seeded random order, so each
+    presentation is filled piecemeal by tests of every target.  Every
+    verdict equals the per-row oracle's and that of a call on a cleared
+    memo.  The ideal holding Sq(4) lies outside A(1): over A(1) it raises
+    at every call and leaves no entry."""
+    gens = [[Element.sq(1)], [Element.sq(2)], [Element.sq(1), Element.sq(2)],
+            [Element.sq(0, 1)], [Element.sq(2), Element.sq(3)],
+            [Element.sq(3) + Element.sq(0, 1)], [Element.sq(2, 1)],
+            [Element.sq(1), Element.sq(4)]]
+    ideals = [HomIdeal(g) for g in gens]
+    cases = []
+    for algebra, hi in ((A1, 10), (A2, 26), (FULL, 20)):
+        targets = [regular(algebra, Window(0, hi)),
+                   regular(algebra, Window(2, hi)),
+                   dual_regular(algebra, Window(-hi, 0))]
+        top = algebra.top_degree()
+        if top is not None:
+            targets.append(quotient(targets[0], {top: Subspace.full(1)}))
+        for target in targets:
+            w = target.window
+            cases += [(idl, shift, target) for idl in ideals
+                      for shift in range(w.lo - 6, w.hi + 2)]
+    random.Random(30).shuffle(cases)
+    B._PRESENTATIONS.clear()
+    warm = [_outcome(baer_test, *case) for case in cases]
+    assert (ideals[-1].generators, A1) not in B._PRESENTATIONS
+    assert {alg for _, alg in B._PRESENTATIONS} == {A1, A2, FULL}
+    outcomes = Counter()
+    for case, got in zip(cases, warm):
+        B._PRESENTATIONS.clear()
+        assert got == _outcome(baer_test, *case), case
+        assert got == _outcome(oracles.baer_test_per_row, *case), case
+        outcomes[got[0] if isinstance(got, tuple) else got.status] += 1
+    assert set(outcomes) == {"ValueError", B.EXTENDS_ALL, B.FAILS,
+                             B.INCONCLUSIVE}, outcomes
+    assert outcomes["ValueError"] > 2
 
 
 # -- the minimal presentation ---------------------------------------------------
@@ -332,15 +374,18 @@ def _gen_coords(ideal, algebra):
 
 
 def _presentation_totals(ideals, algebra, top):
-    """Check _minimal_relations against an independent D_e at every degree
-    through top; return the summed (dim R_e, dim D_e, minimal rows)."""
+    """Check each presentation's minimal rows against an independent D_e
+    at every degree through top; return the summed (dim R_e, dim D_e,
+    minimal rows)."""
     totals = [0, 0, 0]
     for idl in ideals:
+        pres = B._presentation(idl.generators, algebra)
         key = _gen_coords(idl, algebra)
+        assert pres.gens == key, idl
         for e in range(top + 1):
-            rel, layout = B._generator_relations(key, e, algebra)
+            rel, layout = pres._relations_at(e)
             width = len(layout)
-            minimal = B._minimal_relations(key, e, algebra)
+            minimal = pres._minimal_at(e)
             r = Subspace.from_vectors(rel, width)
             d = Subspace.from_vectors(
                 oracles.decomposable_relations(key, e, algebra), width)

@@ -11,6 +11,12 @@
   whole walk of a degree (``milnor._walk_blocks``) and the squares' walk
   (``milnor._walk_squares``) a fixed number of times.  A change that walks
   a degree it need not, such as an empty degree of A(n), moves a count.
+- Relation counts.  Each default scenario, in a fresh interpreter,
+  computes the relations among an ideal's generators
+  (``baer._generator_relations``) and their minimal rows
+  (``baer._minimal_relations``) once per (presentation, degree), over a
+  fixed number of presentations (``baer._PRESENTATIONS``).  A change that
+  recomputes relations per shift or per target moves a count.
 """
 
 import hashlib
@@ -131,3 +137,49 @@ def test_scenario_walk_counts(name):
     assert proc.returncode == 0, proc.stderr
     whole, squares = map(int, proc.stdout.split())
     assert (whole, squares) == WALKS[name]
+
+
+# Scenario: (relation computations, minimal-row computations,
+# presentations) at its defaults, fresh interpreter.
+RELATIONS = {
+    "prop-3-1": (0, 0, 0),
+    "iota-failure": (0, 0, 0),
+    "cor-2-6": (416, 165, 18),
+    "iota-bounded-above": (0, 0, 0),
+    "faith-equiv-a1": (131, 40, 17),
+}
+
+COUNT_RELATIONS = """
+import sys
+from steenmod import baer
+from steenmod.scenarios import ScenarioConfig, run_scenario
+
+counts = dict.fromkeys(("_generator_relations", "_minimal_relations"), 0)
+
+def counted(name):
+    compute = getattr(baer, name)
+    def wrapper(*args):
+        counts[name] += 1
+        return compute(*args)
+    return wrapper
+
+for name in counts:
+    setattr(baer, name, counted(name))
+run_scenario(sys.argv[1], ScenarioConfig())
+print(counts["_generator_relations"], counts["_minimal_relations"],
+      len(baer._PRESENTATIONS))
+"""
+
+
+def test_relation_table_covers_the_pinned_scenarios():
+    assert {key.rpartition(" seed ")[0] for key in PINS["scenarios"]} \
+        == set(RELATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_scenario_relation_counts(name):
+    proc = subprocess.run([sys.executable, "-c", COUNT_RELATIONS, name],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(map(int, proc.stdout.split())) == RELATIONS[name]
