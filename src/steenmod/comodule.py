@@ -1,17 +1,23 @@
-"""Graded right comodules over the dual algebra, and their embedding into
-graded left modules by the adjoint action.
+"""Graded right comodules over the dual algebra, each stored as its image
+under the adjoint-action embedding ι into graded left modules.
 
 The dual algebra is handled implicitly: its degree -k piece carries the
 basis dual to the Milnor basis of degree k, and its comultiplication is the
-transpose of the multiplication matrices.  A comodule stores one matrix per
-(degree d, jump k >= 1): the coaction component M^d -> M^(d+k) (x) dual^(-k),
-with rows indexed by pairs (module basis index, algebra basis index) as
-row = m_idx * dim A^k + a_idx.  The counit block k = 0 is the identity and
-is kept implicit.
+transpose of the multiplication matrices.  A comodule's coaction has one
+block per (degree d, jump k >= 1): the component M^d -> M^(d+k) (x)
+dual^(-k), with rows indexed by pairs (module basis index, algebra basis
+index) as row = m_idx * dim A^k + a_idx.  The counit block k = 0 is the
+identity and is kept implicit.
 
-The module ``iota`` makes of a comodule reads these blocks directly, and
-``validate_coaction`` decides coassociativity as that module's composition
-check, so the pairing between coaction blocks and actions is stated once.
+ι is a full embedding (Ravenel, Complex Cobordism, 1986, App. A1), so a
+comodule is stored as its ι module, a ``GradedModule``, and as nothing
+else.  ``of_coaction_blocks`` makes that module from a function of the
+blocks: the j-th monomial of degree k acts on M^d through rows j,
+j + dim A^k, ... of block (d, k), and each block is built on the first
+read of any of its monomials.  ``validate_coaction`` decides
+coassociativity as the module's composition check, and ``coaction_rows``
+lays the module's matrices back into a block, so the pairing between
+coaction blocks and actions is stated once each way.
 
 Cohomological conventions throughout: the algebra sits in nonnegative
 degrees, its dual in nonpositive ones, so unsuspended comodule windows live
@@ -20,11 +26,12 @@ in nonpositive degrees.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from . import milnor
 from ._records import fields_equal, fields_hash
 from .f2 import BitMatrix, mask_to_bits
-from .gmodule import (GradedModule, Window, _graded_header, coproduct,
-                      dual_regular, zero_module)
+from .gmodule import GradedModule, Window, coproduct, dual_regular, zero_module
 from .milnor import Algebra
 
 
@@ -55,9 +62,9 @@ def _generators(v: ExtendedSpec) -> list[int]:
 def _required_coaction_keys(algebra: Algebra, window: Window,
                             dims: dict[int, int]):
     """Yield the (degree, k) of every coaction block a comodule with these
-    dims holds: k >= 1 (the counit block is the identity, kept implicit),
-    d and d + k in the window, both dimensions and the algebra's dimension
-    in degree k nonzero."""
+    dims has, in ascending order: k >= 1 (the counit block is the
+    identity, kept implicit), d and d + k in the window, both dimensions
+    and the algebra's dimension in degree k nonzero."""
     for d in window:
         if not dims[d]:
             continue
@@ -66,63 +73,68 @@ def _required_coaction_keys(algebra: Algebra, window: Window,
                 yield d, k
 
 
-class GradedComodule:
-    """A graded right comodule on a window, with full coaction blocks.
+def of_coaction_blocks(algebra: Algebra, window: Window, dims: dict[int, int],
+                       block: Callable[[int, int], Sequence[int]],
+                       bottom_exact: bool = False,
+                       top_exact: bool = False) -> GradedModule:
+    """The comodule with these dims and coaction blocks, as its ι module:
+    a monomial a of degree k acts on M^d through the (d, k) block paired
+    against a in the dual basis, the rows m * dim A^k + (index of a).
 
-    Exactness flags mean the same as for modules: dims are genuinely zero
-    beyond the flagged edge, not merely unknown.
-
-    The constructor stores coactions as given, unchecked: it must hold
-    exactly the blocks ``_required_coaction_keys`` yields for these dims,
-    each of shape (dims[d + k] * dim A^k, dims[d]).  ``extended`` builds
-    them so, wrapping each block unchecked because its rows lie in the
-    column range by construction, and ``textio.parse_comodule`` checks
-    them before it calls this.
+    block(d, k) gives the rows of block (d, k), dims[d + k] * dim A^k of
+    them.  The module calls its source only for keys with both dimensions
+    nonzero, so block is called only for the keys
+    ``_required_coaction_keys`` yields, and once each: on the first read
+    of any of the block's monomials, its rows kept for the others.  The
+    rows must lie in the column range dims[d] (by construction in
+    ``extended``, checked by the parser for a comodule file); a slice of
+    them is wrapped without a range check, and the module checks its
+    shape.
     """
+    blocks: dict[tuple[int, int], Sequence[int]] = {}
 
-    __slots__ = ("algebra", "window", "dims", "coactions",
-                 "bottom_exact", "top_exact")
-
-    def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
-                 coactions: dict[tuple[int, int], BitMatrix],
-                 bottom_exact: bool = False, top_exact: bool = False):
-        _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
-        self.coactions = coactions
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GradedComodule)
-                and self.algebra == other.algebra
-                and self.window == other.window
-                and self.dims == other.dims
-                and self.coactions == other.coactions
-                and self.bottom_exact == other.bottom_exact
-                and self.top_exact == other.top_exact)
-
-    def __repr__(self) -> str:
-        return (f"GradedComodule({self.algebra}-dual on {self.window}, "
-                f"total dim {self.total_dim()})")
+    def source(seq: milnor.Seq, d: int) -> BitMatrix:
+        k = milnor.degree(seq)
+        rows = blocks.get((d, k))
+        if rows is None:
+            rows = blocks[(d, k)] = block(d, k)
+        index = milnor._basis_index(k, algebra.profile_index)
+        return BitMatrix._of_checked_rows(dims[d],
+                                          rows[index[seq]::len(index)])
+    return GradedModule(algebra, window, dims, source,
+                        bottom_exact=bottom_exact, top_exact=top_exact)
 
 
-def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodule:
+def coaction_rows(module: GradedModule, d: int, k: int) -> list[int]:
+    """The rows of coaction block (d, k) of a comodule stored as its ι
+    module: the matrix of the j-th monomial of degree k at d, read once
+    through ``module.action``, laid into rows j, j + dim A^k, ...  It
+    undoes the stride slices of ``of_coaction_blocks``."""
+    basis = module.algebra.basis(k)
+    stride = len(basis)
+    rows = [0] * (module.dims[d + k] * stride)
+    for j, seq in enumerate(basis):
+        rows[j::stride] = module.action(seq, d).rows
+    return rows
+
+
+def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedModule:
     """The extended comodule V (x) dual, coaction 1 (x) comultiplication.
 
     Basis at degree d: pairs (generator g of V, monomial s of degree g - d),
     generator-major, monomials in basis order.
 
-    Each coaction block (d, k) is assembled from product-block slices.  For
-    a generator g with n = g - d >= k, entry sp * dim A^k + bi of
-    ``milnor.product_columns(n - k, k)`` is the mask of the monomials s of
-    A^n that occur in s' * b, for s' the sp-th monomial of degree n - k and
-    b the bi-th of degree k.  That is row (s', b) of 1 (x) psi restricted
-    to g's block, so the whole tuple, each entry shifted left by g's column
-    offset at d, is the run of rows that starts at g's row offset at d + k
-    times dim A^k.  A generator with n < k has no basis at d + k and adds
-    no rows.  Each row so built is a mask over A^n shifted into g's columns
-    at d, inside the block's width dims[d] by construction, so the block is
-    wrapped without ``BitMatrix``'s per-row range check.
+    Each coaction block (d, k) is assembled from product-block slices on
+    its first read.  For a generator g with n = g - d >= k, entry
+    sp * dim A^k + bi of ``milnor.product_columns(n - k, k)`` is the mask
+    of the monomials s of A^n that occur in s' * b, for s' the sp-th
+    monomial of degree n - k and b the bi-th of degree k.  That is row
+    (s', b) of 1 (x) psi restricted to g's block, so the whole tuple, each
+    entry shifted left by g's column offset at d, is the run of rows that
+    starts at g's row offset at d + k times dim A^k.  A generator with
+    n < k has no basis at d + k and adds no rows.  Each row so built is a
+    mask over A^n shifted into g's columns at d, inside the block's width
+    dims[d] by construction.
     """
     gens = _generators(v)
 
@@ -137,56 +149,51 @@ def extended(v: ExtendedSpec, algebra: Algebra, window: Window) -> GradedComodul
             if g >= d:
                 total += algebra.dim(g - d)
         dims[d] = total
-    coactions: dict[tuple[int, int], BitMatrix] = {}
-    for d in window:
-        if not dims[d]:
-            continue
-        offs = offsets[d]
-        for k in range(1, window.hi - d + 1):
-            if not dims[d + k] or not algebra.dim(k):
+
+    def block(d: int, k: int) -> list[int]:
+        rows: list[int] = []
+        for g, off in zip(gens, offsets[d]):
+            n = g - d
+            if n < k:
                 continue
-            rows: list[int] = []
-            for g, off in zip(gens, offs):
-                n = g - d
-                if n < k:
-                    continue
-                block = milnor.product_columns(n - k, k, algebra)
-                rows.extend([c << off for c in block] if off else block)
-            coactions[(d, k)] = BitMatrix._of_checked_rows(dims[d], rows)
+            cols = milnor.product_columns(n - k, k, algebra)
+            rows.extend([c << off for c in cols] if off else cols)
+        return rows
     top = algebra.top_degree()
     if gens:
         top_exact = window.hi >= max(gens)
         bottom_exact = top is not None and window.lo <= min(gens) - top
     else:
         top_exact = bottom_exact = True
-    return GradedComodule(algebra, window, dims, coactions,
-                          bottom_exact=bottom_exact, top_exact=top_exact)
+    return of_coaction_blocks(algebra, window, dims, block,
+                              bottom_exact=bottom_exact, top_exact=top_exact)
 
 
-def validate_coaction(c: GradedComodule) -> list[str]:
-    """Counit and coassociativity violations; [] means valid.
+def validate_coaction(c: GradedModule) -> list[str]:
+    """Counit and coassociativity violations of a comodule stored as its ι
+    module; [] means valid.
 
     The counit law is structural here (the k = 0 block is implicit).
     Coassociativity is ``GradedModule.validate``'s composition check run
-    on iota(c).  Pairing block (d, k) with a monomial a of degree k is the
-    action of a on M^d in ``iota``, so block (d, k1, k2) paired with
-    x (x) y, for x of degree k2 and y of degree k1, says action(x)
-    action(y) = action(x y) at degree d: applying the coaction twice
-    against applying it once and splitting the dual factor by the
-    transpose of multiplication.  The check's square pass and its proof
-    carry over unchanged.  A zero middle degree d + k1 is checked too:
-    the twice-applied side is 0 there, but the split side need not be.
+    on c.  Pairing block (d, k) with a monomial a of degree k is the
+    action of a on M^d, so block (d, k1, k2) paired with x (x) y, for x
+    of degree k2 and y of degree k1, says action(x) action(y) =
+    action(x y) at degree d: applying the coaction twice against applying
+    it once and splitting the dual factor by the transpose of
+    multiplication.  The check's square pass and its proof carry over
+    unchanged.  A zero middle degree d + k1 is checked too: the
+    twice-applied side is 0 there, but the split side need not be.
 
     The failing columns of M^d of every pair (x, y) are ORed per
     (d, k1, k2), and one message per column is reported, sorted by
     (d, k1, k2) and then by column.
     """
-    return _coassociativity_messages(iota(c)._failing_compositions())
+    return _coassociativity_messages(c._failing_compositions())
 
 
 def _coassociativity_messages(failures) -> list[str]:
     """``validate_coaction``'s messages, from the failing (x, y, d, mask)
-    of the composition check of the comodule's iota."""
+    of the composition check of the comodule's ι module."""
     failing: dict[tuple[int, int, int], int] = {}
     for x, y, d, mask in failures:
         key = (d, milnor.degree(y), milnor.degree(x))
@@ -197,28 +204,10 @@ def _coassociativity_messages(failures) -> list[str]:
             for col in mask_to_bits(mask)]
 
 
-def iota(c: GradedComodule) -> GradedModule:
-    """The adjoint-action module: a of degree k acts on M^d through the
-    (d, k) coaction block paired against a in the dual basis, the rows
-    m * dim A^k + (index of a) of the block.
-
-    The module calls its source only for keys with both dimensions
-    nonzero, and those are exactly the stored coaction blocks.  The rows
-    are a slice of that block, whose width is dims[d] too and whose rows
-    lie in its column range (by construction in ``extended``, checked by
-    the parser for a comodule file), so they are wrapped without a range
-    check.
-    """
-    alg = c.algebra
-    coactions, dims = c.coactions, c.dims
-
-    def source(seq: milnor.Seq, d: int) -> BitMatrix:
-        k = milnor.degree(seq)
-        index = milnor._basis_index(k, alg.profile_index)
-        rows = coactions[(d, k)].rows[index[seq]::len(index)]
-        return BitMatrix._of_checked_rows(dims[d], rows)
-    return GradedModule(alg, c.window, c.dims, source,
-                        bottom_exact=c.bottom_exact, top_exact=c.top_exact)
+def iota(c: GradedModule) -> GradedModule:
+    """The adjoint-action module of a comodule: c itself, as every
+    comodule is stored as its ι module."""
+    return c
 
 
 def iota_matches_suspended_duals(module: GradedModule,
@@ -231,12 +220,10 @@ def iota_matches_suspended_duals(module: GradedModule,
     The coproduct is built on module's algebra and window for its header
     only: its dims and exactness flags must equal module's, and none of
     its matrices is read.  The matrices are compared one (d, k) block at
-    a time.  Each required matrix of module, the j-th monomial of degree
-    k at d, is read once through ``module.action``, and its rows are laid
-    into a list of dims[d + k] * dim A^k rows at j, j + dim A^k, ...: the
-    layout of a coaction block.  The part on generator g is the dual
+    a time: ``coaction_rows`` reads each required matrix of module once
+    and lays it into the block.  The part on generator g is the dual
     regular module at d - g, whose action there is the transposed right
-    multiplication on A^(g - d - k), so its run of that list must equal
+    multiplication on A^(g - d - k), so its run of the block must equal
     the whole of ``milnor.product_columns(g - d - k, k)``, the product
     block that ``milnor.right_multiplication`` reads with stride dim A^k,
     fetched once per part and (d, k) and shifted left once to the part's
@@ -254,16 +241,12 @@ def iota_matches_suspended_duals(module: GradedModule,
         return False
     dims = module.dims
     for k in range(1, window.width + 1):
-        basis = algebra.basis(k)
-        stride = len(basis)
+        stride = algebra.dim(k)
         if not stride:
             continue
         for d in range(window.lo, window.hi + 1 - k):
             if not (dims[d] and dims[d + k]):
                 continue
-            got = [0] * (dims[d + k] * stride)
-            for j, seq in enumerate(basis):
-                got[j::stride] = module.action(seq, d).rows
             own: list[int] = []
             col = 0
             for part, g in parts:
@@ -277,6 +260,6 @@ def iota_matches_suspended_duals(module: GradedModule,
                     else:
                         own.extend([0] * (td * stride))
                 col += sd
-            if got != own:
+            if coaction_rows(module, d, k) != own:
                 return False
     return True

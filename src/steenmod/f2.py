@@ -79,9 +79,10 @@ class BitMatrix:
     def _of_checked_rows(cls, ncols: int, rows: Sequence[int]) -> "BitMatrix":
         """A matrix on rows known to lie in the column range, such as a
         slice of the rows of a BitMatrix of the same ncols, the rows of a
-        block text whose width the parser has checked, or the product
-        masks ``comodule.extended`` shifts into a block's columns, so the
-        per-row check of ``__init__`` is skipped."""
+        block text whose width the parser has checked, or a stride slice
+        of a coaction block, whose rows ``comodule.extended`` shifts into
+        the block's columns from product masks on the block's first read,
+        so the per-row check of ``__init__`` is skipped."""
         mat = object.__new__(cls)
         mat.nrows = len(rows)
         mat.ncols = ncols

@@ -8,10 +8,12 @@ a *source*, a function (b, d) -> matrix, and derives each matrix from it the
 first time it is read, checks its shape there and memoizes it per module in
 ``actions``.  Every module is built this way: regular, dual regular, free,
 zero and coproduct modules, their suspensions and restrictions,
-submodules, quotients, the comodule embedding ``comodule.iota``, and
-parsed text, whose source decodes each block that
-``textio.parse_module`` checked at parse on the block's first read.  Only
-equality, validation and printing force the full table (``action_table``).
+submodules, quotients, comodules, each stored as its ι module by
+``comodule.of_coaction_blocks``, whose source builds a coaction block on
+the first read of any of its monomials, and parsed text, whose source
+decodes each block that ``textio.parse_module`` checked at parse on the
+block's first read.  Only equality, validation and printing force the
+full table (``action_table``).
 The sources of regular and of dual regular modules read ``milnor``'s
 per-degree memos of left and transposed right multiplication by a monomial
 (``_left_action``, ``_right_action``), so all such modules, and the
@@ -81,21 +83,6 @@ class Window:
 Source = Callable[[Seq, int], BitMatrix]
 
 
-def _graded_header(obj, algebra: Algebra, window: Window,
-                   dims: Mapping[int, int], bottom_exact: bool,
-                   top_exact: bool) -> None:
-    """Set the algebra, window, dims and exactness flags that modules and
-    comodules share: dims get every window degree, a missing one meaning
-    zero, and a negative dimension is rejected."""
-    obj.algebra = algebra
-    obj.window = window
-    obj.dims = {d: dims.get(d, 0) for d in window}
-    if any(n < 0 for n in obj.dims.values()):
-        raise ValueError("negative dimension")
-    obj.bottom_exact = bottom_exact
-    obj.top_exact = top_exact
-
-
 def _required_action_keys(algebra: Algebra, window: Window,
                           dims: dict[int, int]):
     """Yield the (monomial, degree) of every action matrix a module with
@@ -125,7 +112,14 @@ class GradedModule:
     def __init__(self, algebra: Algebra, window: Window, dims: dict[int, int],
                  source: Source, bottom_exact: bool = False,
                  top_exact: bool = False):
-        _graded_header(self, algebra, window, dims, bottom_exact, top_exact)
+        self.algebra = algebra
+        self.window = window
+        # every window degree, a missing one meaning zero
+        self.dims = {d: dims.get(d, 0) for d in window}
+        if any(n < 0 for n in self.dims.values()):
+            raise ValueError("negative dimension")
+        self.bottom_exact = bottom_exact
+        self.top_exact = top_exact
         # the matrices built so far, keyed by (monomial, degree)
         self.actions: dict[tuple[Seq, int], BitMatrix] = {}
         self._source = source

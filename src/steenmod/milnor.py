@@ -26,7 +26,8 @@ The readers of products are slices of one block:
   algebra, as a set of monomials; ``Element.__mul__`` sums them.  One
   isolated product of degree n pays for the walk of degree n.
 - ``product_columns(d1, d2)``: block (d1, d2) itself, one column mask per
-  pair; ``comodule.extended`` reads its coaction rows from it directly.
+  pair; ``comodule.extended`` assembles a coaction block from such blocks
+  on the first read of any of its monomials.
   Read with stride dim A^d2, the run at index j holds the rows of the
   transposed right multiplication by the j-th monomial of degree d2 on
   A^d1; ``comodule.iota_matches_suspended_duals`` compares those runs

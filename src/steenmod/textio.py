@@ -6,6 +6,9 @@ regression check.  A chain prints as ``str(chain)``.  Parsers are strict
 and report the offending line; ``parse_module`` is the only check of a
 module file's blocks.  It checks every block at parse and keeps its text,
 and the parsed module decodes a block into a matrix on its first read.
+``parse_comodule`` does the same for a comodule file, which parses to the
+comodule's ι module: it decodes a coaction block on the first read of any
+of the block's monomials.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import Callable, Hashable, Iterable, Optional
 
 from . import milnor
 from .annihilator import HomIdeal, IdealChain
-from .comodule import GradedComodule, _required_coaction_keys
+from .comodule import (_required_coaction_keys, coaction_rows,
+                       of_coaction_blocks)
 from .f2 import BitMatrix
 from .gmodule import GradedModule, Window, _required_action_keys
 from .milnor import Algebra, Seq
@@ -192,6 +196,16 @@ def _decode(ncols: int, chunk: str) -> BitMatrix:
     return BitMatrix._of_checked_rows(ncols, rows)
 
 
+def _take_decoded(texts: dict[Hashable, str], key: Hashable,
+                  ncols: int) -> BitMatrix:
+    """The matrix of the block at key, its text dropped: a parsed module
+    reads each block once and memoizes what it makes of it."""
+    chunk = texts.pop(key)
+    if not texts:
+        texts.clear()  # an emptied dict keeps its table until cleared
+    return _decode(ncols, chunk)
+
+
 def _reject_unrequested(blocks: dict[Hashable, int],
                         required: Iterable[Hashable],
                         name: Callable[[Hashable], str]) -> Optional[Hashable]:
@@ -226,7 +240,7 @@ def _print_block(header: str, mat: BitMatrix) -> str:
     return f"{header}\n{text[::-1]}"
 
 
-def _print_preamble(header: str, x: GradedModule | GradedComodule) -> list[str]:
+def _print_preamble(header: str, x: GradedModule) -> list[str]:
     """The header and field lines of a module or comodule."""
     return [header,
             f"algebra: {_algebra_str(x.algebra)}",
@@ -333,15 +347,9 @@ def parse_module(text: str) -> GradedModule:
         seq, d = missing
         raise ParseError(lines.pos, "inconsistent module data: missing "
                                     f"action of Sq{seq} at degree {d}")
-
-    def source(seq: Seq, d: int) -> BitMatrix:
-        # the module reads each block once, and memoizes its matrix
-        chunk = texts.pop((seq, d))
-        if not texts:
-            texts.clear()  # an emptied dict keeps its table until cleared
-        return _decode(dims[d], chunk)
-
-    return GradedModule(source=source, **preamble)
+    return GradedModule(
+        source=lambda seq, d: _take_decoded(texts, (seq, d), dims[d]),
+        **preamble)
 
 
 # -- comodules -----------------------------------------------------------------
@@ -352,17 +360,17 @@ def _coaction_name(key: tuple[int, int]) -> str:
     return f"coaction ({d},{k})"
 
 
-def print_comodule(c: GradedComodule) -> str:
+def print_comodule(c: GradedModule) -> str:
     out = _print_preamble(COMODULE_HEADER, c)
-    for (d, k) in sorted(c.coactions):
-        mat = c.coactions[(d, k)]
+    for d, k in _required_coaction_keys(c.algebra, c.window, c.dims):
+        mat = BitMatrix._of_checked_rows(c.dims[d], coaction_rows(c, d, k))
         out.append(_print_block(f"coaction {d} {k}: {mat.nrows}x{mat.ncols}",
                                 mat))
     out.append("end")
     return "\n".join(out) + "\n"
 
 
-def parse_comodule(text: str) -> GradedComodule:
+def parse_comodule(text: str) -> GradedModule:
     lines = _Lines(text)
     preamble = _parse_preamble(lines, COMODULE_HEADER)
 
@@ -402,9 +410,9 @@ def parse_comodule(text: str) -> GradedComodule:
         d, k = missing
         raise ParseError(lines.pos, "inconsistent comodule data: missing "
                                     f"coaction block ({d}, {k})")
-    coactions = {key: _decode(dims[key[0]], chunk)
-                 for key, chunk in texts.items()}
-    return GradedComodule(coactions=coactions, **preamble)
+    return of_coaction_blocks(
+        block=lambda d, k: _take_decoded(texts, (d, k), dims[d]).rows,
+        **preamble)
 
 
 # -- chains --------------------------------------------------------------------

@@ -8,7 +8,7 @@ basis from the faithful action on a product of degree-one classes.  The
 exceptions are the unpruned Milnor product enumerator, kept as the reference
 for the engine's products, the per-pair multiplication block assembled
 from it, kept as the reference for the engine's coproduct walk, the
-coaction block reader of a comodule, the column-scan row
+coaction block layout of a comodule's ι module, the column-scan row
 reduction and the free-column kernel built on it, kept as the references
 for the engine's pivot insertion and tagged-column kernels, the
 per-bit extended comodule, kept as the reference for the engine's
@@ -46,7 +46,6 @@ from steenmod.annihilator import (HomIdeal, IdealChain, WindowIdeal,
                                   chain_perp_profile, ideal_span)
 from steenmod.baer import (EXTENDS_ALL, FAILS, INCONCLUSIVE, BaerVerdict,
                            _generator_relations)
-from steenmod.comodule import GradedComodule
 from steenmod.f2 import BitMatrix, Subspace, kernel, mask_to_bits
 from steenmod.gmodule import (GradedModule, Window, coproduct,
                               dual_regular, zero_module)
@@ -681,10 +680,12 @@ def generator_relations_by_kernel(gen_coords, e: int,
             tuple(layout))
 
 
-def coaction_block(c: GradedComodule, d: int, k: int) -> BitMatrix:
-    """Coaction block M^d -> M^(d+k) (x) dual^(-k) of a comodule: the
-    identity at k = 0, zero where the comodule stores no block (a zero
-    dimension at either end, or outside the window), else the stored one."""
+def coaction_block(c: GradedModule, d: int, k: int) -> BitMatrix:
+    """Coaction block M^d -> M^(d+k) (x) dual^(-k) of a comodule stored as
+    its ι module: the identity at k = 0, zero where the comodule has no
+    block (a zero dimension at either end, or outside the window), else
+    laid out one row at a time from c's matrices, row m * dim A^k + j
+    being row m of the j-th monomial of degree k at d."""
     sd = c.dims.get(d, 0) if d in c.window else 0
     if k == 0:
         return BitMatrix.identity(sd)
@@ -692,12 +693,26 @@ def coaction_block(c: GradedComodule, d: int, k: int) -> BitMatrix:
     ak = c.algebra.dim(k)
     if not sd or not td or not ak:
         return BitMatrix.zero(td * ak, sd)
-    return c.coactions[(d, k)]
+    mats = [c.action(seq, d) for seq in c.algebra.basis(k)]
+    return BitMatrix(td * ak, sd,
+                     [row(mats[j], m) for m in range(td) for j in range(ak)])
 
 
-def iota_eager(c) -> GradedModule:
-    """The adjoint-action module of a comodule, every block sliced up front
-    from the coaction blocks, row by row."""
+def coaction_blocks(c: GradedModule) -> dict:
+    """Every coaction block of a comodule stored as its ι module whose
+    ends and jump all have nonzero dimension, keyed (degree, jump) in
+    ascending order, as ``coaction_block`` lays it out."""
+    w = c.window
+    return {(d, k): coaction_block(c, d, k)
+            for d in w if c.dims[d]
+            for k in range(1, w.hi - d + 1)
+            if c.dims[d + k] and c.algebra.dim(k)}
+
+
+def iota_eager(c: GradedModule) -> GradedModule:
+    """The ι module of a comodule, every matrix sliced up front, row by
+    row, from the coaction blocks as ``coaction_block`` lays them out of
+    c's own matrices."""
     alg = c.algebra
     w = c.window
     actions = {}
@@ -738,7 +753,11 @@ def extended_by_bits(v, algebra: milnor.Algebra, window):
     for each source basis pair (generator, s) and jump k, every pair
     (s', b) with s in s' * b is read off a set bit of s's row of the
     multiplication matrix (n - k, k) and toggled in the target row of
-    (generator, s') and b.  Same contract as steenmod.comodule.extended."""
+    (generator, s') and b.  Returns the header (the keyword arguments
+    algebra, window, dims, bottom_exact and top_exact of
+    steenmod.comodule.extended's module) and the blocks, keyed (degree,
+    jump) in ascending order: the blocks ``coaction_blocks`` must read off
+    extended(v)."""
     gens: list[int] = []
     for g, n in v.v_dims:
         gens.extend([g] * n)
@@ -783,8 +802,9 @@ def extended_by_bits(v, algebra: milnor.Algebra, window):
         bottom_exact = top is not None and window.lo <= min(gens) - top
     else:
         top_exact = bottom_exact = True
-    return GradedComodule(algebra, window, dims, coactions,
-                          bottom_exact=bottom_exact, top_exact=top_exact)
+    header = dict(algebra=algebra, window=window, dims=dims,
+                  bottom_exact=bottom_exact, top_exact=top_exact)
+    return header, coactions
 
 
 # -- dense graded homs ---------------------------------------------------------

@@ -219,10 +219,10 @@ def test_validate_checks_a_zero_middle_degree(tmp_path, capsys):
     """A comodule with dims 1 at -3 and 0 only and a nonzero Sq(3) row:
     every jump pair passes through a zero degree, and the split side
     still fails."""
-    from steenmod.comodule import GradedComodule
-    from steenmod.f2 import BitMatrix
-    c = GradedComodule(Algebra.full(), Window(-3, 0), {-3: 1, 0: 1},
-                       {(-3, 3): BitMatrix(2, 1, [1, 0])}, True, True)
+    from steenmod.comodule import of_coaction_blocks
+    blocks = {(-3, 3): (1, 0)}
+    c = of_coaction_blocks(Algebra.full(), Window(-3, 0), {-3: 1, 0: 1},
+                           lambda d, k: blocks[d, k], True, True)
     path = tmp_path / "gap.stm"
     path.write_text(textio.print_comodule(c))
     code, out = run_cli(["validate", str(path)], capsys)

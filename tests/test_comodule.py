@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 
 import oracles
-from steenmod.comodule import (ExtendedSpec, GradedComodule, extended, iota,
-                               iota_matches_suspended_duals, validate_coaction)
+from steenmod import comodule, milnor
+from steenmod.comodule import (ExtendedSpec, extended, iota,
+                               iota_matches_suspended_duals,
+                               of_coaction_blocks, validate_coaction)
 from steenmod.f2 import BitMatrix, mask_to_bits
 from steenmod.gmodule import (Window, _is_square, _required_action_keys,
                               dual_regular, freeness_test)
@@ -43,16 +45,23 @@ def test_counit_block_is_identity():
         assert oracles.coaction_block(c, d, 0) == BitMatrix.identity(c.dims[d])
 
 
+def _of_blocks(c, blocks):
+    """The comodule on c's header whose coaction blocks are the matrices
+    of blocks, keyed (degree, jump)."""
+    return of_coaction_blocks(c.algebra, c.window, dict(c.dims),
+                              lambda d, k: blocks[d, k].rows,
+                              c.bottom_exact, c.top_exact)
+
+
 def test_coaction_mutation_detected():
     w = Window(-8, 0)
     c = extended(ExtendedSpec({0: 1}), FULL, w)
-    (d, k), mat = next(iter(sorted(c.coactions.items())))
+    coactions = oracles.coaction_blocks(c)
+    (d, k), mat = next(iter(coactions.items()))
     flipped = BitMatrix(mat.nrows, mat.ncols,
                         [mat.rows[0] ^ 1] + list(mat.rows[1:]))
-    coactions = dict(c.coactions)
     coactions[(d, k)] = flipped
-    mutant = GradedComodule(FULL, w, dict(c.dims), coactions,
-                            c.bottom_exact, c.top_exact)
+    mutant = _of_blocks(c, coactions)
     assert validate_coaction(mutant) != []
 
 
@@ -103,12 +112,54 @@ def test_extended_matches_per_bit_oracle(algebra, v_dims, window):
     and its embedding is the coproduct of suspended dual regular modules."""
     v = ExtendedSpec(v_dims)
     c = extended(v, algebra, window)
-    ref = oracles.extended_by_bits(v, algebra, window)
-    assert c.coactions == ref.coactions
-    assert c == ref
-    assert c.coactions  # the spec is not degenerate
+    header, blocks = oracles.extended_by_bits(v, algebra, window)
+    assert oracles.coaction_blocks(c) == blocks
+    assert {name: getattr(c, name) for name in header} == header
+    assert blocks  # the spec is not degenerate
     assert iota(c) == oracles.iota_of_extended_reference(v, algebra, window)
     assert iota_matches_suspended_duals(iota(c), v)
+
+
+class _CountingMilnor:
+    """steenmod.milnor as ``steenmod.comodule`` sees it, with the calls
+    of ``product_columns`` recorded."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(milnor, name)
+
+    def product_columns(self, *args):
+        self.calls.append(args)
+        return milnor.product_columns(*args)
+
+
+@pytest.mark.parametrize("algebra,v_dims,window,d,k,calls", [
+    (FULL, {0: 1, -2: 1, -5: 2}, Window(-14, 0), -9, 3, 4),
+    (FULL, {0: 1, -2: 1, -5: 2}, Window(-14, 0), -6, 3, 2),
+    (A1, {0: 1, -4: 1}, Window(-12, 0), -8, 3, 2),
+], ids=["full-every-generator", "full-short-generator", "A1-no-basis"])
+def test_blocks_are_built_on_first_read(monkeypatch, algebra, v_dims, window,
+                                        d, k, calls):
+    """extended reads no product block.  The first read of a monomial of
+    degree k at d builds block (d, k), one product block per generator g
+    with g - d >= k; a second monomial of that block reads it as built.
+    The cases cover a repeated generator, generators with basis at d but
+    none at d + k, and over A(1) a generator with no basis at d."""
+    counting = _CountingMilnor()
+    monkeypatch.setattr(comodule, "milnor", counting)
+    c = extended(ExtendedSpec(v_dims), algebra, window)
+    assert counting.calls == []
+    gens = [g for g, n in sorted(v_dims.items()) for _ in range(n)]
+    first, second = algebra.basis(k)[:2]
+    c.action(first, d)
+    want = [(g - d - k, k, algebra) for g in gens if g - d >= k]
+    assert len(want) == calls
+    assert counting.calls == want
+    c.action(second, d)
+    assert counting.calls == want
+    assert {(first, d), (second, d)} <= set(c.actions)
 
 
 def test_iota_exactness_of_sequences():
@@ -133,16 +184,15 @@ def test_direct_freeness_of_iota_over_a1():
 
 def _flip_bits(c, rng):
     """A copy of c with one to three coaction bits flipped."""
-    coactions = dict(c.coactions)
-    keys = sorted(coactions)
+    coactions = oracles.coaction_blocks(c)
+    keys = list(coactions)
     for _ in range(rng.randint(1, 3)):
         key = rng.choice(keys)
         mat = coactions[key]
         rows = list(mat.rows)
         rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
         coactions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
-    return GradedComodule(c.algebra, c.window, dict(c.dims), coactions,
-                          c.bottom_exact, c.top_exact)
+    return _of_blocks(c, coactions)
 
 
 @pytest.mark.parametrize("algebra,v_dims,window,count", [
@@ -170,8 +220,9 @@ def _gap_comodule(bit):
     """Dims 1 at -3 and 0 and zero between, one coaction block (-3, 3)
     whose Sq(3) row is bit: the twice-applied side of every jump pair
     passes through a zero degree."""
-    return GradedComodule(FULL, Window(-3, 0), {-3: 1, 0: 1},
-                          {(-3, 3): BitMatrix(2, 1, [bit, 0])}, True, True)
+    blocks = {(-3, 3): (bit, 0)}
+    return of_coaction_blocks(FULL, Window(-3, 0), {-3: 1, 0: 1},
+                              lambda d, k: blocks[d, k], True, True)
 
 
 def test_zero_middle_degree_is_checked():
@@ -188,16 +239,15 @@ def test_zero_middle_degree_is_checked():
 def _flip_crossing(c, rng, lo, hi):
     """A copy of c with one bit flipped in a block from degree <= lo to a
     degree >= hi."""
-    keys = sorted(key for key in c.coactions
-                  if key[0] <= lo and key[0] + key[1] >= hi)
-    coactions = dict(c.coactions)
+    coactions = oracles.coaction_blocks(c)
+    keys = [key for key in coactions
+            if key[0] <= lo and key[0] + key[1] >= hi]
     key = rng.choice(keys)
     mat = coactions[key]
     rows = list(mat.rows)
     rows[rng.randrange(mat.nrows)] ^= 1 << rng.randrange(mat.ncols)
     coactions[key] = BitMatrix(mat.nrows, mat.ncols, rows)
-    return GradedComodule(c.algebra, c.window, dict(c.dims), coactions,
-                          c.bottom_exact, c.top_exact)
+    return _of_blocks(c, coactions)
 
 
 @pytest.mark.parametrize("algebra,v_dims,window,count", [
@@ -274,13 +324,12 @@ def test_part_wise_check_rejects_a_flip_in_a_non_square(seq, part):
     # the part's first target row at d + k and its first column at d
     m = sum(FULL.dim(g - d - k) for g in gens[:part])
     col = sum(FULL.dim(g - d) for g in gens[:part])
-    mat = c.coactions[(d, k)]
+    coactions = oracles.coaction_blocks(c)
+    mat = coactions[(d, k)]
     rows = list(mat.rows)
     rows[m * dk + j] ^= 1 << col
-    coactions = dict(c.coactions)
     coactions[(d, k)] = BitMatrix(mat.nrows, mat.ncols, rows)
-    module = iota(GradedComodule(FULL, w, dict(c.dims), coactions,
-                                 c.bottom_exact, c.top_exact))
+    module = iota(_of_blocks(c, coactions))
     assert not iota_matches_suspended_duals(module, v)
     assert module != ref
     for key, want in ref.action_table().items():
@@ -302,15 +351,14 @@ def test_part_wise_check_reads_rows_of_a_part_without_source():
     w = Window(-12, 0)
     c = extended(v, A1, w)
     assert iota_matches_suspended_duals(iota(c), v)
-    mat = c.coactions[(-8, 3)]
+    coactions = oracles.coaction_blocks(c)
+    mat = coactions[(-8, 3)]
     row = A1.dim(1) * A1.dim(3)
     assert mat.rows[row] == 0
     rows = list(mat.rows)
     rows[row] = 1
-    coactions = dict(c.coactions)
     coactions[(-8, 3)] = BitMatrix(mat.nrows, mat.ncols, rows)
-    m = iota(GradedComodule(A1, w, dict(c.dims), coactions,
-                            c.bottom_exact, c.top_exact))
+    m = iota(_of_blocks(c, coactions))
     assert m != oracles.iota_of_extended_reference(v, A1, w)
     assert not iota_matches_suspended_duals(m, v)
 
@@ -321,8 +369,10 @@ def test_part_wise_check_compares_the_header():
     w = Window(-10, 0)
     v = ExtendedSpec({0: 1, -2: 1})
     c = extended(v, FULL, w)
-    flags = GradedComodule(FULL, w, dict(c.dims), dict(c.coactions),
-                           not c.bottom_exact, c.top_exact)
+    coactions = oracles.coaction_blocks(c)
+    flags = of_coaction_blocks(FULL, w, dict(c.dims),
+                               lambda d, k: coactions[d, k].rows,
+                               not c.bottom_exact, c.top_exact)
     assert not iota_matches_suspended_duals(iota(flags), v)
     assert not iota_matches_suspended_duals(iota(c), ExtendedSpec({0: 1}))
     zero = iota(extended(ExtendedSpec({}), FULL, w))
@@ -371,19 +421,19 @@ def test_block_check_rejects_swapped_monomials(algebra, v_dims, window):
     k = 3
     stride = algebra.dim(k)
     i, j = algebra.basis(k).index((3,)), algebra.basis(k).index((0, 1))
+    blocks = oracles.coaction_blocks(c)
     swapped = 0
     for d in window:
-        mat = c.coactions.get((d, k))
+        mat = blocks.get((d, k))
         if mat is None:
             continue
         rows = list(mat.rows)
         rows[i::stride], rows[j::stride] = rows[j::stride], rows[i::stride]
         if rows == list(mat.rows):
             continue
-        coactions = dict(c.coactions)
+        coactions = dict(blocks)
         coactions[(d, k)] = BitMatrix(mat.nrows, mat.ncols, rows)
-        m = iota(GradedComodule(algebra, window, dict(c.dims), coactions,
-                                c.bottom_exact, c.top_exact))
+        m = iota(_of_blocks(c, coactions))
         assert not iota_matches_suspended_duals(m, v)
         assert m != ref
         swapped += 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -304,6 +305,21 @@ A1_EXTENDED = T.print_comodule(
 UNREQUESTED = "is not one the header calls for"
 
 
+@pytest.mark.parametrize("text,digest", [
+    (lambda: EXTENDED,
+     "67e2268e9768f7ac94d4f5b4a09764b5abdc6677dc14315d577631890ea6d94b"),
+    (lambda: A1_EXTENDED,
+     "e6b305a06f91271cb6544eaea656c15e8508e2d4b3cfa204c3bcf4a89cd80b36"),
+    (lambda: T.print_comodule(
+        extended(ExtendedSpec({0: 1, -2: 1}), FULL, Window(-20, 0))),
+     "8c594c6492cd77dfe20ff5aefe0d064ac57bd1e5ed975e806fcc166f5821a6b0"),
+], ids=["extended", "a1-extended", "extended-20"])
+def test_printed_comodules_keep_their_bytes(text, digest):
+    """print_comodule lays each coaction block back from the matrices of
+    the comodule's ι module; the text it prints is pinned by digest."""
+    assert hashlib.sha256(text().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("parse, text, before, inserted, message", [
     (T.parse_module, A1_REGULAR, "@ 1: 1x1", ["@ 0: 1x1", "1"],
      "repeated block Sq(1) @ 0"),
@@ -489,7 +505,7 @@ def test_printed_blocks_parse_as_a_per_row_decode(base):
     for variant in (text, _noisy_blocks(text)):
         parsed = parse(variant)
         table = (parsed.action_table() if parse is T.parse_module
-                 else parsed.coactions)
+                 else oracles.coaction_blocks(parsed))
         assert table == oracles.blocks_by_rows(variant)
 
 

@@ -1,9 +1,9 @@
 """The benchmark's tracer reads the Milnor layer's memo statistics from
 ``cache_info()``, reports ``f2.backend_name()``, counts kernel bits by
 rebinding the kernels on ``f2._impl``, and reads records in the hooks it
-installs after module construction, text parsing and printing, the
-extension test and comodule construction; this guards the names, caches,
-binding and record fields it relies on."""
+installs after module construction, text parsing and printing and the
+extension test; this guards the names, caches, binding and record fields
+it relies on."""
 
 import json
 import os
@@ -30,15 +30,12 @@ kernel_bits = [bits, tracer.counts["f2.kernel_bits"]]
 from steenmod import textio
 from steenmod.annihilator import HomIdeal
 from steenmod.baer import baer_test
-from steenmod.comodule import ExtendedSpec, extended
 from steenmod.gmodule import regular
 a1 = milnor.Algebra.subalgebra(1)
 textio.parse_module(textio.print_module(regular(a1, Window(0, 6))))
 baer_test(HomIdeal([milnor.Element.sq(1)]), 1, regular(a1, Window(0, 6)))
-extended(ExtendedSpec({0: 1}), full, Window(-4, 0))
 names = ["gmodule.GradedModule.__init__", "textio.bytes_parsed",
-         "textio.bytes_printed", "baer.baer_test",
-         "comodule.coaction_blocks"]
+         "textio.bytes_printed", "baer.baer_test"]
 print(json.dumps({"caches": tracer.cache_stats(),
                   "backend": f2.backend_name(),
                   "kernel_bits": kernel_bits,
