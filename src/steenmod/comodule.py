@@ -14,10 +14,11 @@ comodule is stored as its ι module, a ``GradedModule``, and as nothing
 else.  ``of_coaction_blocks`` makes that module from a function of the
 blocks: the j-th monomial of degree k acts on M^d through rows j,
 j + dim A^k, ... of block (d, k), and each block is built on the first
-read of any of its monomials.  ``validate_coaction`` decides
-coassociativity as the module's composition check, and ``coaction_rows``
-lays the module's matrices back into a block, so the pairing between
-coaction blocks and actions is stated once each way.
+read of any of its monomials, filing all their matrices at once.
+``validate_coaction`` decides coassociativity as the module's
+composition check, and ``coaction_rows`` lays the module's matrices back
+into a block, so the pairing between coaction blocks and actions is
+stated once each way.
 
 Cohomological conventions throughout: the algebra sits in nonnegative
 degrees, its dual in nonpositive ones, so unsuspended comodule windows live
@@ -84,32 +85,38 @@ def of_coaction_blocks(algebra: Algebra, window: Window, dims: dict[int, int],
     block(d, k) gives the rows of block (d, k), dims[d + k] * dim A^k of
     them.  The module calls its source only for keys with both dimensions
     nonzero, so block is called only for the keys
-    ``_required_coaction_keys`` yields, and once each: on the first read
-    of any of the block's monomials, its rows kept for the others.  The
+    ``_required_coaction_keys`` yields, and once each: the first read of
+    any of the block's monomials checks its length, raising ValueError at
+    its degree and jump before filing anything, and files the stride
+    slice of every monomial in the module's memo; no rows are kept.  The
     rows must lie in the column range dims[d] (by construction in
-    ``extended``, checked by the parser for a comodule file); a slice of
-    them is wrapped without a range check, and the module checks its
-    shape.
+    ``extended``, checked by the parser for a comodule file), so the
+    slices are wrapped without a range check.
     """
-    blocks: dict[tuple[int, int], Sequence[int]] = {}
-
     def source(seq: milnor.Seq, d: int) -> BitMatrix:
         k = milnor.degree(seq)
-        rows = blocks.get((d, k))
-        if rows is None:
-            rows = blocks[(d, k)] = block(d, k)
-        index = milnor._basis_index(k, algebra.profile_index)
-        return BitMatrix._of_checked_rows(dims[d],
-                                          rows[index[seq]::len(index)])
-    return GradedModule(algebra, window, dims, source,
-                        bottom_exact=bottom_exact, top_exact=top_exact)
+        basis = algebra.basis(k)
+        stride = len(basis)
+        sd, td = module.dims[d], module.dims[d + k]
+        rows = block(d, k)
+        if len(rows) != td * stride:
+            raise ValueError(f"coaction block at degree {d}, jump {k} has "
+                             f"{len(rows)} rows, expected {td * stride}")
+        memo = module.actions
+        for j, s in enumerate(basis):
+            memo[s, d] = BitMatrix._of_checked_rows(sd, rows[j::stride])
+        return memo[seq, d]
+    module = GradedModule(algebra, window, dims, source,
+                          bottom_exact=bottom_exact, top_exact=top_exact)
+    return module
 
 
 def coaction_rows(module: GradedModule, d: int, k: int) -> list[int]:
     """The rows of coaction block (d, k) of a comodule stored as its ι
     module: the matrix of the j-th monomial of degree k at d, read once
     through ``module.action``, laid into rows j, j + dim A^k, ...  It
-    undoes the stride slices of ``of_coaction_blocks``."""
+    undoes the stride slices of ``of_coaction_blocks``, whose first read
+    of the block files every slice, so the others are memo hits."""
     basis = module.algebra.basis(k)
     stride = len(basis)
     rows = [0] * (module.dims[d + k] * stride)
@@ -221,7 +228,8 @@ def iota_matches_suspended_duals(module: GradedModule,
     only: its dims and exactness flags must equal module's, and none of
     its matrices is read.  The matrices are compared one (d, k) block at
     a time: ``coaction_rows`` reads each required matrix of module once
-    and lays it into the block.  The part on generator g is the dual
+    and lays it into the block, one source call per block for a comodule
+    of ``of_coaction_blocks``.  The part on generator g is the dual
     regular module at d - g, whose action there is the transposed right
     multiplication on A^(g - d - k), so its run of the block must equal
     the whole of ``milnor.product_columns(g - d - k, k)``, the product

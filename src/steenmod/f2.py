@@ -81,8 +81,9 @@ class BitMatrix:
         slice of the rows of a BitMatrix of the same ncols, the rows of a
         block text whose width the parser has checked, or a stride slice
         of a coaction block, whose rows ``comodule.extended`` shifts into
-        the block's columns from product masks on the block's first read,
-        so the per-row check of ``__init__`` is skipped."""
+        the block's columns from product masks and ``of_coaction_blocks``
+        slices per monomial once it has checked the block's length, so
+        the per-row check of ``__init__`` is skipped."""
         mat = object.__new__(cls)
         mat.nrows = len(rows)
         mat.ncols = ncols

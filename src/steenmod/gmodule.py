@@ -10,10 +10,11 @@ first time it is read, checks its shape there and memoizes it per module in
 zero and coproduct modules, their suspensions and restrictions,
 submodules, quotients, comodules, each stored as its ι module by
 ``comodule.of_coaction_blocks``, whose source builds a coaction block on
-the first read of any of its monomials, and parsed text, whose source
-decodes each block that ``textio.parse_module`` checked at parse on the
-block's first read.  Only equality, validation and printing force the
-full table (``action_table``).
+the first read of any of its monomials and files the matrix of each of
+them, and parsed text, whose source decodes each block that
+``textio.parse_module`` checked at parse on the block's first read.
+Only equality, validation and printing force the full table
+(``action_table``).
 The sources of regular and of dual regular modules read ``milnor``'s
 per-degree memos of left and transposed right multiplication by a monomial
 (``_left_action``, ``_right_action``), so all such modules, and the
@@ -103,7 +104,9 @@ class GradedModule:
     from a source on first read.
 
     The source is called only for keys with both dimensions nonzero, and
-    its matrices are checked as they are built.
+    its matrices are checked as they are built.  A source may also file
+    in ``actions`` the other required keys of the block it builds, as
+    ``comodule.of_coaction_blocks`` does for a coaction block.
     """
 
     __slots__ = ("algebra", "window", "dims", "actions", "_source",

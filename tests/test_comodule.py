@@ -4,13 +4,14 @@ from collections import Counter
 import pytest
 
 import oracles
-from steenmod import comodule, milnor
+from steenmod import comodule, milnor, textio
 from steenmod.comodule import (ExtendedSpec, extended, iota,
                                iota_matches_suspended_duals,
                                of_coaction_blocks, validate_coaction)
 from steenmod.f2 import BitMatrix, mask_to_bits
-from steenmod.gmodule import (Window, _is_square, _required_action_keys,
-                              dual_regular, freeness_test)
+from steenmod.gmodule import (GradedModule, Window, _is_square,
+                              _required_action_keys, dual_regular,
+                              freeness_test)
 from steenmod.milnor import Algebra, degree
 
 FULL = Algebra.full()
@@ -144,9 +145,11 @@ def test_blocks_are_built_on_first_read(monkeypatch, algebra, v_dims, window,
                                         d, k, calls):
     """extended reads no product block.  The first read of a monomial of
     degree k at d builds block (d, k), one product block per generator g
-    with g - d >= k; a second monomial of that block reads it as built.
-    The cases cover a repeated generator, generators with basis at d but
-    none at d + k, and over A(1) a generator with no basis at d."""
+    with g - d >= k, and files the matrix of every monomial of degree k at
+    d; a second monomial of that block is read off the memo, with no
+    source call.  The cases cover a repeated generator, generators with
+    basis at d but none at d + k, and over A(1) a generator with no basis
+    at d."""
     counting = _CountingMilnor()
     monkeypatch.setattr(comodule, "milnor", counting)
     c = extended(ExtendedSpec(v_dims), algebra, window)
@@ -157,9 +160,90 @@ def test_blocks_are_built_on_first_read(monkeypatch, algebra, v_dims, window,
     want = [(g - d - k, k, algebra) for g in gens if g - d >= k]
     assert len(want) == calls
     assert counting.calls == want
+    block = {(seq, d) for seq in algebra.basis(k)}
+    assert set(c.actions) == block
+    sources = []
+    source = c._source
+
+    def counted(seq, d):
+        sources.append((seq, d))
+        return source(seq, d)
+    c._source = counted
     c.action(second, d)
     assert counting.calls == want
-    assert {(first, d), (second, d)} <= set(c.actions)
+    assert sources == []
+    assert set(c.actions) == block
+
+
+def _parsed_extended(v, algebra, window):
+    """extended(v) parsed from a comodule file printed off the coproduct
+    of suspended dual regular modules it embeds as, so no block of the
+    file passes through ``of_coaction_blocks`` before the parse."""
+    return textio.parse_comodule(textio.print_comodule(
+        oracles.iota_of_extended_reference(v, algebra, window)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build,algebra,v_dims,window", [
+    (extended, FULL, {0: 1, -3: 1}, Window(-12, 0)),
+    (extended, A1, {2: 1, 0: 1, -2: 1}, Window(-10, 2)),
+    (extended, A2, {0: 1, -5: 1}, Window(-18, 0)),
+    (_parsed_extended, FULL, {0: 1, -2: 1}, Window(-10, 0)),
+], ids=["full", "A1", "A2", "parsed"])
+def test_fill_order_never_changes_a_matrix(build, algebra, v_dims, window,
+                                           seed):
+    """Every required monomial, a quarter of them twice, read in a seeded
+    random order.  Each read adds the whole block of the monomial read
+    to the memo and nothing else, keeps every earlier matrix as it was,
+    leaves only required keys there, and lays the block out as the
+    per-bit oracle does.  The full table then equals the coproduct of
+    suspended dual regular modules."""
+    v = ExtendedSpec(v_dims)
+    c = build(v, algebra, window)
+    _, blocks = oracles.extended_by_bits(v, algebra, window)
+    required = list(_required_action_keys(algebra, window, c.dims))
+    keys = required + random.Random(seed).sample(required, len(required) // 4)
+    random.Random(seed).shuffle(keys)
+    for seq, d in keys:
+        k = degree(seq)
+        before = dict(c.actions)
+        c.action(seq, d)
+        block = {(s, d) for s in algebra.basis(k)}
+        assert set(c.actions) == set(before) | block
+        assert all(c.actions[key] is mat for key, mat in before.items())
+        assert set(c.actions) <= set(required)
+        assert oracles.coaction_block(c, d, k) == blocks[d, k]
+    assert c.action_table() == oracles.iota_of_extended_reference(
+        v, algebra, window).action_table()
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_malformed_block_fails_at_its_first_read(extra):
+    """A block function that gives one row too few or too many for block
+    (d, k) makes every read of a monomial of degree k at d raise, naming
+    the degree and the jump, and files no matrix of the block; the other
+    blocks read as before."""
+    c = extended(ExtendedSpec({0: 1, -2: 1}), FULL, Window(-10, 0))
+    blocks = oracles.coaction_blocks(c)
+    d, k = -8, 3
+
+    def block(dd, kk):
+        rows = list(blocks[dd, kk].rows)
+        if (dd, kk) == (d, k):
+            rows = rows + [0] if extra > 0 else rows[:-1]
+        return rows
+    m = of_coaction_blocks(FULL, c.window, dict(c.dims), block,
+                           c.bottom_exact, c.top_exact)
+    want = len(blocks[d, k].rows)
+    for seq in FULL.basis(k):
+        with pytest.raises(ValueError) as exc:
+            m.action(seq, d)
+        assert str(exc.value) == (
+            f"coaction block at degree {d}, jump {k} has {want + extra} "
+            f"rows, expected {want}")
+        assert m.actions == {}
+    assert m.action((1,), d) == c.action((1,), d)
+    assert m.action((0, 1), d + 1) == c.action((0, 1), d + 1)
 
 
 def test_iota_exactness_of_sequences():
@@ -389,24 +473,39 @@ BLOCK_CASES = pytest.mark.parametrize("algebra,v_dims,window", [
 
 @BLOCK_CASES
 def test_block_check_reads_every_required_matrix_once_through_iota(
-        algebra, v_dims, window):
-    """The block check reads ι's matrices through its source, exactly the
-    keys the module requires and each once, not the coaction blocks
-    behind them."""
+        monkeypatch, algebra, v_dims, window):
+    """The block check reads ι's matrices through ``module.action``,
+    exactly the keys the module requires and each once, not the coaction
+    blocks behind them.  The source runs once per coaction block, on the
+    first read of any of its monomials, and the memo ends holding exactly
+    the required keys."""
     v = ExtendedSpec(v_dims)
     m = iota(extended(v, algebra, window))
     reads = Counter()
+    action = GradedModule.action
+
+    def counted_action(self, seq, d):
+        if self is m:
+            reads[(seq, d)] += 1
+        return action(self, seq, d)
+    monkeypatch.setattr(GradedModule, "action", counted_action)
+    sources = Counter()
     source = m._source
 
-    def counting(seq, d):
-        reads[(seq, d)] += 1
+    def counted_source(seq, d):
+        sources[(d, degree(seq))] += 1
         return source(seq, d)
-    m._source = counting
+    m._source = counted_source
     assert iota_matches_suspended_duals(m, v)
     required = list(_required_action_keys(algebra, window, m.dims))
     assert required and len(set(required)) == len(required)
     assert set(reads) == set(required)
     assert set(reads.values()) == {1}
+    blocks = list(comodule._required_coaction_keys(algebra, window, m.dims))
+    assert len(blocks) < len(required)
+    assert set(sources) == set(blocks)
+    assert set(sources.values()) == {1}
+    assert set(m.actions) == set(required)
 
 
 @BLOCK_CASES

@@ -17,6 +17,12 @@
   (``baer._minimal_relations``) once per (presentation, degree), over a
   fixed number of presentations (``baer._PRESENTATIONS``).  A change that
   recomputes relations per shift or per target moves a count.
+- Coaction counts.  Each scenario, in a fresh interpreter, builds a fixed
+  number of coaction blocks (the ``block`` function given to
+  ``comodule.of_coaction_blocks``) and calls its comodules' sources as
+  many times: the first read of a block files the matrix of every
+  monomial of it.  A change that builds a block per monomial, or builds
+  a block no read needs, moves a count.
 """
 
 import hashlib
@@ -29,7 +35,8 @@ from pathlib import Path
 import pytest
 
 from steenmod import cli
-from steenmod.scenarios import ScenarioConfig, render_structured, run_scenario
+from steenmod.scenarios import (SCENARIOS, ScenarioConfig, render_structured,
+                                run_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -183,3 +190,53 @@ def test_scenario_relation_counts(name):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert tuple(map(int, proc.stdout.split())) == RELATIONS[name]
+
+
+# Scenario: (coaction blocks built, comodule source calls) at its
+# defaults, fresh interpreter.
+COACTIONS = {
+    "dims": (0, 0),
+    "prop-3-1": (0, 0),
+    "iota-failure": (465, 465),
+    "cor-2-6": (0, 0),
+    "iota-bounded-above": (210, 210),
+    "faith-equiv-a1": (0, 0),
+}
+
+COUNT_COACTIONS = """
+import sys
+from steenmod import comodule
+from steenmod.scenarios import ScenarioConfig, run_scenario
+
+counts = {"blocks": 0, "sources": 0}
+of_coaction_blocks = comodule.of_coaction_blocks
+
+def counted(algebra, window, dims, block, **flags):
+    def counted_block(d, k):
+        counts["blocks"] += 1
+        return block(d, k)
+    module = of_coaction_blocks(algebra, window, dims, counted_block, **flags)
+    source = module._source
+    def counted_source(seq, d):
+        counts["sources"] += 1
+        return source(seq, d)
+    module._source = counted_source
+    return module
+
+comodule.of_coaction_blocks = counted
+run_scenario(sys.argv[1], ScenarioConfig())
+print(counts["blocks"], counts["sources"])
+"""
+
+
+def test_coaction_table_covers_every_scenario():
+    assert set(COACTIONS) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(COACTIONS))
+def test_scenario_coaction_counts(name):
+    proc = subprocess.run([sys.executable, "-c", COUNT_COACTIONS, name],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(map(int, proc.stdout.split())) == COACTIONS[name]
